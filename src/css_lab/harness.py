@@ -62,6 +62,9 @@ DEFAULT_SEED = 20240601
 DEFAULT_PFA_GRID = tuple(float(x) for x in np.logspace(np.log10(0.01), np.log10(0.5), 15))
 AUC_MATCH_TOL = 0.02
 _CHUNK_CELLS = 1 << 22  # cap on rows*events*sensors drawn per chunk
+# expected_rho keeps three full-size temporaries per chunk; at 1<<20 cells it
+# was faster and held half the peak memory of one 1<<22-cell chunk
+_RHO_CHUNK_CELLS = 1 << 20
 
 # stream tags keeping every stochastic purpose on its own substream
 _TAG_SWEEP = 1
@@ -743,10 +746,17 @@ def expected_rho(scenario: Scenario, windows: int = 100_000) -> float:
     if scenario.uncertainty_db == 0.0:
         return 1.0
     rng = derive_rng(scenario.seed, 6)
-    shape = (windows, scenario.history_len, scenario.num_crs)
-    sig2 = 10.0 ** (rng.uniform(-scenario.uncertainty_db, scenario.uncertainty_db, shape) / 10.0)
-    sig_mean = sig2.mean(axis=2)
-    rho = np.maximum(1.0, sig_mean.max(axis=1) / sig_mean.mean(axis=1))
+    halfwidth = scenario.uncertainty_db
+    per_chunk = max(1, _RHO_CHUNK_CELLS // (scenario.history_len * scenario.num_crs))
+    rho = np.empty(windows)
+    done = 0
+    # the stream is drawn in order, so chunking leaves every value unchanged
+    for step in _chunked(windows, per_chunk):
+        shape = (step, scenario.history_len, scenario.num_crs)
+        sig2 = 10.0 ** (rng.uniform(-halfwidth, halfwidth, shape) / 10.0)
+        sig_mean = sig2.mean(axis=2)
+        rho[done : done + step] = np.maximum(1.0, sig_mean.max(axis=1) / sig_mean.mean(axis=1))
+        done += step
     return float(rho.mean())
 
 

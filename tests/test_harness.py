@@ -326,3 +326,10 @@ class TestExpectedRho:
         # frozen from a large direct simulation of the window statistic
         value = expected_rho(Scenario(seed=21), windows=200_000)
         assert value == pytest.approx(1.0895, abs=0.002)
+
+    def test_chunking_leaves_value_unchanged(self, monkeypatch):
+        scenario = Scenario(seed=22)
+        whole = expected_rho(scenario, windows=3_000)
+        # 1000 cells hold 9 windows of 15 x 7: 333 full chunks and a remainder
+        monkeypatch.setattr("css_lab.harness._RHO_CHUNK_CELLS", 1000)
+        assert expected_rho(scenario, windows=3_000) == whole

@@ -24,6 +24,7 @@ from css_lab.theory import (
     qfa_proposed,
     upper_reg_gamma,
 )
+from css_lab import theory
 
 GBAR = 10 ** (-1.5)
 
@@ -162,6 +163,15 @@ class TestExactTails:
 class TestRayleighAverage:
     def test_tiny_threshold(self):
         assert qd_rayleigh(params(), 1e-12) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 128, 1024])
+    def test_node_set_matches_scipy(self, n):
+        nodes, weights = theory._legendre_rule(n)
+        x, w = special.roots_legendre(n)
+        assert np.max(np.abs(nodes - 0.5 * (x + 1.0))) <= 1e-15
+        # the end weights are tiny; both rules lose relative digits there
+        assert np.max(np.abs(weights - 0.5 * w) / w) <= 1e-7
+        assert weights.sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_k1_collapse_across_kinds(self):
         lam = cfar_threshold(FusionConfig(CombinerKind.MRC, 1, 1000), 0.1)
@@ -395,13 +405,82 @@ class TestMonotonicityAndRange:
             assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
 
+def _oracle_detection_tail(kind, K, n, lam, snr):
+    """Exact detection tail at per-sensor SNR ``snr`` through scipy's noncentral CDF."""
+    if kind is CombinerKind.SLS:
+        return 1.0 - special.chndtr(lam, n, n * snr) ** K
+    df = n * K if kind is CombinerKind.SLC else n
+    return 1.0 - special.chndtr(lam, df, n * K * snr)
+
+
+def _oracle_window_weight(kind, K, n, length, lam, snr):
+    """Gaussian predictor weight for a window of ``length`` events all at ``snr``."""
+    scale, boost = {
+        CombinerKind.SLC: (n * K, 1.0 + snr),
+        CombinerKind.MRC: (n, 1.0 + K * snr),
+        CombinerKind.SLS: (n, 1.0 + snr),
+    }[kind]
+    mean, var = scale * boost, 2.0 * scale * boost * boost / length
+    return 0.5 * special.erfc((lam - mean) / np.sqrt(2.0 * var))
+
+
+def fading_quad_oracle(p, lam):
+    """Adaptive quadrature of a scalar re-implementation of the fading integrands.
+
+    Unit noise variance.  SLS averages one branch's exponential SNR (and, at
+    ``rho = 1``, applies the K-fold complement to the branch average); SLC
+    and MRC average over the gamma-distributed K-sensor SNR sum.
+    """
+    kind, K, n, gbar, rho = p.kind, p.K, p.N, p.gamma_bar, p.rho
+    if kind is CombinerKind.SLS:
+        per_sensor = 1.0
+        log_pdf = lambda g: -g / gbar - np.log(gbar)
+    else:
+        per_sensor = K
+        log_pdf = lambda g: (K - 1) * np.log(g) - g / gbar - special.gammaln(K) - K * np.log(gbar)
+    if rho == 1.0 and kind is CombinerKind.SLS:
+        integrand = lambda g: (1.0 - special.chndtr(lam, n, n * g)) * np.exp(log_pdf(g))
+    else:  # at rho = 1 both SLC/MRC mixture terms are the plain tail
+        def integrand(g):
+            snr = g / per_sensor
+            w = _oracle_window_weight(kind, K, n, p.L, lam, snr)
+            mixture = w * _oracle_detection_tail(kind, K, n, lam / rho, snr) + (
+                1.0 - w
+            ) * _oracle_detection_tail(kind, K, n, rho * lam, snr)
+            return mixture * np.exp(log_pdf(g))
+
+    hi = theory._fading_upper_limit(p)
+    value, abserr = integrate.quad(integrand, 0.0, hi, epsabs=1e-12, epsrel=0.0, limit=500)
+    assert abserr <= 1e-10, (p, lam, abserr)
+    if rho == 1.0 and kind is CombinerKind.SLS:
+        return -np.expm1(K * np.log1p(-value))
+    return value
+
+
+class TestFadingAverageOracle:
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_matches_adaptive_quadrature(self, kind):
+        worst = 0.0
+        for K in (1, 2, 3, 7, 16, 48):
+            for target in (0.01, 0.1, 0.5):
+                lam = cfar_threshold(FusionConfig(kind, K, 1000), target)
+                for snr_db in (-25.0, -15.0, -5.0, 0.0):
+                    for rho in (1.0, 1.1):
+                        p = TheoryParams(kind, K=K, N=1000, gamma_bar=10 ** (snr_db / 10), rho=rho)
+                        value = qd_proposed_rayleigh(p, lam)  # qd_rayleigh at rho = 1
+                        worst = max(worst, abs(value - fading_quad_oracle(p, lam)))
+        assert worst <= 1e-8
+
+
 class TestNumericErrorSurface:
     def test_quadrature_failure_raises(self, monkeypatch):
-        def broken_quad(*args, **kwargs):
-            return float("nan"), 1.0
-
-        monkeypatch.setattr("css_lab.theory.integrate.quad", broken_quad)
-        with pytest.raises(NumericError):
+        # a node cap below what the default-scenario average needs
+        monkeypatch.setattr(theory, "_QUAD_MAX_NODES", 32)
+        with pytest.raises(NumericError, match="did not converge"):
+            qd_rayleigh(params(), 7000.0)
+        # a non-finite integrand fails at once
+        monkeypatch.setattr(theory, "_marcum_q_vec", lambda order, a, b: np.full(np.shape(a), np.nan))
+        with pytest.raises(NumericError, match="not finite"):
             qd_rayleigh(params(), 7000.0)
 
 
