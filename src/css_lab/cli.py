@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -28,6 +29,7 @@ from .harness import (
     SCHEME_PROPOSED,
     RocCurve,
     Scenario,
+    _fmt,
     equivalence_search,
     expected_rho,
     roc_sweep,
@@ -64,17 +66,16 @@ class ValidationError(ValueError):
     """Bad scenario file, override or field value; maps to exit code 2."""
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+# field name -> annotation; harness postpones annotations, so these are strings
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Scenario)}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _coerce(key: str, raw: str):
     raw = raw.strip()
+    if key not in _FIELD_TYPES:
+        raise ValidationError(f"unknown key {key!r}; valid keys: {', '.join(_FIELD_TYPES)}")
     try:
-        if key in ("n_samples", "num_crs", "history_len", "trials", "seed"):
-            return int(raw)
-        if key in ("snr_db", "uncertainty_db"):
-            return float(raw)
         if key == "combiner":
             name = raw.lower()
             if name not in _COMBINER_NAMES:
@@ -82,17 +83,9 @@ def _coerce(key: str, raw: str):
             return _COMBINER_NAMES[name]
         if key == "pfa_grid":
             return tuple(float(part) for part in raw.split(",") if part.strip())
-        if key in ("channel_kind", "pu_model", "fading_block"):
-            return raw
-    except ValidationError:
-        raise
+        return _PARSERS[_FIELD_TYPES[key]](raw)
     except ValueError as exc:
         raise ValidationError(f"field {key!r}: cannot parse {raw!r} ({exc})") from exc
-    raise ValidationError(
-        f"unknown key {key!r}; valid keys: "
-        "snr_db, n_samples, num_crs, history_len, uncertainty_db, combiner, "
-        "trials, seed, pfa_grid, channel_kind, pu_model, fading_block"
-    )
 
 
 def _parse_assignments(lines: Sequence[str], origin: str) -> dict:
@@ -146,52 +139,24 @@ def _theory_table_rows(scenario: Scenario) -> list[str]:
                     qd_proposed_rayleigh(proposed, lam),
                 ),
             ):
-                rows.append(
-                    ",".join(
-                        (
-                            sub.digest(),
-                            kind.name,
-                            scheme,
-                            _fmt(target),
-                            _fmt(lam),
-                            "",
-                            "",
-                            "",
-                            "",
-                            _fmt(pfa),
-                            _fmt(pd),
-                            "0",
-                            str(sub.seed),
-                        )
-                    )
-                )
+                blank = ("",) * 4  # no empirical columns
+                values = (_fmt(target), _fmt(lam), *blank, _fmt(pfa), _fmt(pd), "0")
+                rows.append(_row(sub, scheme, *values))
     return rows
+
+
+def _row(scenario: Scenario, scheme: str, *values: str) -> str:
+    """One CSV line in ``CSV_COLUMNS`` order; ``values`` run from target_pfa to trials."""
+    head = (scenario.digest(), scenario.combiner.name, scheme)
+    return ",".join(head + values + (str(scenario.seed),))
 
 
 def _curve_rows(curve: RocCurve) -> list[str]:
-    digest = curve.scenario.digest()
-    rows = []
-    for p in curve.points:
-        rows.append(
-            ",".join(
-                (
-                    digest,
-                    curve.scenario.combiner.name,
-                    curve.scheme,
-                    _fmt(p.target_pfa),
-                    _fmt(p.lam),
-                    _fmt(p.empirical_pfa),
-                    _fmt(p.empirical_pfa_ci),
-                    _fmt(p.empirical_pd),
-                    _fmt(p.empirical_pd_ci),
-                    _fmt(p.theory_pfa),
-                    _fmt(p.theory_pd),
-                    str(p.trials),
-                    str(curve.scenario.seed),
-                )
-            )
-        )
-    return rows
+    # RocPoint's fields run in CSV order, from target_pfa to trials
+    return [
+        _row(curve.scenario, curve.scheme, *map(_fmt, dataclasses.astuple(p)[:-1]), str(p.trials))
+        for p in curve.points
+    ]
 
 
 _PLOT_TEMPLATE = """\
@@ -246,17 +211,15 @@ def run_command(
     extras: dict = {}
     rows: list[str] = []
     if subcommand == "roc":
-        for scheme in (SCHEME_CONVENTIONAL, SCHEME_PROPOSED):
-            rows.extend(_curve_rows(roc_sweep(scenario, scheme, threads=threads)))
+        for curve in roc_sweep(scenario, threads=threads):
+            rows.extend(_curve_rows(curve))
         csv_name = "roc.csv"
     elif subcommand == "compare":
         aucs = {}
         for kind in (CombinerKind.SLC, CombinerKind.MRC, CombinerKind.SLS):
-            sub = replace(scenario, combiner=kind)
-            for scheme in (SCHEME_CONVENTIONAL, SCHEME_PROPOSED):
-                curve = roc_sweep(sub, scheme, threads=threads)
+            for curve in roc_sweep(replace(scenario, combiner=kind), threads=threads):
                 rows.extend(_curve_rows(curve))
-                aucs[f"{kind.name}:{scheme}"] = curve.auc
+                aucs[f"{kind.name}:{curve.scheme}"] = curve.auc
         extras["auc"] = aucs
         csv_name = "compare.csv"
     elif subcommand == "sweep-l":

@@ -27,7 +27,9 @@ Measurement regimes
 ROC points are measured under forced hypotheses.  For the dual-threshold
 scheme each counted trial is the final event of an independent
 freshly-warmed window, which keeps counted decisions i.i.d. so binomial
-confidence intervals apply.  The ``markov`` PU model drives a single
+confidence intervals apply; the fixed-threshold rate is read off the same
+events.  Sweeps that ask for the fixed threshold alone count single
+independent events instead.  The ``markov`` PU model drives a single
 rolling chain and is summarised separately as a transition penalty around
 PU toggles.
 """
@@ -348,8 +350,10 @@ def conventional_rate(
 ) -> float:
     """Fixed-threshold positive rate over single independent events.
 
-    Leaner than :func:`forced_rates` (no window draws); use it for studies
-    that never compare against the dual-threshold rule.
+    Leaner than :func:`forced_rates` (no window draws, ``L`` times fewer
+    cells).  :func:`roc_sweep` uses it for conventional-only requests, such
+    as the sensor counts of :func:`equivalence_search` other than the
+    dual-threshold one.
     """
     kwargs = _scenario_matrix_kwargs(scenario)
     per_chunk = max(1, _CHUNK_CELLS // scenario.num_crs)
@@ -382,6 +386,8 @@ def forced_rates(
     The fixed-threshold rule is evaluated on the same events, which makes
     scheme comparisons exactly paired (and byte-identical when the
     uncertainty halfwidth is zero, since the rules then coincide).
+    :func:`roc_sweep` makes one call per hypothesis and grid point whenever
+    the dual-threshold rule is requested, and reads both schemes off it.
     """
     kwargs = _scenario_matrix_kwargs(scenario)
     length = scenario.history_len
@@ -549,28 +555,36 @@ def _theory_columns(
 
 
 def _sweep_point(
-    scenario: Scenario, scheme: str, index: int, target: float, lam: float
-) -> tuple[RocPoint, float]:
-    h0 = forced_rates(scenario, False, lam, derive_rng(scenario.seed, _TAG_SWEEP, index, 0))
-    h1 = forced_rates(scenario, True, lam, derive_rng(scenario.seed, _TAG_SWEEP, index, 1))
-    rho = h0.mean_rho if scheme == SCHEME_PROPOSED else 1.0
-    if scheme == SCHEME_CONVENTIONAL:
-        pfa, pd = h0.conventional, h1.conventional
+    scenario: Scenario, schemes: tuple[str, ...], index: int, target: float, lam: float
+) -> list[tuple[RocPoint, float]]:
+    """One grid point for every requested scheme, from one pass of draws."""
+    rngs = [derive_rng(scenario.seed, _TAG_SWEEP, index, h) for h in (0, 1)]
+    if SCHEME_PROPOSED in schemes:
+        h0, h1 = (forced_rates(scenario, bool(h), lam, rng) for h, rng in enumerate(rngs))
+        rates = {
+            SCHEME_CONVENTIONAL: (h0.conventional, h1.conventional, 1.0),
+            SCHEME_PROPOSED: (h0.proposed, h1.proposed, h0.mean_rho),
+        }
     else:
-        pfa, pd = h0.proposed, h1.proposed
-    theory_pfa, theory_pd = _theory_columns(scenario, scheme, lam, rho)
-    point = RocPoint(
-        target_pfa=target,
-        lam=lam,
-        empirical_pfa=pfa,
-        empirical_pfa_ci=binomial_ci(pfa, scenario.trials),
-        empirical_pd=pd,
-        empirical_pd_ci=binomial_ci(pd, scenario.trials),
-        theory_pfa=theory_pfa,
-        theory_pd=theory_pd,
-        trials=scenario.trials,
-    )
-    return point, rho
+        pfa, pd = (conventional_rate(scenario, bool(h), lam, rng) for h, rng in enumerate(rngs))
+        rates = {SCHEME_CONVENTIONAL: (pfa, pd, 1.0)}
+    results = []
+    for scheme in schemes:
+        pfa, pd, rho = rates[scheme]
+        theory_pfa, theory_pd = _theory_columns(scenario, scheme, lam, rho)
+        point = RocPoint(
+            target_pfa=target,
+            lam=lam,
+            empirical_pfa=pfa,
+            empirical_pfa_ci=binomial_ci(pfa, scenario.trials),
+            empirical_pd=pd,
+            empirical_pd_ci=binomial_ci(pd, scenario.trials),
+            theory_pfa=theory_pfa,
+            theory_pd=theory_pd,
+            trials=scenario.trials,
+        )
+        results.append((point, rho))
+    return results
 
 
 def trapezoid_auc(points: Sequence[tuple[float, float]]) -> float:
@@ -588,43 +602,48 @@ def _auc_with_ci(points: Sequence[RocPoint]) -> tuple[float, float]:
     )
     xs = np.array([0.0] + [p[0] for p in path] + [1.0])
     ys = np.array([0.0] + [p[1] for p in path] + [1.0])
-    auc = 0.5 * float(np.sum((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1])))
     # first-order propagation of the per-point 3-sigma half-widths
     var = 0.0
     for i, (_, _, ci_x, ci_y) in enumerate(path, start=1):
         dy = (xs[i + 1] - xs[i - 1]) / 2.0
         dx = (ys[i - 1] - ys[i + 1]) / 2.0
         var += (dy * ci_y / 3.0) ** 2 + (dx * ci_x / 3.0) ** 2
-    return auc, 3.0 * float(np.sqrt(var))
+    return trapezoid_auc([p[:2] for p in path]), 3.0 * float(np.sqrt(var))
 
 
-def roc_sweep(scenario: Scenario, scheme: str, threads: int = 1) -> RocCurve:
-    """One ROC curve: CFAR thresholds from the grid, both forced regimes per point."""
-    _check_scheme(scheme)
+def roc_sweep(
+    scenario: Scenario,
+    schemes: Sequence[str] = (SCHEME_CONVENTIONAL, SCHEME_PROPOSED),
+    threads: int = 1,
+) -> tuple[RocCurve, ...]:
+    """ROC curves, one per requested scheme and in that order, from one pass.
+
+    Thresholds come from CFAR inversion of the grid.  When ``schemes``
+    includes the dual-threshold rule, each grid point makes one
+    :func:`forced_rates` call per hypothesis and every requested curve reads
+    its rates off those two calls, so scheme comparisons are exactly paired.
+    A conventional-only request draws single events through
+    :func:`conventional_rate` on the same streams instead.
+    """
+    if isinstance(schemes, str) or not schemes:
+        raise ValueError("schemes must be a non-empty sequence of scheme names")
+    for scheme in schemes:
+        _check_scheme(scheme)
     cfg = scenario.fusion_config()
     lams = [cfar_threshold(cfg, t) for t in scenario.pfa_grid]
-    jobs = list(enumerate(zip(scenario.pfa_grid, lams)))
+    n = len(lams)
+    args = ([scenario] * n, [tuple(schemes)] * n, range(n), scenario.pfa_grid, lams)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda job: _sweep_point(scenario, scheme, job[0], job[1][0], job[1][1]),
-                    jobs,
-                )
-            )
+            results = list(pool.map(_sweep_point, *args))
     else:
-        results = [_sweep_point(scenario, scheme, i, t, lam) for i, (t, lam) in jobs]
-    points = tuple(r[0] for r in results)
-    mean_rho = float(np.mean([r[1] for r in results]))
-    auc, auc_ci = _auc_with_ci(points)
-    return RocCurve(
-        scheme=scheme,
-        scenario=scenario,
-        points=points,
-        auc=auc,
-        auc_ci=auc_ci,
-        mean_rho=mean_rho,
-    )
+        results = list(map(_sweep_point, *args))
+    curves = []
+    for column, scheme in enumerate(schemes):
+        points = tuple(r[column][0] for r in results)
+        mean_rho = float(np.mean([r[column][1] for r in results]))
+        curves.append(RocCurve(scheme, scenario, points, *_auc_with_ci(points), mean_rho))
+    return tuple(curves)
 
 
 def sweep_param(
@@ -644,7 +663,7 @@ def sweep_param(
     curves = []
     for value in values:
         scenario = replace(base, **{param: int(value)})
-        curves.append(roc_sweep(scenario, SCHEME_PROPOSED, threads=threads))
+        curves.extend(roc_sweep(scenario, (SCHEME_PROPOSED,), threads=threads))
     return curves
 
 
@@ -658,16 +677,22 @@ def equivalence_search(
     Matching means the conventional AUC comes within ``AUC_MATCH_TOL`` of
     the dual-threshold scheme's AUC at its own (smaller) sensor count.
     Returns ``k_match = -1`` and the residual gap at the largest searched
-    count when nothing in the range matches.
+    count when nothing in the range matches.  At the proposed sensor count
+    the conventional curve is the one paired with the dual-threshold curve;
+    every other count runs a conventional-only sweep.
     """
     ks = tuple(int(k) for k in (k_range if k_range is not None else range(1, 49)))
     if not ks or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_range must be ascending positive integers")
-    target_curve = roc_sweep(proposed, SCHEME_PROPOSED, threads=threads)
+    paired, target_curve = roc_sweep(proposed, threads=threads)
     target = target_curve.auc
     curves: list[RocCurve] = []
     for k in ks:
-        curve = roc_sweep(replace(proposed, num_crs=k), SCHEME_CONVENTIONAL, threads=threads)
+        if k == proposed.num_crs:
+            curve = paired
+        else:
+            sub = replace(proposed, num_crs=k)
+            (curve,) = roc_sweep(sub, (SCHEME_CONVENTIONAL,), threads=threads)
         curves.append(curve)
         if curve.auc >= target - AUC_MATCH_TOL:
             return EquivalenceResult(

@@ -447,9 +447,7 @@ def test_criterion_11_property_suites():
 
     # harness output determinism across thread counts
     scenario = Scenario(trials=4_000, seed=SEED, pfa_grid=(0.05, 0.1, 0.3))
-    ok_threads = roc_sweep(scenario, "proposed", threads=1) == roc_sweep(
-        scenario, "proposed", threads=4
-    )
+    ok_threads = roc_sweep(scenario, threads=1) == roc_sweep(scenario, threads=4)
 
     ok = ok_rho and ok_w and ok_mono and ok_threads
     report(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from css_lab import harness
 from css_lab.adaptive import FusionState, advance, push_event
 from css_lab.channel import Hypothesis
 from css_lab.fusion import CombinerKind, cfar_threshold
@@ -164,14 +165,13 @@ class TestSampledReference:
 class TestRocSweep:
     def test_single_median_point(self):
         sc = Scenario(uncertainty_db=0.0, trials=20_000, seed=8, pfa_grid=(0.5,))
-        curve = roc_sweep(sc, "conventional")
+        (curve,) = roc_sweep(sc, ("conventional",))
         point = curve.points[0]
         assert abs(point.empirical_pfa - 0.5) <= point.empirical_pfa_ci
 
     def test_zero_uncertainty_schemes_identical(self):
         sc = Scenario(uncertainty_db=0.0, trials=5_000, seed=9, pfa_grid=(0.05, 0.1, 0.3))
-        conv = roc_sweep(sc, "conventional")
-        prop = roc_sweep(sc, "proposed")
+        conv, prop = roc_sweep(sc)
         for a, b in zip(conv.points, prop.points):
             assert a.empirical_pfa == b.empirical_pfa
             assert a.empirical_pd == b.empirical_pd
@@ -181,16 +181,19 @@ class TestRocSweep:
         assert prop.mean_rho == 1.0
 
     def test_thread_count_does_not_change_results(self):
+        # both curves of a paired sweep, and the conventional-only path
         sc = Scenario(trials=3_000, seed=10, pfa_grid=(0.05, 0.1, 0.2, 0.4))
-        assert roc_sweep(sc, "proposed", threads=1) == roc_sweep(sc, "proposed", threads=4)
+        assert roc_sweep(sc, threads=1) == roc_sweep(sc, threads=4)
+        only = ("conventional",)
+        assert roc_sweep(sc, only, threads=1) == roc_sweep(sc, only, threads=4)
 
     def test_repeatable(self):
         sc = Scenario(trials=2_000, seed=11, pfa_grid=(0.1, 0.3))
-        assert roc_sweep(sc, "proposed") == roc_sweep(sc, "proposed")
+        assert roc_sweep(sc) == roc_sweep(sc)
 
     def test_conventional_tracks_theory(self):
         sc = Scenario(uncertainty_db=0.0, trials=30_000, seed=12, pfa_grid=(0.05, 0.1, 0.3))
-        curve = roc_sweep(sc, "conventional")
+        (curve,) = roc_sweep(sc, ("conventional",))
         for p in curve.points:
             assert abs(p.empirical_pfa - p.theory_pfa) <= max(0.01, p.empirical_pfa_ci)
             assert abs(p.empirical_pd - p.theory_pd) <= p.empirical_pd_ci
@@ -199,12 +202,64 @@ class TestRocSweep:
         # raw points are reported unregularized; monotonicity along the curve
         # holds within the confidence half-widths
         sc = Scenario(trials=20_000, seed=23)
-        curve = roc_sweep(sc, "proposed")
+        (curve,) = roc_sweep(sc, ("proposed",))
         targets = [p.target_pfa for p in curve.points]
         assert targets == sorted(targets)
         path = sorted((p.empirical_pfa, p.empirical_pd, p.empirical_pd_ci) for p in curve.points)
         for (_, pd_a, ci_a), (_, pd_b, ci_b) in zip(path, path[1:]):
             assert pd_b >= pd_a - np.hypot(ci_a, ci_b)
+
+
+class TestOnePass:
+    """Each grid point is drawn once, whatever the sweep is asked for."""
+
+    GRID = (0.05, 0.1, 0.3)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"forced_rates": 0, "conventional_rate": 0}
+        for name in counts:
+            original = getattr(harness, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "schemes",
+        [("conventional", "proposed"), ("proposed",), ("proposed", "conventional")],
+    )
+    def test_two_forced_calls_per_point(self, calls, schemes):
+        sc = Scenario(trials=500, seed=24, pfa_grid=self.GRID)
+        curves = roc_sweep(sc, schemes)
+        assert [c.scheme for c in curves] == list(schemes)
+        assert calls == {"forced_rates": 2 * len(self.GRID), "conventional_rate": 0}
+
+    def test_conventional_only_draws_single_events(self, calls):
+        sc = Scenario(trials=500, seed=24, pfa_grid=self.GRID)
+        (curve,) = roc_sweep(sc, ("conventional",))
+        assert curve.scheme == "conventional" and curve.mean_rho == 1.0
+        assert calls == {"forced_rates": 0, "conventional_rate": 2 * len(self.GRID)}
+
+    def test_schemes_validation(self):
+        sc = Scenario(trials=200, seed=24, pfa_grid=self.GRID)
+        for bad in ("proposed", (), ("hybrid",)):
+            with pytest.raises(ValueError):
+                roc_sweep(sc, bad)
+
+    def test_equivalence_reuses_paired_curve(self, calls):
+        sc = Scenario(num_crs=3, trials=500, seed=25, pfa_grid=self.GRID)
+        result = equivalence_search(sc, k_range=(2, 3, 4))
+        assert result.searched == (2, 3, 4)
+        # paired sweep at K=3, conventional-only sweeps at K=2 and K=4
+        points = len(self.GRID)
+        assert calls == {"forced_rates": 2 * points, "conventional_rate": 4 * points}
+        paired, proposed = roc_sweep(sc)
+        assert result.conventional_curves[1] == paired
+        assert result.proposed_curve == proposed
 
 
 class TestPairedDominance:
@@ -213,8 +268,7 @@ class TestPairedDominance:
         # uncertainty-inflated idle-window mean) the dual thresholds dominate
         # pointwise
         sc = Scenario(trials=15_000, seed=13, pfa_grid=(0.01, 0.05, 0.1, 0.2, 0.25))
-        conv = roc_sweep(sc, "conventional")
-        prop = roc_sweep(sc, "proposed")
+        conv, prop = roc_sweep(sc)
         for a, b in zip(conv.points, prop.points):
             assert b.empirical_pfa <= a.empirical_pfa
             assert b.empirical_pd >= a.empirical_pd
@@ -231,8 +285,7 @@ class TestPairedDominance:
     )
     def test_full_default_grid(self):
         sc = Scenario(trials=15_000, seed=13)
-        conv = roc_sweep(sc, "conventional")
-        prop = roc_sweep(sc, "proposed")
+        conv, prop = roc_sweep(sc)
         assert all(
             b.empirical_pfa <= a.empirical_pfa and b.empirical_pd >= a.empirical_pd
             for a, b in zip(conv.points, prop.points)
@@ -283,11 +336,18 @@ class TestSweepsAndAuc:
             trapezoid_auc([(0.1, 0.7), (0.2, 0.9)])
         )
 
+    def test_auc_with_ci_uses_trapezoid_auc(self):
+        sc = Scenario(trials=2_000, seed=18, pfa_grid=(0.05, 0.1, 0.3))
+        for curve in roc_sweep(sc):
+            pairs = [(p.empirical_pfa, p.empirical_pd) for p in curve.points]
+            auc, _ = harness._auc_with_ci(curve.points)
+            assert auc == trapezoid_auc(pairs) == curve.auc
+
     def test_sweep_param_single_value_matches_roc(self):
         base = Scenario(trials=2_000, seed=18, pfa_grid=(0.1, 0.3))
         curves = sweep_param(base, "history_len", (15,))
         assert len(curves) == 1
-        assert curves[0] == roc_sweep(base, "proposed")
+        assert curves == list(roc_sweep(base, ("proposed",)))
 
     def test_sweep_param_validation(self):
         base = Scenario(trials=200, seed=18)
