@@ -290,7 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads for grid points (falls back to CSS_LAB_THREADS, then 1)",
+        help="worker threads for the H0 and H1 draws of each sweep "
+        "(falls back to CSS_LAB_THREADS, then 1)",
     )
     return parser
 

@@ -115,18 +115,11 @@ def combine_signal_mrc(
     return (mags[:, None] * stacked).sum(axis=0) / norm
 
 
-def cfar_threshold(
-    cfg: FusionConfig,
-    target_pfa: float,
-    sls_literal_exponent: bool = False,
-) -> float:
+def cfar_threshold(cfg: FusionConfig, target_pfa: float) -> float:
     """Decision threshold achieving ``target_pfa`` under the Gaussian null model.
 
-    For SLS the default inverts the K-branch complement exactly, using the
-    per-branch rate ``1 - (1 - p)**(1/K)``.  ``sls_literal_exponent=True``
-    selects the variant that exponentiates by ``K`` instead of ``1/K``; it
-    does not round-trip through the K-branch false-alarm expression and is
-    kept only for comparison.
+    For SLS it inverts the K-branch complement exactly, using the per-branch
+    rate ``1 - (1 - p)**(1/K)``.
     """
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie strictly between 0 and 1")
@@ -146,10 +139,7 @@ def cfar_threshold(
         return sigma_sq * (inv_erfc(2.0 * target_pfa) * 2.0 * np.sqrt(2.0 * ku) + 2.0 * ku)
     if cfg.kind is CombinerKind.MRC:
         return sigma_sq * (inv_erfc(2.0 * target_pfa) * 2.0 * np.sqrt(2.0 * u) + 2.0 * u)
-    if sls_literal_exponent:
-        branch_pfa = 1.0 - (1.0 - target_pfa) ** cfg.num_crs
-    else:
-        branch_pfa = -np.expm1(np.log1p(-target_pfa) / cfg.num_crs)
+    branch_pfa = -np.expm1(np.log1p(-target_pfa) / cfg.num_crs)
     if not 0.0 < branch_pfa < 1.0:
         raise ValueError("SLS branch false-alarm rate left (0, 1); adjust target_pfa")
     return sigma_sq * (inv_erfc(2.0 * branch_pfa) * 2.0 * np.sqrt(2.0 * u) + 2.0 * u)

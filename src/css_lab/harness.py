@@ -18,24 +18,29 @@ statistic the analysis layer describes; the energy-domain weighted sum of
 Seeding
 -------
 Every stochastic path derives its generator from
-``SeedSequence((scenario.seed, *tags))`` where the tags encode grid point,
-regime and purpose.  Results are therefore bit-identical across runs and
-across thread counts: threads only ever parallelise whole grid points.
+``SeedSequence((scenario.seed, *tags))`` where the tags encode regime and
+purpose.  Results are therefore bit-identical across runs and across thread
+counts: threads only ever parallelise whole regimes, each on its own stream.
 
 Measurement regimes
 -------------------
-ROC points are measured under forced hypotheses.  For the dual-threshold
-scheme each counted trial is the final event of an independent
-freshly-warmed window, which keeps counted decisions i.i.d. so binomial
-confidence intervals apply; the fixed-threshold rate is read off the same
-events.  Sweeps that ask for the fixed threshold alone count single
-independent events instead.  The ``markov`` PU model drives a single
-rolling chain and is summarised separately as a transition penalty around
-PU toggles.
+ROC points are measured under forced hypotheses, with common random numbers
+across the CFAR grid: a sweep draws once per hypothesis and scores every grid
+threshold on those draws.  For the dual-threshold scheme each counted trial
+is the final event of an independent freshly-warmed window, which keeps the
+trials i.i.d.; the fixed-threshold rate is read off the same events.  Sweeps
+that ask for the fixed threshold alone count single independent events
+instead.  Points on one curve share their draws, so a curve is monotone in
+the threshold trial by trial, and its AUC interval comes from the per-trial
+covariance of the decisions across the grid (a paired delta method), not
+from independent per-point binomial widths.  The ``markov`` PU model drives
+a single rolling chain and is summarised separately as a transition penalty
+around PU toggles.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -345,56 +350,86 @@ def _chunked(total: int, per_chunk: int):
         done += step
 
 
+@dataclass(frozen=True, eq=False)
+class DecisionRates:
+    """One rule's decisions at every grid threshold, scored on one set of draws.
+
+    ``moment`` is the per-trial second moment ``E[d d^T]`` of the 0/1
+    decision vector ``d`` over the grid.
+    """
+
+    moment: np.ndarray
+
+    @property
+    def rate(self) -> np.ndarray:
+        """Positive rate at every threshold: the diagonal, since ``d_i^2 = d_i``."""
+        return np.diag(self.moment)
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """Per-trial covariance of the decision vector, ``E[d d^T] - p p^T``."""
+        return self.moment - np.outer(self.rate, self.rate)
+
+
+def _cross(decisions: np.ndarray) -> np.ndarray:
+    """``d^T d`` summed over the trials (rows) of a 0/1 decision matrix."""
+    d = decisions.astype(np.float64)
+    return d.T @ d
+
+
 def conventional_rate(
-    scenario: Scenario, h1: bool, lam: float, rng: np.random.Generator
-) -> float:
-    """Fixed-threshold positive rate over single independent events.
+    scenario: Scenario, h1: bool, lams: Sequence[float], rng: np.random.Generator
+) -> DecisionRates:
+    """Fixed-threshold positive rates over single independent events, at every ``lams``.
 
     Leaner than :func:`forced_rates` (no window draws, ``L`` times fewer
     cells).  :func:`roc_sweep` uses it for conventional-only requests, such
     as the sensor counts of :func:`equivalence_search` other than the
     dual-threshold one.
     """
+    lams = np.asarray(lams, dtype=float)
     kwargs = _scenario_matrix_kwargs(scenario)
     per_chunk = max(1, _CHUNK_CELLS // scenario.num_crs)
-    positives = 0
+    cross = np.zeros((lams.size, lams.size))
     for step in _chunked(scenario.trials, per_chunk):
         energy, _ = _draw_energy_matrix(rng, step, 1, h1=h1, gamma_per_row=False, **kwargs)
-        positives += int(np.count_nonzero(energy[:, 0] >= lam))
-    return positives / scenario.trials
+        cross += _cross(energy >= lams)
+    return DecisionRates(cross / scenario.trials)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForcedRates:
     """Both decision rules measured on one shared stream of window draws."""
 
-    conventional: float
-    proposed: float
+    conventional: DecisionRates
+    proposed: DecisionRates
     mean_rho: float
 
 
 def forced_rates(
     scenario: Scenario,
     h1: bool,
-    lam: float,
+    lams: Sequence[float],
     rng: np.random.Generator,
     rho_override: float | None = None,
 ) -> ForcedRates:
-    """Positive rates of both rules over independent freshly-warmed windows.
+    """Positive rates of both rules over independent freshly-warmed windows, at every ``lams``.
 
-    Each counted trial is the newest event of its own ``L``-event window.
-    The fixed-threshold rule is evaluated on the same events, which makes
-    scheme comparisons exactly paired (and byte-identical when the
-    uncertainty halfwidth is zero, since the rules then coincide).
-    :func:`roc_sweep` makes one call per hypothesis and grid point whenever
-    the dual-threshold rule is requested, and reads both schemes off it.
+    Each counted trial is the newest event of its own ``L``-event window,
+    and every threshold is scored on the same windows.  The fixed-threshold
+    rule is evaluated on the same events, which makes scheme comparisons
+    exactly paired (and byte-identical when the uncertainty halfwidth is
+    zero, since the rules then coincide).  Per trial the dual-threshold
+    threshold ``where(mean >= lam, lam / rho, rho * lam)`` increases with
+    ``lam``, so both rules' decisions are non-increasing in it.
     """
+    lams = np.asarray(lams, dtype=float)
     kwargs = _scenario_matrix_kwargs(scenario)
     length = scenario.history_len
     gamma_per_row = scenario.fading_block == "chain"
     per_chunk = max(1, _CHUNK_CELLS // (scenario.num_crs * length))
-    conv_positives = 0
-    prop_positives = 0
+    conv_cross = np.zeros((lams.size, lams.size))
+    prop_cross = np.zeros_like(conv_cross)
     rho_total = 0.0
     for step in _chunked(scenario.trials, per_chunk):
         energy, sig_mean = _draw_energy_matrix(
@@ -404,14 +439,16 @@ def forced_rates(
         rho_total += float(rho.sum())
         if rho_override is not None:
             rho = np.full(step, rho_override)
-        predicted = energy.mean(axis=1) >= lam
-        lam_new = np.where(predicted, lam / rho, rho * lam)
-        current = energy[:, -1]
-        conv_positives += int(np.count_nonzero(current >= lam))
-        prop_positives += int(np.count_nonzero(current >= lam_new))
+        rho = rho[:, None]
+        # trials x grid: the predictor and the toggled threshold at every lam
+        predicted = energy.mean(axis=1)[:, None] >= lams
+        lam_new = np.where(predicted, lams / rho, rho * lams)
+        current = energy[:, -1:]
+        conv_cross += _cross(current >= lams)
+        prop_cross += _cross(current >= lam_new)
     return ForcedRates(
-        conventional=conv_positives / scenario.trials,
-        proposed=prop_positives / scenario.trials,
+        conventional=DecisionRates(conv_cross / scenario.trials),
+        proposed=DecisionRates(prop_cross / scenario.trials),
         mean_rho=rho_total / scenario.trials,
     )
 
@@ -526,8 +563,11 @@ def run_regime(
     h1 = scenario.pu_model == "forced_h1"
     if rng is None:
         rng = derive_rng(scenario.seed, _TAG_REGIME, int(h1))
-    rates = forced_rates(scenario, h1, lam, rng, rho_override)
-    rate = rates.conventional if scheme == SCHEME_CONVENTIONAL else rates.proposed
+    if scheme == SCHEME_CONVENTIONAL:
+        rates = conventional_rate(scenario, h1, [lam], rng)
+    else:
+        rates = forced_rates(scenario, h1, [lam], rng, rho_override).proposed
+    rate = float(rates.rate[0])
     return rate, binomial_ci(rate, scenario.trials)
 
 
@@ -554,37 +594,18 @@ def _theory_columns(
     return qfa_proposed(params, lam), qd_proposed_rayleigh(params, lam)
 
 
-def _sweep_point(
-    scenario: Scenario, schemes: tuple[str, ...], index: int, target: float, lam: float
-) -> list[tuple[RocPoint, float]]:
-    """One grid point for every requested scheme, from one pass of draws."""
-    rngs = [derive_rng(scenario.seed, _TAG_SWEEP, index, h) for h in (0, 1)]
-    if SCHEME_PROPOSED in schemes:
-        h0, h1 = (forced_rates(scenario, bool(h), lam, rng) for h, rng in enumerate(rngs))
-        rates = {
-            SCHEME_CONVENTIONAL: (h0.conventional, h1.conventional, 1.0),
-            SCHEME_PROPOSED: (h0.proposed, h1.proposed, h0.mean_rho),
-        }
-    else:
-        pfa, pd = (conventional_rate(scenario, bool(h), lam, rng) for h, rng in enumerate(rngs))
-        rates = {SCHEME_CONVENTIONAL: (pfa, pd, 1.0)}
-    results = []
-    for scheme in schemes:
-        pfa, pd, rho = rates[scheme]
-        theory_pfa, theory_pd = _theory_columns(scenario, scheme, lam, rho)
-        point = RocPoint(
-            target_pfa=target,
-            lam=lam,
-            empirical_pfa=pfa,
-            empirical_pfa_ci=binomial_ci(pfa, scenario.trials),
-            empirical_pd=pd,
-            empirical_pd_ci=binomial_ci(pd, scenario.trials),
-            theory_pfa=theory_pfa,
-            theory_pd=theory_pd,
-            trials=scenario.trials,
-        )
-        results.append((point, rho))
-    return results
+def _regime_rates(
+    scenario: Scenario, paired: bool, lams: Sequence[float], h: int
+) -> tuple[dict[str, DecisionRates], float]:
+    """Every grid threshold scored on one draw under hypothesis ``h``, per scheme."""
+    rng = derive_rng(scenario.seed, _TAG_SWEEP, h)
+    if paired:
+        rates = forced_rates(scenario, bool(h), lams, rng)
+        return {
+            SCHEME_CONVENTIONAL: rates.conventional,
+            SCHEME_PROPOSED: rates.proposed,
+        }, rates.mean_rho
+    return {SCHEME_CONVENTIONAL: conventional_rate(scenario, bool(h), lams, rng)}, 1.0
 
 
 def trapezoid_auc(points: Sequence[tuple[float, float]]) -> float:
@@ -595,20 +616,27 @@ def trapezoid_auc(points: Sequence[tuple[float, float]]) -> float:
     return 0.5 * float(np.sum((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1])))
 
 
-def _auc_with_ci(points: Sequence[RocPoint]) -> tuple[float, float]:
-    path = sorted(
-        (p.empirical_pfa, p.empirical_pd, p.empirical_pfa_ci, p.empirical_pd_ci)
-        for p in points
-    )
-    xs = np.array([0.0] + [p[0] for p in path] + [1.0])
-    ys = np.array([0.0] + [p[1] for p in path] + [1.0])
-    # first-order propagation of the per-point 3-sigma half-widths
-    var = 0.0
-    for i, (_, _, ci_x, ci_y) in enumerate(path, start=1):
-        dy = (xs[i + 1] - xs[i - 1]) / 2.0
-        dx = (ys[i - 1] - ys[i + 1]) / 2.0
-        var += (dy * ci_y / 3.0) ** 2 + (dx * ci_x / 3.0) ** 2
-    return trapezoid_auc([p[:2] for p in path]), 3.0 * float(np.sqrt(var))
+def _auc_with_ci(
+    points: Sequence[RocPoint], cov_pfa: np.ndarray, cov_pd: np.ndarray
+) -> tuple[float, float]:
+    """AUC of the empirical points and its 3-sigma half-width by the paired delta method.
+
+    The points of one curve share their draws, so they are correlated.
+    ``cov_pfa`` and ``cov_pd`` are the per-trial covariances of the decision
+    vectors over the points (in ``points`` order) under H0 and H1, which are
+    drawn independently of each other: ``var = g_x^T C0 g_x / n + g_y^T C1 g_y / n``
+    with ``g`` the gradient of the trapezoid area in the points' coordinates.
+    """
+    pairs = [(p.empirical_pfa, p.empirical_pd) for p in points]
+    pfa, pd = np.array(pairs).T
+    order = np.lexsort((pd, pfa))  # the order trapezoid_auc walks the points in
+    xs = np.concatenate(([0.0], pfa[order], [1.0]))
+    ys = np.concatenate(([0.0], pd[order], [1.0]))
+    g_x, g_y = np.empty(len(pairs)), np.empty(len(pairs))
+    g_x[order] = (ys[:-2] - ys[2:]) / 2.0
+    g_y[order] = (xs[2:] - xs[:-2]) / 2.0
+    var = (g_x @ cov_pfa @ g_x + g_y @ cov_pd @ g_y) / points[0].trials
+    return trapezoid_auc(pairs), 3.0 * float(np.sqrt(max(var, 0.0)))
 
 
 def roc_sweep(
@@ -616,14 +644,15 @@ def roc_sweep(
     schemes: Sequence[str] = (SCHEME_CONVENTIONAL, SCHEME_PROPOSED),
     threads: int = 1,
 ) -> tuple[RocCurve, ...]:
-    """ROC curves, one per requested scheme and in that order, from one pass.
+    """ROC curves, one per requested scheme and in that order, from one draw per hypothesis.
 
     Thresholds come from CFAR inversion of the grid.  When ``schemes``
-    includes the dual-threshold rule, each grid point makes one
-    :func:`forced_rates` call per hypothesis and every requested curve reads
-    its rates off those two calls, so scheme comparisons are exactly paired.
-    A conventional-only request draws single events through
-    :func:`conventional_rate` on the same streams instead.
+    includes the dual-threshold rule, the sweep makes one
+    :func:`forced_rates` call per hypothesis, scores every grid threshold on
+    it, and every requested curve reads its rates off those two calls, so
+    scheme comparisons are exactly paired.  A conventional-only request
+    draws single events through :func:`conventional_rate` on the same
+    streams instead.  ``threads > 1`` runs the two hypotheses concurrently.
     """
     if isinstance(schemes, str) or not schemes:
         raise ValueError("schemes must be a non-empty sequence of scheme names")
@@ -631,18 +660,36 @@ def roc_sweep(
         _check_scheme(scheme)
     cfg = scenario.fusion_config()
     lams = [cfar_threshold(cfg, t) for t in scenario.pfa_grid]
-    n = len(lams)
-    args = ([scenario] * n, [tuple(schemes)] * n, range(n), scenario.pfa_grid, lams)
+    regime = functools.partial(_regime_rates, scenario, SCHEME_PROPOSED in schemes, lams)
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_point, *args))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            (h0, rho), (h1, _) = pool.map(regime, (0, 1))
     else:
-        results = list(map(_sweep_point, *args))
+        (h0, rho), (h1, _) = map(regime, (0, 1))
+    n = scenario.trials
     curves = []
-    for column, scheme in enumerate(schemes):
-        points = tuple(r[column][0] for r in results)
-        mean_rho = float(np.mean([r[column][1] for r in results]))
-        curves.append(RocCurve(scheme, scenario, points, *_auc_with_ci(points), mean_rho))
+    for scheme in schemes:
+        pfa, pd = h0[scheme], h1[scheme]
+        mean_rho = rho if scheme == SCHEME_PROPOSED else 1.0
+        points = []
+        rates = zip(pfa.rate.tolist(), pd.rate.tolist())
+        for target, lam, (x, y) in zip(scenario.pfa_grid, lams, rates):
+            theory_pfa, theory_pd = _theory_columns(scenario, scheme, lam, mean_rho)
+            points.append(
+                RocPoint(
+                    target_pfa=target,
+                    lam=lam,
+                    empirical_pfa=x,
+                    empirical_pfa_ci=binomial_ci(x, n),
+                    empirical_pd=y,
+                    empirical_pd_ci=binomial_ci(y, n),
+                    theory_pfa=theory_pfa,
+                    theory_pd=theory_pd,
+                    trials=n,
+                )
+            )
+        auc, auc_ci = _auc_with_ci(points, pfa.covariance, pd.covariance)
+        curves.append(RocCurve(scheme, scenario, tuple(points), auc, auc_ci, mean_rho))
     return tuple(curves)
 
 

@@ -46,7 +46,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
+from scipy.special import _ufuncs
 
 from .fusion import CombinerKind
 
@@ -145,7 +146,10 @@ def _marcum_q_vec(order: float, a, b) -> np.ndarray:
     out[central] = special.gammaincc(order, x[central] / 2.0)
     rest = (b != 0.0) & (a != 0.0)
     rest[rest] = special.chdtr(2.0 * order, x[rest]) != 0.0
-    out[rest] = stats.ncx2.sf(x[rest], 2.0 * order, a[rest] * a[rest])
+    # the ufunc behind scipy.stats.ncx2.sf; importing scipy.stats costs more than
+    # half a second of start-up
+    with np.errstate(over="ignore"):
+        out[rest] = _ufuncs._ncx2_sf(x[rest], 2.0 * order, a[rest] * a[rest])
     return out.reshape(shape)
 
 
@@ -302,10 +306,20 @@ def _fading_average(integrand, hi: float, what: str) -> float:
 
 
 def _aggregate_snr_pdf(p: TheoryParams):
-    """Density of the combiner's aggregate SNR under Rayleigh branch fading."""
+    """Density of the combiner's aggregate SNR under Rayleigh branch fading.
+
+    Exponential with mean ``gamma_bar`` per SLS branch, gamma with shape ``K``
+    and scale ``gamma_bar`` for the SLC/MRC sum; the same expressions
+    ``scipy.stats`` evaluates, for ``g > 0``.
+    """
+    scale = p.gamma_bar
     if p.kind is CombinerKind.SLS:
-        return stats.expon(scale=p.gamma_bar).pdf
-    return stats.gamma(a=p.K, scale=p.gamma_bar).pdf
+        return lambda g: np.exp(-(g / scale)) / scale
+    shape = p.K
+    return lambda g: (
+        np.exp(special.xlogy(shape - 1.0, g / scale) - g / scale - special.gammaln(shape))
+        / scale
+    )
 
 
 def qd_rayleigh(p: TheoryParams, lam: float) -> float:

@@ -63,8 +63,8 @@ def _criterion1_rates(kind: CombinerKind):
     rows = []
     for i, target in enumerate(scenario.pfa_grid):
         lam = cfar_threshold(cfg, target)
-        pfa = conventional_rate(scenario, False, lam, derive_rng(SEED, 12, i, 0))
-        pd = conventional_rate(scenario, True, lam, derive_rng(SEED, 12, i, 1))
+        pfa = conventional_rate(scenario, False, [lam], derive_rng(SEED, 12, i, 0)).rate[0]
+        pd = conventional_rate(scenario, True, [lam], derive_rng(SEED, 12, i, 1)).rate[0]
         rows.append((lam, pfa, pd, qfa_approx(params, lam), qd_rayleigh(params, lam)))
     return scenario, params, rows
 
@@ -210,31 +210,30 @@ def test_criterion_04_degenerate_roc_bytes(tmp_path):
 def _criterion5_rates(kind: CombinerKind):
     scenario = Scenario(combiner=kind, trials=10_000, seed=SEED)
     lam = cfar_threshold(scenario.fusion_config(), 0.1)
-    rates = forced_rates(scenario, True, lam, derive_rng(SEED, 55, list(CombinerKind).index(kind)))
-    sigma = np.sqrt(
-        rates.conventional * (1 - rates.conventional) / scenario.trials
-        + rates.proposed * (1 - rates.proposed) / scenario.trials
-    )
-    return rates, sigma
+    rng = derive_rng(SEED, 55, list(CombinerKind).index(kind))
+    rates = forced_rates(scenario, True, [lam], rng)
+    conv, prop = rates.conventional.rate[0], rates.proposed.rate[0]
+    sigma = np.sqrt(conv * (1 - conv) / scenario.trials + prop * (1 - prop) / scenario.trials)
+    return (conv, prop), sigma
 
 
 @pytest.mark.parametrize("kind", list(CombinerKind))
 def test_criterion_05_detection_gain_significant(kind):
-    rates, sigma = _criterion5_rates(kind)
-    gain = rates.proposed - rates.conventional
+    (conv, prop), sigma = _criterion5_rates(kind)
+    gain = prop - conv
     ok = gain >= 5 * sigma
     report(
         5,
         f"{kind.name} dual-threshold detection gain >=5 sigma at target 0.1",
         ok,
-        f"conv {rates.conventional:.4f}, prop {rates.proposed:.4f}",
+        f"conv {conv:.4f}, prop {prop:.4f}",
     )
     assert ok
 
 
 def test_criterion_05_detection_ratio_slc():
-    rates, _ = _criterion5_rates(CombinerKind.SLC)
-    ratio = rates.proposed / rates.conventional
+    (conv, prop), _ = _criterion5_rates(CombinerKind.SLC)
+    ratio = prop / conv
     ok = ratio >= 1.3
     report(5, "SLC detection ratio >= 1.3", ok, f"ratio {ratio:.3f}")
     assert ok
@@ -251,8 +250,8 @@ def test_criterion_05_detection_ratio_slc():
     ),
 )
 def test_criterion_05_detection_ratio_saturating_combiners(kind):
-    rates, _ = _criterion5_rates(kind)
-    ratio = rates.proposed / rates.conventional
+    (conv, prop), _ = _criterion5_rates(kind)
+    ratio = prop / conv
     ok = ratio >= 1.3
     report(5, f"{kind.name} detection ratio >= 1.3", ok, f"ratio {ratio:.3f}")
     assert ok
@@ -317,17 +316,18 @@ def _criterion9_case(kind: CombinerKind, rho: float = 1.2):
     failures = []
     for i, target in enumerate(CRITERION9_TARGETS):
         lam = cfar_threshold(cfg, target)
-        fa = forced_rates(h0_scenario, False, lam, derive_rng(SEED, 99, i, 0), rho_override=rho)
-        pd = forced_rates(h1_scenario, True, lam, derive_rng(SEED, 99, i, 1), rho_override=rho)
+        rng0, rng1 = derive_rng(SEED, 99, i, 0), derive_rng(SEED, 99, i, 1)
+        fa = forced_rates(h0_scenario, False, [lam], rng0, rho_override=rho).proposed.rate[0]
+        pd = forced_rates(h1_scenario, True, [lam], rng1, rho_override=rho).proposed.rate[0]
         fa_theory = qfa_proposed(params, lam)
         pd_theory = qd_proposed_rayleigh(params, lam)
         n = h0_scenario.trials
         fa_tol = max(3 * np.sqrt(fa_theory * (1 - fa_theory) / n), 3.0 / n)
         pd_tol = max(3 * np.sqrt(pd_theory * (1 - pd_theory) / n), 3.0 / n)
-        if abs(fa.proposed - fa_theory) > fa_tol:
-            failures.append(f"fa@{target}: {fa.proposed:.5f} vs {fa_theory:.5f}")
-        if abs(pd.proposed - pd_theory) > pd_tol:
-            failures.append(f"pd@{target}: {pd.proposed:.5f} vs {pd_theory:.5f}")
+        if abs(fa - fa_theory) > fa_tol:
+            failures.append(f"fa@{target}: {fa:.5f} vs {fa_theory:.5f}")
+        if abs(pd - pd_theory) > pd_tol:
+            failures.append(f"pd@{target}: {pd:.5f} vs {pd_theory:.5f}")
     return failures
 
 

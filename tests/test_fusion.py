@@ -128,16 +128,6 @@ class TestCfarThreshold:
         assert lams[CombinerKind.SLC] == pytest.approx(lams[CombinerKind.MRC])
         assert lams[CombinerKind.SLS] == pytest.approx(lams[CombinerKind.MRC])
 
-    def test_sls_literal_exponent_variant(self):
-        cfg = FusionConfig(CombinerKind.SLS, 7, 1000)
-        default = cfar_threshold(cfg, 0.05)
-        literal = cfar_threshold(cfg, 0.05, sls_literal_exponent=True)
-        assert literal != default
-        # only the default inversion round-trips
-        params = TheoryParams(CombinerKind.SLS, 7, 1000)
-        assert abs(qfa_approx(params, default) - 0.05) <= 1e-10
-        assert abs(qfa_approx(params, literal) - 0.05) > 1e-3
-
     def test_rejects_bad_target(self):
         cfg = FusionConfig(CombinerKind.SLC, 7, 1000)
         for bad in (0.0, 1.0, -0.1, 1.7):
@@ -167,7 +157,7 @@ class TestDecideConventional:
 
         scenario = Scenario(uncertainty_db=0.0, trials=100_000, seed=314)
         lam = cfar_threshold(scenario.fusion_config(), 0.1)
-        rate = conventional_rate(scenario, False, lam, derive_rng(314, 90))
+        rate = conventional_rate(scenario, False, [lam], derive_rng(314, 90)).rate[0]
         assert abs(rate - 0.1) <= 3 * np.sqrt(0.1 * 0.9 / scenario.trials)
 
 

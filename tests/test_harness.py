@@ -97,13 +97,19 @@ class TestRunRegime:
         with pytest.raises(ValueError):
             run_regime(Scenario(trials=200, seed=1), "hybrid", 7000.0)
 
+    def test_conventional_regime_draws_single_events(self):
+        sc = Scenario(trials=2_000, seed=5, pu_model="forced_h1")
+        lam = cfar_threshold(sc.fusion_config(), 0.1)
+        rate, _ = run_regime(sc, "conventional", lam, derive_rng(5, 40))
+        assert rate == conventional_rate(sc, True, [lam], derive_rng(5, 40)).rate[0]
+
     def test_lean_conventional_path_consistent(self):
         # the single-event sampler and the windowed sampler estimate the same
         # probability
         sc = Scenario(uncertainty_db=0.0, trials=40_000, seed=6)
         lam = cfar_threshold(sc.fusion_config(), 0.2)
-        lean = conventional_rate(sc, False, lam, derive_rng(6, 100))
-        paired = forced_rates(sc, False, lam, derive_rng(6, 101)).conventional
+        lean = conventional_rate(sc, False, [lam], derive_rng(6, 100)).rate[0]
+        paired = forced_rates(sc, False, [lam], derive_rng(6, 101)).conventional.rate[0]
         tol = 3 * np.sqrt(0.2 * 0.8 * 2 / sc.trials)
         assert abs(lean - paired) <= tol
 
@@ -183,9 +189,10 @@ class TestRocSweep:
     def test_thread_count_does_not_change_results(self):
         # both curves of a paired sweep, and the conventional-only path
         sc = Scenario(trials=3_000, seed=10, pfa_grid=(0.05, 0.1, 0.2, 0.4))
-        assert roc_sweep(sc, threads=1) == roc_sweep(sc, threads=4)
-        only = ("conventional",)
-        assert roc_sweep(sc, only, threads=1) == roc_sweep(sc, only, threads=4)
+        for schemes in (("conventional", "proposed"), ("conventional",)):
+            serial = roc_sweep(sc, schemes, threads=1)
+            for threads in (2, 4):
+                assert roc_sweep(sc, schemes, threads=threads) == serial
 
     def test_repeatable(self):
         sc = Scenario(trials=2_000, seed=11, pfa_grid=(0.1, 0.3))
@@ -211,9 +218,9 @@ class TestRocSweep:
 
 
 class TestOnePass:
-    """Each grid point is drawn once, whatever the sweep is asked for."""
+    """A sweep draws once per hypothesis, whatever the grid size or the schemes."""
 
-    GRID = (0.05, 0.1, 0.3)
+    GRIDS = ((0.1,), (0.05, 0.1, 0.3), (0.01, 0.03, 0.1, 0.2, 0.3, 0.5))
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -233,33 +240,80 @@ class TestOnePass:
         [("conventional", "proposed"), ("proposed",), ("proposed", "conventional")],
     )
     def test_two_forced_calls_per_point(self, calls, schemes):
-        sc = Scenario(trials=500, seed=24, pfa_grid=self.GRID)
-        curves = roc_sweep(sc, schemes)
-        assert [c.scheme for c in curves] == list(schemes)
-        assert calls == {"forced_rates": 2 * len(self.GRID), "conventional_rate": 0}
+        # one forced_rates call per hypothesis scores every point of the grid
+        for grid in self.GRIDS:
+            calls.update(forced_rates=0, conventional_rate=0)
+            curves = roc_sweep(Scenario(trials=500, seed=24, pfa_grid=grid), schemes)
+            assert [c.scheme for c in curves] == list(schemes)
+            assert [len(c.points) for c in curves] == [len(grid)] * len(schemes)
+            assert calls == {"forced_rates": 2, "conventional_rate": 0}
 
     def test_conventional_only_draws_single_events(self, calls):
-        sc = Scenario(trials=500, seed=24, pfa_grid=self.GRID)
-        (curve,) = roc_sweep(sc, ("conventional",))
-        assert curve.scheme == "conventional" and curve.mean_rho == 1.0
-        assert calls == {"forced_rates": 0, "conventional_rate": 2 * len(self.GRID)}
+        for grid in self.GRIDS:
+            calls.update(forced_rates=0, conventional_rate=0)
+            sc = Scenario(trials=500, seed=24, pfa_grid=grid)
+            (curve,) = roc_sweep(sc, ("conventional",))
+            assert curve.scheme == "conventional" and curve.mean_rho == 1.0
+            assert calls == {"forced_rates": 0, "conventional_rate": 2}
 
     def test_schemes_validation(self):
-        sc = Scenario(trials=200, seed=24, pfa_grid=self.GRID)
+        sc = Scenario(trials=200, seed=24, pfa_grid=self.GRIDS[1])
         for bad in ("proposed", (), ("hybrid",)):
             with pytest.raises(ValueError):
                 roc_sweep(sc, bad)
 
     def test_equivalence_reuses_paired_curve(self, calls):
-        sc = Scenario(num_crs=3, trials=500, seed=25, pfa_grid=self.GRID)
+        sc = Scenario(num_crs=3, trials=500, seed=25, pfa_grid=self.GRIDS[1])
         result = equivalence_search(sc, k_range=(2, 3, 4))
         assert result.searched == (2, 3, 4)
-        # paired sweep at K=3, conventional-only sweeps at K=2 and K=4
-        points = len(self.GRID)
-        assert calls == {"forced_rates": 2 * points, "conventional_rate": 4 * points}
+        # paired sweep at K=3, conventional-only sweeps at K=2 and K=4:
+        # 2 + 2 * (3 - 1) calls
+        assert calls == {"forced_rates": 2, "conventional_rate": 4}
         paired, proposed = roc_sweep(sc)
         assert result.conventional_curves[1] == paired
         assert result.proposed_curve == proposed
+
+
+class TestCommonRandomNumbers:
+    """Every grid threshold is scored on the same draws."""
+
+    GRID = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5)
+
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_each_column_equals_its_own_single_threshold_draw(self, kind):
+        sc = Scenario(combiner=kind, trials=3_000, seed=26)
+        lams = [cfar_threshold(sc.fusion_config(), t) for t in self.GRID]
+        for h1 in (False, True):
+            whole = forced_rates(sc, h1, lams, derive_rng(26, int(h1)))
+            lean = conventional_rate(sc, h1, lams, derive_rng(27, int(h1)))
+            for g, lam in enumerate(lams):
+                alone = forced_rates(sc, h1, [lam], derive_rng(26, int(h1)))
+                assert alone.conventional.rate[0] == whole.conventional.rate[g]
+                assert alone.proposed.rate[0] == whole.proposed.rate[g]
+                assert alone.mean_rho == whole.mean_rho
+                single = conventional_rate(sc, h1, [lam], derive_rng(27, int(h1)))
+                assert single.rate[0] == lean.rate[g]
+
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_curves_monotone_in_threshold(self, kind):
+        # per trial the decisions are non-increasing in lambda, so the rates are too
+        sc = Scenario(combiner=kind, trials=2_000, seed=28)
+        curves = roc_sweep(sc) + roc_sweep(sc, ("conventional",))
+        for curve in curves:
+            path = sorted(curve.points, key=lambda p: p.lam)
+            for a, b in zip(path, path[1:]):
+                assert b.empirical_pfa <= a.empirical_pfa
+                assert b.empirical_pd <= a.empirical_pd
+
+    def test_second_moment_of_nested_decisions(self):
+        # nested decision sets: E[d_i d_j] is the rate at the larger threshold
+        sc = Scenario(trials=2_000, seed=29)
+        lams = [cfar_threshold(sc.fusion_config(), t) for t in self.GRID]
+        rates = forced_rates(sc, False, lams, derive_rng(29, 0))
+        for rule in (rates.conventional, rates.proposed):
+            assert np.array_equal(rule.moment, np.minimum.outer(rule.rate, rule.rate))
+            variance = rule.rate * (1.0 - rule.rate)
+            assert np.allclose(np.diag(rule.covariance), variance, rtol=0, atol=1e-15)
 
 
 class TestPairedDominance:
@@ -338,10 +392,44 @@ class TestSweepsAndAuc:
 
     def test_auc_with_ci_uses_trapezoid_auc(self):
         sc = Scenario(trials=2_000, seed=18, pfa_grid=(0.05, 0.1, 0.3))
+        zero = np.zeros((3, 3))
         for curve in roc_sweep(sc):
             pairs = [(p.empirical_pfa, p.empirical_pd) for p in curve.points]
-            auc, _ = harness._auc_with_ci(curve.points)
+            auc, ci = harness._auc_with_ci(curve.points, zero, zero)
             assert auc == trapezoid_auc(pairs) == curve.auc
+            assert ci == 0.0
+
+    def test_auc_ci_reduces_to_independent_points(self):
+        # with uncorrelated points the paired estimator is the per-point
+        # propagation of the binomial half-widths
+        sc = Scenario(trials=2_000, seed=18, pfa_grid=(0.05, 0.1, 0.3))
+        for curve in roc_sweep(sc):
+            pfa = np.array([p.empirical_pfa for p in curve.points])
+            pd = np.array([p.empirical_pd for p in curve.points])
+            _, ci = harness._auc_with_ci(
+                curve.points, np.diag(pfa * (1 - pfa)), np.diag(pd * (1 - pd))
+            )
+            xs = np.concatenate(([0.0], pfa, [1.0]))
+            ys = np.concatenate(([0.0], pd, [1.0]))
+            var = sum(
+                ((xs[i + 1] - xs[i - 1]) / 2 * p.empirical_pd_ci / 3) ** 2
+                + ((ys[i - 1] - ys[i + 1]) / 2 * p.empirical_pfa_ci / 3) ** 2
+                for i, p in enumerate(curve.points, start=1)
+            )
+            assert ci == pytest.approx(3 * np.sqrt(var), rel=1e-12)
+
+    def test_auc_ci_covers_seed_to_seed_spread(self):
+        # the reported AUC sd (a third of the half-width) tracks the spread of
+        # the AUC over independent seeds, for both schemes
+        grid = (0.01, 0.0266, 0.0707, 0.188, 0.5)
+        aucs, sds = {}, {}
+        for seed in range(60):
+            for curve in roc_sweep(Scenario(trials=400, seed=1000 + seed, pfa_grid=grid)):
+                aucs.setdefault(curve.scheme, []).append(curve.auc)
+                sds.setdefault(curve.scheme, []).append(curve.auc_ci / 3)
+        for scheme in ("conventional", "proposed"):
+            ratio = np.mean(sds[scheme]) / np.std(aucs[scheme], ddof=1)
+            assert 0.75 <= ratio <= 1.33, (scheme, ratio)
 
     def test_sweep_param_single_value_matches_roc(self):
         base = Scenario(trials=2_000, seed=18, pfa_grid=(0.1, 0.3))

@@ -378,9 +378,10 @@ class TestProposedRayleigh:
             fading_block="chain",
         )
         lam = cfar_threshold(scenario.fusion_config(), 0.1)
-        rates = forced_rates(scenario, True, lam, derive_rng(64, 7), rho_override=1.2)
+        rates = forced_rates(scenario, True, [lam], derive_rng(64, 7), rho_override=1.2)
+        rate = rates.proposed.rate[0]
         value = qd_proposed_rayleigh(scenario.theory_params(rho=1.2), lam)
-        assert abs(rates.proposed - value) <= 3 * np.sqrt(value * (1 - value) / scenario.trials)
+        assert abs(rate - value) <= 3 * np.sqrt(value * (1 - value) / scenario.trials)
 
 
 class TestMonotonicityAndRange:
@@ -482,6 +483,45 @@ class TestNumericErrorSurface:
         monkeypatch.setattr(theory, "_marcum_q_vec", lambda order, a, b: np.full(np.shape(a), np.nan))
         with pytest.raises(NumericError, match="not finite"):
             qd_rayleigh(params(), 7000.0)
+
+
+class TestWithoutScipyStats:
+    """The analysis layer evaluates scipy.stats' own expressions without importing it."""
+
+    def test_ncx2_sf_and_pdfs_match_stats_bitwise(self):
+        rng = np.random.default_rng(65)
+        x = rng.uniform(1.0, 4000.0, 500)
+        for df in (2.0, 1000.0, 7000.0, 48000.0):
+            nc = rng.uniform(1e-3, 500.0, x.size)
+            mine = special._ufuncs._ncx2_sf(x, df, nc)
+            assert np.array_equal(mine, stats.ncx2.sf(x, df, nc))
+        for kind in CombinerKind:
+            for K in (1, 2, 3, 7, 16, 48):
+                for gbar in (10 ** -2.5, GBAR, 1.0):
+                    p = TheoryParams(kind, K=K, N=1000, gamma_bar=gbar)
+                    g = theory._fading_upper_limit(p) * theory._legendre_rule(64)[0]
+                    if kind is CombinerKind.SLS:
+                        expected = stats.expon(scale=gbar).pdf(g)
+                    else:
+                        expected = stats.gamma(a=K, scale=gbar).pdf(g)
+                    assert np.array_equal(theory._aggregate_snr_pdf(p)(g), expected)
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        import os
+        import subprocess
+        import sys
+
+        import css_lab
+
+        # the package's own parent directory first, so the child imports this copy
+        src = os.path.dirname(os.path.dirname(css_lab.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        code = "import sys, css_lab.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestParamsValidation:
