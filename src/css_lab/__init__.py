@@ -4,133 +4,14 @@ Simulates energy-detection based cooperative sensing with soft-decision
 fusion (square-law combining and selection, maximal-ratio combining) and a
 noise-uncertainty-aware dual-threshold decision rule, alongside the
 closed-form false-alarm/detection analysis needed to validate the Monte
-Carlo results.
+Carlo results.  Everything else is imported from its module
+(``css_lab.harness``, ``css_lab.theory``, ...).
 """
 
 __version__ = "0.1.0"
 
-from .adaptive import (
-    AdaptiveDecision,
-    FusionState,
-    WarmupIncompleteError,
-    advance,
-    decide_proposed,
-    dynamic_threshold,
-    estimate_rho,
-    mean_variance,
-    predict_activity,
-    push_event,
-)
-from .channel import (
-    ChannelDraw,
-    Hypothesis,
-    NoiseModel,
-    SampleBlock,
-    draw_channel,
-    draw_noise_variance,
-    gen_pu_samples,
-    synthesize_received,
-)
-from .fusion import (
-    CombinerKind,
-    DegenerateWeightsError,
-    FusionConfig,
-    cfar_threshold,
-    combine,
-    combine_signal_mrc,
-    decide_conventional,
-    mrc_weights,
-)
-from .harness import (
-    EquivalenceResult,
-    RocCurve,
-    RocPoint,
-    Scenario,
-    TransitionPenalty,
-    equivalence_search,
-    paired_run,
-    roc_sweep,
-    run_regime,
-    run_regime_sampled,
-    sweep_param,
-    transition_penalty,
-)
-from .sensing import SensingReport, make_report, measure_energy
-from .theory import (
-    NumericError,
-    TheoryParams,
-    avg_stats,
-    inv_erfc,
-    marcum_q,
-    predictor_prob,
-    q_func,
-    qd_awgn_approx,
-    qd_awgn_exact,
-    qd_proposed_awgn,
-    qd_proposed_rayleigh,
-    qd_rayleigh,
-    qfa_approx,
-    qfa_exact,
-    qfa_proposed,
-    upper_reg_gamma,
-)
+from .fusion import CombinerKind, cfar_threshold
+from .harness import Scenario, roc_sweep
+from .theory import NumericError
 
-__all__ = [
-    "AdaptiveDecision",
-    "ChannelDraw",
-    "CombinerKind",
-    "DegenerateWeightsError",
-    "EquivalenceResult",
-    "FusionConfig",
-    "FusionState",
-    "Hypothesis",
-    "NoiseModel",
-    "NumericError",
-    "RocCurve",
-    "RocPoint",
-    "SampleBlock",
-    "Scenario",
-    "SensingReport",
-    "TheoryParams",
-    "TransitionPenalty",
-    "WarmupIncompleteError",
-    "advance",
-    "avg_stats",
-    "cfar_threshold",
-    "combine",
-    "combine_signal_mrc",
-    "decide_conventional",
-    "decide_proposed",
-    "draw_channel",
-    "draw_noise_variance",
-    "dynamic_threshold",
-    "equivalence_search",
-    "estimate_rho",
-    "gen_pu_samples",
-    "inv_erfc",
-    "make_report",
-    "marcum_q",
-    "mean_variance",
-    "measure_energy",
-    "mrc_weights",
-    "paired_run",
-    "predict_activity",
-    "predictor_prob",
-    "push_event",
-    "q_func",
-    "qd_awgn_approx",
-    "qd_awgn_exact",
-    "qd_proposed_awgn",
-    "qd_proposed_rayleigh",
-    "qd_rayleigh",
-    "qfa_approx",
-    "qfa_exact",
-    "qfa_proposed",
-    "roc_sweep",
-    "run_regime",
-    "run_regime_sampled",
-    "sweep_param",
-    "synthesize_received",
-    "transition_penalty",
-    "upper_reg_gamma",
-]
+__all__ = ["CombinerKind", "NumericError", "Scenario", "cfar_threshold", "roc_sweep"]

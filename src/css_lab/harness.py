@@ -6,9 +6,13 @@ Per-sensor energies have known exact distributions (scaled central or
 noncentral chi-square, see :mod:`css_lab.theory`), so the campaign engine
 draws energies directly from those laws instead of synthesising sample
 waveforms; that is orders of magnitude faster and statistically identical.
-A sample-level reference path built on :mod:`css_lab.channel` is provided
-for cross-validation (``run_regime_sampled``) and the test suite checks the
-two agree.
+One kernel, ``_draw_events``, draws every Monte Carlo path: single events,
+trials x window grids and rolling chains, with the PU present, absent, or
+set per event.  One vectorised rule, ``_dual_threshold`` (with the rho
+estimator ``_window_rho``), decides on those windows; :mod:`css_lab.adaptive`
+is its scalar, event-level reference.  A sample-level reference path built
+on :mod:`css_lab.channel` is provided for cross-validation
+(``run_regime_sampled``) and the test suite checks the two agree.
 
 Ratio combining is realised at the signal level (one detector at the summed
 branch SNR with a gain-weighted effective noise variance), which is the
@@ -19,8 +23,9 @@ Seeding
 -------
 Every stochastic path derives its generator from
 ``SeedSequence((scenario.seed, *tags))`` where the tags encode regime and
-purpose.  Results are therefore bit-identical across runs and across thread
-counts: threads only ever parallelise whole regimes, each on its own stream.
+purpose, each purpose under its own leading tag (see :func:`derive_rng`).
+Results are therefore bit-identical across runs and across thread counts:
+threads only ever parallelise whole regimes, each on its own stream.
 
 Measurement regimes
 -------------------
@@ -44,7 +49,7 @@ import functools
 import hashlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -69,8 +74,8 @@ DEFAULT_SEED = 20240601
 DEFAULT_PFA_GRID = tuple(float(x) for x in np.logspace(np.log10(0.01), np.log10(0.5), 15))
 AUC_MATCH_TOL = 0.02
 _CHUNK_CELLS = 1 << 22  # cap on rows*events*sensors drawn per chunk
-# expected_rho keeps three full-size temporaries per chunk; at 1<<20 cells it
-# was faster and held half the peak memory of one 1<<22-cell chunk
+# expected_rho's chunk: at 1<<20 cells it was faster and held half the peak
+# memory of one 1<<22-cell chunk
 _RHO_CHUNK_CELLS = 1 << 20
 
 # stream tags keeping every stochastic purpose on its own substream
@@ -79,6 +84,8 @@ _TAG_REGIME = 2
 _TAG_MARKOV = 3
 _TAG_PAIRED = 4
 _TAG_SAMPLED = 5
+_TAG_RHO = 6
+_TAG_PENALTY = 7
 
 _PU_MODELS = ("forced_h0", "forced_h1")
 _CHANNEL_KINDS = ("rayleigh", "awgn")
@@ -181,21 +188,8 @@ class Scenario:
         )
 
     def resolved_text(self) -> str:
-        """Canonical key=value rendering; the digest is taken over this."""
-        items = {
-            "snr_db": _fmt(self.snr_db),
-            "n_samples": str(self.n_samples),
-            "num_crs": str(self.num_crs),
-            "history_len": str(self.history_len),
-            "uncertainty_db": _fmt(self.uncertainty_db),
-            "combiner": self.combiner.name,
-            "trials": str(self.trials),
-            "seed": str(self.seed),
-            "pfa_grid": ",".join(_fmt(t) for t in self.pfa_grid),
-            "channel_kind": self.channel_kind,
-            "pu_model": self.pu_model,
-            "fading_block": self.fading_block,
-        }
+        """Canonical key=value rendering of every field; the digest is taken over this."""
+        items = {f.name: _FIELD_TEXT.get(f.type, str)(getattr(self, f.name)) for f in fields(self)}
         return "".join(f"{k}={v}\n" for k, v in sorted(items.items()))
 
     def digest(self) -> str:
@@ -204,6 +198,14 @@ class Scenario:
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
+
+
+# field annotation -> text in resolved_text; annotations are postponed, so strings
+_FIELD_TEXT = {
+    "float": _fmt,
+    "tuple[float, ...]": lambda grid: ",".join(_fmt(t) for t in grid),
+    "CombinerKind": lambda kind: kind.name,
+}
 
 
 @dataclass(frozen=True)
@@ -270,7 +272,13 @@ class EquivalenceResult:
 
 
 def derive_rng(seed: int, *tags: int) -> np.random.Generator:
-    """Counter-style stream derivation; same inputs give the same stream."""
+    """Counter-style stream derivation; same inputs give the same stream.
+
+    ``SeedSequence`` pads entropy shorter than its pool (four 32-bit words)
+    with zeros, so tag tuples that differ only by trailing zeros name the
+    same stream: ``derive_rng(s, 3)`` is ``derive_rng(s, 3, 0)``.  Each
+    default stream of this module therefore has its own leading tag.
+    """
     entropy = (seed & (2**64 - 1),) + tuple(int(t) for t in tags)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
@@ -282,64 +290,65 @@ def binomial_ci(p_hat: float, n: int) -> float:
     return 3.0 * float(np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n))
 
 
-def _draw_energy_matrix(
+def _noise_variances(
+    rng: np.random.Generator, uncertainty_db: float, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Per-sensor noise variances, uniform in dB within ``uncertainty_db`` of nominal."""
+    if uncertainty_db == 0.0:
+        return np.full(shape, NOMINAL_VARIANCE)
+    # in place: these are the largest arrays of a draw, and each copy costs time and memory
+    sig2 = rng.uniform(-uncertainty_db, uncertainty_db, shape)
+    sig2 /= 10.0
+    np.power(10.0, sig2, out=sig2)
+    sig2 *= NOMINAL_VARIANCE
+    return sig2
+
+
+def _draw_events(
+    scenario: Scenario,
     rng: np.random.Generator,
-    rows: int,
-    cols: int,
-    *,
-    h1: bool,
-    kind: CombinerKind,
-    num_crs: int,
-    n_samples: int,
-    gamma_bar: float,
-    uncertainty_db: float,
-    awgn_channel: bool,
-    gamma_per_row: bool,
+    shape: tuple[int, ...],
+    signal: bool | np.ndarray,
+    gamma_per_row: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw combined energies and mean reported variances for a grid of events.
+    """Combined energies and mean reported variances for an array of sensing events.
 
-    Returns arrays of shape ``(rows, cols)``; with ``gamma_per_row`` the
-    fading draw is shared along each row (block fading over a window).
+    ``signal`` is whether the PU transmits, for every event or one bool per
+    event.  The fading gains exist either way; absence zeroes the
+    noncentrality, and a draw without any signal takes numpy's central
+    chi-square, which gives the same values as zero noncentrality.  With
+    ``gamma_per_row`` the fading draw is shared along each row of a 2-D
+    ``shape`` (block fading over a window).
     """
-    shape = (rows, cols, num_crs)
-    if awgn_channel:
-        gamma = np.broadcast_to(np.float64(gamma_bar), shape)
+    full = (*shape, scenario.num_crs)
+    if scenario.channel_kind == "awgn":
+        gamma = np.broadcast_to(np.float64(scenario.gamma_bar), full)
     elif gamma_per_row:
-        gamma = np.broadcast_to(rng.exponential(gamma_bar, (rows, 1, num_crs)), shape)
+        row_gamma = rng.exponential(scenario.gamma_bar, (shape[0], 1, scenario.num_crs))
+        gamma = np.broadcast_to(row_gamma, full)
     else:
-        gamma = rng.exponential(gamma_bar, shape)
-    if uncertainty_db > 0.0:
-        sig2 = NOMINAL_VARIANCE * 10.0 ** (
-            rng.uniform(-uncertainty_db, uncertainty_db, shape) / 10.0
-        )
+        gamma = rng.exponential(scenario.gamma_bar, full)
+    sig2 = _noise_variances(rng, scenario.uncertainty_db, full)
+    mrc = scenario.combiner is CombinerKind.MRC
+    if mrc:  # one detector at the summed SNR, gain-weighted effective variance
+        gain = gamma.sum(axis=-1)
+        scale = (gamma * sig2).sum(axis=-1) / gain
     else:
-        sig2 = np.full(shape, NOMINAL_VARIANCE)
-    n = n_samples
-    if kind is CombinerKind.MRC:
-        weight_sum = gamma.sum(axis=-1)
-        eff_var = (gamma * sig2).sum(axis=-1) / weight_sum
-        if h1:
-            energy = eff_var * rng.noncentral_chisquare(n, n * weight_sum / eff_var)
-        else:
-            energy = eff_var * rng.chisquare(n, (rows, cols))
+        gain, scale = gamma, sig2
+    signal = np.asarray(signal, dtype=bool)
+    n = scenario.n_samples
+    if not signal.any():
+        energy = rng.chisquare(n, scale.shape)
     else:
-        if h1:
-            branch = sig2 * rng.noncentral_chisquare(n, n * gamma / sig2)
-        else:
-            branch = sig2 * rng.chisquare(n, shape)
-        energy = branch.sum(axis=-1) if kind is CombinerKind.SLC else branch.max(axis=-1)
+        if not signal.all():
+            gain = gain * (signal if mrc else signal[..., None])
+        energy = rng.noncentral_chisquare(n, n * gain / scale)
+    energy *= scale
+    if scenario.combiner is CombinerKind.SLC:
+        energy = energy.sum(axis=-1)
+    elif scenario.combiner is CombinerKind.SLS:
+        energy = energy.max(axis=-1)
     return energy, sig2.mean(axis=-1)
-
-
-def _scenario_matrix_kwargs(scenario: Scenario) -> dict:
-    return dict(
-        kind=scenario.combiner,
-        num_crs=scenario.num_crs,
-        n_samples=scenario.n_samples,
-        gamma_bar=scenario.gamma_bar,
-        uncertainty_db=scenario.uncertainty_db,
-        awgn_channel=scenario.channel_kind == "awgn",
-    )
 
 
 def _chunked(total: int, per_chunk: int):
@@ -388,11 +397,10 @@ def conventional_rate(
     dual-threshold one.
     """
     lams = np.asarray(lams, dtype=float)
-    kwargs = _scenario_matrix_kwargs(scenario)
     per_chunk = max(1, _CHUNK_CELLS // scenario.num_crs)
     cross = np.zeros((lams.size, lams.size))
     for step in _chunked(scenario.trials, per_chunk):
-        energy, _ = _draw_energy_matrix(rng, step, 1, h1=h1, gamma_per_row=False, **kwargs)
+        energy, _ = _draw_events(scenario, rng, (step, 1), h1)
         cross += _cross(energy >= lams)
     return DecisionRates(cross / scenario.trials)
 
@@ -424,7 +432,6 @@ def forced_rates(
     ``lam``, so both rules' decisions are non-increasing in it.
     """
     lams = np.asarray(lams, dtype=float)
-    kwargs = _scenario_matrix_kwargs(scenario)
     length = scenario.history_len
     gamma_per_row = scenario.fading_block == "chain"
     per_chunk = max(1, _CHUNK_CELLS // (scenario.num_crs * length))
@@ -432,25 +439,41 @@ def forced_rates(
     prop_cross = np.zeros_like(conv_cross)
     rho_total = 0.0
     for step in _chunked(scenario.trials, per_chunk):
-        energy, sig_mean = _draw_energy_matrix(
-            rng, step, length, h1=h1, gamma_per_row=gamma_per_row, **kwargs
-        )
-        rho = np.maximum(1.0, sig_mean.max(axis=1) / sig_mean.mean(axis=1))
+        energy, sig_mean = _draw_events(scenario, rng, (step, length), h1, gamma_per_row)
+        proposed, rho = _dual_threshold(energy, sig_mean, lams, rho_override)
         rho_total += float(rho.sum())
-        if rho_override is not None:
-            rho = np.full(step, rho_override)
-        rho = rho[:, None]
-        # trials x grid: the predictor and the toggled threshold at every lam
-        predicted = energy.mean(axis=1)[:, None] >= lams
-        lam_new = np.where(predicted, lams / rho, rho * lams)
-        current = energy[:, -1:]
-        conv_cross += _cross(current >= lams)
-        prop_cross += _cross(current >= lam_new)
+        conv_cross += _cross(energy[:, -1:] >= lams)
+        prop_cross += _cross(proposed)
     return ForcedRates(
         conventional=DecisionRates(conv_cross / scenario.trials),
         proposed=DecisionRates(prop_cross / scenario.trials),
         mean_rho=rho_total / scenario.trials,
     )
+
+
+def _window_rho(sig_mean: np.ndarray) -> np.ndarray:
+    """Uncertainty factor ``max / mean`` of each window along the last axis, at least 1."""
+    return np.maximum(1.0, sig_mean.max(axis=-1) / sig_mean.mean(axis=-1))
+
+
+def _dual_threshold(
+    energy: np.ndarray,
+    sig_mean: np.ndarray,
+    lams: np.ndarray,
+    rho_override: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dual-threshold rule on the newest event of each window along the last axis.
+
+    Returns the decisions at every threshold of ``lams`` (windows x grid)
+    and each window's estimated rho, which ``rho_override`` replaces in the
+    rule but not in the returned estimate.  :mod:`css_lab.adaptive` is the
+    scalar, event-level reference.
+    """
+    rho = _window_rho(sig_mean)
+    factor = rho[..., None] if rho_override is None else rho_override
+    predicted = energy.mean(axis=-1)[..., None] >= lams
+    lam_new = np.where(predicted, lams / factor, factor * lams)
+    return energy[..., -1:] >= lam_new, rho
 
 
 def proposed_decisions_rolling(
@@ -472,53 +495,10 @@ def proposed_decisions_rolling(
         raise ValueError(f"need at least {length} events, got {n}")
     decisions = np.empty(n, dtype=bool)
     decisions[: length - 1] = energies[: length - 1] >= lam
-    window_mean = np.convolve(energies, np.ones(length), mode="valid") / length
-    sig_windows = sliding_window_view(sigma_means, length)
-    rho = np.maximum(1.0, sig_windows.max(axis=1) / sig_windows.mean(axis=1))
-    if rho_override is not None:
-        rho = np.full_like(rho, rho_override)
-    predicted = window_mean >= lam
-    lam_new = np.where(predicted, lam / rho, rho * lam)
-    decisions[length - 1 :] = energies[length - 1 :] >= lam_new
+    windows = sliding_window_view(energies, length), sliding_window_view(sigma_means, length)
+    proposed, _ = _dual_threshold(*windows, np.array([lam]), rho_override)
+    decisions[length - 1 :] = proposed[:, 0]
     return decisions
-
-
-def rolling_event_stream(
-    scenario: Scenario, states_h1: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Energies and mean variances for one rolling chain of mixed-truth events.
-
-    The fading gains exist whether or not the PU transmits; absence simply
-    zeroes the noncentrality, so one masked draw covers both hypotheses.
-    """
-    n = states_h1.size
-    shape = (n, scenario.num_crs)
-    if scenario.channel_kind == "awgn":
-        channel_gamma = np.full(shape, scenario.gamma_bar)
-    else:
-        channel_gamma = rng.exponential(scenario.gamma_bar, shape)
-    signal_gamma = channel_gamma * states_h1[:, None]
-    if scenario.uncertainty_db > 0.0:
-        sig2 = NOMINAL_VARIANCE * 10.0 ** (
-            rng.uniform(-scenario.uncertainty_db, scenario.uncertainty_db, shape) / 10.0
-        )
-    else:
-        sig2 = np.full(shape, NOMINAL_VARIANCE)
-    nsamp = scenario.n_samples
-    if scenario.combiner is CombinerKind.MRC:
-        weight_sum = channel_gamma.sum(axis=1)
-        eff_var = (channel_gamma * sig2).sum(axis=1) / weight_sum
-        energy = eff_var * rng.noncentral_chisquare(
-            nsamp, nsamp * signal_gamma.sum(axis=1) / eff_var
-        )
-    else:
-        branch = sig2 * rng.noncentral_chisquare(nsamp, nsamp * signal_gamma / sig2)
-        energy = (
-            branch.sum(axis=1)
-            if scenario.combiner is CombinerKind.SLC
-            else branch.max(axis=1)
-        )
-    return energy, sig2.mean(axis=1)
 
 
 def _check_scheme(scheme: str) -> None:
@@ -550,7 +530,7 @@ def run_regime(
         if rng is None:
             rng = derive_rng(scenario.seed, _TAG_MARKOV, scheme_code)
         states = markov_states(scenario.trials, scenario.mean_dwell_events, rng)
-        energy, sig_mean = rolling_event_stream(scenario, states, rng)
+        energy, sig_mean = _draw_events(scenario, rng, states.shape, states)
         if scheme == SCHEME_CONVENTIONAL:
             rate = float((energy >= lam).mean())
         else:
@@ -768,8 +748,8 @@ def paired_run(
         raise ValueError("paired_run requires a forced PU model")
     if rng is None:
         rng = derive_rng(scenario.seed, _TAG_PAIRED)
-    states = np.full(n_events, scenario.pu_model == "forced_h1")
-    energy, sig_mean = rolling_event_stream(scenario, states, rng)
+    h1 = scenario.pu_model == "forced_h1"
+    energy, sig_mean = _draw_events(scenario, rng, (n_events,), h1)
     conventional = energy >= lam
     proposed = proposed_decisions_rolling(
         energy, sig_mean, scenario.history_len, lam, rho_override
@@ -783,9 +763,9 @@ def transition_penalty(
     """Decision-error inflation within one window length of each PU toggle."""
     dwell = scenario.mean_dwell_events  # validates the PU model too
     if rng is None:
-        rng = derive_rng(scenario.seed, _TAG_MARKOV)
+        rng = derive_rng(scenario.seed, _TAG_PENALTY)
     states = markov_states(scenario.trials, dwell, rng)
-    energy, sig_mean = rolling_event_stream(scenario, states, rng)
+    energy, sig_mean = _draw_events(scenario, rng, states.shape, states)
     decisions = proposed_decisions_rolling(energy, sig_mean, scenario.history_len, lam)
     toggles = np.flatnonzero(states[1:] != states[:-1]) + 1
     near = np.zeros(states.size, dtype=bool)
@@ -817,17 +797,15 @@ def expected_rho(scenario: Scenario, windows: int = 100_000) -> float:
     """
     if scenario.uncertainty_db == 0.0:
         return 1.0
-    rng = derive_rng(scenario.seed, 6)
-    halfwidth = scenario.uncertainty_db
+    rng = derive_rng(scenario.seed, _TAG_RHO)
     per_chunk = max(1, _RHO_CHUNK_CELLS // (scenario.history_len * scenario.num_crs))
     rho = np.empty(windows)
     done = 0
     # the stream is drawn in order, so chunking leaves every value unchanged
     for step in _chunked(windows, per_chunk):
         shape = (step, scenario.history_len, scenario.num_crs)
-        sig2 = 10.0 ** (rng.uniform(-halfwidth, halfwidth, shape) / 10.0)
-        sig_mean = sig2.mean(axis=2)
-        rho[done : done + step] = np.maximum(1.0, sig_mean.max(axis=1) / sig_mean.mean(axis=1))
+        sig_mean = _noise_variances(rng, scenario.uncertainty_db, shape).mean(axis=-1)
+        rho[done : done + step] = _window_rho(sig_mean)
         done += step
     return float(rho.mean())
 

@@ -1,8 +1,11 @@
 """Command-line front end: parsing, artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
+import scipy
 
 from css_lab.cli import (
     CSV_COLUMNS,
@@ -149,6 +152,27 @@ class TestRunCommand:
     def test_unknown_subcommand(self, tmp_path):
         with pytest.raises(ValidationError):
             run_command("render", Scenario(trials=100, seed=1), tmp_path)
+
+
+GOLDEN_SHA256 = {
+    "compare": "e3019cadac54f0e9b9dde4d36a1b0460c3a11dcb3b4869a044dad8e7a1b69bb5",
+    "equivalence": "008135f66a55c6529fe3eeb8141f00734196afd2cb72d0962fcf2bcc5e993253",
+    "theory-table": "de030d91e019a81ac5f251f5525a7a48da522aed6597a3abc4481de210903fac",
+}
+
+
+@pytest.mark.skipif(
+    not (np.__version__.startswith("2.4.") and scipy.__version__.startswith("1.17.")),
+    reason="golden digests recorded with numpy 2.4.x and scipy 1.17.x; Generator "
+    "streams are not promised stable across versions",
+)
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_golden_csv_digest(command, tmp_path):
+    # pins the bytes of the draw kernel, the decision rules and the fading averages
+    scen = parse_scenario(None, overrides=["trials=300", "pfa_grid=0.0935,0.286"])
+    run_command(command, scen, tmp_path)
+    name = command.replace("-", "_") + ".csv"
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN_SHA256[command]
 
 
 class TestMain:

@@ -352,6 +352,31 @@ class TestProposedRayleigh:
         lam = 7151.0
         assert qd_proposed_rayleigh(p, lam) == qd_rayleigh(p, lam)
 
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            CombinerKind.SLC,
+            CombinerKind.MRC,
+            pytest.param(
+                CombinerKind.SLS,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason=(
+                        "SLS applies the K-fold complement inside the dual-threshold "
+                        "fading average (all branches at one SNR) but after it in "
+                        "qd_rayleigh (independent branches): at N=1000, -15 dB, a 0.1 "
+                        "target and rho=1+1e-9, 0.4188 against 0.5832 at K=7 (0.3408 "
+                        "against 0.3790 at K=2)"
+                    ),
+                ),
+            ),
+        ],
+    )
+    def test_tends_to_conventional_as_rho_tends_to_one(self, kind):
+        lam = cfar_threshold(FusionConfig(kind, 7, 1000), 0.1)
+        near = qd_proposed_rayleigh(params(kind, rho=1.0 + 1e-9), lam)
+        assert near == pytest.approx(qd_rayleigh(params(kind), lam), rel=0, abs=1e-6)
+
     def test_strictly_better_in_reliable_regime(self):
         # grid restricted to targets where the active-window predictor at the
         # mean combined SNR is essentially certain
