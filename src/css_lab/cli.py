@@ -246,9 +246,11 @@ def run_command(
             "k_match": result.k_match,
             "auc_gap": result.auc_gap,
             "proposed_auc": result.proposed_auc,
+            "proposed_auc_ci": result.proposed_curve.auc_ci,
             "proposed_num_crs": EQUIVALENCE_PROPOSED_CRS,
             "searched": list(result.searched),
             "conventional_aucs": list(result.conventional_aucs),
+            "conventional_auc_cis": [c.auc_ci for c in result.conventional_curves],
         }
         csv_name = "equivalence.csv"
     else:  # theory-table

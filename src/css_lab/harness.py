@@ -38,9 +38,12 @@ that ask for the fixed threshold alone count single independent events
 instead.  Points on one curve share their draws, so a curve is monotone in
 the threshold trial by trial, and its AUC interval comes from the per-trial
 covariance of the decisions across the grid (a paired delta method), not
-from independent per-point binomial widths.  The ``markov`` PU model drives
-a single rolling chain and is summarised separately as a transition penalty
-around PU toggles.
+from independent per-point binomial widths.  Sensor-count searches share
+one prefix draw: :func:`equivalence_search` draws once per hypothesis at its
+largest count and scores every smaller count on the sensor-axis prefixes of
+that draw, so its curves across counts are correlated.  The ``markov`` PU
+model drives a single rolling chain and is summarised separately as a
+transition penalty around PU toggles.
 """
 
 from __future__ import annotations
@@ -134,6 +137,8 @@ class Scenario:
             raise ValueError("pfa_grid entries must lie strictly inside (0, 1)")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("pfa_grid must be strictly increasing")
+        # a list grid would leave the scenario unhashable and unequal to its tuple twin
+        object.__setattr__(self, "pfa_grid", grid)
         if self.pu_model not in _PU_MODELS:
             dwell = self._parse_dwell(self.pu_model)
             if dwell < 10 * self.history_len:
@@ -310,6 +315,7 @@ def _draw_events(
     shape: tuple[int, ...],
     signal: bool | np.ndarray,
     gamma_per_row: bool = False,
+    sizes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Combined energies and mean reported variances for an array of sensing events.
 
@@ -319,6 +325,12 @@ def _draw_events(
     chi-square, which gives the same values as zero noncentrality.  With
     ``gamma_per_row`` the fading draw is shared along each row of a 2-D
     ``shape`` (block fading over a window).
+
+    ``sizes`` (ascending sensor counts, at most ``num_crs``) combines the
+    sensor-axis prefixes of the one ``num_crs``-sensor draw instead, and
+    both outputs gain a trailing axis, one entry per size: SLC takes a
+    cumulative sum, SLS a cumulative maximum, and MRC draws one chi-square
+    per size at the prefix sums of ``gamma`` and ``gamma * sigma^2``.
     """
     full = (*shape, scenario.num_crs)
     if scenario.channel_kind == "awgn":
@@ -330,9 +342,14 @@ def _draw_events(
         gamma = rng.exponential(scenario.gamma_bar, full)
     sig2 = _noise_variances(rng, scenario.uncertainty_db, full)
     mrc = scenario.combiner is CombinerKind.MRC
+    last = None if sizes is None else sizes - 1  # prefix ends on the sensor axis
     if mrc:  # one detector at the summed SNR, gain-weighted effective variance
-        gain = gamma.sum(axis=-1)
-        scale = (gamma * sig2).sum(axis=-1) / gain
+        if last is None:
+            gain = gamma.sum(axis=-1)
+            scale = (gamma * sig2).sum(axis=-1) / gain
+        else:
+            gain = np.cumsum(gamma, axis=-1)[..., last]
+            scale = np.cumsum(gamma * sig2, axis=-1)[..., last] / gain
     else:
         gain, scale = gamma, sig2
     signal = np.asarray(signal, dtype=bool)
@@ -341,14 +358,24 @@ def _draw_events(
         energy = rng.chisquare(n, scale.shape)
     else:
         if not signal.all():
-            gain = gain * (signal if mrc else signal[..., None])
+            gain = gain * signal.reshape(signal.shape + (1,) * (gain.ndim - signal.ndim))
         energy = rng.noncentral_chisquare(n, n * gain / scale)
     energy *= scale
+    if last is None:
+        if scenario.combiner is CombinerKind.SLC:
+            energy = energy.sum(axis=-1)
+        elif scenario.combiner is CombinerKind.SLS:
+            energy = energy.max(axis=-1)
+        return energy, sig2.mean(axis=-1)
+    # nothing reads the per-sensor arrays again, so they accumulate in place:
+    # a second full-size array per prefix reduction would raise the peak memory
     if scenario.combiner is CombinerKind.SLC:
-        energy = energy.sum(axis=-1)
+        energy = np.add.accumulate(energy, axis=-1, out=energy)[..., last]
     elif scenario.combiner is CombinerKind.SLS:
-        energy = energy.max(axis=-1)
-    return energy, sig2.mean(axis=-1)
+        energy = np.maximum.accumulate(energy, axis=-1, out=energy)[..., last]
+    sig_mean = np.add.accumulate(sig2, axis=-1, out=sig2)[..., last]
+    sig_mean /= sizes
+    return energy, sig_mean
 
 
 def _chunked(total: int, per_chunk: int):
@@ -387,22 +414,42 @@ def _cross(decisions: np.ndarray) -> np.ndarray:
 
 
 def conventional_rate(
-    scenario: Scenario, h1: bool, lams: Sequence[float], rng: np.random.Generator
-) -> DecisionRates:
+    scenario: Scenario,
+    h1: bool,
+    lams: Sequence[float] | Sequence[Sequence[float]],
+    rng: np.random.Generator,
+    sizes: Sequence[int] | None = None,
+) -> DecisionRates | tuple[DecisionRates, ...]:
     """Fixed-threshold positive rates over single independent events, at every ``lams``.
 
     Leaner than :func:`forced_rates` (no window draws, ``L`` times fewer
-    cells).  :func:`roc_sweep` uses it for conventional-only requests, such
-    as the sensor counts of :func:`equivalence_search` other than the
-    dual-threshold one.
+    cells).  :func:`roc_sweep` uses it for conventional-only requests.
+
+    With ``sizes`` (ascending sensor counts, the largest at most
+    ``scenario.num_crs``) one ``num_crs``-sensor draw scores every size on
+    its sensor-axis prefix, ``lams`` holds one threshold vector per size, and
+    the call returns one :class:`DecisionRates` per size.
+    :func:`equivalence_search` scores its sensor counts this way, so its
+    curves across counts share their draws and are correlated.
     """
-    lams = np.asarray(lams, dtype=float)
+    nested = sizes is not None
+    if nested:
+        sizes = np.asarray(sizes, dtype=np.int64)
+        ascending = sizes.size > 0 and np.array_equal(np.unique(sizes), sizes)
+        if not ascending or not 1 <= sizes[0] <= sizes[-1] <= scenario.num_crs:
+            raise ValueError("sizes must be ascending sensor counts within 1..num_crs")
+    lams = np.atleast_2d(np.asarray(lams, dtype=float))  # one threshold vector per size
+    if lams.ndim != 2 or lams.shape[0] != (sizes.size if nested else 1):
+        raise ValueError("lams must hold one threshold vector per size")
     per_chunk = max(1, _CHUNK_CELLS // scenario.num_crs)
-    cross = np.zeros((lams.size, lams.size))
+    cross = np.zeros((lams.shape[0], lams.shape[1], lams.shape[1]))
     for step in _chunked(scenario.trials, per_chunk):
-        energy, _ = _draw_events(scenario, rng, (step, 1), h1)
-        cross += _cross(energy >= lams)
-    return DecisionRates(cross / scenario.trials)
+        energy, _ = _draw_events(scenario, rng, (step,), h1, sizes=sizes)
+        decisions = energy.reshape(step, -1).T[..., None] >= lams[:, None, :]  # size, trial, grid
+        for size_cross, size_decisions in zip(cross, decisions):
+            size_cross += _cross(size_decisions)
+    rates = tuple(DecisionRates(c / scenario.trials) for c in cross)
+    return rates if nested else rates[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -619,6 +666,45 @@ def _auc_with_ci(
     return trapezoid_auc(pairs), 3.0 * float(np.sqrt(max(var, 0.0)))
 
 
+def _per_hypothesis(regime, threads: int) -> tuple:
+    """``regime(0)`` and ``regime(1)``, run concurrently when ``threads > 1``."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            return tuple(pool.map(regime, (0, 1)))
+    return tuple(map(regime, (0, 1)))
+
+
+def _curve(
+    scenario: Scenario,
+    scheme: str,
+    lams: Sequence[float],
+    pfa: DecisionRates,
+    pd: DecisionRates,
+    mean_rho: float,
+) -> RocCurve:
+    """One ROC curve from its H0 and H1 decision rates at the grid thresholds ``lams``."""
+    n = scenario.trials
+    points = []
+    rates = zip(pfa.rate.tolist(), pd.rate.tolist())
+    for target, lam, (x, y) in zip(scenario.pfa_grid, lams, rates):
+        theory_pfa, theory_pd = _theory_columns(scenario, scheme, lam, mean_rho)
+        points.append(
+            RocPoint(
+                target_pfa=target,
+                lam=lam,
+                empirical_pfa=x,
+                empirical_pfa_ci=binomial_ci(x, n),
+                empirical_pd=y,
+                empirical_pd_ci=binomial_ci(y, n),
+                theory_pfa=theory_pfa,
+                theory_pd=theory_pd,
+                trials=n,
+            )
+        )
+    auc, auc_ci = _auc_with_ci(points, pfa.covariance, pd.covariance)
+    return RocCurve(scheme, scenario, tuple(points), auc, auc_ci, mean_rho)
+
+
 def roc_sweep(
     scenario: Scenario,
     schemes: Sequence[str] = (SCHEME_CONVENTIONAL, SCHEME_PROPOSED),
@@ -641,36 +727,11 @@ def roc_sweep(
     cfg = scenario.fusion_config()
     lams = [cfar_threshold(cfg, t) for t in scenario.pfa_grid]
     regime = functools.partial(_regime_rates, scenario, SCHEME_PROPOSED in schemes, lams)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            (h0, rho), (h1, _) = pool.map(regime, (0, 1))
-    else:
-        (h0, rho), (h1, _) = map(regime, (0, 1))
-    n = scenario.trials
-    curves = []
-    for scheme in schemes:
-        pfa, pd = h0[scheme], h1[scheme]
-        mean_rho = rho if scheme == SCHEME_PROPOSED else 1.0
-        points = []
-        rates = zip(pfa.rate.tolist(), pd.rate.tolist())
-        for target, lam, (x, y) in zip(scenario.pfa_grid, lams, rates):
-            theory_pfa, theory_pd = _theory_columns(scenario, scheme, lam, mean_rho)
-            points.append(
-                RocPoint(
-                    target_pfa=target,
-                    lam=lam,
-                    empirical_pfa=x,
-                    empirical_pfa_ci=binomial_ci(x, n),
-                    empirical_pd=y,
-                    empirical_pd_ci=binomial_ci(y, n),
-                    theory_pfa=theory_pfa,
-                    theory_pd=theory_pd,
-                    trials=n,
-                )
-            )
-        auc, auc_ci = _auc_with_ci(points, pfa.covariance, pd.covariance)
-        curves.append(RocCurve(scheme, scenario, tuple(points), auc, auc_ci, mean_rho))
-    return tuple(curves)
+    (h0, rho), (h1, _) = _per_hypothesis(regime, threads)
+    return tuple(
+        _curve(scenario, s, lams, h0[s], h1[s], rho if s == SCHEME_PROPOSED else 1.0)
+        for s in schemes
+    )
 
 
 def sweep_param(
@@ -705,12 +766,33 @@ def equivalence_search(
     the dual-threshold scheme's AUC at its own (smaller) sensor count.
     Returns ``k_match = -1`` and the residual gap at the largest searched
     count when nothing in the range matches.  At the proposed sensor count
-    the conventional curve is the one paired with the dual-threshold curve;
-    every other count runs a conventional-only sweep.
+    the conventional curve is the one paired with the dual-threshold curve.
+    Every other count is scored on the sensor-axis prefixes of one
+    :func:`conventional_rate` draw per hypothesis at the largest count, so
+    the curves across counts are correlated; the stop rule is unchanged:
+    curves are built in ascending count, and the search stops at the first
+    one within ``AUC_MATCH_TOL``, with theory columns only up to it.
     """
     ks = tuple(int(k) for k in (k_range if k_range is not None else range(1, 49)))
     if not ks or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_range must be ascending positive integers")
+    sizes = [k for k in ks if k != proposed.num_crs]
+    subs = {k: replace(proposed, num_crs=k) for k in sizes}
+    # every size is scored on the one draw, so every size needs its thresholds first
+    lams = {
+        k: [cfar_threshold(sub.fusion_config(), t) for t in proposed.pfa_grid]
+        for k, sub in subs.items()
+    }
+    rates: dict[int, tuple[DecisionRates, DecisionRates]] = {}
+    if sizes:
+
+        def regime(h: int) -> tuple[DecisionRates, ...]:
+            rng = derive_rng(proposed.seed, _TAG_SWEEP, h)
+            return conventional_rate(subs[sizes[-1]], bool(h), list(lams.values()), rng, sizes)
+
+        rates = dict(zip(sizes, zip(*_per_hypothesis(regime, threads))))
+    # each draw has its own stream, so the order is free; drawn after the paired
+    # sweep, the nested draws raised the process's peak RSS by about 0.5 MB
     paired, target_curve = roc_sweep(proposed, threads=threads)
     target = target_curve.auc
     curves: list[RocCurve] = []
@@ -718,8 +800,7 @@ def equivalence_search(
         if k == proposed.num_crs:
             curve = paired
         else:
-            sub = replace(proposed, num_crs=k)
-            (curve,) = roc_sweep(sub, (SCHEME_CONVENTIONAL,), threads=threads)
+            curve = _curve(subs[k], SCHEME_CONVENTIONAL, lams[k], *rates[k], 1.0)
         curves.append(curve)
         if curve.auc >= target - AUC_MATCH_TOL:
             return EquivalenceResult(

@@ -113,6 +113,10 @@ class TestRunCommand:
         assert record["proposed_num_crs"] == 3
         assert record["searched"][0] == 1
         assert len(record["conventional_aucs"]) == len(record["searched"])
+        # the curves across K share one draw, so each carries its own AUC half-width
+        assert len(record["conventional_auc_cis"]) == len(record["searched"])
+        assert all(ci > 0 for ci in record["conventional_auc_cis"])
+        assert record["proposed_auc_ci"] > 0
         assert record["k_match"] == -1 or record["k_match"] in record["searched"]
 
     def test_plot_script_compiles(self, tmp_path):
@@ -156,7 +160,7 @@ class TestRunCommand:
 
 GOLDEN_SHA256 = {
     "compare": "e3019cadac54f0e9b9dde4d36a1b0460c3a11dcb3b4869a044dad8e7a1b69bb5",
-    "equivalence": "008135f66a55c6529fe3eeb8141f00734196afd2cb72d0962fcf2bcc5e993253",
+    "equivalence": "9bd98cde4c9bd24d50ccd9bba939b53a175bdc37f2f848e2ca91771a46930b81",
     "theory-table": "de030d91e019a81ac5f251f5525a7a48da522aed6597a3abc4481de210903fac",
 }
 

@@ -80,6 +80,13 @@ class TestScenario:
         for name, value in perturbed.items():
             assert dataclasses.replace(a, **{name: value}).digest() != a.digest(), name
 
+    def test_list_grid_is_stored_as_tuple(self):
+        listed, tupled = Scenario(pfa_grid=[0.1, 0.3]), Scenario(pfa_grid=(0.1, 0.3))
+        assert listed.pfa_grid == (0.1, 0.3)
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
+        assert listed.digest() == tupled.digest()
+
 
 class TestSeeding:
     def test_derive_rng_deterministic(self):
@@ -175,6 +182,78 @@ class TestDrawEvents:
         # zero noncentrality gives the same values, so masks keep their bytes
         central = derive_rng(30, 2).chisquare(64, 1000)
         assert np.array_equal(derive_rng(30, 2).noncentral_chisquare(64, np.zeros(1000)), central)
+
+
+class TestNestedSizes:
+    """One draw at the largest sensor count scores every smaller count on its prefixes."""
+
+    SIZES = (1, 3, 8)
+
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_prefix_rates_match_independent_draws(self, kind):
+        sc = Scenario(combiner=kind, num_crs=max(self.SIZES), trials=20_000, seed=31)
+        subs = [dataclasses.replace(sc, num_crs=k) for k in self.SIZES]
+        lams = [[cfar_threshold(sub.fusion_config(), 0.1)] for sub in subs]
+        for h1 in (False, True):
+            nested = conventional_rate(sc, h1, lams, derive_rng(31, int(h1)), self.SIZES)
+            assert len(nested) == len(self.SIZES)
+            for i, (sub, lam, rates) in enumerate(zip(subs, lams, nested)):
+                own = conventional_rate(sub, h1, lam, derive_rng(32, i, int(h1))).rate[0]
+                shared = rates.rate[0]
+                sigma = np.sqrt((own * (1 - own) + shared * (1 - shared)) / sc.trials)
+                assert abs(shared - own) <= 3 * sigma, (sub.num_crs, h1, shared, own)
+
+    @pytest.mark.parametrize("h1", [False, True])
+    def test_sls_prefix_is_running_max_of_sensor_energies(self, h1):
+        sc = Scenario(combiner=CombinerKind.SLS, num_crs=6, trials=100, seed=33)
+        sizes = np.arange(1, 7)
+        energy, sig_mean = harness._draw_events(sc, derive_rng(33), (500,), h1, sizes=sizes)
+        # the same stream, per sensor: fading, then variances, then energies
+        rng = derive_rng(33)
+        gamma = rng.exponential(sc.gamma_bar, (500, 6))
+        sig2 = harness._noise_variances(rng, sc.uncertainty_db, (500, 6))
+        n = sc.n_samples
+        per_sensor = (
+            rng.noncentral_chisquare(n, n * gamma / sig2) if h1 else rng.chisquare(n, (500, 6))
+        ) * sig2
+        for k in sizes:
+            assert np.array_equal(energy[:, k - 1], per_sensor[:, :k].max(axis=1))
+            assert sig_mean[:, k - 1] == pytest.approx(sig2[:, :k].mean(axis=1), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_widest_prefix_reproduces_plain_draw(self, kind):
+        # the largest size is the whole draw: exact for SLS, up to summation order otherwise
+        sc = Scenario(combiner=kind, num_crs=9, trials=100, seed=34)
+        plain, _ = harness._draw_events(sc, derive_rng(34), (300,), True)
+        nested, _ = harness._draw_events(sc, derive_rng(34), (300,), True, sizes=np.array([9]))
+        if kind is CombinerKind.SLS:
+            assert np.array_equal(nested[:, 0], plain)
+        else:
+            assert nested[:, 0] == pytest.approx(plain, rel=1e-12)
+
+    def test_sizes_validation(self):
+        sc = Scenario(num_crs=4, trials=100, seed=35)
+        lams = [[4000.0], [8000.0]]
+        for bad in ((2, 1), (0, 2), (2, 5), ()):
+            with pytest.raises(ValueError):
+                conventional_rate(sc, False, lams, derive_rng(35), bad)
+        with pytest.raises(ValueError):
+            conventional_rate(sc, False, [4000.0, 8000.0], derive_rng(35), (1, 2))
+
+    def test_early_match_computes_theory_only_for_searched_counts(self, monkeypatch):
+        seen = []
+        original = harness.qd_rayleigh
+
+        def counted(params, lam):
+            seen.append(params.K)
+            return original(params, lam)
+
+        monkeypatch.setattr(harness, "qd_rayleigh", counted)
+        # no uncertainty: the schemes coincide, so K=3 closes the gap
+        sc = Scenario(uncertainty_db=0.0, num_crs=3, trials=2_000, seed=36, pfa_grid=(0.1, 0.3))
+        result = equivalence_search(sc, k_range=(1, 3, 6, 12, 24))
+        assert result.k_match == 3 and result.searched == (1, 3)
+        assert sorted(seen) == sorted(result.searched * len(sc.pfa_grid))
 
 
 class TestRollingEngineEquivalence:
@@ -329,9 +408,8 @@ class TestOnePass:
         sc = Scenario(num_crs=3, trials=500, seed=25, pfa_grid=self.GRIDS[1])
         result = equivalence_search(sc, k_range=(2, 3, 4))
         assert result.searched == (2, 3, 4)
-        # paired sweep at K=3, conventional-only sweeps at K=2 and K=4:
-        # 2 + 2 * (3 - 1) calls
-        assert calls == {"forced_rates": 2, "conventional_rate": 4}
+        # paired sweep at K=3; K=2 and K=4 share one nested draw at K=4 per hypothesis
+        assert calls == {"forced_rates": 2, "conventional_rate": 2}
         paired, proposed = roc_sweep(sc)
         assert result.conventional_curves[1] == paired
         assert result.proposed_curve == proposed
