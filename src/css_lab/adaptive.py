@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 from .channel import Hypothesis
-from .fusion import CombinerKind, FusionConfig, combine, decide_conventional
-from .sensing import SensingReport
+from .fusion import decide_conventional
 
 
 class WarmupIncompleteError(RuntimeError):
@@ -109,13 +107,6 @@ def push_event(state: FusionState, e_comb: float, sigma_mean_sq: float) -> Fusio
     return state
 
 
-def mean_variance(reports: Sequence[SensingReport]) -> float:
-    """Average of the sensors' reported noise variances for one event."""
-    if len(reports) < 1:
-        raise ValueError("need at least one report")
-    return sum(r.est_noise_variance for r in reports) / len(reports)
-
-
 def predict_activity(state: FusionState, lambda_base: float) -> tuple[float, Hypothesis]:
     """Window-average energy and the activity prediction it implies.
 
@@ -185,21 +176,3 @@ def advance(
         lambda_new=lambda_new,
     )
 
-
-def decide_proposed(
-    state: FusionState,
-    reports: Sequence[SensingReport],
-    kind: CombinerKind,
-    cfg: FusionConfig,
-    lambda_base: float,
-) -> AdaptiveDecision:
-    """Combine one event's reports and apply the dual-threshold rule.
-
-    Requires a warmed-up history (L - 1 prior events); raises
-    WarmupIncompleteError without touching the state otherwise.
-    """
-    if cfg.kind is not kind:
-        raise ValueError("cfg.kind disagrees with the requested combiner")
-    e_comb = combine(kind, reports)
-    sigma_mean_sq = mean_variance(reports)
-    return advance(state, e_comb, sigma_mean_sq, lambda_base)

@@ -6,13 +6,13 @@ Per-sensor energies have known exact distributions (scaled central or
 noncentral chi-square, see :mod:`css_lab.theory`), so the campaign engine
 draws energies directly from those laws instead of synthesising sample
 waveforms; that is orders of magnitude faster and statistically identical.
-One kernel, ``_draw_events``, draws every Monte Carlo path: single events,
-trials x window grids and rolling chains, with the PU present, absent, or
-set per event.  One vectorised rule, ``_dual_threshold`` (with the rho
-estimator ``_window_rho``), decides on those windows; :mod:`css_lab.adaptive`
-is its scalar, event-level reference.  A sample-level reference path built
-on :mod:`css_lab.channel` is provided for cross-validation
-(``run_regime_sampled``) and the test suite checks the two agree.
+One kernel, ``_draw_events``, draws every Monte Carlo path: single events
+and trials x window grids, with the PU present or absent.  One vectorised
+rule, ``_dual_threshold`` (with the rho estimator ``_window_rho``), decides
+on those windows; :mod:`css_lab.adaptive` is its scalar, event-level
+reference.  A sample-level reference path built on :mod:`css_lab.channel`
+is provided for cross-validation (``run_regime_sampled``) and the test
+suite checks it against :func:`forced_rates`.
 
 Ratio combining is realised at the signal level (one detector at the summed
 branch SNR with a gain-weighted effective noise variance), which is the
@@ -31,24 +31,20 @@ Measurement regimes
 -------------------
 ROC points are measured under forced hypotheses, with common random numbers
 across the CFAR grid: a sweep draws once per hypothesis and scores every grid
-threshold on those draws.  For the dual-threshold scheme each counted trial
-is the final event of an independent freshly-warmed window, which keeps the
-trials i.i.d.; the fixed-threshold rate is read off the same events.  Sweeps
-that ask for the fixed threshold alone count single independent events
-instead.  Points on one curve share their draws, so a curve is monotone in
-the threshold trial by trial, and its AUC interval comes from the per-trial
+threshold on those draws.  Each counted trial is the final event of an
+independent freshly-warmed window, which keeps the trials i.i.d.; both
+schemes are read off the same events, whichever of them a sweep returns.
+Points on one curve share their draws, so a curve is monotone in the
+threshold trial by trial, and its AUC interval comes from the per-trial
 covariance of the decisions across the grid (a paired delta method), not
 from independent per-point binomial widths.  Sensor-count searches share
 one prefix draw: :func:`equivalence_search` draws once per hypothesis at its
 largest count and scores every smaller count on the sensor-axis prefixes of
-that draw, so its curves across counts are correlated.  The ``markov`` PU
-model drives a single rolling chain and is summarised separately as a
-transition penalty around PU toggles.
+that draw, so its curves across counts are correlated.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -56,7 +52,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .adaptive import FusionState, advance, push_event
 from .channel import (
@@ -81,16 +76,12 @@ _CHUNK_CELLS = 1 << 22  # cap on rows*events*sensors drawn per chunk
 # memory of one 1<<22-cell chunk
 _RHO_CHUNK_CELLS = 1 << 20
 
-# stream tags keeping every stochastic purpose on its own substream
+# stream tags keeping every stochastic purpose on its own substream; a tag keeps
+# its number, since every seeded output drawn on it depends on that number
 _TAG_SWEEP = 1
-_TAG_REGIME = 2
-_TAG_MARKOV = 3
-_TAG_PAIRED = 4
 _TAG_SAMPLED = 5
 _TAG_RHO = 6
-_TAG_PENALTY = 7
 
-_PU_MODELS = ("forced_h0", "forced_h1")
 _CHANNEL_KINDS = ("rayleigh", "awgn")
 _FADING_BLOCKS = ("event", "chain")
 
@@ -112,7 +103,6 @@ class Scenario:
     seed: int = DEFAULT_SEED
     pfa_grid: tuple[float, ...] = DEFAULT_PFA_GRID
     channel_kind: str = "rayleigh"
-    pu_model: str = "forced_h0"
     fading_block: str = "event"
 
     def __post_init__(self) -> None:
@@ -139,38 +129,10 @@ class Scenario:
             raise ValueError("pfa_grid must be strictly increasing")
         # a list grid would leave the scenario unhashable and unequal to its tuple twin
         object.__setattr__(self, "pfa_grid", grid)
-        if self.pu_model not in _PU_MODELS:
-            dwell = self._parse_dwell(self.pu_model)
-            if dwell < 10 * self.history_len:
-                raise ValueError(
-                    "markov mean dwell must be at least 10 * history_len "
-                    f"({10 * self.history_len}); got {dwell}"
-                )
-
-    @staticmethod
-    def _parse_dwell(pu_model: str) -> int:
-        prefix, _, arg = pu_model.partition(":")
-        if prefix != "markov" or not arg:
-            raise ValueError(
-                "pu_model must be 'forced_h0', 'forced_h1' or 'markov:<mean dwell>'"
-            )
-        try:
-            dwell = int(arg)
-        except ValueError as exc:
-            raise ValueError(f"markov mean dwell must be an integer, got {arg!r}") from exc
-        if dwell < 1:
-            raise ValueError("markov mean dwell must be positive")
-        return dwell
 
     @property
     def gamma_bar(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
-
-    @property
-    def mean_dwell_events(self) -> int:
-        if self.pu_model in _PU_MODELS:
-            raise ValueError("mean_dwell_events only applies to the markov PU model")
-        return self._parse_dwell(self.pu_model)
 
     def fusion_config(self, kind: CombinerKind | None = None) -> FusionConfig:
         return FusionConfig(
@@ -237,26 +199,6 @@ class RocCurve:
 
 
 @dataclass(frozen=True)
-class TransitionPenalty:
-    """Decision quality near PU toggles versus in steady state."""
-
-    near_false_alarm: float
-    far_false_alarm: float
-    near_missed_detection: float
-    far_missed_detection: float
-    toggles: int
-    events: int
-
-    @property
-    def excess_false_alarm(self) -> float:
-        return self.near_false_alarm - self.far_false_alarm
-
-    @property
-    def excess_missed_detection(self) -> float:
-        return self.near_missed_detection - self.far_missed_detection
-
-
-@dataclass(frozen=True)
 class EquivalenceResult:
     k_match: int  # -1 when no searched K closes the gap
     auc_gap: float
@@ -313,16 +255,15 @@ def _draw_events(
     scenario: Scenario,
     rng: np.random.Generator,
     shape: tuple[int, ...],
-    signal: bool | np.ndarray,
+    signal: bool,
     gamma_per_row: bool = False,
     sizes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Combined energies and mean reported variances for an array of sensing events.
 
-    ``signal`` is whether the PU transmits, for every event or one bool per
-    event.  The fading gains exist either way; absence zeroes the
-    noncentrality, and a draw without any signal takes numpy's central
-    chi-square, which gives the same values as zero noncentrality.  With
+    ``signal`` is whether the PU transmits.  The fading gains are drawn
+    either way; without the PU the energies take numpy's central chi-square,
+    with it the noncentral one at noncentrality ``N * gain / scale``.  With
     ``gamma_per_row`` the fading draw is shared along each row of a 2-D
     ``shape`` (block fading over a window).
 
@@ -352,14 +293,11 @@ def _draw_events(
             scale = np.cumsum(gamma * sig2, axis=-1)[..., last] / gain
     else:
         gain, scale = gamma, sig2
-    signal = np.asarray(signal, dtype=bool)
     n = scenario.n_samples
-    if not signal.any():
-        energy = rng.chisquare(n, scale.shape)
-    else:
-        if not signal.all():
-            gain = gain * signal.reshape(signal.shape + (1,) * (gain.ndim - signal.ndim))
+    if signal:
         energy = rng.noncentral_chisquare(n, n * gain / scale)
+    else:
+        energy = rng.chisquare(n, scale.shape)
     energy *= scale
     if last is None:
         if scenario.combiner is CombinerKind.SLC:
@@ -423,7 +361,7 @@ def conventional_rate(
     """Fixed-threshold positive rates over single independent events, at every ``lams``.
 
     Leaner than :func:`forced_rates` (no window draws, ``L`` times fewer
-    cells).  :func:`roc_sweep` uses it for conventional-only requests.
+    cells).
 
     With ``sizes`` (ascending sensor counts, the largest at most
     ``scenario.num_crs``) one ``num_crs``-sensor draw scores every size on
@@ -523,92 +461,9 @@ def _dual_threshold(
     return energy[..., -1:] >= lam_new, rho
 
 
-def proposed_decisions_rolling(
-    energies: np.ndarray,
-    sigma_means: np.ndarray,
-    history_len: int,
-    lam: float,
-    rho_override: float | None = None,
-) -> np.ndarray:
-    """Dual-threshold decisions along one rolling event stream.
-
-    The first ``history_len - 1`` events fall back to the fixed-threshold
-    rule while the window fills.  Vectorised equivalent of repeatedly
-    calling :func:`css_lab.adaptive.advance`.
-    """
-    length = history_len
-    n = energies.size
-    if n < length:
-        raise ValueError(f"need at least {length} events, got {n}")
-    decisions = np.empty(n, dtype=bool)
-    decisions[: length - 1] = energies[: length - 1] >= lam
-    windows = sliding_window_view(energies, length), sliding_window_view(sigma_means, length)
-    proposed, _ = _dual_threshold(*windows, np.array([lam]), rho_override)
-    decisions[length - 1 :] = proposed[:, 0]
-    return decisions
-
-
 def _check_scheme(scheme: str) -> None:
     if scheme not in (SCHEME_CONVENTIONAL, SCHEME_PROPOSED):
         raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def run_regime(
-    scenario: Scenario,
-    scheme: str,
-    lam: float,
-    rng: np.random.Generator | None = None,
-    rho_override: float | None = None,
-) -> tuple[float, float]:
-    """Positive-decision rate and 3-sigma half-width under the scenario's PU model.
-
-    Under ``forced_h0`` the rate is a false-alarm probability, under
-    ``forced_h1`` a detection probability; under ``markov`` it is the
-    marginal positive rate along one rolling chain.
-    """
-    _check_scheme(scheme)
-    if scenario.trials < 100:
-        warnings.warn(
-            f"only {scenario.trials} trials; confidence intervals will be wide",
-            stacklevel=2,
-        )
-    scheme_code = 0 if scheme == SCHEME_CONVENTIONAL else 1
-    if scenario.pu_model not in _PU_MODELS:
-        if rng is None:
-            rng = derive_rng(scenario.seed, _TAG_MARKOV, scheme_code)
-        states = markov_states(scenario.trials, scenario.mean_dwell_events, rng)
-        energy, sig_mean = _draw_events(scenario, rng, states.shape, states)
-        if scheme == SCHEME_CONVENTIONAL:
-            rate = float((energy >= lam).mean())
-        else:
-            rate = float(
-                proposed_decisions_rolling(
-                    energy, sig_mean, scenario.history_len, lam, rho_override
-                ).mean()
-            )
-        return rate, binomial_ci(rate, scenario.trials)
-    h1 = scenario.pu_model == "forced_h1"
-    if rng is None:
-        rng = derive_rng(scenario.seed, _TAG_REGIME, int(h1))
-    if scheme == SCHEME_CONVENTIONAL:
-        rates = conventional_rate(scenario, h1, [lam], rng)
-    else:
-        rates = forced_rates(scenario, h1, [lam], rng, rho_override).proposed
-    rate = float(rates.rate[0])
-    return rate, binomial_ci(rate, scenario.trials)
-
-
-def markov_states(n_events: int, mean_dwell: int, rng: np.random.Generator) -> np.ndarray:
-    """Alternating PU on/off truth with geometric dwell times."""
-    states = np.empty(n_events, dtype=bool)
-    pos = 0
-    current = bool(rng.integers(0, 2))
-    while pos < n_events:
-        dwell = int(rng.geometric(1.0 / mean_dwell))
-        states[pos : pos + dwell] = current
-        pos += dwell
-        current = not current
-    return states
 
 
 def _theory_columns(
@@ -619,20 +474,6 @@ def _theory_columns(
         return qfa_approx(params, lam), qd_rayleigh(params, lam)
     params = scenario.theory_params(rho=rho)
     return qfa_proposed(params, lam), qd_proposed_rayleigh(params, lam)
-
-
-def _regime_rates(
-    scenario: Scenario, paired: bool, lams: Sequence[float], h: int
-) -> tuple[dict[str, DecisionRates], float]:
-    """Every grid threshold scored on one draw under hypothesis ``h``, per scheme."""
-    rng = derive_rng(scenario.seed, _TAG_SWEEP, h)
-    if paired:
-        rates = forced_rates(scenario, bool(h), lams, rng)
-        return {
-            SCHEME_CONVENTIONAL: rates.conventional,
-            SCHEME_PROPOSED: rates.proposed,
-        }, rates.mean_rho
-    return {SCHEME_CONVENTIONAL: conventional_rate(scenario, bool(h), lams, rng)}, 1.0
 
 
 def trapezoid_auc(points: Sequence[tuple[float, float]]) -> float:
@@ -712,26 +553,34 @@ def roc_sweep(
 ) -> tuple[RocCurve, ...]:
     """ROC curves, one per requested scheme and in that order, from one draw per hypothesis.
 
-    Thresholds come from CFAR inversion of the grid.  When ``schemes``
-    includes the dual-threshold rule, the sweep makes one
-    :func:`forced_rates` call per hypothesis, scores every grid threshold on
-    it, and every requested curve reads its rates off those two calls, so
-    scheme comparisons are exactly paired.  A conventional-only request
-    draws single events through :func:`conventional_rate` on the same
-    streams instead.  ``threads > 1`` runs the two hypotheses concurrently.
+    Thresholds come from CFAR inversion of the grid.  The sweep makes one
+    :func:`forced_rates` call per hypothesis and scores every grid threshold
+    on it; ``schemes`` only selects which curves come back, and every curve
+    reads its rates off those two calls, so scheme comparisons are exactly
+    paired.  ``threads > 1`` runs the two hypotheses concurrently.  Fewer
+    than 100 trials raise a ``UserWarning``, since the intervals are then wide.
     """
     if isinstance(schemes, str) or not schemes:
         raise ValueError("schemes must be a non-empty sequence of scheme names")
     for scheme in schemes:
         _check_scheme(scheme)
+    if scenario.trials < 100:
+        warnings.warn(
+            f"only {scenario.trials} trials; confidence intervals will be wide",
+            stacklevel=2,
+        )
     cfg = scenario.fusion_config()
     lams = [cfar_threshold(cfg, t) for t in scenario.pfa_grid]
-    regime = functools.partial(_regime_rates, scenario, SCHEME_PROPOSED in schemes, lams)
-    (h0, rho), (h1, _) = _per_hypothesis(regime, threads)
-    return tuple(
-        _curve(scenario, s, lams, h0[s], h1[s], rho if s == SCHEME_PROPOSED else 1.0)
-        for s in schemes
-    )
+
+    def regime(h: int) -> ForcedRates:
+        return forced_rates(scenario, bool(h), lams, derive_rng(scenario.seed, _TAG_SWEEP, h))
+
+    h0, h1 = _per_hypothesis(regime, threads)
+    curves = []
+    for s in schemes:  # ForcedRates names its fields after the schemes
+        rho = h0.mean_rho if s == SCHEME_PROPOSED else 1.0
+        curves.append(_curve(scenario, s, lams, getattr(h0, s), getattr(h1, s), rho))
+    return tuple(curves)
 
 
 def sweep_param(
@@ -817,59 +666,6 @@ def equivalence_search(
     )
 
 
-def paired_run(
-    scenario: Scenario,
-    lam: float,
-    n_events: int,
-    rho_override: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed- and dual-threshold decisions over one shared rolling event stream."""
-    if scenario.pu_model not in _PU_MODELS:
-        raise ValueError("paired_run requires a forced PU model")
-    if rng is None:
-        rng = derive_rng(scenario.seed, _TAG_PAIRED)
-    h1 = scenario.pu_model == "forced_h1"
-    energy, sig_mean = _draw_events(scenario, rng, (n_events,), h1)
-    conventional = energy >= lam
-    proposed = proposed_decisions_rolling(
-        energy, sig_mean, scenario.history_len, lam, rho_override
-    )
-    return conventional, proposed
-
-
-def transition_penalty(
-    scenario: Scenario, lam: float, rng: np.random.Generator | None = None
-) -> TransitionPenalty:
-    """Decision-error inflation within one window length of each PU toggle."""
-    dwell = scenario.mean_dwell_events  # validates the PU model too
-    if rng is None:
-        rng = derive_rng(scenario.seed, _TAG_PENALTY)
-    states = markov_states(scenario.trials, dwell, rng)
-    energy, sig_mean = _draw_events(scenario, rng, states.shape, states)
-    decisions = proposed_decisions_rolling(energy, sig_mean, scenario.history_len, lam)
-    toggles = np.flatnonzero(states[1:] != states[:-1]) + 1
-    near = np.zeros(states.size, dtype=bool)
-    for t in toggles:
-        near[max(0, t - scenario.history_len) : t + scenario.history_len] = True
-
-    def _rate(mask: np.ndarray, positive: bool) -> float:
-        if not mask.any():
-            return float("nan")
-        rate = float(decisions[mask].mean())
-        return rate if positive else 1.0 - rate
-
-    h0 = ~states
-    return TransitionPenalty(
-        near_false_alarm=_rate(h0 & near, True),
-        far_false_alarm=_rate(h0 & ~near, True),
-        near_missed_detection=_rate(states & near, False),
-        far_missed_detection=_rate(states & ~near, False),
-        toggles=int(toggles.size),
-        events=int(states.size),
-    )
-
-
 def expected_rho(scenario: Scenario, windows: int = 100_000) -> float:
     """Mean estimated uncertainty factor for the scenario's window geometry.
 
@@ -892,19 +688,24 @@ def expected_rho(scenario: Scenario, windows: int = 100_000) -> float:
 
 
 def run_regime_sampled(
-    scenario: Scenario, scheme: str, lam: float, rng: np.random.Generator | None = None
+    scenario: Scenario,
+    scheme: str,
+    h1: bool,
+    lam: float,
+    rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """Sample-level reference implementation of :func:`run_regime`.
+    """Positive-decision rate of one rule and its 3-sigma half-width, from sampled waveforms.
 
-    Synthesises full waveforms through the channel/sensing stack; intended
-    for cross-validation at modest trial counts.
+    The sample-level reference for :func:`forced_rates`: it synthesises
+    full waveforms through the channel/sensing stack and decides with
+    :mod:`css_lab.adaptive`, one freshly-warmed window per trial, under H1
+    when ``h1`` and H0 otherwise.  Intended for cross-validation at modest
+    trial counts.
     """
     _check_scheme(scheme)
-    if scenario.pu_model not in _PU_MODELS:
-        raise ValueError("run_regime_sampled requires a forced PU model")
     if rng is None:
         rng = derive_rng(scenario.seed, _TAG_SAMPLED)
-    hyp = Hypothesis.H1 if scenario.pu_model == "forced_h1" else Hypothesis.H0
+    hyp = Hypothesis.H1 if h1 else Hypothesis.H0
     noise_model = NoiseModel(NOMINAL_VARIANCE, scenario.uncertainty_db)
     positives = 0
     for _ in range(scenario.trials):

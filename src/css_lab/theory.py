@@ -379,11 +379,6 @@ def predictor_prob(p: TheoryParams, lam: float, snr: float) -> float:
     return float(_gaussian_tail(lam, mu_avg, sigma_avg_sq))
 
 
-def _predictor_weight(p: TheoryParams, lam: float, snr: float, default_m: int) -> float:
-    stats_params = p if p.M is not None else replace(p, M=default_m)
-    return predictor_prob(stats_params, lam, snr)
-
-
 def qfa_proposed(p: TheoryParams, lam: float, snr: float = 0.0) -> float:
     """Dual-threshold false-alarm probability.
 
@@ -393,22 +388,8 @@ def qfa_proposed(p: TheoryParams, lam: float, snr: float = 0.0) -> float:
     """
     if p.rho == 1.0:  # both thresholds coincide; skip the mixture entirely
         return qfa_approx(p, lam)
-    w = _predictor_weight(p, lam, snr, default_m=0)
+    w = predictor_prob(p if p.M is not None else replace(p, M=0), lam, snr)
     return w * qfa_approx(p, lam / p.rho) + (1.0 - w) * qfa_approx(p, p.rho * lam)
-
-
-def qd_proposed_awgn(p: TheoryParams, lam: float, snr: float) -> float:
-    """Dual-threshold fixed-SNR detection probability.
-
-    Predictor weight defaults to a fully active window (``M = L``).
-    """
-    if p.rho == 1.0:
-        return qd_awgn_approx(p, lam, snr)
-    w = _predictor_weight(p, lam, snr, default_m=p.L)
-    return (
-        w * qd_awgn_approx(p, lam / p.rho, snr)
-        + (1.0 - w) * qd_awgn_approx(p, p.rho * lam, snr)
-    )
 
 
 def qd_proposed_rayleigh(p: TheoryParams, lam: float) -> float:

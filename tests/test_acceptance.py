@@ -18,16 +18,18 @@ so the suite stays green while the failures remain visible and pinned:
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate, special, stats
 
 from css_lab.fusion import CombinerKind, FusionConfig, cfar_threshold, mrc_weights
 from css_lab.harness import (
     Scenario,
+    _draw_events,
+    _dual_threshold,
     conventional_rate,
     derive_rng,
     equivalence_search,
     forced_rates,
-    paired_run,
     roc_sweep,
     sweep_param,
 )
@@ -178,13 +180,18 @@ def test_criterion_03_cfar_round_trip():
 
 @pytest.mark.parametrize("kind", list(CombinerKind))
 def test_criterion_04_degenerate_equivalence_events(kind):
+    # one rolling stream of 1e5 events per hypothesis; the dual-threshold rule
+    # decides each full window's newest event, the fixed threshold the rest
+    scenario = Scenario(combiner=kind, uncertainty_db=0.0, trials=100, seed=SEED)
+    lam = cfar_threshold(scenario.fusion_config(), 0.1)
+    length = scenario.history_len
     ok = True
-    for pu_model in ("forced_h0", "forced_h1"):
-        scenario = Scenario(
-            combiner=kind, uncertainty_db=0.0, trials=100, seed=SEED, pu_model=pu_model
-        )
-        lam = cfar_threshold(scenario.fusion_config(), 0.1)
-        conv, prop = paired_run(scenario, lam, 100_000)
+    for h1 in (False, True):
+        energy, sig_mean = _draw_events(scenario, derive_rng(SEED, 4), (100_000,), h1)
+        conv = energy >= lam
+        windows = (sliding_window_view(a, length) for a in (energy, sig_mean))
+        prop = conv.copy()
+        prop[length - 1 :] = _dual_threshold(*windows, np.array([lam]))[0][:, 0]
         ok = ok and bool(np.array_equal(conv, prop))
     report(4, f"{kind.name} zero-uncertainty decisions identical on 1e5 events", ok)
     assert ok

@@ -8,43 +8,18 @@ from css_lab.adaptive import (
     FusionState,
     WarmupIncompleteError,
     advance,
-    decide_proposed,
     dynamic_threshold,
     estimate_rho,
-    mean_variance,
     predict_activity,
     push_event,
 )
 from css_lab.channel import Hypothesis
 from css_lab.fusion import CombinerKind, FusionConfig, cfar_threshold, decide_conventional
-from css_lab.sensing import SensingReport
 
 # window-average predictor probability at the spec's default operating point:
 # Q((lam - N*K*(1+snr)) / sigma_avg) with lam = cfar(SLC, 0.1), K=7, N=1000,
 # L=15, per-sensor snr 10**-1.5; frozen from the Gaussian window model
 PREDICTOR_AT_DEFAULTS = 0.9865270764266724
-
-
-def report(variance, energy=1.0, snr=1.0, idx=1):
-    return SensingReport(
-        energy=energy, est_noise_variance=variance, instantaneous_snr=snr, cr_index=idx
-    )
-
-
-class TestMeanVariance:
-    def test_single(self):
-        assert mean_variance([report(1.0)]) == 1.0
-
-    def test_symmetric_pair(self):
-        assert mean_variance([report(0.8), report(1.2)]) == pytest.approx(1.0)
-
-    def test_four_values(self):
-        reports = [report(v) for v in (0.9, 1.0, 1.1, 1.3)]
-        assert mean_variance(reports) == pytest.approx(1.075)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_variance([])
 
 
 class TestFusionState:
@@ -233,46 +208,3 @@ class TestAdvance:
         first, second = run(), run()
         assert all(a == b for a, b in zip(first, second))
 
-
-class TestDecideProposed:
-    def test_composition_matches_manual_pipeline(self, rng):
-        length = 5
-        cfg = FusionConfig(CombinerKind.SLC, 3, 1000)
-        state_a = FusionState(length)
-        state_b = FusionState(length)
-        lam = 3050.0
-
-        def reports():
-            return [
-                report(float(rng.uniform(0.9, 1.1)), energy=float(rng.normal(1000, 40)), idx=j + 1)
-                for j in range(3)
-            ]
-
-        history = [reports() for _ in range(length - 1)]
-        for rs in history:
-            energy = sum(r.energy for r in rs)
-            variance = float(np.mean([r.est_noise_variance for r in rs]))
-            push_event(state_a, energy, variance)
-            push_event(state_b, energy, variance)
-        current = reports()
-        got = decide_proposed(state_a, current, CombinerKind.SLC, cfg, lam)
-        expected = advance(
-            state_b,
-            sum(r.energy for r in current),
-            float(np.mean([r.est_noise_variance for r in current])),
-            lam,
-        )
-        assert got == expected
-
-    def test_warmup_propagates(self):
-        cfg = FusionConfig(CombinerKind.SLC, 1, 1000)
-        state = FusionState(4)
-        with pytest.raises(WarmupIncompleteError):
-            decide_proposed(state, [report(1.0, energy=5.0)], CombinerKind.SLC, cfg, 10.0)
-
-    def test_kind_mismatch_rejected(self):
-        cfg = FusionConfig(CombinerKind.MRC, 1, 1000)
-        state = FusionState(2)
-        push_event(state, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            decide_proposed(state, [report(1.0)], CombinerKind.SLC, cfg, 10.0)

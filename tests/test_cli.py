@@ -1,5 +1,6 @@
 """Command-line front end: parsing, artifacts, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -159,9 +160,9 @@ class TestRunCommand:
 
 
 GOLDEN_SHA256 = {
-    "compare": "e3019cadac54f0e9b9dde4d36a1b0460c3a11dcb3b4869a044dad8e7a1b69bb5",
-    "equivalence": "9bd98cde4c9bd24d50ccd9bba939b53a175bdc37f2f848e2ca91771a46930b81",
-    "theory-table": "de030d91e019a81ac5f251f5525a7a48da522aed6597a3abc4481de210903fac",
+    "compare": "289f681b17abc29999374ee45f11bba8e9aab17fdedc7c65a981a654d32eed5d",
+    "equivalence": "e3c5c18c2c0e42774c4ffee0dadeee83ef9553f0a6f609b43cba8f0b7fd299cd",
+    "theory-table": "7d404726f2cf0dd391ad4a5941ed13b8bb3b31bbb48c699c0507659919556953",
 }
 
 
@@ -190,6 +191,17 @@ class TestMain:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "validation"
+
+    def test_removed_pu_model_key_exits_two(self, tmp_path, capsys):
+        # a scenario that still sets the removed PU model fails loudly, not silently
+        rc = main(["roc", "--set", "pu_model=forced_h1", "--out", str(tmp_path / "pu")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert "unknown key 'pu_model'" in err["message"]
+        valid = err["message"].split("valid keys: ", 1)[1].split(", ")
+        assert valid == [f.name for f in dataclasses.fields(Scenario)]
+        assert not (tmp_path / "pu").exists()
 
     def test_numeric_exit_three(self, tmp_path, capsys, monkeypatch):
         def explode(*args, **kwargs):

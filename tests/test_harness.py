@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from css_lab import harness
 from css_lab.adaptive import FusionState, advance, push_event
@@ -12,21 +13,46 @@ from css_lab.fusion import CombinerKind, cfar_threshold
 from css_lab.harness import (
     DEFAULT_PFA_GRID,
     Scenario,
+    binomial_ci,
     conventional_rate,
     derive_rng,
     equivalence_search,
     expected_rho,
     forced_rates,
-    markov_states,
-    paired_run,
-    proposed_decisions_rolling,
     roc_sweep,
-    run_regime,
     run_regime_sampled,
     sweep_param,
-    transition_penalty,
     trapezoid_auc,
 )
+
+
+def _rolling(energies, variances, length, lam, rho_override=None):
+    """Dual-threshold decisions along one rolling stream, scored on its sliding windows.
+
+    The first ``length - 1`` events fall back to the fixed threshold while
+    the window fills, as :func:`_event_loop` does.
+    """
+    decisions = energies >= lam
+    windows = (sliding_window_view(a, length) for a in (energies, variances))
+    proposed, _ = harness._dual_threshold(*windows, np.array([lam]), rho_override)
+    decisions[length - 1 :] = proposed[:, 0]
+    return decisions
+
+
+def _event_loop(energies, variances, length, lam, rho_override=None):
+    """The same stream decided one event at a time by the scalar reference."""
+    state = FusionState(length)
+    decisions = np.empty(energies.size, dtype=bool)
+    rhos = []
+    for i, (e, v) in enumerate(zip(energies, variances)):
+        if len(state) < length - 1:
+            push_event(state, float(e), float(v))
+            decisions[i] = e >= lam
+        else:
+            decision = advance(state, float(e), float(v), lam, rho_override)
+            decisions[i] = decision.decision is Hypothesis.H1
+            rhos.append(decision.rho)
+    return decisions, rhos
 
 
 class TestScenario:
@@ -49,19 +75,12 @@ class TestScenario:
             Scenario(pfa_grid=(0.0, 0.1))
         with pytest.raises(ValueError):
             Scenario(channel_kind="laplace")
-        with pytest.raises(ValueError):
-            Scenario(pu_model="markov:10")  # dwell below 10 * history_len
-        with pytest.raises(ValueError):
-            Scenario(pu_model="sometimes")
-
-    def test_markov_dwell_parse(self):
-        assert Scenario(pu_model="markov:200").mean_dwell_events == 200
 
     def test_digest_stability_and_sensitivity(self):
         a, b = Scenario(seed=1), Scenario(seed=1)
         assert a.digest() == b.digest()
         # pinned: artifacts carry the digest, so its text must not drift
-        assert Scenario().digest() == "6e8b1c6606481163"
+        assert Scenario().digest() == "b8973e9cd9fc992c"
         perturbed = {
             "snr_db": -14.0,
             "n_samples": 1002,
@@ -73,7 +92,6 @@ class TestScenario:
             "seed": 2,
             "pfa_grid": (0.1, 0.3),
             "channel_kind": "awgn",
-            "pu_model": "markov:200",
             "fading_block": "chain",
         }
         assert set(perturbed) == {f.name for f in dataclasses.fields(Scenario)}
@@ -107,53 +125,44 @@ class TestSeeding:
             return derive_rng(seed, *tags)
 
         monkeypatch.setattr(harness, "derive_rng", recording)
-        small = dict(trials=200, seed=5, n_samples=200, num_crs=2, history_len=3)
-        forced = Scenario(pfa_grid=(0.1,), **small)
-        markov = Scenario(pu_model="markov:30", **small)
-        roc_sweep(forced)
-        for scheme in ("conventional", "proposed"):
-            for sc in (forced, dataclasses.replace(forced, pu_model="forced_h1"), markov):
-                run_regime(sc, scheme, 100.0)
-        paired_run(forced, 100.0, 10)
-        transition_penalty(markov, 100.0)
-        expected_rho(forced, windows=10)
-        run_regime_sampled(dataclasses.replace(forced, trials=1), "conventional", 100.0)
-        assert len(used) == 10
+        sc = Scenario(trials=200, seed=5, n_samples=200, num_crs=2, history_len=3, pfa_grid=(0.1,))
+        roc_sweep(sc)
+        equivalence_search(sc, k_range=(1, 2))
+        expected_rho(sc, windows=10)
+        run_regime_sampled(dataclasses.replace(sc, trials=1), "conventional", False, 100.0)
+        # the sweep's two streams (the nested search reuses them), the rho and sampled streams
+        assert len(used) == 4
         first = {derive_rng(*entropy).random() for entropy in used}
         assert len(first) == len(used)
 
 
 class TestRunRegime:
+    """Single-threshold rates under one forced hypothesis, on the kernel functions."""
+
     def test_unreachable_threshold(self):
-        sc = Scenario(trials=2000, seed=2, pu_model="forced_h0")
-        rate, _ = run_regime(sc, "conventional", 1e12)
+        sc = Scenario(trials=2000, seed=2)
+        rate = conventional_rate(sc, False, [1e12], derive_rng(2, 2, 0)).rate[0]
         assert rate == 0.0
 
     def test_always_exceeded_threshold(self):
-        sc = Scenario(trials=2000, seed=2, pu_model="forced_h1")
-        rate, _ = run_regime(sc, "proposed", 1e-9)
+        sc = Scenario(trials=2000, seed=2)
+        rate = forced_rates(sc, True, [1e-9], derive_rng(2, 2, 1)).proposed.rate[0]
         assert rate == 1.0
 
     def test_false_alarm_tracks_target(self):
-        sc = Scenario(uncertainty_db=0.0, trials=100_000, seed=3, pu_model="forced_h0")
+        sc = Scenario(uncertainty_db=0.0, trials=100_000, seed=3)
         lam = cfar_threshold(sc.fusion_config(), 0.1)
-        rate, ci = run_regime(sc, "conventional", lam)
-        assert abs(rate - 0.1) <= max(0.01, ci)
+        rate = conventional_rate(sc, False, [lam], derive_rng(3, 2, 0)).rate[0]
+        assert abs(rate - 0.1) <= max(0.01, binomial_ci(rate, sc.trials))
 
     def test_small_trials_warn(self):
-        sc = Scenario(trials=50, seed=4)
-        with pytest.warns(UserWarning):
-            run_regime(sc, "conventional", 7000.0)
+        sc = Scenario(trials=50, seed=4, pfa_grid=(0.1,))
+        with pytest.warns(UserWarning, match="only 50 trials"):
+            roc_sweep(sc)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            run_regime(Scenario(trials=200, seed=1), "hybrid", 7000.0)
-
-    def test_conventional_regime_draws_single_events(self):
-        sc = Scenario(trials=2_000, seed=5, pu_model="forced_h1")
-        lam = cfar_threshold(sc.fusion_config(), 0.1)
-        rate, _ = run_regime(sc, "conventional", lam, derive_rng(5, 40))
-        assert rate == conventional_rate(sc, True, [lam], derive_rng(5, 40)).rate[0]
+            run_regime_sampled(Scenario(trials=200, seed=1), "hybrid", False, 7000.0)
 
     def test_lean_conventional_path_consistent(self):
         # the single-event sampler and the windowed sampler estimate the same
@@ -167,19 +176,9 @@ class TestRunRegime:
 
 
 class TestDrawEvents:
-    @pytest.mark.parametrize("kind", list(CombinerKind))
-    def test_no_signal_equals_all_false_mask(self, kind):
-        # one bool for every event and one bool per event select the same draw
-        sc = Scenario(combiner=kind, num_crs=3, trials=100, seed=30)
-        shape = (40, 5)
-        plain = harness._draw_events(sc, derive_rng(30, 1), shape, False)
-        masked = harness._draw_events(sc, derive_rng(30, 1), shape, np.zeros(shape, dtype=bool))
-        for a, b in zip(plain, masked):
-            assert np.array_equal(a, b)
-
     def test_central_draw_equals_zero_noncentrality(self):
         # signal-free events take the central law; numpy's noncentral draw at
-        # zero noncentrality gives the same values, so masks keep their bytes
+        # zero noncentrality gives the same values
         central = derive_rng(30, 2).chisquare(64, 1000)
         assert np.array_equal(derive_rng(30, 2).noncentral_chisquare(64, np.zeros(1000)), central)
 
@@ -257,36 +256,27 @@ class TestNestedSizes:
 
 
 class TestRollingEngineEquivalence:
+    """The vectorized rule on sliding windows against its scalar reference, adaptive.advance."""
+
     def test_matches_event_loop(self, rng):
         # the vectorized rolling decisions replicate the FusionState pipeline
         length, lam = 9, 105.0
         n_events = 400
         energies = rng.exponential(100.0, n_events)
         variances = rng.uniform(0.8, 1.25, n_events)
-        fast = proposed_decisions_rolling(energies, variances, length, lam)
-        state = FusionState(length)
-        slow = np.empty(n_events, dtype=bool)
-        rhos = []
-        for i, (e, v) in enumerate(zip(energies, variances)):
-            if len(state) < length - 1:
-                push_event(state, float(e), float(v))
-                slow[i] = e >= lam
-            else:
-                decision = advance(state, float(e), float(v), lam)
-                slow[i] = decision.decision is Hypothesis.H1
-                rhos.append(decision.rho)
+        fast = _rolling(energies, variances, length, lam)
+        slow, rhos = _event_loop(energies, variances, length, lam)
         assert np.array_equal(fast, slow)
         assert all(r >= 1.0 for r in rhos)
 
     def test_rho_override(self, rng):
         energies = rng.exponential(100.0, 50)
         variances = rng.uniform(0.9, 1.1, 50)
-        fixed = proposed_decisions_rolling(energies, variances, 5, 100.0, rho_override=1.5)
+        fixed = _rolling(energies, variances, 5, 100.0, rho_override=1.5)
         assert fixed.shape == (50,)
-
-    def test_needs_full_window(self, rng):
-        with pytest.raises(ValueError):
-            proposed_decisions_rolling(np.ones(3), np.ones(3), 5, 1.0)
+        slow, rhos = _event_loop(energies, variances, 5, 100.0, rho_override=1.5)
+        assert np.array_equal(fixed, slow)
+        assert set(rhos) == {1.5}
 
 
 class TestSampledReference:
@@ -299,12 +289,11 @@ class TestSampledReference:
             history_len=4,
             trials=1500,
             seed=31,
-            pu_model="forced_h1",
             snr_db=-9.0,
         )
         lam = cfar_threshold(sc.fusion_config(), 0.1)
-        fast, _ = run_regime(sc, "proposed", lam)
-        slow, _ = run_regime_sampled(sc, "proposed", lam)
+        fast = forced_rates(sc, True, [lam], derive_rng(31, 2, 1)).proposed.rate[0]
+        slow, _ = run_regime_sampled(sc, "proposed", True, lam)
         p = (fast + slow) / 2
         tol = 3 * np.sqrt(max(p * (1 - p), 1e-4) * 2 / sc.trials)
         assert abs(fast - slow) <= tol
@@ -329,7 +318,7 @@ class TestRocSweep:
         assert prop.mean_rho == 1.0
 
     def test_thread_count_does_not_change_results(self):
-        # both curves of a paired sweep, and the conventional-only path
+        # both curves of a paired sweep, and a single-scheme request
         sc = Scenario(trials=3_000, seed=10, pfa_grid=(0.05, 0.1, 0.2, 0.4))
         for schemes in (("conventional", "proposed"), ("conventional",)):
             serial = roc_sweep(sc, schemes, threads=1)
@@ -379,7 +368,12 @@ class TestOnePass:
 
     @pytest.mark.parametrize(
         "schemes",
-        [("conventional", "proposed"), ("proposed",), ("proposed", "conventional")],
+        [
+            ("conventional", "proposed"),
+            ("proposed",),
+            ("proposed", "conventional"),
+            ("conventional",),
+        ],
     )
     def test_two_forced_calls_per_point(self, calls, schemes):
         # one forced_rates call per hypothesis scores every point of the grid
@@ -389,14 +383,6 @@ class TestOnePass:
             assert [c.scheme for c in curves] == list(schemes)
             assert [len(c.points) for c in curves] == [len(grid)] * len(schemes)
             assert calls == {"forced_rates": 2, "conventional_rate": 0}
-
-    def test_conventional_only_draws_single_events(self, calls):
-        for grid in self.GRIDS:
-            calls.update(forced_rates=0, conventional_rate=0)
-            sc = Scenario(trials=500, seed=24, pfa_grid=grid)
-            (curve,) = roc_sweep(sc, ("conventional",))
-            assert curve.scheme == "conventional" and curve.mean_rho == 1.0
-            assert calls == {"forced_rates": 0, "conventional_rate": 2}
 
     def test_schemes_validation(self):
         sc = Scenario(trials=200, seed=24, pfa_grid=self.GRIDS[1])
@@ -439,8 +425,7 @@ class TestCommonRandomNumbers:
     def test_curves_monotone_in_threshold(self, kind):
         # per trial the decisions are non-increasing in lambda, so the rates are too
         sc = Scenario(combiner=kind, trials=2_000, seed=28)
-        curves = roc_sweep(sc) + roc_sweep(sc, ("conventional",))
-        for curve in curves:
+        for curve in roc_sweep(sc):
             path = sorted(curve.points, key=lambda p: p.lam)
             for a, b in zip(path, path[1:]):
                 assert b.empirical_pfa <= a.empirical_pfa
@@ -489,38 +474,13 @@ class TestPairedDominance:
 
 class TestPairedRun:
     def test_zero_uncertainty_is_degenerate(self):
-        sc = Scenario(uncertainty_db=0.0, trials=100, seed=14, pu_model="forced_h1")
+        # both rules on one rolling stream of H1 events
+        sc = Scenario(uncertainty_db=0.0, trials=100, seed=14)
         lam = cfar_threshold(sc.fusion_config(), 0.1)
-        conv, prop = paired_run(sc, lam, 20_000)
+        energy, sig_mean = harness._draw_events(sc, derive_rng(14, 4), (20_000,), True)
+        conv = energy >= lam
+        prop = _rolling(energy, sig_mean, sc.history_len, lam)
         assert np.array_equal(conv, prop)
-
-    def test_requires_forced_model(self):
-        sc = Scenario(trials=100, seed=14, pu_model="markov:200")
-        with pytest.raises(ValueError):
-            paired_run(sc, 7000.0, 1000)
-
-
-class TestMarkov:
-    def test_states_alternate_with_requested_dwell(self):
-        rng = derive_rng(15, 0)
-        states = markov_states(200_000, 250, rng)
-        toggles = int(np.count_nonzero(states[1:] != states[:-1]))
-        mean_dwell = states.size / max(toggles, 1)
-        assert 200 <= mean_dwell <= 310
-
-    def test_transition_penalty_positive(self):
-        sc = Scenario(trials=150_000, seed=16, pu_model="markov:200")
-        lam = cfar_threshold(sc.fusion_config(), 0.1)
-        penalty = transition_penalty(sc, lam)
-        assert penalty.toggles > 100
-        assert penalty.excess_false_alarm > 0.0
-        assert penalty.excess_missed_detection > 0.0
-
-    def test_run_regime_markov_rate(self):
-        sc = Scenario(trials=30_000, seed=17, pu_model="markov:200")
-        lam = cfar_threshold(sc.fusion_config(), 0.1)
-        rate, _ = run_regime(sc, "proposed", lam)
-        assert 0.0 < rate < 1.0
 
 
 class TestSweepsAndAuc:
