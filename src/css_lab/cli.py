@@ -30,6 +30,7 @@ from .harness import (
     RocCurve,
     Scenario,
     _fmt,
+    binomial_ci,
     equivalence_search,
     expected_rho,
     roc_sweep,
@@ -159,6 +160,31 @@ def _curve_rows(curve: RocCurve) -> list[str]:
     ]
 
 
+def _theory_gap(curve: RocCurve) -> dict:
+    """Worst ``|empirical - theory| / CI`` over a curve's points, for pfa and for pd.
+
+    CI is the point's 3-sigma binomial half-width.  It is zero where the
+    empirical rate is exactly 0 or 1; such a point is measured in the
+    half-width of a rate of one event in ``trials`` instead, the smallest
+    nonzero CI at that trial count, so the gap stays finite and a theory
+    value far from an empty or full count still shows.
+    """
+    n = curve.points[0].trials
+    floor = binomial_ci(1.0 / n, n)
+
+    def worst(triples) -> float:
+        return float(max(abs(rate - theory) / (ci or floor) for rate, ci, theory in triples))
+
+    return {
+        "combiner": curve.scenario.combiner.name,
+        "scheme": curve.scheme,
+        "num_crs": curve.scenario.num_crs,
+        "history_len": curve.scenario.history_len,
+        "pfa": worst((p.empirical_pfa, p.empirical_pfa_ci, p.theory_pfa) for p in curve.points),
+        "pd": worst((p.empirical_pd, p.empirical_pd_ci, p.theory_pd) for p in curve.points),
+    }
+
+
 _PLOT_TEMPLATE = """\
 #!/usr/bin/env python3
 \"\"\"Render ROC curves from {csv_name} (generated alongside this script).\"\"\"
@@ -209,39 +235,29 @@ def run_command(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     extras: dict = {}
-    rows: list[str] = []
+    curves: list[RocCurve] = []
     if subcommand == "roc":
-        for curve in roc_sweep(scenario, threads=threads):
-            rows.extend(_curve_rows(curve))
+        curves.extend(roc_sweep(scenario, threads=threads))
         csv_name = "roc.csv"
     elif subcommand == "compare":
-        aucs = {}
         for kind in (CombinerKind.SLC, CombinerKind.MRC, CombinerKind.SLS):
-            for curve in roc_sweep(replace(scenario, combiner=kind), threads=threads):
-                rows.extend(_curve_rows(curve))
-                aucs[f"{kind.name}:{curve.scheme}"] = curve.auc
-        extras["auc"] = aucs
+            curves.extend(roc_sweep(replace(scenario, combiner=kind), threads=threads))
+        extras["auc"] = {f"{c.scenario.combiner.name}:{c.scheme}": c.auc for c in curves}
         csv_name = "compare.csv"
     elif subcommand == "sweep-l":
         curves = sweep_param(scenario, "history_len", SWEEP_L_VALUES, threads=threads)
-        for curve in curves:
-            rows.extend(_curve_rows(curve))
         extras["auc_by_history_len"] = {
             str(v): c.auc for v, c in zip(SWEEP_L_VALUES, curves)
         }
         csv_name = "sweep_l.csv"
     elif subcommand == "sweep-k":
         curves = sweep_param(scenario, "num_crs", SWEEP_K_VALUES, threads=threads)
-        for curve in curves:
-            rows.extend(_curve_rows(curve))
         extras["auc_by_num_crs"] = {str(v): c.auc for v, c in zip(SWEEP_K_VALUES, curves)}
         csv_name = "sweep_k.csv"
     elif subcommand == "equivalence":
         proposed = replace(scenario, num_crs=EQUIVALENCE_PROPOSED_CRS)
         result = equivalence_search(proposed, EQUIVALENCE_K_RANGE, threads=threads)
-        rows.extend(_curve_rows(result.proposed_curve))
-        for curve in result.conventional_curves:
-            rows.extend(_curve_rows(curve))
+        curves = [result.proposed_curve, *result.conventional_curves]
         extras["equivalence"] = {
             "k_match": result.k_match,
             "auc_gap": result.auc_gap,
@@ -254,8 +270,12 @@ def run_command(
         }
         csv_name = "equivalence.csv"
     else:  # theory-table
-        rows.extend(_theory_table_rows(scenario))
         csv_name = "theory_table.csv"
+    if curves:
+        rows = [row for curve in curves for row in _curve_rows(curve)]
+        extras["theory_gap"] = [_theory_gap(curve) for curve in curves]
+    else:
+        rows = _theory_table_rows(scenario)
 
     csv_path = out / csv_name
     _write(csv_path, "\n".join([",".join(CSV_COLUMNS)] + rows) + "\n")

@@ -81,6 +81,7 @@ _RHO_CHUNK_CELLS = 1 << 20
 _TAG_SWEEP = 1
 _TAG_SAMPLED = 5
 _TAG_RHO = 6
+_TAG_NESTED = 8
 
 _CHANNEL_KINDS = ("rayleigh", "awgn")
 _FADING_BLOCKS = ("event", "chain")
@@ -617,8 +618,9 @@ def equivalence_search(
     count when nothing in the range matches.  At the proposed sensor count
     the conventional curve is the one paired with the dual-threshold curve.
     Every other count is scored on the sensor-axis prefixes of one
-    :func:`conventional_rate` draw per hypothesis at the largest count, so
-    the curves across counts are correlated; the stop rule is unchanged:
+    :func:`conventional_rate` draw per hypothesis at the largest count, on
+    a stream of its own, so those curves are correlated with each other but
+    independent of the paired sweep's; the stop rule is unchanged:
     curves are built in ascending count, and the search stops at the first
     one within ``AUC_MATCH_TOL``, with theory columns only up to it.
     """
@@ -636,12 +638,13 @@ def equivalence_search(
     if sizes:
 
         def regime(h: int) -> tuple[DecisionRates, ...]:
-            rng = derive_rng(proposed.seed, _TAG_SWEEP, h)
+            rng = derive_rng(proposed.seed, _TAG_NESTED, h)
             return conventional_rate(subs[sizes[-1]], bool(h), list(lams.values()), rng, sizes)
 
         rates = dict(zip(sizes, zip(*_per_hypothesis(regime, threads))))
-    # each draw has its own stream, so the order is free; drawn after the paired
-    # sweep, the nested draws raised the process's peak RSS by about 0.5 MB
+    # the nested draws and the paired sweep have their own streams, so the order is
+    # free; drawn after the paired sweep, the nested draws raised the process's peak
+    # RSS by about 0.5 MB
     paired, target_curve = roc_sweep(proposed, threads=threads)
     target = target_curve.auc
     curves: list[RocCurve] = []

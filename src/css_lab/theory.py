@@ -23,14 +23,19 @@ style moments, which is where the closed-form CFAR inversion comes from.
 SNR argument convention: every function below takes the *per-sensor*
 average linear SNR, assumed equal across sensors; combiner-level scaling
 (``K`` sums for SLC totals and MRC coherent gain) happens internally.
-Rayleigh-fading averages integrate over the combiner's aggregate SNR
-density (gamma with shape ``K`` for SLC/MRC, exponential per branch for
-SLS), truncated where all but ~1e-12 of its mass is covered.  Each average
-is a fixed-node Gauss-Legendre rule on that interval: the integrand is
-evaluated once per rule as one array over the nodes, the node count doubles
-from 16 until the n- and 2n-node values agree within ``_QUAD_TOL``, and
-``NumericError`` is raised if they never do.  Node sets are built on first
-use and cached per n.
+Rayleigh-fading averages run over the combiner's aggregate SNR density
+(gamma with shape ``K`` for SLC/MRC, exponential per branch for SLS).  The
+conventional average, :func:`qd_rayleigh`, is an exact series: mixing the
+noncentral chi-square's Poisson count over a gamma SNR gives a
+negative-binomial count, so the average is a negative-binomial sum of
+regularized gamma tails, truncated where computed bounds put each side's
+error at most ``_SERIES_TOL``.  The dual-threshold average's predictor
+weight depends on the SNR, so it integrates over the density instead,
+truncated where all but ~1e-12 of the mass is covered, by a fixed-node
+Gauss-Legendre rule: the integrand is evaluated once per rule as one array
+over the nodes, the node count doubles from 16 until the n- and 2n-node
+values agree within ``_QUAD_TOL``, and ``NumericError`` is raised if they
+never do.  Node sets are built on first use and cached per n.
 
 The dual-threshold scheme's probabilities are convex combinations of the
 conventional ones at ``lambda/rho`` and ``rho*lambda`` weighted by the
@@ -57,6 +62,10 @@ _QUAD_MIN_NODES = 16
 _QUAD_MAX_NODES = 8192
 _NEWTON_STEPS = 4  # root refinement steps when a node set is built
 _TAIL_SIGMAS = 40.0  # truncation point of the fading integrals, in gamma-std units
+_SERIES_TOL = 1e-12  # bound on each truncation error of the negative-binomial series
+_SERIES_SIGMAS = 8.0  # half-width of the series' first window, in standard deviations
+_SERIES_MIN_STEP = 16  # fewest terms a window side widens by
+_SERIES_MAX_TERMS = 1 << 20
 
 
 class NumericError(RuntimeError):
@@ -322,32 +331,85 @@ def _aggregate_snr_pdf(p: TheoryParams):
     )
 
 
-def qd_rayleigh(p: TheoryParams, lam: float) -> float:
-    """Detection probability averaged over Rayleigh fading.
+def _nb_gamma_series(r: int, m: int, theta: float, x: float, what: str) -> float:
+    """``sum_j NB(j; r, theta) * Q(m + j, x)``, truncated with computed error bounds.
 
-    SLC and MRC integrate the exact Marcum tail against the gamma density
-    of the summed branch SNRs; SLS averages one branch against the
-    exponential density and applies the K-fold complement (independent,
-    identically faded branches).
+    ``NB(j; r, theta)`` is the negative binomial mass with ``r`` successes and
+    mean ``r * theta`` and ``Q`` the regularized upper gamma function.  Only
+    the window ``lo <= j < hi`` is summed term by term: ``Q(m + lo, x)`` comes
+    from one ``gammaincc`` and the rest of the window by adding the Poisson
+    terms ``Q(s + 1, x) - Q(s, x) = e^-x x^s / s!``; the mass above the window
+    adds as ``P(J >= hi)``, since ``Q`` rises to 1 with ``j``.  ``Q`` also
+    increases with ``j``, which bounds the errors by
+    ``P(J < lo) Q(m + lo, x)`` below and ``P(J >= hi) (1 - Q(m + hi, x))``
+    above.  Each side widens until its bound is at most ``_SERIES_TOL``;
+    ``NumericError`` is raised for a non-finite value and for a window that
+    would exceed ``_SERIES_MAX_TERMS``, where a non-finite bound (never met)
+    also ends.
+    """
+    prob = 1.0 / (1.0 + theta)  # success probability of scipy's nbdtr
+    mean, sd = r * theta, np.sqrt(r * theta * (1.0 + theta))
+    # J's bulk and Q's rise from 0 to 1 (around j = x - m, over a few sqrt(x))
+    lo = max(0, int(max(mean - _SERIES_SIGMAS * sd, x - m - _SERIES_SIGMAS * np.sqrt(x))))
+    hi = max(lo, int(np.ceil(min(mean + _SERIES_SIGMAS * sd, x - m + _SERIES_SIGMAS * np.sqrt(x)))))
+    while True:
+        if hi - lo > _SERIES_MAX_TERMS:
+            raise NumericError(
+                f"series for {what} did not converge: its error bounds need more than "
+                f"{_SERIES_MAX_TERMS} terms, j in [{lo}, {hi})"
+            )
+        q_lo = special.gammaincc(m + lo, x)
+        below = special.nbdtr(lo - 1, r, prob) * q_lo if lo > 0 else 0.0
+        mass_above = special.nbdtrc(hi - 1, r, prob) if hi > 0 else 1.0
+        above = mass_above * special.gammainc(m + hi, x)
+        if below <= _SERIES_TOL and above <= _SERIES_TOL:
+            break
+        width = max(hi - lo, _SERIES_MIN_STEP)
+        if below > _SERIES_TOL:
+            lo = max(0, lo - width)
+        if above > _SERIES_TOL:
+            hi += width
+    j = np.arange(lo, hi, dtype=float)
+    s = m + j
+    steps = np.exp(special.xlogy(s, x) - x - special.gammaln(s + 1.0))  # Q(s + 1) - Q(s)
+    q = q_lo + (np.cumsum(steps) - steps)
+    log_mass = (
+        special.gammaln(r + j)
+        - special.gammaln(j + 1.0)
+        - special.gammaln(r)
+        + r * np.log(prob)
+        + j * np.log1p(-prob)
+    )
+    value = float(np.exp(log_mass) @ q) + mass_above
+    if not np.isfinite(value):
+        raise NumericError(f"series for {what} is not finite on j in [{lo}, {hi}): {value!r}")
+    return value
+
+
+def qd_rayleigh(p: TheoryParams, lam: float) -> float:
+    """Detection probability averaged over Rayleigh fading, by an exact series.
+
+    Given the aggregate SNR ``g``, the statistic over ``sigma_sq`` is
+    noncentral chi-square with ``2 m`` degrees of freedom and noncentrality
+    ``N g``: a Poisson(``N g / 2``) mixture of central ones, so the
+    detection tail is ``sum_j Pois(j) Q(m + j, x)`` with
+    ``x = lam / (2 sigma_sq)``.  With ``g ~ Gamma(r, gamma_bar)`` the
+    Poisson count becomes negative binomial with ``r`` successes and mean
+    ``r N gamma_bar / 2``, which leaves one series and no integral over
+    ``g`` (Digham, Alouini & Simon, IEEE Trans. Commun. 2007).  SLC takes
+    ``(r, m) = (K, K u)`` and MRC ``(K, u)``; SLS averages one exponentially
+    faded branch, ``(1, u)``, and applies the K-fold complement
+    (independent, identically faded branches).
     """
     if lam <= 0.0:
         return 1.0
-    pdf = _aggregate_snr_pdf(p)
-    hi = _fading_upper_limit(p)
-    b = np.sqrt(lam / p.sigma_sq)
+    x = lam / (2.0 * p.sigma_sq)
+    theta = p.N * p.gamma_bar / 2.0
     if p.kind is CombinerKind.SLS:
-        branch = _fading_average(
-            lambda g: _marcum_q_vec(p.u, np.sqrt(p.N * g), b) * pdf(g),
-            hi,
-            "SLS branch fading average",
-        )
+        branch = _nb_gamma_series(1, p.u, theta, x, "SLS branch fading average")
         return float(_sls_complement_power(branch, p.K))
     order = p.K * p.u if p.kind is CombinerKind.SLC else p.u
-    return _fading_average(
-        lambda g: _marcum_q_vec(order, np.sqrt(p.N * g), b) * pdf(g),
-        hi,
-        f"{p.kind.name} fading average",
-    )
+    return _nb_gamma_series(p.K, order, theta, x, f"{p.kind.name} fading average")
 
 
 def _avg_moments(p: TheoryParams, m: int, snr):

@@ -11,12 +11,13 @@ import scipy
 from css_lab.cli import (
     CSV_COLUMNS,
     ValidationError,
+    _theory_gap,
     main,
     parse_scenario,
     run_command,
 )
 from css_lab.fusion import CombinerKind, cfar_threshold
-from css_lab.harness import Scenario, expected_rho
+from css_lab.harness import Scenario, expected_rho, roc_sweep
 from css_lab.theory import NumericError, qd_proposed_rayleigh, qd_rayleigh, qfa_approx, qfa_proposed
 
 
@@ -120,6 +121,56 @@ class TestRunCommand:
         assert record["proposed_auc_ci"] > 0
         assert record["k_match"] == -1 or record["k_match"] in record["searched"]
 
+    @pytest.mark.parametrize("command", ["roc", "compare", "sweep-l", "sweep-k", "equivalence"])
+    def test_manifest_records_theory_gap(self, command, tmp_path):
+        scen = parse_scenario(_fast_scenario_file(tmp_path, trials=300))
+        manifest = run_command(command, scen, tmp_path / "a")
+        name = command.replace("-", "_") + ".csv"
+        lines = (tmp_path / "a" / name).read_text().splitlines()[1:]
+        rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in lines]
+        gaps = manifest["theory_gap"]
+        per_curve = len(scen.pfa_grid)
+        assert len(gaps) * per_curve == len(rows)
+        floor = 3.0 * np.sqrt((1 / 300) * (1 - 1 / 300) / 300)
+        for i, gap in enumerate(gaps):
+            curve = rows[i * per_curve : (i + 1) * per_curve]
+            assert {r["combiner"] for r in curve} == {gap["combiner"]}
+            assert {r["scheme"] for r in curve} == {gap["scheme"]}
+            for rate in ("pfa", "pd"):
+                expected = max(
+                    abs(float(r[f"empirical_{rate}"]) - float(r[f"theory_{rate}"]))
+                    / (float(r[f"empirical_{rate}_ci"]) or floor)
+                    for r in curve
+                )
+                # the CSV carries 12 significant digits
+                assert gap[rate] == pytest.approx(expected, rel=1e-9)
+        # deterministic: a second run writes the same manifest apart from started_at
+        run_command(command, scen, tmp_path / "b")
+        first, second = (
+            [
+                line
+                for line in (tmp_path / d / "manifest.json").read_text().splitlines()
+                if '"started_at"' not in line
+            ]
+            for d in ("a", "b")
+        )
+        assert first == second
+
+    def test_theory_gap_measures_zero_ci_points_in_one_event_widths(self, tmp_path):
+        scen = parse_scenario(_fast_scenario_file(tmp_path, trials=300))
+        curve = roc_sweep(scen)[0]
+        empty = dataclasses.replace(
+            curve.points[0], empirical_pfa=0.0, empirical_pfa_ci=0.0, theory_pfa=0.05
+        )
+        gap = _theory_gap(dataclasses.replace(curve, points=(empty,)))
+        one_event = 3.0 * np.sqrt((1 / 300) * (1 - 1 / 300) / 300)
+        assert gap["pfa"] == pytest.approx(0.05 / one_event, rel=1e-12)
+        assert np.isfinite(gap["pd"])
+
+    def test_theory_table_has_no_theory_gap(self, tmp_path):
+        scen = parse_scenario(_fast_scenario_file(tmp_path))
+        assert "theory_gap" not in run_command("theory-table", scen, tmp_path / "t")
+
     def test_plot_script_compiles(self, tmp_path):
         scen = parse_scenario(_fast_scenario_file(tmp_path))
         run_command("roc", scen, tmp_path / "p")
@@ -160,9 +211,9 @@ class TestRunCommand:
 
 
 GOLDEN_SHA256 = {
-    "compare": "289f681b17abc29999374ee45f11bba8e9aab17fdedc7c65a981a654d32eed5d",
-    "equivalence": "e3c5c18c2c0e42774c4ffee0dadeee83ef9553f0a6f609b43cba8f0b7fd299cd",
-    "theory-table": "7d404726f2cf0dd391ad4a5941ed13b8bb3b31bbb48c699c0507659919556953",
+    "compare": "493cf05c353f569bf56f1b23d2e81dc2685b17e1f350e630a0a529dcfef8c351",
+    "equivalence": "3824cf44f147b93f8f15a93641fbf47791e992ed3c43eb3c2dbb3300dcb12f67",
+    "theory-table": "a563d26e3410ccefedff86c71cde612914f82a8cb1e7e7db11df12614e2f43ed",
 }
 
 

@@ -130,8 +130,8 @@ class TestSeeding:
         equivalence_search(sc, k_range=(1, 2))
         expected_rho(sc, windows=10)
         run_regime_sampled(dataclasses.replace(sc, trials=1), "conventional", False, 100.0)
-        # the sweep's two streams (the nested search reuses them), the rho and sampled streams
-        assert len(used) == 4
+        # the sweep's two streams, the nested search's two, the rho and sampled streams
+        assert len(used) == 6
         first = {derive_rng(*entropy).random() for entropy in used}
         assert len(first) == len(used)
 

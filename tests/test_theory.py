@@ -471,15 +471,70 @@ class TestFadingAverageOracle:
         assert worst <= 1e-8
 
 
+class TestConventionalSeries:
+    """``qd_rayleigh`` is a negative-binomial series of gamma tails, not a quadrature."""
+
+    @pytest.mark.parametrize("target", [0.0935, 0.286])
+    def test_matches_oracle_across_sensor_counts(self, target):
+        # the thresholds and counts the equivalence search evaluates
+        worst = 0.0
+        for K in range(1, 49):
+            lam = cfar_threshold(FusionConfig(CombinerKind.SLC, K, 1000), target)
+            p = params(CombinerKind.SLC, K=K)
+            worst = max(worst, abs(qd_rayleigh(p, lam) - fading_quad_oracle(p, lam)))
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    @pytest.mark.parametrize("snr_db, K", [(-25.0, 1), (0.0, 48)])
+    def test_matches_oracle_at_grid_extremes(self, kind, snr_db, K):
+        for target in (0.01, 0.1, 0.5):
+            lam = cfar_threshold(FusionConfig(kind, K, 1000), target)
+            p = TheoryParams(kind, K=K, N=1000, gamma_bar=10 ** (snr_db / 10))
+            assert abs(qd_rayleigh(p, lam) - fading_quad_oracle(p, lam)) <= 1e-9
+
+    def test_makes_no_marcum_evaluations(self, monkeypatch):
+        calls = []
+        marcum = theory._marcum_q_vec
+
+        def counting(order, a, b):
+            calls.append(order)
+            return marcum(order, a, b)
+
+        monkeypatch.setattr(theory, "_marcum_q_vec", counting)
+        for kind in CombinerKind:
+            lam = cfar_threshold(FusionConfig(kind, 7, 1000), 0.1)
+            qd_rayleigh(params(kind), lam)
+        assert calls == []
+        # the dual-threshold average still integrates the Marcum tails
+        qd_proposed_rayleigh(params(rho=1.1), 7000.0)
+        assert calls
+
+
 class TestNumericErrorSurface:
     def test_quadrature_failure_raises(self, monkeypatch):
         # a node cap below what the default-scenario average needs
         monkeypatch.setattr(theory, "_QUAD_MAX_NODES", 32)
         with pytest.raises(NumericError, match="did not converge"):
-            qd_rayleigh(params(), 7000.0)
+            qd_proposed_rayleigh(params(rho=1.1), 7000.0)
         # a non-finite integrand fails at once
         monkeypatch.setattr(theory, "_marcum_q_vec", lambda order, a, b: np.full(np.shape(a), np.nan))
         with pytest.raises(NumericError, match="not finite"):
+            qd_proposed_rayleigh(params(rho=1.1), 7000.0)
+
+    def test_series_not_finite_raises(self, monkeypatch):
+        monkeypatch.setattr(theory.special, "gammaincc", lambda s, x: np.nan)
+        with pytest.raises(NumericError, match="not finite"):
+            qd_rayleigh(params(), 7000.0)
+
+    def test_series_unmet_bound_raises(self, monkeypatch):
+        # a tolerance no error bound can meet widens the window past its term cap
+        monkeypatch.setattr(theory, "_SERIES_TOL", -1.0)
+        with pytest.raises(NumericError, match="did not converge"):
+            qd_rayleigh(params(), 7000.0)
+        # so does a term cap below the window the default-scenario series needs
+        monkeypatch.undo()
+        monkeypatch.setattr(theory, "_SERIES_MAX_TERMS", 64)
+        with pytest.raises(NumericError, match="did not converge"):
             qd_rayleigh(params(), 7000.0)
 
 
