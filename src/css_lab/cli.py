@@ -5,7 +5,8 @@ Scenario files are flat ``key = value`` documents (``#`` starts a comment);
 writes a flat CSV with a fixed column order, a JSON manifest and a
 standalone plot script that renders the ROC curves from the CSV.  Output
 bytes are identical across repeated runs of the same resolved scenario; the
-only timestamp lives in the manifest.
+only timestamp lives in the manifest.  What may vary between machines and
+runs (library versions, thread count, warnings) goes to ``run.json``.
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure.
 """
@@ -18,9 +19,13 @@ import datetime
 import json
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .fusion import CombinerKind, cfar_threshold
@@ -229,19 +234,52 @@ def run_command(
     out_dir: str | os.PathLike,
     threads: int = 1,
 ) -> dict:
-    """Dispatch one subcommand and write its artifacts; returns the manifest."""
+    """Dispatch one subcommand and write its artifacts; returns the manifest.
+
+    Beside the byte-stable CSV and manifest, ``run.json`` records what may
+    differ between runs of one scenario: the python, numpy and scipy
+    versions, the thread count and the warnings raised.  The warnings are
+    captured while the subcommand runs and re-emitted once it ends, so
+    callers still see them.
+    """
     if subcommand not in SUBCOMMANDS:
         raise ValidationError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            manifest = _write_artifacts(subcommand, scenario, out, threads)
+        # one entry per warning and place it was raised from, in order
+        places = {(w.category, str(w.message), w.filename, w.lineno): w for w in caught}
+        caught = list(places.values())
+        run = {
+            "versions": {
+                "python": sys.version.split()[0],
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+            },
+            "threads": threads,
+            "warnings": [
+                {"category": w.category.__name__, "message": str(w.message)} for w in caught
+            ],
+        }
+        _write(out / "run.json", json.dumps(run, indent=2, sort_keys=True) + "\n")
+    finally:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    return manifest
+
+
+def _write_artifacts(subcommand: str, scenario: Scenario, out: Path, threads: int) -> dict:
+    """Run one subcommand and write its CSV, plot script and manifest; returns the manifest."""
     extras: dict = {}
     curves: list[RocCurve] = []
     if subcommand == "roc":
         curves.extend(roc_sweep(scenario, threads=threads))
         csv_name = "roc.csv"
     elif subcommand == "compare":
-        for kind in (CombinerKind.SLC, CombinerKind.MRC, CombinerKind.SLS):
-            curves.extend(roc_sweep(replace(scenario, combiner=kind), threads=threads))
+        curves.extend(roc_sweep(scenario, threads=threads, combiners=tuple(CombinerKind)))
         extras["auc"] = {f"{c.scenario.combiner.name}:{c.scheme}": c.auc for c in curves}
         csv_name = "compare.csv"
     elif subcommand == "sweep-l":

@@ -7,7 +7,10 @@ noncentral chi-square, see :mod:`css_lab.theory`), so the campaign engine
 draws energies directly from those laws instead of synthesising sample
 waveforms; that is orders of magnitude faster and statistically identical.
 One kernel, ``_draw_events``, draws every Monte Carlo path: single events
-and trials x window grids, with the PU present or absent.  One vectorised
+and trials x window grids, with the PU present or absent.  SLC and SLS
+differ only in how they reduce the per-sensor energies (a sum or a
+maximum), so one per-sensor draw serves both; MRC combines before its
+chi-square draw and has a draw of its own.  One vectorised
 rule, ``_dual_threshold`` (with the rho estimator ``_window_rho``), decides
 on those windows; :mod:`css_lab.adaptive` is its scalar, event-level
 reference.  A sample-level reference path built on :mod:`css_lab.channel`
@@ -37,7 +40,11 @@ schemes are read off the same events, whichever of them a sweep returns.
 Points on one curve share their draws, so a curve is monotone in the
 threshold trial by trial, and its AUC interval comes from the per-trial
 covariance of the decisions across the grid (a paired delta method), not
-from independent per-point binomial widths.  Sensor-count searches share
+from independent per-point binomial widths.  A sweep over several combiners
+(``compare``) reads its SLC and SLS curves off one per-sensor window draw
+per hypothesis and draws MRC's separately; every one of those draws starts
+from the sweep's stream, so each combiner's curves are exactly those of a
+sweep of that combiner alone.  Sensor-count searches share
 one prefix draw: :func:`equivalence_search` draws once per hypothesis at its
 largest count and scores every smaller count on the sensor-axis prefixes of
 that draw, so its curves across counts are correlated.
@@ -107,6 +114,11 @@ class Scenario:
     fading_block: str = "event"
 
     def __post_init__(self) -> None:
+        # nan and inf pass the comparisons below and fail deep in the draws or the series
+        if not np.isfinite(self.snr_db):
+            raise ValueError("snr_db must be finite")
+        if not np.isfinite(self.uncertainty_db):
+            raise ValueError("uncertainty_db must be finite")
         if self.n_samples < 2 or self.n_samples % 2 != 0:
             raise ValueError("n_samples must be an even integer >= 2")
         if self.num_crs < 1:
@@ -259,6 +271,7 @@ def _draw_events(
     signal: bool,
     gamma_per_row: bool = False,
     sizes: np.ndarray | None = None,
+    kinds: Sequence[CombinerKind] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Combined energies and mean reported variances for an array of sensing events.
 
@@ -268,12 +281,20 @@ def _draw_events(
     ``gamma_per_row`` the fading draw is shared along each row of a 2-D
     ``shape`` (block fading over a window).
 
+    ``kinds`` (distinct SLC and SLS combiners; default the scenario's own)
+    reads every listed combiner off the one per-sensor draw, and the energy
+    output gains a leading axis, one entry per kind.  MRC combines before
+    its chi-square draw, so it can only be drawn alone.
+
     ``sizes`` (ascending sensor counts, at most ``num_crs``) combines the
-    sensor-axis prefixes of the one ``num_crs``-sensor draw instead, and
+    sensor-axis prefixes of the one ``num_crs``-sensor draw instead, for the
+    scenario's own combiner (``kinds`` is not read then), and
     both outputs gain a trailing axis, one entry per size: SLC takes a
     cumulative sum, SLS a cumulative maximum, and MRC draws one chi-square
     per size at the prefix sums of ``gamma`` and ``gamma * sigma^2``.
     """
+    many = kinds is not None
+    kinds = tuple(kinds) if many else (scenario.combiner,)
     full = (*shape, scenario.num_crs)
     if scenario.channel_kind == "awgn":
         gamma = np.broadcast_to(np.float64(scenario.gamma_bar), full)
@@ -283,7 +304,7 @@ def _draw_events(
     else:
         gamma = rng.exponential(scenario.gamma_bar, full)
     sig2 = _noise_variances(rng, scenario.uncertainty_db, full)
-    mrc = scenario.combiner is CombinerKind.MRC
+    mrc = CombinerKind.MRC in kinds
     last = None if sizes is None else sizes - 1  # prefix ends on the sensor axis
     if mrc:  # one detector at the summed SNR, gain-weighted effective variance
         if last is None:
@@ -301,11 +322,16 @@ def _draw_events(
         energy = rng.chisquare(n, scale.shape)
     energy *= scale
     if last is None:
-        if scenario.combiner is CombinerKind.SLC:
-            energy = energy.sum(axis=-1)
-        elif scenario.combiner is CombinerKind.SLS:
-            energy = energy.max(axis=-1)
-        return energy, sig2.mean(axis=-1)
+        if mrc:
+            out = energy[None]
+        else:
+            out = np.empty((len(kinds), *shape))
+            for kind_out, kind in zip(out, kinds):
+                if kind is CombinerKind.SLC:
+                    energy.sum(axis=-1, out=kind_out)
+                else:
+                    _sensor_max(energy, kind_out)
+        return (out if many else out[0]), sig2.mean(axis=-1)
     # nothing reads the per-sensor arrays again, so they accumulate in place:
     # a second full-size array per prefix reduction would raise the peak memory
     if scenario.combiner is CombinerKind.SLC:
@@ -315,6 +341,18 @@ def _draw_events(
     sig_mean = np.add.accumulate(sig2, axis=-1, out=sig2)[..., last]
     sig_mean /= sizes
     return energy, sig_mean
+
+
+def _sensor_max(energy: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``energy.max(axis=-1)`` into ``out``, one sensor slice at a time.
+
+    A maximum is exact in any order, so this equals numpy's reduction bit
+    for bit; over a short trailing axis it runs several times faster.
+    """
+    np.copyto(out, energy[..., 0])
+    for k in range(1, energy.shape[-1]):
+        np.maximum(out, energy[..., k], out=out)
+    return out
 
 
 def _chunked(total: int, per_chunk: int):
@@ -403,10 +441,11 @@ class ForcedRates:
 def forced_rates(
     scenario: Scenario,
     h1: bool,
-    lams: Sequence[float],
+    lams: Sequence[float] | Sequence[Sequence[float]],
     rng: np.random.Generator,
     rho_override: float | None = None,
-) -> ForcedRates:
+    combiners: Sequence[CombinerKind] | None = None,
+) -> ForcedRates | tuple[ForcedRates, ...]:
     """Positive rates of both rules over independent freshly-warmed windows, at every ``lams``.
 
     Each counted trial is the newest event of its own ``L``-event window,
@@ -416,25 +455,49 @@ def forced_rates(
     zero, since the rules then coincide).  Per trial the dual-threshold
     threshold ``where(mean >= lam, lam / rho, rho * lam)`` increases with
     ``lam``, so both rules' decisions are non-increasing in it.
+
+    With ``combiners`` (distinct SLC and SLS kinds) one per-sensor window
+    draw serves every listed combiner: SLC sums it over the sensors and SLS
+    takes the maximum, and the window mean variance and rho are computed
+    once for all of them.  ``lams`` then holds one threshold vector per
+    combiner, and the call returns one :class:`ForcedRates` per combiner,
+    each equal to what a call for that combiner alone returns on the same
+    stream.  MRC combines before its chi-square draw, so it shares nothing
+    and is measured by a call of its own.
     """
-    lams = np.asarray(lams, dtype=float)
+    kinds = (scenario.combiner,) if combiners is None else tuple(combiners)
+    if combiners is not None and (
+        not kinds or CombinerKind.MRC in kinds or len(set(kinds)) != len(kinds)
+    ):
+        raise ValueError("combiners must list distinct SLC and SLS kinds; MRC draws alone")
+    lams = np.atleast_2d(np.asarray(lams, dtype=float))  # one threshold vector per combiner
+    if lams.ndim != 2 or lams.shape[0] != len(kinds):
+        raise ValueError("lams must hold one threshold vector per combiner")
     length = scenario.history_len
     gamma_per_row = scenario.fading_block == "chain"
     per_chunk = max(1, _CHUNK_CELLS // (scenario.num_crs * length))
-    conv_cross = np.zeros((lams.size, lams.size))
+    conv_cross = np.zeros((len(kinds), lams.shape[1], lams.shape[1]))
     prop_cross = np.zeros_like(conv_cross)
     rho_total = 0.0
     for step in _chunked(scenario.trials, per_chunk):
-        energy, sig_mean = _draw_events(scenario, rng, (step, length), h1, gamma_per_row)
-        proposed, rho = _dual_threshold(energy, sig_mean, lams, rho_override)
+        energies, sig_mean = _draw_events(
+            scenario, rng, (step, length), h1, gamma_per_row, kinds=kinds
+        )
+        # combiner, window, grid: the rho of each window serves every combiner
+        proposed, rho = _dual_threshold(energies, sig_mean, lams[:, None, :], rho_override)
         rho_total += float(rho.sum())
-        conv_cross += _cross(energy[:, -1:] >= lams)
-        prop_cross += _cross(proposed)
-    return ForcedRates(
-        conventional=DecisionRates(conv_cross / scenario.trials),
-        proposed=DecisionRates(prop_cross / scenario.trials),
-        mean_rho=rho_total / scenario.trials,
+        for i, (energy, kind_lams) in enumerate(zip(energies, lams)):
+            conv_cross[i] += _cross(energy[:, -1:] >= kind_lams)
+            prop_cross[i] += _cross(proposed[i])
+    rates = tuple(
+        ForcedRates(
+            conventional=DecisionRates(conv / scenario.trials),
+            proposed=DecisionRates(prop / scenario.trials),
+            mean_rho=rho_total / scenario.trials,
+        )
+        for conv, prop in zip(conv_cross, prop_cross)
     )
+    return rates[0] if combiners is None else rates
 
 
 def _window_rho(sig_mean: np.ndarray) -> np.ndarray:
@@ -452,8 +515,10 @@ def _dual_threshold(
 
     Returns the decisions at every threshold of ``lams`` (windows x grid)
     and each window's estimated rho, which ``rho_override`` replaces in the
-    rule but not in the returned estimate.  :mod:`css_lab.adaptive` is the
-    scalar, event-level reference.
+    rule but not in the returned estimate.  ``energy`` and ``lams`` may carry
+    a leading combiner axis (``lams`` then shaped combiners x 1 x grid), which
+    the decisions keep while rho is estimated once from ``sig_mean``.
+    :mod:`css_lab.adaptive` is the scalar, event-level reference.
     """
     rho = _window_rho(sig_mean)
     factor = rho[..., None] if rho_override is None else rho_override
@@ -551,36 +616,64 @@ def roc_sweep(
     scenario: Scenario,
     schemes: Sequence[str] = (SCHEME_CONVENTIONAL, SCHEME_PROPOSED),
     threads: int = 1,
+    combiners: Sequence[CombinerKind] | None = None,
 ) -> tuple[RocCurve, ...]:
-    """ROC curves, one per requested scheme and in that order, from one draw per hypothesis.
+    """ROC curves, combiner-major and each in the requested order, from one draw per hypothesis.
 
-    Thresholds come from CFAR inversion of the grid.  The sweep makes one
-    :func:`forced_rates` call per hypothesis and scores every grid threshold
-    on it; ``schemes`` only selects which curves come back, and every curve
-    reads its rates off those two calls, so scheme comparisons are exactly
-    paired.  ``threads > 1`` runs the two hypotheses concurrently.  Fewer
-    than 100 trials raise a ``UserWarning``, since the intervals are then wide.
+    ``combiners`` defaults to the scenario's own; each curve carries the
+    scenario with its combiner.  Thresholds come from CFAR inversion of the
+    grid.  Per hypothesis, SLC and SLS share one :func:`forced_rates` call,
+    one per-sensor draw read both ways, and MRC, which combines before its
+    draw, makes a call of its own.  Every call starts from the sweep's
+    stream, so each combiner's curves equal those of a sweep of that
+    combiner alone.  Every grid threshold is scored on those draws;
+    ``schemes`` only selects which curves come back, so scheme comparisons
+    are exactly paired.  ``threads > 1`` runs the two hypotheses
+    concurrently.  Fewer than 100 trials raise a ``UserWarning``, since the
+    intervals are then wide.
     """
     if isinstance(schemes, str) or not schemes:
         raise ValueError("schemes must be a non-empty sequence of scheme names")
     for scheme in schemes:
         _check_scheme(scheme)
+    kinds = (scenario.combiner,) if combiners is None else tuple(combiners)
+    if not kinds or len(set(kinds)) != len(kinds):
+        raise ValueError("combiners must be a non-empty sequence of distinct combiner kinds")
     if scenario.trials < 100:
         warnings.warn(
             f"only {scenario.trials} trials; confidence intervals will be wide",
             stacklevel=2,
         )
-    cfg = scenario.fusion_config()
-    lams = [cfar_threshold(cfg, t) for t in scenario.pfa_grid]
+    subs = {kind: replace(scenario, combiner=kind) for kind in kinds}
+    lams = {
+        kind: [cfar_threshold(sub.fusion_config(), t) for t in scenario.pfa_grid]
+        for kind, sub in subs.items()
+    }
+    shared = [kind for kind in kinds if kind is not CombinerKind.MRC]
 
-    def regime(h: int) -> ForcedRates:
-        return forced_rates(scenario, bool(h), lams, derive_rng(scenario.seed, _TAG_SWEEP, h))
+    def regime(h: int) -> dict[CombinerKind, ForcedRates]:
+        rates = {}
+        if shared:
+            rng = derive_rng(scenario.seed, _TAG_SWEEP, h)
+            shared_lams = [lams[kind] for kind in shared]
+            shared_rates = forced_rates(
+                subs[shared[0]], bool(h), shared_lams, rng, combiners=shared
+            )
+            rates.update(zip(shared, shared_rates))
+        if CombinerKind.MRC in subs:
+            rng = derive_rng(scenario.seed, _TAG_SWEEP, h)
+            rates[CombinerKind.MRC] = forced_rates(
+                subs[CombinerKind.MRC], bool(h), lams[CombinerKind.MRC], rng
+            )
+        return rates
 
     h0, h1 = _per_hypothesis(regime, threads)
     curves = []
-    for s in schemes:  # ForcedRates names its fields after the schemes
-        rho = h0.mean_rho if s == SCHEME_PROPOSED else 1.0
-        curves.append(_curve(scenario, s, lams, getattr(h0, s), getattr(h1, s), rho))
+    for kind in kinds:
+        pfa, pd = h0[kind], h1[kind]
+        for s in schemes:  # ForcedRates names its fields after the schemes
+            rho = pfa.mean_rho if s == SCHEME_PROPOSED else 1.0
+            curves.append(_curve(subs[kind], s, lams[kind], getattr(pfa, s), getattr(pd, s), rho))
     return tuple(curves)
 
 

@@ -3,11 +3,13 @@
 import dataclasses
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 import scipy
 
+from css_lab import harness
 from css_lab.cli import (
     CSV_COLUMNS,
     ValidationError,
@@ -209,6 +211,43 @@ class TestRunCommand:
         with pytest.raises(ValidationError):
             run_command("render", Scenario(trials=100, seed=1), tmp_path)
 
+    def test_compare_shares_the_slc_and_sls_draws(self, tmp_path, monkeypatch):
+        calls = []
+        original = harness.forced_rates
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("combiners"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "forced_rates", counted)
+        run_command("compare", parse_scenario(_fast_scenario_file(tmp_path)), tmp_path / "c")
+        # per hypothesis: one call for SLC and SLS together, one for MRC
+        assert len(calls) == 4
+        assert calls.count([CombinerKind.SLC, CombinerKind.SLS]) == 2
+
+    def test_compare_writes_run_record(self, tmp_path):
+        scen = parse_scenario(_fast_scenario_file(tmp_path, trials=300))
+        manifest = run_command("compare", scen, tmp_path / "r", threads=2)
+        assert manifest["outputs"][0] == "compare.csv"
+        assert "run.json" not in manifest["outputs"]
+        record = json.loads((tmp_path / "r" / "run.json").read_text())
+        assert set(record) == {"versions", "threads", "warnings"}
+        assert record["versions"] == {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
+        assert record["threads"] == 2
+        assert record["warnings"] == []
+
+    def test_run_record_lists_warnings_and_callers_still_see_them(self, tmp_path):
+        scen = parse_scenario(_fast_scenario_file(tmp_path, trials=50))
+        with pytest.warns(UserWarning, match="only 50 trials"):
+            run_command("compare", scen, tmp_path / "w")
+        record = json.loads((tmp_path / "w" / "run.json").read_text())
+        message = "only 50 trials; confidence intervals will be wide"
+        assert record["warnings"] == [{"category": "UserWarning", "message": message}]
+
 
 GOLDEN_SHA256 = {
     "compare": "493cf05c353f569bf56f1b23d2e81dc2685b17e1f350e630a0a529dcfef8c351",
@@ -242,6 +281,16 @@ class TestMain:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "validation"
+
+    @pytest.mark.parametrize(
+        "override", ["snr_db=nan", "snr_db=inf", "uncertainty_db=nan", "uncertainty_db=inf"]
+    )
+    def test_non_finite_value_exits_two(self, override, tmp_path, capsys):
+        rc = main(["roc", "--set", override, "--set", "trials=200", "--out", str(tmp_path / "nf")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert override.split("=")[0] in err["message"]
 
     def test_removed_pu_model_key_exits_two(self, tmp_path, capsys):
         # a scenario that still sets the removed PU model fails loudly, not silently

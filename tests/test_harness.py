@@ -401,6 +401,74 @@ class TestOnePass:
         assert result.proposed_curve == proposed
 
 
+class TestSharedWindowDraw:
+    """SLC and SLS read one per-sensor window draw; every curve equals its own sweep."""
+
+    KINDS = (CombinerKind.SLC, CombinerKind.MRC, CombinerKind.SLS)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("fading_block", ["event", "chain"])
+    @pytest.mark.parametrize("channel_kind", ["rayleigh", "awgn"])
+    def test_compare_curves_equal_single_combiner_sweeps(
+        self, channel_kind, fading_block, threads
+    ):
+        sc = Scenario(
+            trials=600,
+            seed=40,
+            num_crs=4,
+            history_len=5,
+            pfa_grid=(0.05, 0.2, 0.4),
+            channel_kind=channel_kind,
+            fading_block=fading_block,
+        )
+        shared = roc_sweep(sc, threads=threads, combiners=self.KINDS)
+        alone = [
+            curve
+            for kind in self.KINDS
+            for curve in roc_sweep(dataclasses.replace(sc, combiner=kind), threads=threads)
+        ]
+        assert shared == tuple(alone)
+        assert [(c.scenario.combiner, c.scheme) for c in shared] == [
+            (kind, scheme) for kind in self.KINDS for scheme in ("conventional", "proposed")
+        ]
+
+    @pytest.mark.parametrize("h1", [False, True])
+    def test_forced_rates_equal_per_combiner_calls_across_chunks(self, monkeypatch, h1):
+        # 600 trials of 5 x 4 cells in chunks of 12 windows: 50 chunks
+        monkeypatch.setattr("css_lab.harness._CHUNK_CELLS", 250)
+        sc = Scenario(trials=600, seed=41, num_crs=4, history_len=5)
+        kinds = (CombinerKind.SLS, CombinerKind.SLC)
+        lams = [[cfar_threshold(sc.fusion_config(k), t) for t in (0.05, 0.3)] for k in kinds]
+        shared = forced_rates(sc, h1, lams, derive_rng(41, int(h1)), combiners=kinds)
+        assert len(shared) == len(kinds)
+        for kind, kind_lams, rates in zip(kinds, lams, shared):
+            sub = dataclasses.replace(sc, combiner=kind)
+            own = forced_rates(sub, h1, kind_lams, derive_rng(41, int(h1)))
+            assert np.array_equal(rates.conventional.moment, own.conventional.moment)
+            assert np.array_equal(rates.proposed.moment, own.proposed.moment)
+            assert rates.mean_rho == own.mean_rho
+
+    @pytest.mark.parametrize("num_crs", [1, 7, 48])
+    def test_slice_wise_max_is_exact(self, num_crs):
+        energy = derive_rng(42).chisquare(1000, (200, 15, num_crs))
+        out = np.empty((200, 15))
+        assert np.array_equal(harness._sensor_max(energy, out), np.max(energy, axis=-1))
+
+    def test_combiner_list_validation(self):
+        sc = Scenario(trials=100, seed=43)
+        slc, mrc, sls = self.KINDS
+        for bad in ((mrc,), (slc, mrc), (slc, slc), (sls, slc, sls), ()):
+            lams = [[4000.0]] * len(bad)
+            with pytest.raises(ValueError):
+                forced_rates(sc, False, lams, derive_rng(43), combiners=bad)
+        for lams in ([[4000.0]], [[4000.0]] * 3, [4000.0, 8000.0]):
+            with pytest.raises(ValueError):
+                forced_rates(sc, False, lams, derive_rng(43), combiners=(slc, sls))
+        for bad in ((), (slc, slc)):
+            with pytest.raises(ValueError):
+                roc_sweep(sc, combiners=bad)
+
+
 class TestCommonRandomNumbers:
     """Every grid threshold is scored on the same draws."""
 

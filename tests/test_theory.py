@@ -492,6 +492,29 @@ class TestConventionalSeries:
             p = TheoryParams(kind, K=K, N=1000, gamma_bar=10 ** (snr_db / 10))
             assert abs(qd_rayleigh(p, lam) - fading_quad_oracle(p, lam)) <= 1e-9
 
+    def test_matches_40_digit_reference_near_certain_detection(self):
+        # the adaptive-quad oracle sits 1.0e-10 off here, so it cannot check this point
+        mpmath = pytest.importorskip("mpmath")
+        K, N = 7, 1000
+        lam = cfar_threshold(FusionConfig(CombinerKind.MRC, K, N), 0.01)
+        p = TheoryParams(CombinerKind.MRC, K=K, N=N, gamma_bar=1.0)
+        with mpmath.workdps(40):
+            x = mpmath.mpf(lam) / 2
+            success = 1 / (1 + mpmath.mpf(N) / 2)  # NB(K, N gamma_bar / 2) mixing count
+            # 1 - pd = sum_j NB(j) P(u + j, x), with P the regularized lower gamma;
+            # P falls in j, so the terms left out sum to less than the last P
+            miss, mass, j = mpmath.mpf(0), success**K, 0
+            while True:
+                lower = mpmath.gammainc(p.u + j, 0, x, regularized=True)
+                miss += mass * lower
+                if lower < mpmath.mpf(10) ** -35:
+                    break
+                mass *= (K + j) * (1 - success) / (j + 1)
+                j += 1
+            reference = float(1 - miss)
+        assert reference < 1.0 - 1e-10
+        assert abs(qd_rayleigh(p, lam) - reference) <= 1e-15
+
     def test_makes_no_marcum_evaluations(self, monkeypatch):
         calls = []
         marcum = theory._marcum_q_vec
