@@ -359,9 +359,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("CSS_LAB_THREADS", "1") or "1")
     try:
+        if threads is None:
+            raw = os.environ.get("CSS_LAB_THREADS", "1") or "1"
+            try:
+                threads = int(raw)
+            except ValueError:
+                raise ValidationError(f"CSS_LAB_THREADS must be an integer, got {raw!r}") from None
         scenario = parse_scenario(args.scenario, args.overrides)
         run_command(args.subcommand, scenario, args.out, threads=max(1, threads))
     except ValidationError as exc:

@@ -9,8 +9,8 @@ waveforms; that is orders of magnitude faster and statistically identical.
 One kernel, ``_draw_events``, draws every Monte Carlo path: single events
 and trials x window grids, with the PU present or absent.  SLC and SLS
 differ only in how they reduce the per-sensor energies (a sum or a
-maximum), so one per-sensor draw serves both; MRC combines before its
-chi-square draw and has a draw of its own.  One vectorised
+maximum), so one per-sensor draw serves both; MRC combines the same gains
+and variances before its own chi-square draw.  One vectorised
 rule, ``_dual_threshold`` (with the rho estimator ``_window_rho``), decides
 on those windows; :mod:`css_lab.adaptive` is its scalar, event-level
 reference.  A sample-level reference path built on :mod:`css_lab.channel`
@@ -41,10 +41,10 @@ Points on one curve share their draws, so a curve is monotone in the
 threshold trial by trial, and its AUC interval comes from the per-trial
 covariance of the decisions across the grid (a paired delta method), not
 from independent per-point binomial widths.  A sweep over several combiners
-(``compare``) reads its SLC and SLS curves off one per-sensor window draw
-per hypothesis and draws MRC's separately; every one of those draws starts
-from the sweep's stream, so each combiner's curves are exactly those of a
-sweep of that combiner alone.  Sensor-count searches share
+(``compare``) draws its windows' gains and variances once per hypothesis;
+SLC and SLS read one per-sensor chi-square draw off them and MRC a draw of
+its own, both from one point of the sweep's stream, so each combiner's curves
+are exactly those of a sweep of that combiner alone.  Sensor-count searches share
 one prefix draw: :func:`equivalence_search` draws once per hypothesis at its
 largest count and scores every smaller count on the sensor-axis prefixes of
 that draw, so its curves across counts are correlated.
@@ -52,6 +52,7 @@ that draw, so its curves across counts are correlated.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -281,10 +282,11 @@ def _draw_events(
     ``gamma_per_row`` the fading draw is shared along each row of a 2-D
     ``shape`` (block fading over a window).
 
-    ``kinds`` (distinct SLC and SLS combiners; default the scenario's own)
-    reads every listed combiner off the one per-sensor draw, and the energy
-    output gains a leading axis, one entry per kind.  MRC combines before
-    its chi-square draw, so it can only be drawn alone.
+    ``kinds`` (distinct combiners; default the scenario's own) reads every
+    listed combiner off the one draw of gains and variances, and the energy
+    output gains a leading axis, one entry per kind.  SLC and SLS reduce one
+    per-sensor chi-square draw; MRC's chi-square, at the summed gains, starts
+    from a copy of the stream where that draw starts.
 
     ``sizes`` (ascending sensor counts, at most ``num_crs``) combines the
     sensor-axis prefixes of the one ``num_crs``-sensor draw instead, for the
@@ -293,7 +295,7 @@ def _draw_events(
     cumulative sum, SLS a cumulative maximum, and MRC draws one chi-square
     per size at the prefix sums of ``gamma`` and ``gamma * sigma^2``.
     """
-    many = kinds is not None
+    many = kinds is not None and sizes is None
     kinds = tuple(kinds) if many else (scenario.combiner,)
     full = (*shape, scenario.num_crs)
     if scenario.channel_kind == "awgn":
@@ -313,34 +315,48 @@ def _draw_events(
         else:
             gain = np.cumsum(gamma, axis=-1)[..., last]
             scale = np.cumsum(gamma * sig2, axis=-1)[..., last] / gain
-    else:
-        gain, scale = gamma, sig2
+        mrc_rng = copy.deepcopy(rng) if len(kinds) > 1 else rng
     n = scenario.n_samples
-    if signal:
-        energy = rng.noncentral_chisquare(n, n * gain / scale)
-    else:
-        energy = rng.chisquare(n, scale.shape)
-    energy *= scale
-    if last is None:
-        if mrc:
-            out = energy[None]
+    out = None  # energies, one leading entry per kind
+    if len(kinds) > mrc:  # SLC or SLS, read off one per-sensor draw
+        if signal:  # the noncentrality replaces the gains: one full-size array fewer at the draw
+            gamma = gamma * n
+            gamma /= sig2
+            energy = rng.noncentral_chisquare(n, gamma)
         else:
+            energy = rng.chisquare(n, full)
+        energy *= sig2
+        if last is None:
+            # after the draw: allocated before it, this raised the peak RSS of compare by 2 MB
             out = np.empty((len(kinds), *shape))
             for kind_out, kind in zip(out, kinds):
                 if kind is CombinerKind.SLC:
                     energy.sum(axis=-1, out=kind_out)
-                else:
+                elif kind is CombinerKind.SLS:
                     _sensor_max(energy, kind_out)
-        return (out if many else out[0]), sig2.mean(axis=-1)
-    # nothing reads the per-sensor arrays again, so they accumulate in place:
-    # a second full-size array per prefix reduction would raise the peak memory
-    if scenario.combiner is CombinerKind.SLC:
-        energy = np.add.accumulate(energy, axis=-1, out=energy)[..., last]
-    elif scenario.combiner is CombinerKind.SLS:
-        energy = np.maximum.accumulate(energy, axis=-1, out=energy)[..., last]
-    sig_mean = np.add.accumulate(sig2, axis=-1, out=sig2)[..., last]
-    sig_mean /= sizes
-    return energy, sig_mean
+        else:
+            # nothing reads the per-sensor energies again, so they accumulate in place:
+            # a second full-size array per prefix reduction would raise the peak memory
+            ufunc = np.add if scenario.combiner is CombinerKind.SLC else np.maximum
+            out = ufunc.accumulate(energy, axis=-1, out=energy)[None, ..., last]
+        del energy
+    if last is None:
+        sig_mean = sig2.mean(axis=-1)
+    else:
+        sig_mean = np.add.accumulate(sig2, axis=-1, out=sig2)[..., last]
+        sig_mean /= sizes
+    del gamma, sig2
+    if mrc:  # drawn once the full-size arrays are freed
+        if signal:
+            energy = mrc_rng.noncentral_chisquare(n, n * gain / scale)
+        else:
+            energy = mrc_rng.chisquare(n, scale.shape)
+        energy *= scale
+        if out is None:  # drawn alone
+            out = energy[None]
+        else:
+            out[kinds.index(CombinerKind.MRC)] = energy
+    return (out if many else out[0]), sig_mean
 
 
 def _sensor_max(energy: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -456,20 +472,17 @@ def forced_rates(
     threshold ``where(mean >= lam, lam / rho, rho * lam)`` increases with
     ``lam``, so both rules' decisions are non-increasing in it.
 
-    With ``combiners`` (distinct SLC and SLS kinds) one per-sensor window
-    draw serves every listed combiner: SLC sums it over the sensors and SLS
-    takes the maximum, and the window mean variance and rho are computed
-    once for all of them.  ``lams`` then holds one threshold vector per
-    combiner, and the call returns one :class:`ForcedRates` per combiner,
-    each equal to what a call for that combiner alone returns on the same
-    stream.  MRC combines before its chi-square draw, so it shares nothing
-    and is measured by a call of its own.
+    With ``combiners`` (distinct kinds) one window draw of gains and
+    variances serves every listed combiner, and the window mean variance and
+    rho are computed once for all of them.  ``lams`` then holds one threshold
+    vector per combiner, and the call returns one :class:`ForcedRates` per
+    combiner, each equal to what a call for that combiner alone returns from
+    the same stream: chunk 0 draws on ``rng`` and every later chunk on a
+    stream spawned from it, so a chunk's draws depend on that chunk alone.
     """
     kinds = (scenario.combiner,) if combiners is None else tuple(combiners)
-    if combiners is not None and (
-        not kinds or CombinerKind.MRC in kinds or len(set(kinds)) != len(kinds)
-    ):
-        raise ValueError("combiners must list distinct SLC and SLS kinds; MRC draws alone")
+    if not kinds or len(set(kinds)) != len(kinds):
+        raise ValueError("combiners must list distinct combiner kinds")
     lams = np.atleast_2d(np.asarray(lams, dtype=float))  # one threshold vector per combiner
     if lams.ndim != 2 or lams.shape[0] != len(kinds):
         raise ValueError("lams must hold one threshold vector per combiner")
@@ -479,9 +492,10 @@ def forced_rates(
     conv_cross = np.zeros((len(kinds), lams.shape[1], lams.shape[1]))
     prop_cross = np.zeros_like(conv_cross)
     rho_total = 0.0
-    for step in _chunked(scenario.trials, per_chunk):
+    for chunk, step in enumerate(_chunked(scenario.trials, per_chunk)):
+        stream = rng.spawn(1)[0] if chunk else rng
         energies, sig_mean = _draw_events(
-            scenario, rng, (step, length), h1, gamma_per_row, kinds=kinds
+            scenario, stream, (step, length), h1, gamma_per_row, kinds=kinds
         )
         # combiner, window, grid: the rho of each window serves every combiner
         proposed, rho = _dual_threshold(energies, sig_mean, lams[:, None, :], rho_override)
@@ -622,9 +636,8 @@ def roc_sweep(
 
     ``combiners`` defaults to the scenario's own; each curve carries the
     scenario with its combiner.  Thresholds come from CFAR inversion of the
-    grid.  Per hypothesis, SLC and SLS share one :func:`forced_rates` call,
-    one per-sensor draw read both ways, and MRC, which combines before its
-    draw, makes a call of its own.  Every call starts from the sweep's
+    grid.  Per hypothesis, every combiner reads one :func:`forced_rates`
+    call, one draw of fading gains and noise variances, on the sweep's
     stream, so each combiner's curves equal those of a sweep of that
     combiner alone.  Every grid threshold is scored on those draws;
     ``schemes`` only selects which curves come back, so scheme comparisons
@@ -649,28 +662,13 @@ def roc_sweep(
         kind: [cfar_threshold(sub.fusion_config(), t) for t in scenario.pfa_grid]
         for kind, sub in subs.items()
     }
-    shared = [kind for kind in kinds if kind is not CombinerKind.MRC]
 
-    def regime(h: int) -> dict[CombinerKind, ForcedRates]:
-        rates = {}
-        if shared:
-            rng = derive_rng(scenario.seed, _TAG_SWEEP, h)
-            shared_lams = [lams[kind] for kind in shared]
-            shared_rates = forced_rates(
-                subs[shared[0]], bool(h), shared_lams, rng, combiners=shared
-            )
-            rates.update(zip(shared, shared_rates))
-        if CombinerKind.MRC in subs:
-            rng = derive_rng(scenario.seed, _TAG_SWEEP, h)
-            rates[CombinerKind.MRC] = forced_rates(
-                subs[CombinerKind.MRC], bool(h), lams[CombinerKind.MRC], rng
-            )
-        return rates
+    def regime(h: int) -> tuple[ForcedRates, ...]:
+        rng = derive_rng(scenario.seed, _TAG_SWEEP, h)
+        return forced_rates(scenario, bool(h), list(lams.values()), rng, combiners=kinds)
 
-    h0, h1 = _per_hypothesis(regime, threads)
     curves = []
-    for kind in kinds:
-        pfa, pd = h0[kind], h1[kind]
+    for kind, pfa, pd in zip(kinds, *_per_hypothesis(regime, threads)):
         for s in schemes:  # ForcedRates names its fields after the schemes
             rho = pfa.mean_rho if s == SCHEME_PROPOSED else 1.0
             curves.append(_curve(subs[kind], s, lams[kind], getattr(pfa, s), getattr(pd, s), rho))

@@ -221,9 +221,8 @@ class TestRunCommand:
 
         monkeypatch.setattr(harness, "forced_rates", counted)
         run_command("compare", parse_scenario(_fast_scenario_file(tmp_path)), tmp_path / "c")
-        # per hypothesis: one call for SLC and SLS together, one for MRC
-        assert len(calls) == 4
-        assert calls.count([CombinerKind.SLC, CombinerKind.SLS]) == 2
+        # per hypothesis: one call for all three combiners
+        assert calls == [tuple(CombinerKind)] * 2
 
     def test_compare_writes_run_record(self, tmp_path):
         scen = parse_scenario(_fast_scenario_file(tmp_path, trials=300))
@@ -313,6 +312,15 @@ class TestMain:
         assert rc == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "numeric"
+
+    def test_non_integer_threads_env_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CSS_LAB_THREADS", "two")
+        rc = main(["roc", "--set", "trials=100", "--out", str(tmp_path / "badt")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "validation"
+        assert "CSS_LAB_THREADS" in err["message"]
+        assert not (tmp_path / "badt").exists()
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CSS_LAB_THREADS", "2")

@@ -1,5 +1,6 @@
 """Monte Carlo engine: scenarios, seeding, regimes, sweeps and summaries."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -124,7 +125,16 @@ class TestSeeding:
             used.add((seed, *tags))
             return derive_rng(seed, *tags)
 
+        starts = []
+        draw = harness._draw_events
+
+        def recording_draw(scenario, rng, *args, **kwargs):
+            starts.append(copy.deepcopy(rng).random())
+            return draw(scenario, rng, *args, **kwargs)
+
         monkeypatch.setattr(harness, "derive_rng", recording)
+        monkeypatch.setattr(harness, "_draw_events", recording_draw)
+        monkeypatch.setattr(harness, "_CHUNK_CELLS", 600)  # the sweep's windows in two chunks
         sc = Scenario(trials=200, seed=5, n_samples=200, num_crs=2, history_len=3, pfa_grid=(0.1,))
         roc_sweep(sc)
         equivalence_search(sc, k_range=(1, 2))
@@ -134,6 +144,8 @@ class TestSeeding:
         assert len(used) == 6
         first = {derive_rng(*entropy).random() for entropy in used}
         assert len(first) == len(used)
+        # each hypothesis' second sweep chunk draws on a stream of its own
+        assert len(set(starts) - first) == 2
 
 
 class TestRunRegime:
@@ -448,6 +460,68 @@ class TestSharedWindowDraw:
             assert np.array_equal(rates.proposed.moment, own.proposed.moment)
             assert rates.mean_rho == own.mean_rho
 
+    @pytest.mark.parametrize("chunk_cells", [250, harness._CHUNK_CELLS])  # 50 chunks or one
+    @pytest.mark.parametrize("fading_block", ["event", "chain"])
+    @pytest.mark.parametrize("channel_kind", ["rayleigh", "awgn"])
+    @pytest.mark.parametrize("h1", [False, True])
+    def test_three_combiner_forced_rates_equal_per_combiner_calls(
+        self, monkeypatch, h1, channel_kind, fading_block, chunk_cells
+    ):
+        monkeypatch.setattr(harness, "_CHUNK_CELLS", chunk_cells)
+        sc = Scenario(
+            trials=600,
+            seed=44,
+            num_crs=4,
+            history_len=5,
+            channel_kind=channel_kind,
+            fading_block=fading_block,
+        )
+        lams = [[cfar_threshold(sc.fusion_config(k), t) for t in (0.05, 0.3)] for k in self.KINDS]
+        shared = forced_rates(sc, h1, lams, derive_rng(44, int(h1)), combiners=self.KINDS)
+        for kind, kind_lams, rates in zip(self.KINDS, lams, shared):
+            sub = dataclasses.replace(sc, combiner=kind)
+            own = forced_rates(sub, h1, kind_lams, derive_rng(44, int(h1)))
+            assert np.array_equal(rates.conventional.moment, own.conventional.moment)
+            assert np.array_equal(rates.proposed.moment, own.proposed.moment)
+            assert rates.mean_rho == own.mean_rho
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_multi_chunk_sweep_equals_single_combiner_sweeps(self, monkeypatch, threads):
+        # 600 trials of 5 x 4 cells in chunks of 12 windows: 50 chunks per hypothesis
+        monkeypatch.setattr(harness, "_CHUNK_CELLS", 250)
+        sc = Scenario(trials=600, seed=45, num_crs=4, history_len=5, pfa_grid=(0.05, 0.2, 0.4))
+        shared = roc_sweep(sc, threads=threads, combiners=self.KINDS)
+        alone = [
+            curve
+            for kind in self.KINDS
+            for curve in roc_sweep(dataclasses.replace(sc, combiner=kind))
+        ]
+        assert shared == tuple(alone)
+
+    @pytest.mark.parametrize("uncertainty_db", [0.0, 1.0])
+    def test_chunks_combine_as_trial_weighted_single_chunk_calls(
+        self, monkeypatch, uncertainty_db
+    ):
+        sc = Scenario(trials=250, seed=46, num_crs=3, history_len=4, uncertainty_db=uncertainty_db)
+        lams = [cfar_threshold(sc.fusion_config(), t) for t in (0.05, 0.3)]
+        steps = [40] * 6 + [10]
+        # chunk 0 draws on the given stream, chunk c on the c-th stream spawned from it
+        streams = [derive_rng(46, 1), *derive_rng(46, 1).spawn(len(steps) - 1)]
+        alone = [
+            forced_rates(dataclasses.replace(sc, trials=step), True, lams, stream)
+            for step, stream in zip(steps, streams)
+        ]
+        monkeypatch.setattr(harness, "_CHUNK_CELLS", 40 * 4 * 3)  # 40 windows per chunk
+        chunked = forced_rates(sc, True, lams, derive_rng(46, 1))
+        for rule in ("conventional", "proposed"):
+            # each moment is a count of decision pairs over its own trials
+            counts = sum(np.rint(getattr(r, rule).moment * n) for r, n in zip(alone, steps))
+            assert np.array_equal(getattr(chunked, rule).moment, counts / sc.trials)
+        rho = sum(r.mean_rho * n for r, n in zip(alone, steps)) / sc.trials
+        assert chunked.mean_rho == pytest.approx(rho, rel=1e-12)
+        if uncertainty_db == 0.0:
+            assert chunked.mean_rho == 1.0
+
     @pytest.mark.parametrize("num_crs", [1, 7, 48])
     def test_slice_wise_max_is_exact(self, num_crs):
         energy = derive_rng(42).chisquare(1000, (200, 15, num_crs))
@@ -457,7 +531,10 @@ class TestSharedWindowDraw:
     def test_combiner_list_validation(self):
         sc = Scenario(trials=100, seed=43)
         slc, mrc, sls = self.KINDS
-        for bad in ((mrc,), (slc, mrc), (slc, slc), (sls, slc, sls), ()):
+        for good in ((mrc,), (slc, mrc), (sls, mrc, slc)):
+            lams = [[4000.0]] * len(good)
+            assert len(forced_rates(sc, False, lams, derive_rng(43), combiners=good)) == len(good)
+        for bad in ((slc, slc), (mrc, mrc), (sls, slc, sls), ()):
             lams = [[4000.0]] * len(bad)
             with pytest.raises(ValueError):
                 forced_rates(sc, False, lams, derive_rng(43), combiners=bad)
