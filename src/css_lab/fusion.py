@@ -3,11 +3,10 @@
 Three soft-combining statistics are supported:
 
 * SLC (square-law combining): the sum of all sensor energies.
-* MRC (maximal-ratio combining): SNR-proportional weighting.  ``combine``
-  implements the energy-domain weighted sum; the Monte Carlo harness
-  realises MRC at the signal level (sample streams combined before the
-  energy detector), which is the statistic the closed-form analysis in
-  :mod:`css_lab.theory` describes.
+* MRC (maximal-ratio combining): SNR-proportional weighting, realised at
+  the signal level by ``combine_signal_mrc`` (sample streams combined
+  before the energy detector), which is the statistic the closed-form
+  analysis in :mod:`css_lab.theory` describes.
 * SLS (square-law selection): the largest sensor energy.
 
 Thresholds come from a constant-false-alarm-rate inversion of the Gaussian
@@ -30,7 +29,7 @@ TBW_WARN_FLOOR = 50  # Gaussian CFAR inversion degrades for small time-bandwidth
 
 
 class DegenerateWeightsError(ValueError):
-    """Raised when ratio-combining weights cannot be formed (all SNRs zero)."""
+    """Raised when ratio-combining weights cannot be formed (all channel gains zero)."""
 
 
 class CombinerKind(enum.Enum):
@@ -62,34 +61,16 @@ class FusionConfig:
         return self.n_samples // 2
 
 
-def mrc_weights(snrs: Sequence[float]) -> np.ndarray:
-    """Normalised SNR-proportional weights; they sum to one.
-
-    Raises DegenerateWeightsError when every SNR is zero, since the
-    normalisation would divide by zero.
-    """
-    snrs = np.asarray(snrs, dtype=float)
-    if snrs.size < 1:
-        raise ValueError("need at least one SNR")
-    if np.any(snrs < 0.0):
-        raise ValueError("SNRs must be nonnegative")
-    total = snrs.sum()
-    if total <= 0.0:
-        raise DegenerateWeightsError("all SNRs are zero; MRC weights undefined")
-    return snrs / total
-
-
 def combine(kind: CombinerKind, reports: Sequence[SensingReport]) -> float:
-    """Fuse one event's reports into the combined energy statistic."""
+    """Fuse one event's SLC or SLS reports into the combined energy statistic."""
+    if kind is CombinerKind.MRC:
+        raise ValueError("MRC combines sample streams, not energies; use combine_signal_mrc")
     if len(reports) < 1:
         raise ValueError("need at least one report")
     energies = np.array([r.energy for r in reports], dtype=float)
     if kind is CombinerKind.SLC:
         return float(energies.sum())
-    if kind is CombinerKind.SLS:
-        return float(energies.max())
-    weights = mrc_weights([r.instantaneous_snr for r in reports])
-    return float(np.dot(weights, energies))
+    return float(energies.max())
 
 
 def combine_signal_mrc(

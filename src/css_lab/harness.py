@@ -10,17 +10,19 @@ One kernel, ``_draw_events``, draws every Monte Carlo path: single events
 and trials x window grids, with the PU present or absent.  SLC and SLS
 differ only in how they reduce the per-sensor energies (a sum or a
 maximum), so one per-sensor draw serves both; MRC combines the same gains
-and variances before its own chi-square draw.  One vectorised
-rule, ``_dual_threshold`` (with the rho estimator ``_window_rho``), decides
-on those windows; :mod:`css_lab.adaptive` is its scalar, event-level
-reference.  A sample-level reference path built on :mod:`css_lab.channel`
-is provided for cross-validation (``run_regime_sampled``) and the test
-suite checks it against :func:`forced_rates`.
+and variances before its own chi-square draw.  Each rule reduces a trial
+to one score and decides positive at threshold ``lam`` exactly when the
+score reaches ``lam``: the fixed-threshold score is the newest combined
+energy, and one vectorised function, ``_dual_score`` (with the rho
+estimator ``_window_rho``), scores the dual-threshold rule on whole windows;
+:mod:`css_lab.adaptive` is its scalar, event-level reference.  A
+sample-level reference path built on :mod:`css_lab.channel` is provided for
+cross-validation (``run_regime_sampled``) and the test suite checks it
+against :func:`forced_rates`.
 
 Ratio combining is realised at the signal level (one detector at the summed
 branch SNR with a gain-weighted effective noise variance), which is the
-statistic the analysis layer describes; the energy-domain weighted sum of
-:func:`css_lab.fusion.combine` remains available for event-level use.
+statistic the analysis layer describes.
 
 Seeding
 -------
@@ -34,11 +36,14 @@ Measurement regimes
 -------------------
 ROC points are measured under forced hypotheses, with common random numbers
 across the CFAR grid: a sweep draws once per hypothesis and scores every grid
-threshold on those draws.  Each counted trial is the final event of an
+threshold on those draws: a grid rate is the count of trial scores at or
+above its threshold.  Each counted trial is the final event of an
 independent freshly-warmed window, which keeps the trials i.i.d.; both
 schemes are read off the same events, whichever of them a sweep returns.
 Points on one curve share their draws, so a curve is monotone in the
-threshold trial by trial, and its AUC interval comes from the per-trial
+threshold trial by trial and its decisions are nested: for thresholds
+``lam_i <= lam_j`` a trial positive at ``lam_j`` is positive at ``lam_i``,
+so ``E[d_i d_j] = min(p_i, p_j)``.  The AUC interval comes from that
 covariance of the decisions across the grid (a paired delta method), not
 from independent per-point binomial widths.  A sweep over several combiners
 (``compare``) draws its windows' gains and variances once per hypothesis;
@@ -379,31 +384,9 @@ def _chunked(total: int, per_chunk: int):
         done += step
 
 
-@dataclass(frozen=True, eq=False)
-class DecisionRates:
-    """One rule's decisions at every grid threshold, scored on one set of draws.
-
-    ``moment`` is the per-trial second moment ``E[d d^T]`` of the 0/1
-    decision vector ``d`` over the grid.
-    """
-
-    moment: np.ndarray
-
-    @property
-    def rate(self) -> np.ndarray:
-        """Positive rate at every threshold: the diagonal, since ``d_i^2 = d_i``."""
-        return np.diag(self.moment)
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """Per-trial covariance of the decision vector, ``E[d d^T] - p p^T``."""
-        return self.moment - np.outer(self.rate, self.rate)
-
-
-def _cross(decisions: np.ndarray) -> np.ndarray:
-    """``d^T d`` summed over the trials (rows) of a 0/1 decision matrix."""
-    d = decisions.astype(np.float64)
-    return d.T @ d
+def _count_at_least(scores: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """How many of ``scores`` reach each threshold of ``lams``: ``(scores >= lam).sum()``."""
+    return scores.size - np.searchsorted(np.sort(scores), lams, side="left")
 
 
 def conventional_rate(
@@ -412,16 +395,16 @@ def conventional_rate(
     lams: Sequence[float] | Sequence[Sequence[float]],
     rng: np.random.Generator,
     sizes: Sequence[int] | None = None,
-) -> DecisionRates | tuple[DecisionRates, ...]:
+) -> np.ndarray | tuple[np.ndarray, ...]:
     """Fixed-threshold positive rates over single independent events, at every ``lams``.
 
     Leaner than :func:`forced_rates` (no window draws, ``L`` times fewer
-    cells).
+    cells).  The chunks draw one after another on ``rng``.
 
     With ``sizes`` (ascending sensor counts, the largest at most
     ``scenario.num_crs``) one ``num_crs``-sensor draw scores every size on
     its sensor-axis prefix, ``lams`` holds one threshold vector per size, and
-    the call returns one :class:`DecisionRates` per size.
+    the call returns one rate vector per size.
     :func:`equivalence_search` scores its sensor counts this way, so its
     curves across counts share their draws and are correlated.
     """
@@ -435,22 +418,21 @@ def conventional_rate(
     if lams.ndim != 2 or lams.shape[0] != (sizes.size if nested else 1):
         raise ValueError("lams must hold one threshold vector per size")
     per_chunk = max(1, _CHUNK_CELLS // scenario.num_crs)
-    cross = np.zeros((lams.shape[0], lams.shape[1], lams.shape[1]))
+    counts = np.zeros(lams.shape, dtype=np.int64)
     for step in _chunked(scenario.trials, per_chunk):
         energy, _ = _draw_events(scenario, rng, (step,), h1, sizes=sizes)
-        decisions = energy.reshape(step, -1).T[..., None] >= lams[:, None, :]  # size, trial, grid
-        for size_cross, size_decisions in zip(cross, decisions):
-            size_cross += _cross(size_decisions)
-    rates = tuple(DecisionRates(c / scenario.trials) for c in cross)
+        for size_counts, scores, size_lams in zip(counts, energy.reshape(step, -1).T, lams):
+            size_counts += _count_at_least(scores, size_lams)
+    rates = tuple(counts / scenario.trials)
     return rates if nested else rates[0]
 
 
 @dataclass(frozen=True, eq=False)
 class ForcedRates:
-    """Both decision rules measured on one shared stream of window draws."""
+    """Both decision rules' positive rates at every grid threshold, on one shared stream."""
 
-    conventional: DecisionRates
-    proposed: DecisionRates
+    conventional: np.ndarray
+    proposed: np.ndarray
     mean_rho: float
 
 
@@ -468,9 +450,10 @@ def forced_rates(
     and every threshold is scored on the same windows.  The fixed-threshold
     rule is evaluated on the same events, which makes scheme comparisons
     exactly paired (and byte-identical when the uncertainty halfwidth is
-    zero, since the rules then coincide).  Per trial the dual-threshold
-    threshold ``where(mean >= lam, lam / rho, rho * lam)`` increases with
-    ``lam``, so both rules' decisions are non-increasing in it.
+    zero, since the rules then coincide).  Each rule reduces a window to one
+    score (see :func:`_dual_score`) and is positive at ``lam`` exactly when
+    the score reaches it, so both rules' decisions are non-increasing in
+    ``lam`` and a rate is a count of scores.
 
     With ``combiners`` (distinct kinds) one window draw of gains and
     variances serves every listed combiner, and the window mean variance and
@@ -489,27 +472,25 @@ def forced_rates(
     length = scenario.history_len
     gamma_per_row = scenario.fading_block == "chain"
     per_chunk = max(1, _CHUNK_CELLS // (scenario.num_crs * length))
-    conv_cross = np.zeros((len(kinds), lams.shape[1], lams.shape[1]))
-    prop_cross = np.zeros_like(conv_cross)
+    conv_counts = np.zeros(lams.shape, dtype=np.int64)
+    prop_counts = np.zeros_like(conv_counts)
     rho_total = 0.0
     for chunk, step in enumerate(_chunked(scenario.trials, per_chunk)):
         stream = rng.spawn(1)[0] if chunk else rng
         energies, sig_mean = _draw_events(
             scenario, stream, (step, length), h1, gamma_per_row, kinds=kinds
         )
-        # combiner, window, grid: the rho of each window serves every combiner
-        proposed, rho = _dual_threshold(energies, sig_mean, lams[:, None, :], rho_override)
+        # combiner, window: the rho of each window serves every combiner
+        scores, rho = _dual_score(energies, sig_mean, rho_override)
         rho_total += float(rho.sum())
-        for i, (energy, kind_lams) in enumerate(zip(energies, lams)):
-            conv_cross[i] += _cross(energy[:, -1:] >= kind_lams)
-            prop_cross[i] += _cross(proposed[i])
+        for conv, prop, energy, score, kind_lams in zip(
+            conv_counts, prop_counts, energies, scores, lams
+        ):
+            conv += _count_at_least(energy[:, -1], kind_lams)
+            prop += _count_at_least(score, kind_lams)
     rates = tuple(
-        ForcedRates(
-            conventional=DecisionRates(conv / scenario.trials),
-            proposed=DecisionRates(prop / scenario.trials),
-            mean_rho=rho_total / scenario.trials,
-        )
-        for conv, prop in zip(conv_cross, prop_cross)
+        ForcedRates(conv / scenario.trials, prop / scenario.trials, rho_total / scenario.trials)
+        for conv, prop in zip(conv_counts, prop_counts)
     )
     return rates[0] if combiners is None else rates
 
@@ -519,26 +500,29 @@ def _window_rho(sig_mean: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, sig_mean.max(axis=-1) / sig_mean.mean(axis=-1))
 
 
-def _dual_threshold(
+def _dual_score(
     energy: np.ndarray,
     sig_mean: np.ndarray,
-    lams: np.ndarray,
     rho_override: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The dual-threshold rule on the newest event of each window along the last axis.
+    """The dual-threshold rule's score of each window along the last axis.
 
-    Returns the decisions at every threshold of ``lams`` (windows x grid)
-    and each window's estimated rho, which ``rho_override`` replaces in the
-    rule but not in the returned estimate.  ``energy`` and ``lams`` may carry
-    a leading combiner axis (``lams`` then shaped combiners x 1 x grid), which
-    the decisions keep while rho is estimated once from ``sig_mean``.
-    :mod:`css_lab.adaptive` is the scalar, event-level reference.
+    The rule predicts activity when the window mean ``M`` reaches ``lam`` and
+    then compares the newest energy ``E`` with ``lam / rho``, else with
+    ``rho * lam``.  So it is positive at ``lam`` exactly when the score
+    ``E / rho`` (where ``E / rho > M``, else ``min(M, rho * E)``) reaches
+    ``lam``.  Returns the scores and each window's estimated rho, which
+    ``rho_override`` replaces in the score but not in the returned estimate.
+    ``energy`` may carry a leading combiner axis, which the scores keep while
+    rho is estimated once from ``sig_mean``.  :mod:`css_lab.adaptive` is the
+    scalar, event-level reference.
     """
     rho = _window_rho(sig_mean)
-    factor = rho[..., None] if rho_override is None else rho_override
-    predicted = energy.mean(axis=-1)[..., None] >= lams
-    lam_new = np.where(predicted, lams / factor, factor * lams)
-    return energy[..., -1:] >= lam_new, rho
+    factor = rho if rho_override is None else rho_override
+    newest = energy[..., -1]
+    mean = energy.mean(axis=-1)
+    high = newest / factor  # the score whenever it lies above the window mean
+    return np.where(high > mean, high, np.minimum(mean, factor * newest)), rho
 
 
 def _check_scheme(scheme: str) -> None:
@@ -599,14 +583,14 @@ def _curve(
     scenario: Scenario,
     scheme: str,
     lams: Sequence[float],
-    pfa: DecisionRates,
-    pd: DecisionRates,
+    pfa: np.ndarray,
+    pd: np.ndarray,
     mean_rho: float,
 ) -> RocCurve:
-    """One ROC curve from its H0 and H1 decision rates at the grid thresholds ``lams``."""
+    """One ROC curve from its H0 and H1 positive rates at the grid thresholds ``lams``."""
     n = scenario.trials
     points = []
-    rates = zip(pfa.rate.tolist(), pd.rate.tolist())
+    rates = zip(pfa.tolist(), pd.tolist())
     for target, lam, (x, y) in zip(scenario.pfa_grid, lams, rates):
         theory_pfa, theory_pd = _theory_columns(scenario, scheme, lam, mean_rho)
         points.append(
@@ -622,7 +606,9 @@ def _curve(
                 trials=n,
             )
         )
-    auc, auc_ci = _auc_with_ci(points, pfa.covariance, pd.covariance)
+    # nested decisions: the per-trial covariance is min(p_i, p_j) - p_i p_j
+    cov_pfa, cov_pd = (np.minimum.outer(p, p) - np.outer(p, p) for p in (pfa, pd))
+    auc, auc_ci = _auc_with_ci(points, cov_pfa, cov_pd)
     return RocCurve(scheme, scenario, tuple(points), auc, auc_ci, mean_rho)
 
 
@@ -725,10 +711,10 @@ def equivalence_search(
         k: [cfar_threshold(sub.fusion_config(), t) for t in proposed.pfa_grid]
         for k, sub in subs.items()
     }
-    rates: dict[int, tuple[DecisionRates, DecisionRates]] = {}
+    rates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     if sizes:
 
-        def regime(h: int) -> tuple[DecisionRates, ...]:
+        def regime(h: int) -> tuple[np.ndarray, ...]:
             rng = derive_rng(proposed.seed, _TAG_NESTED, h)
             return conventional_rate(subs[sizes[-1]], bool(h), list(lams.values()), rng, sizes)
 

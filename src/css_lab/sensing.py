@@ -15,7 +15,6 @@ class SensingReport:
 
     energy: float
     est_noise_variance: float
-    instantaneous_snr: float
     cr_index: int
 
     def __post_init__(self) -> None:
@@ -32,14 +31,13 @@ def measure_energy(block: SampleBlock | np.ndarray) -> float:
 
 
 def make_report(block: SampleBlock, cr_index: int) -> SensingReport:
-    """Bundle a block's energy, noise variance and SNR into a report.
+    """Bundle a block's energy and noise variance into a report.
 
     The reported noise variance is the block's true drawn variance (perfect
-    estimation), and the SNR is carried along for ratio-combining weights.
+    estimation).
     """
     return SensingReport(
         energy=measure_energy(block),
         est_noise_variance=block.true_noise_variance,
-        instantaneous_snr=block.channel.instantaneous_snr,
         cr_index=cr_index,
     )

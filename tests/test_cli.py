@@ -251,7 +251,15 @@ class TestRunCommand:
 GOLDEN_SHA256 = {
     "compare": "493cf05c353f569bf56f1b23d2e81dc2685b17e1f350e630a0a529dcfef8c351",
     "equivalence": "3824cf44f147b93f8f15a93641fbf47791e992ed3c43eb3c2dbb3300dcb12f67",
+    "roc": "64ebc68eadd1aa131932d0f15a8b6df7dae866de90ad9eb1cdcf30906d85faef",
+    "sweep-k": "c713c15fc1667c2c66c7f223d43bde3c76795a52d388ddc74e3c7ef8d56bb572",
+    "sweep-l": "c36a6139de2b9f5a0a3a23c95bb3ec3b0a67174381480d67e7eee78ff6e82d8e",
     "theory-table": "a563d26e3410ccefedff86c71cde612914f82a8cb1e7e7db11df12614e2f43ed",
+}
+# manifest bytes without the started_at line; the equivalence manifest carries
+# every curve's AUC half-width, which no CSV does
+GOLDEN_MANIFEST_SHA256 = {
+    "equivalence": "64814cc663fdc753c618521953826ca3e9acef29321508b3ce11baa82a161f2f",
 }
 
 
@@ -267,6 +275,11 @@ def test_golden_csv_digest(command, tmp_path):
     run_command(command, scen, tmp_path)
     name = command.replace("-", "_") + ".csv"
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN_SHA256[command]
+    if command in GOLDEN_MANIFEST_SHA256:
+        lines = (tmp_path / "manifest.json").read_text().splitlines(keepends=True)
+        kept = "".join(line for line in lines if '"started_at"' not in line)
+        digest = hashlib.sha256(kept.encode()).hexdigest()
+        assert digest == GOLDEN_MANIFEST_SHA256[command]
 
 
 class TestMain:

@@ -13,37 +13,13 @@ from css_lab.fusion import (
     combine,
     combine_signal_mrc,
     decide_conventional,
-    mrc_weights,
 )
 from css_lab.sensing import SensingReport, measure_energy
 from css_lab.theory import TheoryParams, qfa_approx
 
 
-def report(energy, snr=1.0, variance=1.0, idx=1):
-    return SensingReport(
-        energy=energy, est_noise_variance=variance, instantaneous_snr=snr, cr_index=idx
-    )
-
-
-class TestMrcWeights:
-    def test_symmetric(self):
-        assert np.allclose(mrc_weights([3.0, 3.0, 3.0]), [1 / 3] * 3)
-
-    def test_direct_ratio(self):
-        assert np.allclose(mrc_weights([1.0, 3.0]), [0.25, 0.75])
-
-    def test_single_branch(self):
-        assert mrc_weights([0.7]).tolist() == [1.0]
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(DegenerateWeightsError):
-            mrc_weights([0.0, 0.0])
-
-    def test_simplex_property(self, rng):
-        for _ in range(2_000):
-            w = mrc_weights(rng.exponential(1.0, size=rng.integers(1, 9)))
-            assert abs(w.sum() - 1.0) <= 1e-12
-            assert np.all((w >= 0.0) & (w <= 1.0))
+def report(energy, variance=1.0, idx=1):
+    return SensingReport(energy=energy, est_noise_variance=variance, cr_index=idx)
 
 
 class TestCombine:
@@ -53,31 +29,26 @@ class TestCombine:
     def test_sls_max(self):
         assert combine(CombinerKind.SLS, [report(1), report(2), report(3)]) == 3.0
 
-    def test_mrc_weighted(self):
-        reports = [report(10.0, snr=1.0), report(20.0, snr=3.0)]
-        assert combine(CombinerKind.MRC, reports) == pytest.approx(17.5)
+    def test_mrc_points_to_signal_level_combining(self):
+        with pytest.raises(ValueError, match="combine_signal_mrc"):
+            combine(CombinerKind.MRC, [report(1), report(2)])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             combine(CombinerKind.SLC, [])
 
-    def test_mrc_degenerate(self):
-        with pytest.raises(DegenerateWeightsError):
-            combine(CombinerKind.MRC, [report(1.0, snr=0.0), report(2.0, snr=0.0)])
-
     def test_ordering_invariant(self, rng):
         for _ in range(200):
             energies = rng.exponential(5.0, size=rng.integers(1, 8))
-            reports = [report(e, snr=1.0) for e in energies]
+            reports = [report(e) for e in energies]
             sls = combine(CombinerKind.SLS, reports)
             slc = combine(CombinerKind.SLC, reports)
             assert sls >= energies.max() - 1e-12
             assert slc >= sls - 1e-12
 
     def test_k1_collapse(self):
-        single = [report(4.2, snr=0.3)]
-        values = {kind: combine(kind, single) for kind in CombinerKind}
-        assert len(set(values.values())) == 1
+        single = [report(4.2)]
+        assert combine(CombinerKind.SLC, single) == combine(CombinerKind.SLS, single) == 4.2
 
 
 class TestCombineSignalMrc:
@@ -157,7 +128,7 @@ class TestDecideConventional:
 
         scenario = Scenario(uncertainty_db=0.0, trials=100_000, seed=314)
         lam = cfar_threshold(scenario.fusion_config(), 0.1)
-        rate = conventional_rate(scenario, False, [lam], derive_rng(314, 90)).rate[0]
+        rate = conventional_rate(scenario, False, [lam], derive_rng(314, 90))[0]
         assert abs(rate - 0.1) <= 3 * np.sqrt(0.1 * 0.9 / scenario.trials)
 
 

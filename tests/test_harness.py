@@ -35,8 +35,7 @@ def _rolling(energies, variances, length, lam, rho_override=None):
     """
     decisions = energies >= lam
     windows = (sliding_window_view(a, length) for a in (energies, variances))
-    proposed, _ = harness._dual_threshold(*windows, np.array([lam]), rho_override)
-    decisions[length - 1 :] = proposed[:, 0]
+    decisions[length - 1 :] = harness._dual_score(*windows, rho_override)[0] >= lam
     return decisions
 
 
@@ -153,18 +152,18 @@ class TestRunRegime:
 
     def test_unreachable_threshold(self):
         sc = Scenario(trials=2000, seed=2)
-        rate = conventional_rate(sc, False, [1e12], derive_rng(2, 2, 0)).rate[0]
+        rate = conventional_rate(sc, False, [1e12], derive_rng(2, 2, 0))[0]
         assert rate == 0.0
 
     def test_always_exceeded_threshold(self):
         sc = Scenario(trials=2000, seed=2)
-        rate = forced_rates(sc, True, [1e-9], derive_rng(2, 2, 1)).proposed.rate[0]
+        rate = forced_rates(sc, True, [1e-9], derive_rng(2, 2, 1)).proposed[0]
         assert rate == 1.0
 
     def test_false_alarm_tracks_target(self):
         sc = Scenario(uncertainty_db=0.0, trials=100_000, seed=3)
         lam = cfar_threshold(sc.fusion_config(), 0.1)
-        rate = conventional_rate(sc, False, [lam], derive_rng(3, 2, 0)).rate[0]
+        rate = conventional_rate(sc, False, [lam], derive_rng(3, 2, 0))[0]
         assert abs(rate - 0.1) <= max(0.01, binomial_ci(rate, sc.trials))
 
     def test_small_trials_warn(self):
@@ -181,8 +180,8 @@ class TestRunRegime:
         # probability
         sc = Scenario(uncertainty_db=0.0, trials=40_000, seed=6)
         lam = cfar_threshold(sc.fusion_config(), 0.2)
-        lean = conventional_rate(sc, False, [lam], derive_rng(6, 100)).rate[0]
-        paired = forced_rates(sc, False, [lam], derive_rng(6, 101)).conventional.rate[0]
+        lean = conventional_rate(sc, False, [lam], derive_rng(6, 100))[0]
+        paired = forced_rates(sc, False, [lam], derive_rng(6, 101)).conventional[0]
         tol = 3 * np.sqrt(0.2 * 0.8 * 2 / sc.trials)
         assert abs(lean - paired) <= tol
 
@@ -209,8 +208,8 @@ class TestNestedSizes:
             nested = conventional_rate(sc, h1, lams, derive_rng(31, int(h1)), self.SIZES)
             assert len(nested) == len(self.SIZES)
             for i, (sub, lam, rates) in enumerate(zip(subs, lams, nested)):
-                own = conventional_rate(sub, h1, lam, derive_rng(32, i, int(h1))).rate[0]
-                shared = rates.rate[0]
+                own = conventional_rate(sub, h1, lam, derive_rng(32, i, int(h1)))[0]
+                shared = rates[0]
                 sigma = np.sqrt((own * (1 - own) + shared * (1 - shared)) / sc.trials)
                 assert abs(shared - own) <= 3 * sigma, (sub.num_crs, h1, shared, own)
 
@@ -291,6 +290,39 @@ class TestRollingEngineEquivalence:
         assert set(rhos) == {1.5}
 
 
+class TestDualScore:
+    """The dual-threshold rule is positive at lam exactly where its window score reaches lam."""
+
+    @pytest.mark.parametrize("rho_override", [None, 1.5])
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_score_decides_as_the_event_loop_at_random_thresholds(self, kind, rho_override):
+        # a strong, widely faded signal, so that E / rho exceeds the window mean now and then
+        sc = Scenario(combiner=kind, snr_db=10.0, num_crs=2, history_len=5, trials=100, seed=47)
+        rng = derive_rng(47, list(CombinerKind).index(kind))
+        forms = set()
+        for h1 in (False, True):
+            energy, sig_mean = harness._draw_events(sc, rng, (40, sc.history_len), h1)
+            score, rho = harness._dual_score(energy, sig_mean, rho_override)
+            factor = rho if rho_override is None else rho_override
+            forms.update((energy[:, -1] / factor > energy.mean(axis=-1)).tolist())
+            lams = rng.uniform(score.min(), score.max(), 30)
+            for e, v, s in zip(energy, sig_mean, score):
+                state = FusionState(sc.history_len)
+                for x, y in zip(e[:-1], v[:-1]):
+                    push_event(state, float(x), float(y))
+                for lam in lams:
+                    decision = advance(copy.deepcopy(state), e[-1], v[-1], lam, rho_override)
+                    assert (decision.decision is Hypothesis.H1) == (s >= lam)
+        assert forms == {False, True}  # both forms of the score were decided
+
+    def test_count_at_least_counts_ties(self):
+        # scores on a coarse lattice, so many equal each other and the thresholds
+        scores = np.round(derive_rng(48).normal(size=500), 1)
+        lams = np.concatenate((scores[:40], [-9.0, 9.0], np.round(np.linspace(-2, 2, 41), 1)))
+        expected = (scores[:, None] >= lams).sum(axis=0)
+        assert np.array_equal(harness._count_at_least(scores, lams), expected)
+
+
 class TestSampledReference:
     @pytest.mark.parametrize("kind", list(CombinerKind))
     def test_energy_sampler_matches_waveform_path(self, kind):
@@ -304,7 +336,7 @@ class TestSampledReference:
             snr_db=-9.0,
         )
         lam = cfar_threshold(sc.fusion_config(), 0.1)
-        fast = forced_rates(sc, True, [lam], derive_rng(31, 2, 1)).proposed.rate[0]
+        fast = forced_rates(sc, True, [lam], derive_rng(31, 2, 1)).proposed[0]
         slow, _ = run_regime_sampled(sc, "proposed", True, lam)
         p = (fast + slow) / 2
         tol = 3 * np.sqrt(max(p * (1 - p), 1e-4) * 2 / sc.trials)
@@ -456,8 +488,8 @@ class TestSharedWindowDraw:
         for kind, kind_lams, rates in zip(kinds, lams, shared):
             sub = dataclasses.replace(sc, combiner=kind)
             own = forced_rates(sub, h1, kind_lams, derive_rng(41, int(h1)))
-            assert np.array_equal(rates.conventional.moment, own.conventional.moment)
-            assert np.array_equal(rates.proposed.moment, own.proposed.moment)
+            assert np.array_equal(rates.conventional, own.conventional)
+            assert np.array_equal(rates.proposed, own.proposed)
             assert rates.mean_rho == own.mean_rho
 
     @pytest.mark.parametrize("chunk_cells", [250, harness._CHUNK_CELLS])  # 50 chunks or one
@@ -481,8 +513,8 @@ class TestSharedWindowDraw:
         for kind, kind_lams, rates in zip(self.KINDS, lams, shared):
             sub = dataclasses.replace(sc, combiner=kind)
             own = forced_rates(sub, h1, kind_lams, derive_rng(44, int(h1)))
-            assert np.array_equal(rates.conventional.moment, own.conventional.moment)
-            assert np.array_equal(rates.proposed.moment, own.proposed.moment)
+            assert np.array_equal(rates.conventional, own.conventional)
+            assert np.array_equal(rates.proposed, own.proposed)
             assert rates.mean_rho == own.mean_rho
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -514,13 +546,29 @@ class TestSharedWindowDraw:
         monkeypatch.setattr(harness, "_CHUNK_CELLS", 40 * 4 * 3)  # 40 windows per chunk
         chunked = forced_rates(sc, True, lams, derive_rng(46, 1))
         for rule in ("conventional", "proposed"):
-            # each moment is a count of decision pairs over its own trials
-            counts = sum(np.rint(getattr(r, rule).moment * n) for r, n in zip(alone, steps))
-            assert np.array_equal(getattr(chunked, rule).moment, counts / sc.trials)
+            # each rate is a count of positive trials over its own trials
+            counts = sum(np.rint(getattr(r, rule) * n) for r, n in zip(alone, steps))
+            assert np.array_equal(getattr(chunked, rule), counts / sc.trials)
         rho = sum(r.mean_rho * n for r, n in zip(alone, steps)) / sc.trials
         assert chunked.mean_rho == pytest.approx(rho, rel=1e-12)
         if uncertainty_db == 0.0:
             assert chunked.mean_rho == 1.0
+        # conventional_rate draws its chunks one after another on one generator,
+        # with and without nested sensor prefixes
+        monkeypatch.setattr(harness, "_CHUNK_CELLS", 40 * 3)  # 40 events per chunk
+        nested_lams = [
+            [cfar_threshold(sub.fusion_config(), t) for t in (0.05, 0.3)]
+            for sub in (dataclasses.replace(sc, num_crs=k) for k in (1, 3))
+        ]
+        for size_lams, sizes in ((lams, None), (nested_lams, (1, 3))):
+            rng = derive_rng(46, 2)
+            alone = [
+                conventional_rate(dataclasses.replace(sc, trials=step), True, size_lams, rng, sizes)
+                for step in steps
+            ]
+            chunked = conventional_rate(sc, True, size_lams, derive_rng(46, 2), sizes)
+            counts = sum(np.rint(np.asarray(r) * n) for r, n in zip(alone, steps))
+            assert np.array_equal(np.asarray(chunked), counts / sc.trials)
 
     @pytest.mark.parametrize("num_crs", [1, 7, 48])
     def test_slice_wise_max_is_exact(self, num_crs):
@@ -560,11 +608,11 @@ class TestCommonRandomNumbers:
             lean = conventional_rate(sc, h1, lams, derive_rng(27, int(h1)))
             for g, lam in enumerate(lams):
                 alone = forced_rates(sc, h1, [lam], derive_rng(26, int(h1)))
-                assert alone.conventional.rate[0] == whole.conventional.rate[g]
-                assert alone.proposed.rate[0] == whole.proposed.rate[g]
+                assert alone.conventional[0] == whole.conventional[g]
+                assert alone.proposed[0] == whole.proposed[g]
                 assert alone.mean_rho == whole.mean_rho
                 single = conventional_rate(sc, h1, [lam], derive_rng(27, int(h1)))
-                assert single.rate[0] == lean.rate[g]
+                assert single[0] == lean[g]
 
     @pytest.mark.parametrize("kind", list(CombinerKind))
     def test_curves_monotone_in_threshold(self, kind):
@@ -576,15 +624,32 @@ class TestCommonRandomNumbers:
                 assert b.empirical_pfa <= a.empirical_pfa
                 assert b.empirical_pd <= a.empirical_pd
 
-    def test_second_moment_of_nested_decisions(self):
-        # nested decision sets: E[d_i d_j] is the rate at the larger threshold
-        sc = Scenario(trials=2_000, seed=29)
-        lams = [cfar_threshold(sc.fusion_config(), t) for t in self.GRID]
-        rates = forced_rates(sc, False, lams, derive_rng(29, 0))
-        for rule in (rates.conventional, rates.proposed):
-            assert np.array_equal(rule.moment, np.minimum.outer(rule.rate, rule.rate))
-            variance = rule.rate * (1.0 - rule.rate)
-            assert np.allclose(np.diag(rule.covariance), variance, rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("fading_block", ["event", "chain"])
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_auc_ci_equals_explicit_decision_matrix(self, kind, fading_block):
+        # each rule's trials x grid decision matrix, rebuilt on the sweep's stream
+        # from the threshold form of the rule, gives the sweep's AUC and interval
+        sc = Scenario(combiner=kind, trials=2_000, seed=29, pfa_grid=self.GRID,
+                      fading_block=fading_block)
+        lams = np.array([cfar_threshold(sc.fusion_config(), t) for t in self.GRID])
+        covariance = {}
+        for h in (0, 1):
+            rng = derive_rng(sc.seed, harness._TAG_SWEEP, h)
+            energy, sig_mean = harness._draw_events(
+                sc, rng, (sc.trials, sc.history_len), bool(h), fading_block == "chain"
+            )
+            rho = np.maximum(1.0, sig_mean.max(axis=-1) / sig_mean.mean(axis=-1))[:, None]
+            predicted = energy.mean(axis=-1)[:, None] >= lams
+            lam_new = np.where(predicted, lams / rho, rho * lams)
+            newest = energy[:, -1:]
+            for scheme, lam_rule in (("conventional", lams), ("proposed", lam_new)):
+                d = (newest >= lam_rule).astype(np.float64)
+                moment = d.T @ d / sc.trials
+                rate = np.diag(moment)
+                covariance[scheme, h] = moment - np.outer(rate, rate)
+        for curve in roc_sweep(sc):
+            cov_pfa, cov_pd = covariance[curve.scheme, 0], covariance[curve.scheme, 1]
+            assert harness._auc_with_ci(curve.points, cov_pfa, cov_pd) == (curve.auc, curve.auc_ci)
 
 
 class TestPairedDominance:

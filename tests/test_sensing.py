@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from conftest import make_block
 
-from css_lab.channel import Hypothesis
 from css_lab.sensing import SensingReport, make_report, measure_energy
 
 
@@ -48,22 +47,14 @@ class TestMakeReport:
         assert report.energy == 0.0
         assert report.est_noise_variance == 1.3
 
-    def test_snr_passthrough(self):
-        block = make_block(np.ones(4), hypothesis=Hypothesis.H1, snr=0.25)
-        assert make_report(block, 2).instantaneous_snr == block.channel.instantaneous_snr
-
     def test_pure_function_of_block(self):
         block = make_block([1, 2, 3])
         a, b = make_report(block, 1), make_report(block, 5)
-        assert (a.energy, a.est_noise_variance, a.instantaneous_snr) == (
-            b.energy,
-            b.est_noise_variance,
-            b.instantaneous_snr,
-        )
+        assert (a.energy, a.est_noise_variance) == (b.energy, b.est_noise_variance)
         assert (a.cr_index, b.cr_index) == (1, 5)
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            SensingReport(energy=-1.0, est_noise_variance=1.0, instantaneous_snr=0.0, cr_index=1)
+            SensingReport(energy=-1.0, est_noise_variance=1.0, cr_index=1)
         with pytest.raises(ValueError):
-            SensingReport(energy=1.0, est_noise_variance=0.0, instantaneous_snr=0.0, cr_index=1)
+            SensingReport(energy=1.0, est_noise_variance=0.0, cr_index=1)

@@ -378,7 +378,7 @@ class TestProposedRayleigh:
         )
         lam = cfar_threshold(scenario.fusion_config(), 0.1)
         rates = forced_rates(scenario, True, [lam], derive_rng(64, 7), rho_override=1.2)
-        rate = rates.proposed.rate[0]
+        rate = rates.proposed[0]
         value = qd_proposed_rayleigh(scenario.theory_params(rho=1.2), lam)
         assert abs(rate - value) <= 3 * np.sqrt(value * (1 - value) / scenario.trials)
 
