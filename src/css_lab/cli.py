@@ -35,13 +35,14 @@ from .harness import (
     RocCurve,
     Scenario,
     _fmt,
+    _theory_columns,
     binomial_ci,
     equivalence_search,
     expected_rho,
     roc_sweep,
     sweep_param,
 )
-from .theory import NumericError, qd_proposed_rayleigh, qd_rayleigh, qfa_approx, qfa_proposed
+from .theory import NumericError
 
 CSV_COLUMNS = (
     "scenario_digest",
@@ -125,26 +126,13 @@ def parse_scenario(path: str | os.PathLike | None, overrides: Sequence[str] = ()
 
 def _theory_table_rows(scenario: Scenario) -> list[str]:
     rows = []
-    rho = expected_rho(scenario)
+    rhos = {SCHEME_CONVENTIONAL: 1.0, SCHEME_PROPOSED: expected_rho(scenario)}
     for kind in (CombinerKind.SLC, CombinerKind.MRC, CombinerKind.SLS):
         sub = replace(scenario, combiner=kind)
-        cfg = sub.fusion_config()
         for target in sub.pfa_grid:
-            lam = cfar_threshold(cfg, target)
-            conventional = sub.theory_params()
-            proposed = sub.theory_params(rho=rho)
-            for scheme, pfa, pd in (
-                (
-                    SCHEME_CONVENTIONAL,
-                    qfa_approx(conventional, lam),
-                    qd_rayleigh(conventional, lam),
-                ),
-                (
-                    SCHEME_PROPOSED,
-                    qfa_proposed(proposed, lam),
-                    qd_proposed_rayleigh(proposed, lam),
-                ),
-            ):
+            lam = cfar_threshold(sub.theory_params(), target)
+            for scheme, rho in rhos.items():
+                pfa, pd = _theory_columns(sub, scheme, lam, rho)
                 blank = ("",) * 4  # no empirical columns
                 values = (_fmt(target), _fmt(lam), *blank, _fmt(pfa), _fmt(pd), "0")
                 rows.append(_row(sub, scheme, *values))
@@ -250,9 +238,10 @@ def run_command(
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             manifest = _write_artifacts(subcommand, scenario, out, threads)
-        # one entry per warning and place it was raised from, in order
+        # re-emitted once per warning and place it was raised from, recorded once per message
         places = {(w.category, str(w.message), w.filename, w.lineno): w for w in caught}
         caught = list(places.values())
+        messages = dict.fromkeys((w.category.__name__, str(w.message)) for w in caught)
         run = {
             "versions": {
                 "python": sys.version.split()[0],
@@ -260,9 +249,7 @@ def run_command(
                 "scipy": scipy.__version__,
             },
             "threads": threads,
-            "warnings": [
-                {"category": w.category.__name__, "message": str(w.message)} for w in caught
-            ],
+            "warnings": [{"category": c, "message": m} for c, m in messages],
         }
         _write(out / "run.json", json.dumps(run, indent=2, sort_keys=True) + "\n")
     finally:

@@ -10,22 +10,23 @@ Three soft-combining statistics are supported:
 * SLS (square-law selection): the largest sensor energy.
 
 Thresholds come from a constant-false-alarm-rate inversion of the Gaussian
-approximation of each statistic's null distribution.
+approximation of each statistic's null distribution, read off the same
+:class:`css_lab.theory.TheoryParams` model (``K`` sensors, ``N`` samples,
+nominal noise variance) that the closed forms take.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .channel import Hypothesis
 from .sensing import SensingReport
 
-TBW_WARN_FLOOR = 50  # Gaussian CFAR inversion degrades for small time-bandwidth products
+if TYPE_CHECKING:  # theory imports CombinerKind from this module
+    from .theory import TheoryParams
 
 
 class DegenerateWeightsError(ValueError):
@@ -36,29 +37,6 @@ class CombinerKind(enum.Enum):
     SLC = "slc"
     MRC = "mrc"
     SLS = "sls"
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    """Static parameters shared by threshold selection and the analysis layer."""
-
-    kind: CombinerKind
-    num_crs: int
-    n_samples: int
-    nominal_variance: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.num_crs < 1:
-            raise ValueError("num_crs must be at least 1")
-        if self.n_samples < 2 or self.n_samples % 2 != 0:
-            raise ValueError("n_samples must be an even integer >= 2")
-        if self.nominal_variance <= 0.0:
-            raise ValueError("nominal_variance must be positive")
-
-    @property
-    def tbw_product(self) -> int:
-        """Time-bandwidth product; two real samples per degree of freedom pair."""
-        return self.n_samples // 2
 
 
 def combine(kind: CombinerKind, reports: Sequence[SensingReport]) -> float:
@@ -96,34 +74,26 @@ def combine_signal_mrc(
     return (mags[:, None] * stacked).sum(axis=0) / norm
 
 
-def cfar_threshold(cfg: FusionConfig, target_pfa: float) -> float:
-    """Decision threshold achieving ``target_pfa`` under the Gaussian null model.
+def cfar_threshold(p: TheoryParams, target_pfa: float) -> float:
+    """Decision threshold achieving ``target_pfa`` under the Gaussian null model of ``p``.
 
-    For SLS it inverts the K-branch complement exactly, using the per-branch
-    rate ``1 - (1 - p)**(1/K)``.
+    Reads ``p.kind``, ``p.K``, ``p.u`` and ``p.sigma_sq``.  For SLS it
+    inverts the K-branch complement exactly, using the per-branch rate
+    ``1 - (1 - target_pfa)**(1/K)``.
     """
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie strictly between 0 and 1")
     # Local import; theory depends on this module for CombinerKind.
-    from .theory import inv_erfc
+    from .theory import _warn_small_n, inv_erfc
 
-    u = cfg.tbw_product
-    if u < TBW_WARN_FLOOR:
-        warnings.warn(
-            f"time-bandwidth product {u} is small; the Gaussian CFAR inversion "
-            "may be inaccurate",
-            stacklevel=2,
-        )
-    sigma_sq = cfg.nominal_variance
-    if cfg.kind is CombinerKind.SLC:
-        ku = cfg.num_crs * u
-        return sigma_sq * (inv_erfc(2.0 * target_pfa) * 2.0 * np.sqrt(2.0 * ku) + 2.0 * ku)
-    if cfg.kind is CombinerKind.MRC:
-        return sigma_sq * (inv_erfc(2.0 * target_pfa) * 2.0 * np.sqrt(2.0 * u) + 2.0 * u)
-    branch_pfa = -np.expm1(np.log1p(-target_pfa) / cfg.num_crs)
-    if not 0.0 < branch_pfa < 1.0:
-        raise ValueError("SLS branch false-alarm rate left (0, 1); adjust target_pfa")
-    return sigma_sq * (inv_erfc(2.0 * branch_pfa) * 2.0 * np.sqrt(2.0 * u) + 2.0 * u)
+    _warn_small_n(p)
+    rate = target_pfa
+    if p.kind is CombinerKind.SLS:
+        rate = -np.expm1(np.log1p(-target_pfa) / p.K)  # per branch
+        if not 0.0 < rate < 1.0:
+            raise ValueError("SLS branch false-alarm rate left (0, 1); adjust target_pfa")
+    dof = p.K * p.u if p.kind is CombinerKind.SLC else p.u
+    return p.sigma_sq * (inv_erfc(2.0 * rate) * 2.0 * np.sqrt(2.0 * dof) + 2.0 * dof)
 
 
 def decide_conventional(combined_energy: float, threshold: float) -> Hypothesis:

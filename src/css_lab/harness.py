@@ -76,7 +76,7 @@ from .channel import (
     gen_pu_samples,
     synthesize_received,
 )
-from .fusion import CombinerKind, FusionConfig, cfar_threshold, combine, combine_signal_mrc
+from .fusion import CombinerKind, cfar_threshold, combine, combine_signal_mrc
 from .sensing import make_report, measure_energy
 from .theory import TheoryParams, qd_proposed_rayleigh, qd_rayleigh, qfa_approx, qfa_proposed
 
@@ -152,14 +152,6 @@ class Scenario:
     @property
     def gamma_bar(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
-
-    def fusion_config(self, kind: CombinerKind | None = None) -> FusionConfig:
-        return FusionConfig(
-            kind=kind or self.combiner,
-            num_crs=self.num_crs,
-            n_samples=self.n_samples,
-            nominal_variance=NOMINAL_VARIANCE,
-        )
 
     def theory_params(self, rho: float = 1.0, M: int | None = None) -> TheoryParams:
         return TheoryParams(
@@ -645,7 +637,7 @@ def roc_sweep(
         )
     subs = {kind: replace(scenario, combiner=kind) for kind in kinds}
     lams = {
-        kind: [cfar_threshold(sub.fusion_config(), t) for t in scenario.pfa_grid]
+        kind: [cfar_threshold(sub.theory_params(), t) for t in scenario.pfa_grid]
         for kind, sub in subs.items()
     }
 
@@ -708,7 +700,7 @@ def equivalence_search(
     subs = {k: replace(proposed, num_crs=k) for k in sizes}
     # every size is scored on the one draw, so every size needs its thresholds first
     lams = {
-        k: [cfar_threshold(sub.fusion_config(), t) for t in proposed.pfa_grid]
+        k: [cfar_threshold(sub.theory_params(), t) for t in proposed.pfa_grid]
         for k, sub in subs.items()
     }
     rates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -822,7 +814,7 @@ def _sampled_event(
             channel = draw_channel(scenario.gamma_bar, rng)
         variance = draw_noise_variance(noise_model, rng)
         blocks.append(synthesize_received(hyp, channel, pu, variance, rng))
-    reports = [make_report(b, j + 1) for j, b in enumerate(blocks)]
+    reports = [make_report(b) for b in blocks]
     if scenario.combiner is CombinerKind.MRC:
         e_comb = measure_energy(combine_signal_mrc(blocks))
     else:

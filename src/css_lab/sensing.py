@@ -15,7 +15,6 @@ class SensingReport:
 
     energy: float
     est_noise_variance: float
-    cr_index: int
 
     def __post_init__(self) -> None:
         if self.energy < 0.0:
@@ -30,7 +29,7 @@ def measure_energy(block: SampleBlock | np.ndarray) -> float:
     return float(np.sum(np.abs(samples) ** 2))
 
 
-def make_report(block: SampleBlock, cr_index: int) -> SensingReport:
+def make_report(block: SampleBlock) -> SensingReport:
     """Bundle a block's energy and noise variance into a report.
 
     The reported noise variance is the block's true drawn variance (perfect
@@ -39,5 +38,4 @@ def make_report(block: SampleBlock, cr_index: int) -> SensingReport:
     return SensingReport(
         energy=measure_energy(block),
         est_noise_variance=block.true_noise_variance,
-        cr_index=cr_index,
     )

@@ -21,7 +21,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate, special, stats
 
-from css_lab.fusion import CombinerKind, FusionConfig, cfar_threshold
+from css_lab.fusion import CombinerKind, cfar_threshold
 from css_lab.harness import (
     Scenario,
     _draw_events,
@@ -60,11 +60,10 @@ def report(number: int, label: str, ok: bool, detail: str = "") -> None:
 
 def _criterion1_rates(kind: CombinerKind):
     scenario = Scenario(combiner=kind, uncertainty_db=0.0, trials=100_000, seed=SEED)
-    cfg = scenario.fusion_config()
     params = scenario.theory_params()
     rows = []
     for i, target in enumerate(scenario.pfa_grid):
-        lam = cfar_threshold(cfg, target)
+        lam = cfar_threshold(params, target)
         pfa = conventional_rate(scenario, False, [lam], derive_rng(SEED, 12, i, 0))[0]
         pd = conventional_rate(scenario, True, [lam], derive_rng(SEED, 12, i, 1))[0]
         rows.append((lam, pfa, pd, qfa_approx(params, lam), qd_rayleigh(params, lam)))
@@ -126,8 +125,8 @@ def test_criterion_01_false_alarm_sls_exact_form_companion():
 
 def _criterion2_deviations(kind: CombinerKind):
     params = TheoryParams(kind, 7, 1000, gamma_bar=GBAR)
-    cfg = FusionConfig(kind, 7, 1000)
-    lams = [cfar_threshold(cfg, float(t)) for t in np.logspace(np.log10(0.01), np.log10(0.9), 20)]
+    grid = np.logspace(np.log10(0.01), np.log10(0.9), 20)
+    lams = [cfar_threshold(params, float(t)) for t in grid]
     dev_fa = max(abs(qfa_exact(params, lam) - qfa_approx(params, lam)) for lam in lams)
     dev_d = max(
         abs(qd_awgn_exact(params, lam, GBAR) - qd_awgn_approx(params, lam, GBAR)) for lam in lams
@@ -169,10 +168,9 @@ def test_criterion_02_sls_deviation_is_pinned():
 def test_criterion_03_cfar_round_trip():
     worst = 0.0
     for kind in CombinerKind:
-        cfg = FusionConfig(kind, 7, 1000)
         params = TheoryParams(kind, 7, 1000)
         for target in (0.01, 0.05, 0.1, 0.3, 0.5):
-            lam = cfar_threshold(cfg, target)
+            lam = cfar_threshold(params, target)
             worst = max(worst, abs(qfa_approx(params, lam) - target))
     report(3, "CFAR round trip, all combiners", worst <= 1e-10, f"worst {worst:.2e}")
     assert worst <= 1e-10
@@ -183,7 +181,7 @@ def test_criterion_04_degenerate_equivalence_events(kind):
     # one rolling stream of 1e5 events per hypothesis; the dual-threshold rule
     # decides each full window's newest event, the fixed threshold the rest
     scenario = Scenario(combiner=kind, uncertainty_db=0.0, trials=100, seed=SEED)
-    lam = cfar_threshold(scenario.fusion_config(), 0.1)
+    lam = cfar_threshold(scenario.theory_params(), 0.1)
     length = scenario.history_len
     ok = True
     for h1 in (False, True):
@@ -216,7 +214,7 @@ def test_criterion_04_degenerate_roc_bytes(tmp_path):
 
 def _criterion5_rates(kind: CombinerKind):
     scenario = Scenario(combiner=kind, trials=10_000, seed=SEED)
-    lam = cfar_threshold(scenario.fusion_config(), 0.1)
+    lam = cfar_threshold(scenario.theory_params(), 0.1)
     rng = derive_rng(SEED, 55, list(CombinerKind).index(kind))
     rates = forced_rates(scenario, True, [lam], rng)
     conv, prop = rates.conventional[0], rates.proposed[0]
@@ -318,11 +316,10 @@ def _criterion9_case(kind: CombinerKind, rho: float = 1.2):
     h1_scenario = Scenario(
         combiner=kind, uncertainty_db=0.0, trials=100_000, seed=SEED, fading_block="chain"
     )
-    cfg = h0_scenario.fusion_config()
     params = h0_scenario.theory_params(rho=rho)
     failures = []
     for i, target in enumerate(CRITERION9_TARGETS):
-        lam = cfar_threshold(cfg, target)
+        lam = cfar_threshold(params, target)
         rng0, rng1 = derive_rng(SEED, 99, i, 0), derive_rng(SEED, 99, i, 1)
         fa = forced_rates(h0_scenario, False, [lam], rng0, rho_override=rho).proposed[0]
         pd = forced_rates(h1_scenario, True, [lam], rng1, rho_override=rho).proposed[0]

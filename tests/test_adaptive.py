@@ -14,7 +14,8 @@ from css_lab.adaptive import (
     push_event,
 )
 from css_lab.channel import Hypothesis
-from css_lab.fusion import CombinerKind, FusionConfig, cfar_threshold, decide_conventional
+from css_lab.fusion import CombinerKind, cfar_threshold, decide_conventional
+from css_lab.theory import TheoryParams
 
 # window-average predictor probability at the spec's default operating point:
 # Q((lam - N*K*(1+snr)) / sigma_avg) with lam = cfar(SLC, 0.1), K=7, N=1000,
@@ -84,7 +85,7 @@ class TestPredictActivity:
         # model (frozen above) within Monte Carlo tolerance
         rng = np.random.default_rng(41)
         n, k, snr, length, windows = 1000, 7, 10 ** (-1.5), 15, 10_000
-        lam = cfar_threshold(FusionConfig(CombinerKind.SLC, k, n), 0.1)
+        lam = cfar_threshold(TheoryParams(CombinerKind.SLC, k, n), 0.1)
         draws = rng.noncentral_chisquare(n, n * snr, size=(windows, length, k)).sum(axis=2)
         hits = 0
         for row in draws:

@@ -193,7 +193,7 @@ class TestRunCommand:
             sub = replace(scen, combiner=CombinerKind[row["combiner"]])
             lam = float(row["lambda"])
             assert lam == pytest.approx(
-                cfar_threshold(sub.fusion_config(), float(row["target_pfa"])), rel=1e-11
+                cfar_threshold(sub.theory_params(), float(row["target_pfa"])), rel=1e-11
             )
             if row["scheme"] == "conventional":
                 pfa = qfa_approx(sub.theory_params(), lam)
@@ -245,6 +245,15 @@ class TestRunCommand:
             run_command("compare", scen, tmp_path / "w")
         record = json.loads((tmp_path / "w" / "run.json").read_text())
         message = "only 50 trials; confidence intervals will be wide"
+        assert record["warnings"] == [{"category": "UserWarning", "message": message}]
+
+    def test_run_record_lists_small_n_once(self, tmp_path):
+        # the CFAR inversion and the Gaussian forms raise it from different places
+        scen = parse_scenario(None, ["n_samples=64", "pfa_grid=0.1,0.2"])
+        with pytest.warns(UserWarning, match="N=64 is small"):
+            run_command("theory-table", scen, tmp_path / "n")
+        record = json.loads((tmp_path / "n" / "run.json").read_text())
+        message = "N=64 is small; Gaussian approximations may be inaccurate"
         assert record["warnings"] == [{"category": "UserWarning", "message": message}]
 
 

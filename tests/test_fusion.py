@@ -1,5 +1,7 @@
 """Combining rules, CFAR threshold inversion and the fixed-threshold decision."""
 
+import itertools
+
 import numpy as np
 import pytest
 from conftest import make_block
@@ -8,7 +10,6 @@ from css_lab.channel import Hypothesis
 from css_lab.fusion import (
     CombinerKind,
     DegenerateWeightsError,
-    FusionConfig,
     cfar_threshold,
     combine,
     combine_signal_mrc,
@@ -18,8 +19,8 @@ from css_lab.sensing import SensingReport, measure_energy
 from css_lab.theory import TheoryParams, qfa_approx
 
 
-def report(energy, variance=1.0, idx=1):
-    return SensingReport(energy=energy, est_noise_variance=variance, cr_index=idx)
+def report(energy, variance=1.0):
+    return SensingReport(energy=energy, est_noise_variance=variance)
 
 
 class TestCombine:
@@ -70,45 +71,44 @@ class TestCombineSignalMrc:
 
 class TestCfarThreshold:
     def test_slc_median(self):
-        cfg = FusionConfig(CombinerKind.SLC, 7, 1000)
-        assert cfar_threshold(cfg, 0.5) == pytest.approx(7000.0)
+        params = TheoryParams(CombinerKind.SLC, 7, 1000)
+        assert cfar_threshold(params, 0.5) == pytest.approx(7000.0)
 
     def test_mrc_median(self):
-        cfg = FusionConfig(CombinerKind.MRC, 7, 1000)
-        assert cfar_threshold(cfg, 0.5) == pytest.approx(1000.0)
+        params = TheoryParams(CombinerKind.MRC, 7, 1000)
+        assert cfar_threshold(params, 0.5) == pytest.approx(1000.0)
 
     def test_round_trip_through_gaussian_tail(self):
         # inverting and re-evaluating the same approximation is exact
-        for kind in CombinerKind:
-            cfg = FusionConfig(kind, 7, 1000)
-            params = TheoryParams(kind, 7, 1000)
+        for kind, k in itertools.product(CombinerKind, (1, 7, 48)):
+            params = TheoryParams(kind, k, 1000)
             for target in (0.01, 0.05, 0.1, 0.3, 0.5):
-                lam = cfar_threshold(cfg, target)
+                lam = cfar_threshold(params, target)
                 assert abs(qfa_approx(params, lam) - target) <= 1e-10
 
     def test_strictly_decreasing_in_target(self):
         for kind in CombinerKind:
-            cfg = FusionConfig(kind, 7, 1000)
-            lams = [cfar_threshold(cfg, t) for t in np.linspace(0.01, 0.9, 15)]
+            params = TheoryParams(kind, 7, 1000)
+            lams = [cfar_threshold(params, t) for t in np.linspace(0.01, 0.9, 15)]
             assert all(b < a for a, b in zip(lams, lams[1:]))
 
     def test_k1_thresholds_coincide(self):
         lams = {
-            kind: cfar_threshold(FusionConfig(kind, 1, 1000), 0.1) for kind in CombinerKind
+            kind: cfar_threshold(TheoryParams(kind, 1, 1000), 0.1) for kind in CombinerKind
         }
         assert lams[CombinerKind.SLC] == pytest.approx(lams[CombinerKind.MRC])
         assert lams[CombinerKind.SLS] == pytest.approx(lams[CombinerKind.MRC])
 
     def test_rejects_bad_target(self):
-        cfg = FusionConfig(CombinerKind.SLC, 7, 1000)
+        params = TheoryParams(CombinerKind.SLC, 7, 1000)
         for bad in (0.0, 1.0, -0.1, 1.7):
             with pytest.raises(ValueError):
-                cfar_threshold(cfg, bad)
+                cfar_threshold(params, bad)
 
     def test_small_tbw_warns(self):
-        cfg = FusionConfig(CombinerKind.SLC, 2, 64)
-        with pytest.warns(UserWarning):
-            cfar_threshold(cfg, 0.1)
+        params = TheoryParams(CombinerKind.SLC, 2, 64)
+        with pytest.warns(UserWarning, match="N=64 is small"):
+            cfar_threshold(params, 0.1)
 
 
 class TestDecideConventional:
@@ -127,19 +127,6 @@ class TestDecideConventional:
         from css_lab.harness import Scenario, conventional_rate, derive_rng
 
         scenario = Scenario(uncertainty_db=0.0, trials=100_000, seed=314)
-        lam = cfar_threshold(scenario.fusion_config(), 0.1)
+        lam = cfar_threshold(scenario.theory_params(), 0.1)
         rate = conventional_rate(scenario, False, [lam], derive_rng(314, 90))[0]
         assert abs(rate - 0.1) <= 3 * np.sqrt(0.1 * 0.9 / scenario.trials)
-
-
-class TestFusionConfig:
-    def test_tbw_product(self):
-        assert FusionConfig(CombinerKind.SLC, 3, 1000).tbw_product == 500
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FusionConfig(CombinerKind.SLC, 0, 1000)
-        with pytest.raises(ValueError):
-            FusionConfig(CombinerKind.SLC, 3, 999)
-        with pytest.raises(ValueError):
-            FusionConfig(CombinerKind.SLC, 3, 1000, nominal_variance=0.0)

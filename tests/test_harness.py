@@ -162,7 +162,7 @@ class TestRunRegime:
 
     def test_false_alarm_tracks_target(self):
         sc = Scenario(uncertainty_db=0.0, trials=100_000, seed=3)
-        lam = cfar_threshold(sc.fusion_config(), 0.1)
+        lam = cfar_threshold(sc.theory_params(), 0.1)
         rate = conventional_rate(sc, False, [lam], derive_rng(3, 2, 0))[0]
         assert abs(rate - 0.1) <= max(0.01, binomial_ci(rate, sc.trials))
 
@@ -179,7 +179,7 @@ class TestRunRegime:
         # the single-event sampler and the windowed sampler estimate the same
         # probability
         sc = Scenario(uncertainty_db=0.0, trials=40_000, seed=6)
-        lam = cfar_threshold(sc.fusion_config(), 0.2)
+        lam = cfar_threshold(sc.theory_params(), 0.2)
         lean = conventional_rate(sc, False, [lam], derive_rng(6, 100))[0]
         paired = forced_rates(sc, False, [lam], derive_rng(6, 101)).conventional[0]
         tol = 3 * np.sqrt(0.2 * 0.8 * 2 / sc.trials)
@@ -203,7 +203,7 @@ class TestNestedSizes:
     def test_prefix_rates_match_independent_draws(self, kind):
         sc = Scenario(combiner=kind, num_crs=max(self.SIZES), trials=20_000, seed=31)
         subs = [dataclasses.replace(sc, num_crs=k) for k in self.SIZES]
-        lams = [[cfar_threshold(sub.fusion_config(), 0.1)] for sub in subs]
+        lams = [[cfar_threshold(sub.theory_params(), 0.1)] for sub in subs]
         for h1 in (False, True):
             nested = conventional_rate(sc, h1, lams, derive_rng(31, int(h1)), self.SIZES)
             assert len(nested) == len(self.SIZES)
@@ -335,7 +335,7 @@ class TestSampledReference:
             seed=31,
             snr_db=-9.0,
         )
-        lam = cfar_threshold(sc.fusion_config(), 0.1)
+        lam = cfar_threshold(sc.theory_params(), 0.1)
         fast = forced_rates(sc, True, [lam], derive_rng(31, 2, 1)).proposed[0]
         slow, _ = run_regime_sampled(sc, "proposed", True, lam)
         p = (fast + slow) / 2
@@ -482,7 +482,8 @@ class TestSharedWindowDraw:
         monkeypatch.setattr("css_lab.harness._CHUNK_CELLS", 250)
         sc = Scenario(trials=600, seed=41, num_crs=4, history_len=5)
         kinds = (CombinerKind.SLS, CombinerKind.SLC)
-        lams = [[cfar_threshold(sc.fusion_config(k), t) for t in (0.05, 0.3)] for k in kinds]
+        params = [dataclasses.replace(sc, combiner=k).theory_params() for k in kinds]
+        lams = [[cfar_threshold(p, t) for t in (0.05, 0.3)] for p in params]
         shared = forced_rates(sc, h1, lams, derive_rng(41, int(h1)), combiners=kinds)
         assert len(shared) == len(kinds)
         for kind, kind_lams, rates in zip(kinds, lams, shared):
@@ -508,7 +509,8 @@ class TestSharedWindowDraw:
             channel_kind=channel_kind,
             fading_block=fading_block,
         )
-        lams = [[cfar_threshold(sc.fusion_config(k), t) for t in (0.05, 0.3)] for k in self.KINDS]
+        params = [dataclasses.replace(sc, combiner=k).theory_params() for k in self.KINDS]
+        lams = [[cfar_threshold(p, t) for t in (0.05, 0.3)] for p in params]
         shared = forced_rates(sc, h1, lams, derive_rng(44, int(h1)), combiners=self.KINDS)
         for kind, kind_lams, rates in zip(self.KINDS, lams, shared):
             sub = dataclasses.replace(sc, combiner=kind)
@@ -535,7 +537,7 @@ class TestSharedWindowDraw:
         self, monkeypatch, uncertainty_db
     ):
         sc = Scenario(trials=250, seed=46, num_crs=3, history_len=4, uncertainty_db=uncertainty_db)
-        lams = [cfar_threshold(sc.fusion_config(), t) for t in (0.05, 0.3)]
+        lams = [cfar_threshold(sc.theory_params(), t) for t in (0.05, 0.3)]
         steps = [40] * 6 + [10]
         # chunk 0 draws on the given stream, chunk c on the c-th stream spawned from it
         streams = [derive_rng(46, 1), *derive_rng(46, 1).spawn(len(steps) - 1)]
@@ -557,7 +559,7 @@ class TestSharedWindowDraw:
         # with and without nested sensor prefixes
         monkeypatch.setattr(harness, "_CHUNK_CELLS", 40 * 3)  # 40 events per chunk
         nested_lams = [
-            [cfar_threshold(sub.fusion_config(), t) for t in (0.05, 0.3)]
+            [cfar_threshold(sub.theory_params(), t) for t in (0.05, 0.3)]
             for sub in (dataclasses.replace(sc, num_crs=k) for k in (1, 3))
         ]
         for size_lams, sizes in ((lams, None), (nested_lams, (1, 3))):
@@ -602,7 +604,7 @@ class TestCommonRandomNumbers:
     @pytest.mark.parametrize("kind", list(CombinerKind))
     def test_each_column_equals_its_own_single_threshold_draw(self, kind):
         sc = Scenario(combiner=kind, trials=3_000, seed=26)
-        lams = [cfar_threshold(sc.fusion_config(), t) for t in self.GRID]
+        lams = [cfar_threshold(sc.theory_params(), t) for t in self.GRID]
         for h1 in (False, True):
             whole = forced_rates(sc, h1, lams, derive_rng(26, int(h1)))
             lean = conventional_rate(sc, h1, lams, derive_rng(27, int(h1)))
@@ -631,7 +633,7 @@ class TestCommonRandomNumbers:
         # from the threshold form of the rule, gives the sweep's AUC and interval
         sc = Scenario(combiner=kind, trials=2_000, seed=29, pfa_grid=self.GRID,
                       fading_block=fading_block)
-        lams = np.array([cfar_threshold(sc.fusion_config(), t) for t in self.GRID])
+        lams = np.array([cfar_threshold(sc.theory_params(), t) for t in self.GRID])
         covariance = {}
         for h in (0, 1):
             rng = derive_rng(sc.seed, harness._TAG_SWEEP, h)
@@ -686,7 +688,7 @@ class TestPairedRun:
     def test_zero_uncertainty_is_degenerate(self):
         # both rules on one rolling stream of H1 events
         sc = Scenario(uncertainty_db=0.0, trials=100, seed=14)
-        lam = cfar_threshold(sc.fusion_config(), 0.1)
+        lam = cfar_threshold(sc.theory_params(), 0.1)
         energy, sig_mean = harness._draw_events(sc, derive_rng(14, 4), (20_000,), True)
         conv = energy >= lam
         prop = _rolling(energy, sig_mean, sc.history_len, lam)

@@ -43,18 +43,17 @@ class TestMeasureEnergy:
 class TestMakeReport:
     def test_zero_block_passthrough(self):
         block = make_block(np.zeros(8), noise_variance=1.3)
-        report = make_report(block, 1)
+        report = make_report(block)
         assert report.energy == 0.0
         assert report.est_noise_variance == 1.3
 
     def test_pure_function_of_block(self):
         block = make_block([1, 2, 3])
-        a, b = make_report(block, 1), make_report(block, 5)
+        a, b = make_report(block), make_report(block)
         assert (a.energy, a.est_noise_variance) == (b.energy, b.est_noise_variance)
-        assert (a.cr_index, b.cr_index) == (1, 5)
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            SensingReport(energy=-1.0, est_noise_variance=1.0, cr_index=1)
+            SensingReport(energy=-1.0, est_noise_variance=1.0)
         with pytest.raises(ValueError):
-            SensingReport(energy=1.0, est_noise_variance=0.0, cr_index=1)
+            SensingReport(energy=1.0, est_noise_variance=0.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from css_lab.fusion import CombinerKind, FusionConfig, cfar_threshold
+from css_lab.fusion import CombinerKind, cfar_threshold
 from css_lab.theory import (
     NumericError,
     TheoryParams,
@@ -136,13 +136,12 @@ class TestExactTails:
         )
 
     def test_slc_cfar_operating_point(self):
-        cfg = FusionConfig(CombinerKind.SLC, 7, 1000)
-        lam = cfar_threshold(cfg, 0.1)
-        assert 0.09 <= qfa_exact(params(), lam) <= 0.11
+        p = params()
+        assert 0.09 <= qfa_exact(p, cfar_threshold(p, 0.1)) <= 0.11
 
     def test_zero_snr_reduces_to_false_alarm(self):
         for kind in CombinerKind:
-            lam = cfar_threshold(FusionConfig(kind, 7, 1000), 0.2)
+            lam = cfar_threshold(TheoryParams(kind, 7, 1000), 0.2)
             assert qd_awgn_exact(params(kind), lam, 0.0) == pytest.approx(
                 qfa_exact(params(kind), lam), rel=1e-12
             )
@@ -152,7 +151,7 @@ class TestExactTails:
         rng = np.random.default_rng(61)
         k, n, snr = 3, 1000, GBAR
         p = params(CombinerKind.SLC, K=k)
-        lam = cfar_threshold(FusionConfig(CombinerKind.SLC, k, n), 0.1)
+        lam = cfar_threshold(TheoryParams(CombinerKind.SLC, k, n), 0.1)
         draws = rng.noncentral_chisquare(n * k, n * k * snr, size=1_000_000)
         empirical = float((draws >= lam).mean())
         value = qd_awgn_exact(p, lam, snr)
@@ -173,7 +172,7 @@ class TestRayleighAverage:
         assert weights.sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_k1_collapse_across_kinds(self):
-        lam = cfar_threshold(FusionConfig(CombinerKind.MRC, 1, 1000), 0.1)
+        lam = cfar_threshold(TheoryParams(CombinerKind.MRC, 1, 1000), 0.1)
         values = [qd_rayleigh(params(kind, K=1), lam) for kind in CombinerKind]
         assert max(values) - min(values) <= 1e-6
 
@@ -181,7 +180,7 @@ class TestRayleighAverage:
     def test_matches_monte_carlo(self, kind):
         rng = np.random.default_rng(62)
         k, n, trials = 7, 1000, 1_000_000
-        lam = cfar_threshold(FusionConfig(kind, k, n), 0.1)
+        lam = cfar_threshold(TheoryParams(kind, k, n), 0.1)
         gamma = rng.exponential(GBAR, size=(trials, k))
         if kind is CombinerKind.SLS:
             branch = rng.noncentral_chisquare(n, n * gamma)
@@ -207,14 +206,13 @@ class TestGaussianTails:
 
     def test_slc_grid_matches_exact(self):
         p = params()
-        cfg = FusionConfig(CombinerKind.SLC, 7, 1000)
         for t in np.logspace(np.log10(0.01), np.log10(0.9), 20):
-            lam = cfar_threshold(cfg, float(t))
+            lam = cfar_threshold(p, float(t))
             assert abs(qfa_approx(p, lam) - qfa_exact(p, lam)) <= 0.01
 
     def test_detection_zero_snr_degeneracy(self):
         for kind in CombinerKind:
-            lam = cfar_threshold(FusionConfig(kind, 7, 1000), 0.3)
+            lam = cfar_threshold(TheoryParams(kind, 7, 1000), 0.3)
             assert qd_awgn_approx(params(kind), lam, 0.0) == pytest.approx(
                 qfa_approx(params(kind), lam), rel=1e-12
             )
@@ -226,9 +224,8 @@ class TestGaussianTails:
 
     def test_detection_grid_matches_exact(self):
         p = params()
-        cfg = FusionConfig(CombinerKind.SLC, 7, 1000)
         for t in np.logspace(np.log10(0.01), np.log10(0.9), 20):
-            lam = cfar_threshold(cfg, float(t))
+            lam = cfar_threshold(p, float(t))
             assert abs(qd_awgn_approx(p, lam, GBAR) - qd_awgn_exact(p, lam, GBAR)) <= 0.01
 
     def test_small_n_warns(self):
@@ -282,12 +279,12 @@ class TestPredictorProb:
     def test_reliable_active_regime(self):
         # probe at the mean combined SNR: essentially certain prediction
         p = params(L=15, M=15)
-        lam = cfar_threshold(FusionConfig(CombinerKind.SLC, 7, 1000), 0.1)
+        lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), 0.1)
         assert predictor_prob(p, lam, 7 * GBAR) >= 0.99
 
     def test_idle_regime(self):
         p = params(L=15, M=0)
-        lam = cfar_threshold(FusionConfig(CombinerKind.SLC, 7, 1000), 0.1)
+        lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), 0.1)
         assert predictor_prob(p, lam, 0.0) <= 0.01
         assert predictor_prob(p, lam, 0.0) == pytest.approx(3.4629885e-07, rel=1e-5)
 
@@ -300,7 +297,7 @@ class TestProposedFalseAlarm:
 
     def test_idle_window_regime(self):
         p = params(rho=1.2, L=15)
-        lam = cfar_threshold(FusionConfig(CombinerKind.SLC, 7, 1000), 0.1)
+        lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), 0.1)
         assert abs(qfa_proposed(p, lam) - qfa_approx(p, 1.2 * lam)) <= 1e-4
 
     def test_between_endpoint_rates(self, rng):
@@ -315,7 +312,7 @@ class TestProposedFalseAlarm:
 class TestProposedDetection:
     def test_ordering_when_predictor_reliable(self):
         # idle window, near-zero predictor: strictly lower false alarm
-        lam = cfar_threshold(FusionConfig(CombinerKind.SLC, 7, 1000), 0.1)
+        lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), 0.1)
         p_idle = params(rho=1.1, L=15, M=0)
         assert predictor_prob(p_idle, lam, 0.0) <= 0.01
         assert qfa_proposed(p_idle, lam) < qfa_approx(p_idle, lam)
@@ -348,7 +345,7 @@ class TestProposedRayleigh:
         ],
     )
     def test_tends_to_conventional_as_rho_tends_to_one(self, kind):
-        lam = cfar_threshold(FusionConfig(kind, 7, 1000), 0.1)
+        lam = cfar_threshold(TheoryParams(kind, 7, 1000), 0.1)
         near = qd_proposed_rayleigh(params(kind, rho=1.0 + 1e-9), lam)
         assert near == pytest.approx(qd_rayleigh(params(kind), lam), rel=0, abs=1e-6)
 
@@ -357,10 +354,9 @@ class TestProposedRayleigh:
         # mean combined SNR is essentially certain
         prop = params(rho=1.2, L=15)
         conv = params(L=15)
-        cfg = FusionConfig(CombinerKind.SLC, 7, 1000)
         gate = params(L=15, M=15)
         for t in np.linspace(0.12, 0.5, 10):
-            lam = cfar_threshold(cfg, float(t))
+            lam = cfar_threshold(conv, float(t))
             assert predictor_prob(gate, lam, GBAR) >= 0.99
             assert qd_proposed_rayleigh(prop, lam) > qd_rayleigh(conv, lam)
 
@@ -376,7 +372,7 @@ class TestProposedRayleigh:
             seed=64,
             fading_block="chain",
         )
-        lam = cfar_threshold(scenario.fusion_config(), 0.1)
+        lam = cfar_threshold(scenario.theory_params(), 0.1)
         rates = forced_rates(scenario, True, [lam], derive_rng(64, 7), rho_override=1.2)
         rate = rates.proposed[0]
         value = qd_proposed_rayleigh(scenario.theory_params(rho=1.2), lam)
@@ -388,8 +384,7 @@ class TestMonotonicityAndRange:
     def test_all_outputs_monotone_in_threshold(self, kind):
         p_conv = params(kind)
         p_prop = params(kind, rho=1.15)
-        cfg = FusionConfig(kind, 7, 1000)
-        lams = [cfar_threshold(cfg, t) for t in np.linspace(0.01, 0.9, 12)][::-1]
+        lams = [cfar_threshold(p_conv, t) for t in np.linspace(0.01, 0.9, 12)][::-1]
         functions = (
             lambda lam: qfa_exact(p_conv, lam),
             lambda lam: qfa_approx(p_conv, lam),
@@ -462,7 +457,7 @@ class TestFadingAverageOracle:
         worst = 0.0
         for K in (1, 2, 3, 7, 16, 48):
             for target in (0.01, 0.1, 0.5):
-                lam = cfar_threshold(FusionConfig(kind, K, 1000), target)
+                lam = cfar_threshold(TheoryParams(kind, K, 1000), target)
                 for snr_db in (-25.0, -15.0, -5.0, 0.0):
                     for rho in (1.0, 1.1):
                         p = TheoryParams(kind, K=K, N=1000, gamma_bar=10 ** (snr_db / 10), rho=rho)
@@ -479,7 +474,7 @@ class TestConventionalSeries:
         # the thresholds and counts the equivalence search evaluates
         worst = 0.0
         for K in range(1, 49):
-            lam = cfar_threshold(FusionConfig(CombinerKind.SLC, K, 1000), target)
+            lam = cfar_threshold(TheoryParams(CombinerKind.SLC, K, 1000), target)
             p = params(CombinerKind.SLC, K=K)
             worst = max(worst, abs(qd_rayleigh(p, lam) - fading_quad_oracle(p, lam)))
         assert worst <= 1e-9
@@ -488,7 +483,7 @@ class TestConventionalSeries:
     @pytest.mark.parametrize("snr_db, K", [(-25.0, 1), (0.0, 48)])
     def test_matches_oracle_at_grid_extremes(self, kind, snr_db, K):
         for target in (0.01, 0.1, 0.5):
-            lam = cfar_threshold(FusionConfig(kind, K, 1000), target)
+            lam = cfar_threshold(TheoryParams(kind, K, 1000), target)
             p = TheoryParams(kind, K=K, N=1000, gamma_bar=10 ** (snr_db / 10))
             assert abs(qd_rayleigh(p, lam) - fading_quad_oracle(p, lam)) <= 1e-9
 
@@ -496,7 +491,7 @@ class TestConventionalSeries:
         # the adaptive-quad oracle sits 1.0e-10 off here, so it cannot check this point
         mpmath = pytest.importorskip("mpmath")
         K, N = 7, 1000
-        lam = cfar_threshold(FusionConfig(CombinerKind.MRC, K, N), 0.01)
+        lam = cfar_threshold(TheoryParams(CombinerKind.MRC, K, N), 0.01)
         p = TheoryParams(CombinerKind.MRC, K=K, N=N, gamma_bar=1.0)
         with mpmath.workdps(40):
             x = mpmath.mpf(lam) / 2
@@ -525,7 +520,7 @@ class TestConventionalSeries:
 
         monkeypatch.setattr(theory, "_marcum_q_vec", counting)
         for kind in CombinerKind:
-            lam = cfar_threshold(FusionConfig(kind, 7, 1000), 0.1)
+            lam = cfar_threshold(TheoryParams(kind, 7, 1000), 0.1)
             qd_rayleigh(params(kind), lam)
         assert calls == []
         # the dual-threshold average still integrates the Marcum tails
@@ -610,4 +605,6 @@ class TestParamsValidation:
             TheoryParams(CombinerKind.SLC, K=1, N=1000, rho=0.9)
         with pytest.raises(ValueError):
             TheoryParams(CombinerKind.SLC, K=1, N=1000, L=1)
+        with pytest.raises(ValueError):
+            TheoryParams(CombinerKind.SLC, K=1, N=1000, sigma_sq=0.0)
         assert TheoryParams(CombinerKind.SLC, K=1, N=1000).u == 500
