@@ -40,7 +40,6 @@ from .harness import (
     equivalence_search,
     expected_rho,
     roc_sweep,
-    sweep_param,
 )
 from .theory import NumericError
 
@@ -61,12 +60,10 @@ CSV_COLUMNS = (
 )
 
 SUBCOMMANDS = ("roc", "sweep-l", "sweep-k", "compare", "equivalence", "theory-table")
-SWEEP_L_VALUES = (5, 10, 15, 20)
-SWEEP_K_VALUES = (1, 3, 5, 7)
+# subcommand -> (scenario field, values): dual-threshold curves across the values
+SWEEPS = {"sweep-l": ("history_len", (5, 10, 15, 20)), "sweep-k": ("num_crs", (1, 3, 5, 7))}
 EQUIVALENCE_PROPOSED_CRS = 3
 EQUIVALENCE_K_RANGE = tuple(range(1, 49))
-
-_COMBINER_NAMES = {"slc": CombinerKind.SLC, "mrc": CombinerKind.MRC, "sls": CombinerKind.SLS}
 
 
 class ValidationError(ValueError):
@@ -84,10 +81,10 @@ def _coerce(key: str, raw: str):
         raise ValidationError(f"unknown key {key!r}; valid keys: {', '.join(_FIELD_TYPES)}")
     try:
         if key == "combiner":
-            name = raw.lower()
-            if name not in _COMBINER_NAMES:
-                raise ValueError(f"combiner must be one of {sorted(_COMBINER_NAMES)}")
-            return _COMBINER_NAMES[name]
+            names = sorted(k.value for k in CombinerKind)
+            if raw.lower() not in names:
+                raise ValueError(f"combiner must be one of {names}")
+            return CombinerKind(raw.lower())
         if key == "pfa_grid":
             return tuple(float(part) for part in raw.split(",") if part.strip())
         return _PARSERS[_FIELD_TYPES[key]](raw)
@@ -269,16 +266,13 @@ def _write_artifacts(subcommand: str, scenario: Scenario, out: Path, threads: in
         curves.extend(roc_sweep(scenario, threads=threads, combiners=tuple(CombinerKind)))
         extras["auc"] = {f"{c.scenario.combiner.name}:{c.scheme}": c.auc for c in curves}
         csv_name = "compare.csv"
-    elif subcommand == "sweep-l":
-        curves = sweep_param(scenario, "history_len", SWEEP_L_VALUES, threads=threads)
-        extras["auc_by_history_len"] = {
-            str(v): c.auc for v, c in zip(SWEEP_L_VALUES, curves)
-        }
-        csv_name = "sweep_l.csv"
-    elif subcommand == "sweep-k":
-        curves = sweep_param(scenario, "num_crs", SWEEP_K_VALUES, threads=threads)
-        extras["auc_by_num_crs"] = {str(v): c.auc for v, c in zip(SWEEP_K_VALUES, curves)}
-        csv_name = "sweep_k.csv"
+    elif subcommand in SWEEPS:
+        field, values = SWEEPS[subcommand]
+        for v in values:
+            sweep = roc_sweep(replace(scenario, **{field: v}), threads)
+            curves.extend(c for c in sweep if c.scheme == SCHEME_PROPOSED)
+        extras[f"auc_by_{field}"] = {str(v): c.auc for v, c in zip(values, curves)}
+        csv_name = subcommand.replace("-", "_") + ".csv"
     elif subcommand == "equivalence":
         proposed = replace(scenario, num_crs=EQUIVALENCE_PROPOSED_CRS)
         result = equivalence_search(proposed, EQUIVALENCE_K_RANGE, threads=threads)
@@ -286,11 +280,11 @@ def _write_artifacts(subcommand: str, scenario: Scenario, out: Path, threads: in
         extras["equivalence"] = {
             "k_match": result.k_match,
             "auc_gap": result.auc_gap,
-            "proposed_auc": result.proposed_auc,
+            "proposed_auc": result.proposed_curve.auc,
             "proposed_auc_ci": result.proposed_curve.auc_ci,
             "proposed_num_crs": EQUIVALENCE_PROPOSED_CRS,
-            "searched": list(result.searched),
-            "conventional_aucs": list(result.conventional_aucs),
+            "searched": [c.scenario.num_crs for c in result.conventional_curves],
+            "conventional_aucs": [c.auc for c in result.conventional_curves],
             "conventional_auc_cis": [c.auc_ci for c in result.conventional_curves],
         }
         csv_name = "equivalence.csv"

@@ -39,7 +39,7 @@ across the CFAR grid: a sweep draws once per hypothesis and scores every grid
 threshold on those draws: a grid rate is the count of trial scores at or
 above its threshold.  Each counted trial is the final event of an
 independent freshly-warmed window, which keeps the trials i.i.d.; both
-schemes are read off the same events, whichever of them a sweep returns.
+schemes are read off the same events, and every sweep returns both curves.
 Points on one curve share their draws, so a curve is monotone in the
 threshold trial by trial and its decisions are nested: for thresholds
 ``lam_i <= lam_j`` a trial positive at ``lam_j`` is positive at ``lam_i``,
@@ -153,7 +153,7 @@ class Scenario:
     def gamma_bar(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
 
-    def theory_params(self, rho: float = 1.0, M: int | None = None) -> TheoryParams:
+    def theory_params(self, rho: float = 1.0) -> TheoryParams:
         return TheoryParams(
             kind=self.combiner,
             K=self.num_crs,
@@ -162,7 +162,6 @@ class Scenario:
             gamma_bar=self.gamma_bar,
             rho=rho,
             L=self.history_len,
-            M=M,
         )
 
     def resolved_text(self) -> str:
@@ -216,18 +215,6 @@ class EquivalenceResult:
     proposed_curve: RocCurve
     conventional_curves: tuple[RocCurve, ...]
 
-    @property
-    def proposed_auc(self) -> float:
-        return self.proposed_curve.auc
-
-    @property
-    def searched(self) -> tuple[int, ...]:
-        return tuple(c.scenario.num_crs for c in self.conventional_curves)
-
-    @property
-    def conventional_aucs(self) -> tuple[float, ...]:
-        return tuple(c.auc for c in self.conventional_curves)
-
 
 def derive_rng(seed: int, *tags: int) -> np.random.Generator:
     """Counter-style stream derivation; same inputs give the same stream.
@@ -267,7 +254,6 @@ def _draw_events(
     rng: np.random.Generator,
     shape: tuple[int, ...],
     signal: bool,
-    gamma_per_row: bool = False,
     sizes: np.ndarray | None = None,
     kinds: Sequence[CombinerKind] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -276,8 +262,9 @@ def _draw_events(
     ``signal`` is whether the PU transmits.  The fading gains are drawn
     either way; without the PU the energies take numpy's central chi-square,
     with it the noncentral one at noncentrality ``N * gain / scale``.  With
-    ``gamma_per_row`` the fading draw is shared along each row of a 2-D
-    ``shape`` (block fading over a window).
+    ``scenario.fading_block == "chain"`` and a 2-D ``(trials, L)`` ``shape``
+    the fading draw is shared along each window (block fading); single
+    events fade independently either way.
 
     ``kinds`` (distinct combiners; default the scenario's own) reads every
     listed combiner off the one draw of gains and variances, and the energy
@@ -297,7 +284,7 @@ def _draw_events(
     full = (*shape, scenario.num_crs)
     if scenario.channel_kind == "awgn":
         gamma = np.broadcast_to(np.float64(scenario.gamma_bar), full)
-    elif gamma_per_row:
+    elif scenario.fading_block == "chain" and len(shape) == 2:
         row_gamma = rng.exponential(scenario.gamma_bar, (shape[0], 1, scenario.num_crs))
         gamma = np.broadcast_to(row_gamma, full)
     else:
@@ -462,16 +449,13 @@ def forced_rates(
     if lams.ndim != 2 or lams.shape[0] != len(kinds):
         raise ValueError("lams must hold one threshold vector per combiner")
     length = scenario.history_len
-    gamma_per_row = scenario.fading_block == "chain"
     per_chunk = max(1, _CHUNK_CELLS // (scenario.num_crs * length))
     conv_counts = np.zeros(lams.shape, dtype=np.int64)
     prop_counts = np.zeros_like(conv_counts)
     rho_total = 0.0
     for chunk, step in enumerate(_chunked(scenario.trials, per_chunk)):
         stream = rng.spawn(1)[0] if chunk else rng
-        energies, sig_mean = _draw_events(
-            scenario, stream, (step, length), h1, gamma_per_row, kinds=kinds
-        )
+        energies, sig_mean = _draw_events(scenario, stream, (step, length), h1, kinds=kinds)
         # combiner, window: the rho of each window serves every combiner
         scores, rho = _dual_score(energies, sig_mean, rho_override)
         rho_total += float(rho.sum())
@@ -517,11 +501,6 @@ def _dual_score(
     return np.where(high > mean, high, np.minimum(mean, factor * newest)), rho
 
 
-def _check_scheme(scheme: str) -> None:
-    if scheme not in (SCHEME_CONVENTIONAL, SCHEME_PROPOSED):
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def _theory_columns(
     scenario: Scenario, scheme: str, lam: float, rho: float
 ) -> tuple[float, float]:
@@ -532,35 +511,29 @@ def _theory_columns(
     return qfa_proposed(params, lam), qd_proposed_rayleigh(params, lam)
 
 
-def trapezoid_auc(points: Sequence[tuple[float, float]]) -> float:
-    """Area under the (pfa, pd) polyline anchored at (0, 0) and (1, 1)."""
-    path = sorted(points)
-    xs = np.array([0.0] + [p[0] for p in path] + [1.0])
-    ys = np.array([0.0] + [p[1] for p in path] + [1.0])
-    return 0.5 * float(np.sum((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1])))
-
-
 def _auc_with_ci(
     points: Sequence[RocPoint], cov_pfa: np.ndarray, cov_pd: np.ndarray
 ) -> tuple[float, float]:
     """AUC of the empirical points and its 3-sigma half-width by the paired delta method.
 
-    The points of one curve share their draws, so they are correlated.
-    ``cov_pfa`` and ``cov_pd`` are the per-trial covariances of the decision
-    vectors over the points (in ``points`` order) under H0 and H1, which are
-    drawn independently of each other: ``var = g_x^T C0 g_x / n + g_y^T C1 g_y / n``
-    with ``g`` the gradient of the trapezoid area in the points' coordinates.
+    The AUC is the area under the (pfa, pd) polyline through the points in
+    ascending order, anchored at (0, 0) and (1, 1).  The points of one curve
+    share their draws, so they are correlated.  ``cov_pfa`` and ``cov_pd``
+    are the per-trial covariances of the decision vectors over the points
+    (in ``points`` order) under H0 and H1, which are drawn independently of
+    each other: ``var = g_x^T C0 g_x / n + g_y^T C1 g_y / n`` with ``g`` the
+    gradient of the trapezoid area in the points' coordinates.
     """
-    pairs = [(p.empirical_pfa, p.empirical_pd) for p in points]
-    pfa, pd = np.array(pairs).T
-    order = np.lexsort((pd, pfa))  # the order trapezoid_auc walks the points in
+    pfa, pd = np.array([(p.empirical_pfa, p.empirical_pd) for p in points]).T
+    order = np.lexsort((pd, pfa))  # by pfa, ties by pd
     xs = np.concatenate(([0.0], pfa[order], [1.0]))
     ys = np.concatenate(([0.0], pd[order], [1.0]))
-    g_x, g_y = np.empty(len(pairs)), np.empty(len(pairs))
+    g_x, g_y = np.empty(len(points)), np.empty(len(points))
     g_x[order] = (ys[:-2] - ys[2:]) / 2.0
     g_y[order] = (xs[2:] - xs[:-2]) / 2.0
     var = (g_x @ cov_pfa @ g_x + g_y @ cov_pd @ g_y) / points[0].trials
-    return trapezoid_auc(pairs), 3.0 * float(np.sqrt(max(var, 0.0)))
+    auc = 0.5 * float(np.sum((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1])))
+    return auc, 3.0 * float(np.sqrt(max(var, 0.0)))
 
 
 def _per_hypothesis(regime, threads: int) -> tuple:
@@ -606,27 +579,21 @@ def _curve(
 
 def roc_sweep(
     scenario: Scenario,
-    schemes: Sequence[str] = (SCHEME_CONVENTIONAL, SCHEME_PROPOSED),
     threads: int = 1,
     combiners: Sequence[CombinerKind] | None = None,
 ) -> tuple[RocCurve, ...]:
-    """ROC curves, combiner-major and each in the requested order, from one draw per hypothesis.
+    """The conventional and then the dual-threshold ROC curve of each combiner, combiner-major.
 
     ``combiners`` defaults to the scenario's own; each curve carries the
     scenario with its combiner.  Thresholds come from CFAR inversion of the
     grid.  Per hypothesis, every combiner reads one :func:`forced_rates`
     call, one draw of fading gains and noise variances, on the sweep's
     stream, so each combiner's curves equal those of a sweep of that
-    combiner alone.  Every grid threshold is scored on those draws;
-    ``schemes`` only selects which curves come back, so scheme comparisons
-    are exactly paired.  ``threads > 1`` runs the two hypotheses
-    concurrently.  Fewer than 100 trials raise a ``UserWarning``, since the
-    intervals are then wide.
+    combiner alone.  Every grid threshold and both rules are scored on those
+    draws, so scheme comparisons are exactly paired.  ``threads > 1`` runs
+    the two hypotheses concurrently.  Fewer than 100 trials raise a
+    ``UserWarning``, since the intervals are then wide.
     """
-    if isinstance(schemes, str) or not schemes:
-        raise ValueError("schemes must be a non-empty sequence of scheme names")
-    for scheme in schemes:
-        _check_scheme(scheme)
     kinds = (scenario.combiner,) if combiners is None else tuple(combiners)
     if not kinds or len(set(kinds)) != len(kinds):
         raise ValueError("combiners must be a non-empty sequence of distinct combiner kinds")
@@ -647,31 +614,10 @@ def roc_sweep(
 
     curves = []
     for kind, pfa, pd in zip(kinds, *_per_hypothesis(regime, threads)):
-        for s in schemes:  # ForcedRates names its fields after the schemes
-            rho = pfa.mean_rho if s == SCHEME_PROPOSED else 1.0
-            curves.append(_curve(subs[kind], s, lams[kind], getattr(pfa, s), getattr(pd, s), rho))
+        sub, grid = subs[kind], lams[kind]
+        curves.append(_curve(sub, SCHEME_CONVENTIONAL, grid, pfa.conventional, pd.conventional, 1.0))
+        curves.append(_curve(sub, SCHEME_PROPOSED, grid, pfa.proposed, pd.proposed, pfa.mean_rho))
     return tuple(curves)
-
-
-def sweep_param(
-    base: Scenario,
-    param: str,
-    values: Sequence[int],
-    threads: int = 1,
-) -> list[RocCurve]:
-    """Dual-threshold curves across history lengths or sensor counts.
-
-    All curves share the base seed so comparisons are paired.
-    """
-    if param not in ("history_len", "num_crs"):
-        raise ValueError("param must be 'history_len' or 'num_crs'")
-    if not values:
-        raise ValueError("values must not be empty")
-    curves = []
-    for value in values:
-        scenario = replace(base, **{param: int(value)})
-        curves.extend(roc_sweep(scenario, (SCHEME_PROPOSED,), threads=threads))
-    return curves
 
 
 def equivalence_search(
@@ -774,7 +720,8 @@ def run_regime_sampled(
     when ``h1`` and H0 otherwise.  Intended for cross-validation at modest
     trial counts.
     """
-    _check_scheme(scheme)
+    if scheme not in (SCHEME_CONVENTIONAL, SCHEME_PROPOSED):
+        raise ValueError(f"unknown scheme {scheme!r}")
     if rng is None:
         rng = derive_rng(scenario.seed, _TAG_SAMPLED)
     hyp = Hypothesis.H1 if h1 else Hypothesis.H0

@@ -218,6 +218,11 @@ def qd_awgn_exact(p: TheoryParams, lam: float, snr: float) -> float:
 
 
 def _warn_small_n(p: TheoryParams) -> None:
+    """Warn below ``GAUSSIAN_WARN_FLOOR``.
+
+    ``stacklevel=3`` names the caller of the function that calls this, so
+    only public entry points call it, each once and directly.
+    """
     if p.N < GAUSSIAN_WARN_FLOOR:
         warnings.warn(
             f"N={p.N} is small; Gaussian approximations may be inaccurate",
@@ -244,9 +249,18 @@ def _h1_moments(p: TheoryParams, snr):
     return scale * s2 * boost, 2.0 * scale * s2 * s2 * boost * boost
 
 
+def _gaussian_rate(p: TheoryParams, lam: float, snr: float) -> float:
+    """Gaussian positive rate at ``lam`` with every sensor at ``snr``; never warns."""
+    tail = _gaussian_tail(lam, *_h1_moments(p, snr))
+    if p.kind is CombinerKind.SLS:
+        tail = _sls_complement_power(tail, p.K)
+    return float(tail)
+
+
 def qfa_approx(p: TheoryParams, lam: float) -> float:
     """Gaussian (CLT) false-alarm probability of the combined statistic."""
-    return qd_awgn_approx(p, lam, 0.0)
+    _warn_small_n(p)
+    return _gaussian_rate(p, lam, 0.0)
 
 
 def qd_awgn_approx(p: TheoryParams, lam: float, snr: float) -> float:
@@ -254,11 +268,7 @@ def qd_awgn_approx(p: TheoryParams, lam: float, snr: float) -> float:
     if snr < 0.0:
         raise ValueError("snr must be nonnegative")
     _warn_small_n(p)
-    mean, var = _h1_moments(p, snr)
-    tail = _gaussian_tail(lam, mean, var)
-    if p.kind is CombinerKind.SLS:
-        tail = _sls_complement_power(tail, p.K)
-    return float(tail)
+    return _gaussian_rate(p, lam, snr)
 
 
 def _fading_upper_limit(p: TheoryParams) -> float:
@@ -441,17 +451,19 @@ def predictor_prob(p: TheoryParams, lam: float, snr: float) -> float:
     return float(_gaussian_tail(lam, mu_avg, sigma_avg_sq))
 
 
-def qfa_proposed(p: TheoryParams, lam: float, snr: float = 0.0) -> float:
+def qfa_proposed(p: TheoryParams, lam: float) -> float:
     """Dual-threshold false-alarm probability.
 
     Convex combination of the Gaussian false-alarm rates at the favourable
     and guarded thresholds, weighted by the predictor; the window is
     noise-only (``M = 0``) unless ``p.M`` overrides it.
     """
+    _warn_small_n(p)
     if p.rho == 1.0:  # both thresholds coincide; skip the mixture entirely
-        return qfa_approx(p, lam)
-    w = predictor_prob(p if p.M is not None else replace(p, M=0), lam, snr)
-    return w * qfa_approx(p, lam / p.rho) + (1.0 - w) * qfa_approx(p, p.rho * lam)
+        return _gaussian_rate(p, lam, 0.0)
+    w = predictor_prob(p if p.M is not None else replace(p, M=0), lam, 0.0)
+    favourable, guarded = _gaussian_rate(p, lam / p.rho, 0.0), _gaussian_rate(p, p.rho * lam, 0.0)
+    return w * favourable + (1.0 - w) * guarded
 
 
 def qd_proposed_rayleigh(p: TheoryParams, lam: float) -> float:

@@ -16,6 +16,8 @@ so the suite stays green while the failures remain visible and pinned:
   (criterion 9).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,7 +33,6 @@ from css_lab.harness import (
     equivalence_search,
     forced_rates,
     roc_sweep,
-    sweep_param,
 )
 from css_lab.theory import (
     TheoryParams,
@@ -262,10 +263,15 @@ def test_criterion_05_detection_ratio_saturating_combiners(kind):
     assert ok
 
 
+def _proposed_curves(base: Scenario, field: str, values) -> list:
+    """The dual-threshold curve of one paired sweep per value of ``field``."""
+    return [roc_sweep(replace(base, **{field: v}))[1] for v in values]
+
+
 def test_criterion_06_history_sweep_ordering():
     base = Scenario(trials=10_000, seed=SEED)
     values = (5, 10, 15, 20)
-    curves = sweep_param(base, "history_len", values)
+    curves = _proposed_curves(base, "history_len", values)
     aucs = [c.auc for c in curves]
     cis = [c.auc_ci for c in curves]
     ok = all(
@@ -279,7 +285,7 @@ def test_criterion_06_history_sweep_ordering():
 def test_criterion_07_sensor_sweep_ordering():
     base = Scenario(trials=10_000, seed=SEED)
     values = (1, 3, 5, 7)
-    curves = sweep_param(base, "num_crs", values)
+    curves = _proposed_curves(base, "num_crs", values)
     aucs = [c.auc for c in curves]
     cis = [c.auc_ci for c in curves]
     ok = all(
@@ -296,13 +302,14 @@ def test_criterion_08_sensor_count_equivalence():
     # either a conventional K >= 15 closes the gap, or nothing in the range
     # does and the certified sensor reduction is at least 48/3 = 16x
     ok = result.k_match >= 15 or (result.k_match == -1 and result.auc_gap > 0)
-    same_k_gap = result.proposed_auc - result.conventional_aucs[0]
+    proposed_auc = result.proposed_curve.auc
+    same_k_gap = proposed_auc - result.conventional_curves[0].auc
     report(
         8,
         "dual-threshold K=3 vs conventional sensor sweep",
         ok and same_k_gap > 0,
         f"k_match {result.k_match}, residual gap {result.auc_gap:.4f}, "
-        f"proposed auc {result.proposed_auc:.4f}",
+        f"proposed auc {proposed_auc:.4f}",
     )
     assert ok
     assert same_k_gap > 0

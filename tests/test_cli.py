@@ -12,6 +12,7 @@ import scipy
 from css_lab import harness
 from css_lab.cli import (
     CSV_COLUMNS,
+    SWEEPS,
     ValidationError,
     _theory_gap,
     main,
@@ -109,6 +110,23 @@ class TestRunCommand:
         scen = parse_scenario(_fast_scenario_file(tmp_path))
         manifest = run_command("sweep-k", scen, tmp_path / "k")
         assert set(manifest["auc_by_num_crs"]) == {"1", "3", "5", "7"}
+
+    @pytest.mark.parametrize("command", ["sweep-l", "sweep-k"])
+    def test_sweep_rows_are_the_proposed_rows_of_roc(self, command, tmp_path):
+        # each value's rows are the dual-threshold rows of a roc run at that value
+        field, values = SWEEPS[command]
+        scen = parse_scenario(_fast_scenario_file(tmp_path, trials=300))
+        manifest = run_command(command, scen, tmp_path / "s")
+        name = command.replace("-", "_") + ".csv"
+        rows = (tmp_path / "s" / name).read_text().splitlines()[1:]
+        expected = []
+        for v in values:
+            sub = dataclasses.replace(scen, **{field: v})
+            run_command("roc", sub, tmp_path / f"roc{v}")
+            roc_rows = (tmp_path / f"roc{v}" / "roc.csv").read_text().splitlines()[1:]
+            expected.extend(r for r in roc_rows if r.split(",")[2] == "proposed")
+            assert manifest[f"auc_by_{field}"][str(v)] == roc_sweep(sub)[1].auc
+        assert rows == expected
 
     def test_equivalence_manifest_records_search(self, tmp_path):
         scen = parse_scenario(_fast_scenario_file(tmp_path, trials=400))
@@ -265,10 +283,15 @@ GOLDEN_SHA256 = {
     "sweep-l": "c36a6139de2b9f5a0a3a23c95bb3ec3b0a67174381480d67e7eee78ff6e82d8e",
     "theory-table": "a563d26e3410ccefedff86c71cde612914f82a8cb1e7e7db11df12614e2f43ed",
 }
-# manifest bytes without the started_at line; the equivalence manifest carries
-# every curve's AUC half-width, which no CSV does
+# manifest bytes without the started_at line: they pin what no CSV carries, such as
+# the per-curve AUCs, the equivalence search's AUC half-widths and the theory gaps
 GOLDEN_MANIFEST_SHA256 = {
+    "compare": "0267e406f149edc2298e8e522f304e9ad0183889ca2ec3db82deff03992b5771",
     "equivalence": "64814cc663fdc753c618521953826ca3e9acef29321508b3ce11baa82a161f2f",
+    "roc": "08e3b4099253434571b5b14e013b342b7caa80f90e22b1c355a3e078fc6d2a06",
+    "sweep-k": "7643566f6178c9ae1fa0f1999c1c2778a3f50122bd6eeee7965a39e5a9b77d52",
+    "sweep-l": "c8f551f66f14a91cd3f6968ab2424559751d580b1aea8831d1c3dade6485e91f",
+    "theory-table": "4ab8d8c505d9b1a3ee222f61d017287159d403680f981aa1d922da347e157169",
 }
 
 
@@ -284,11 +307,9 @@ def test_golden_csv_digest(command, tmp_path):
     run_command(command, scen, tmp_path)
     name = command.replace("-", "_") + ".csv"
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN_SHA256[command]
-    if command in GOLDEN_MANIFEST_SHA256:
-        lines = (tmp_path / "manifest.json").read_text().splitlines(keepends=True)
-        kept = "".join(line for line in lines if '"started_at"' not in line)
-        digest = hashlib.sha256(kept.encode()).hexdigest()
-        assert digest == GOLDEN_MANIFEST_SHA256[command]
+    lines = (tmp_path / "manifest.json").read_text().splitlines(keepends=True)
+    kept = "".join(line for line in lines if '"started_at"' not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN_MANIFEST_SHA256[command]
 
 
 class TestMain:

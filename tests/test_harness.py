@@ -22,8 +22,6 @@ from css_lab.harness import (
     forced_rates,
     roc_sweep,
     run_regime_sampled,
-    sweep_param,
-    trapezoid_auc,
 )
 
 
@@ -262,8 +260,9 @@ class TestNestedSizes:
         # no uncertainty: the schemes coincide, so K=3 closes the gap
         sc = Scenario(uncertainty_db=0.0, num_crs=3, trials=2_000, seed=36, pfa_grid=(0.1, 0.3))
         result = equivalence_search(sc, k_range=(1, 3, 6, 12, 24))
-        assert result.k_match == 3 and result.searched == (1, 3)
-        assert sorted(seen) == sorted(result.searched * len(sc.pfa_grid))
+        searched = [c.scenario.num_crs for c in result.conventional_curves]
+        assert result.k_match == 3 and searched == [1, 3]
+        assert sorted(seen) == sorted(searched * len(sc.pfa_grid))
 
 
 class TestRollingEngineEquivalence:
@@ -346,7 +345,7 @@ class TestSampledReference:
 class TestRocSweep:
     def test_single_median_point(self):
         sc = Scenario(uncertainty_db=0.0, trials=20_000, seed=8, pfa_grid=(0.5,))
-        (curve,) = roc_sweep(sc, ("conventional",))
+        curve, _ = roc_sweep(sc)
         point = curve.points[0]
         assert abs(point.empirical_pfa - 0.5) <= point.empirical_pfa_ci
 
@@ -362,12 +361,10 @@ class TestRocSweep:
         assert prop.mean_rho == 1.0
 
     def test_thread_count_does_not_change_results(self):
-        # both curves of a paired sweep, and a single-scheme request
         sc = Scenario(trials=3_000, seed=10, pfa_grid=(0.05, 0.1, 0.2, 0.4))
-        for schemes in (("conventional", "proposed"), ("conventional",)):
-            serial = roc_sweep(sc, schemes, threads=1)
-            for threads in (2, 4):
-                assert roc_sweep(sc, schemes, threads=threads) == serial
+        serial = roc_sweep(sc, threads=1)
+        for threads in (2, 4):
+            assert roc_sweep(sc, threads) == serial
 
     def test_repeatable(self):
         sc = Scenario(trials=2_000, seed=11, pfa_grid=(0.1, 0.3))
@@ -375,7 +372,7 @@ class TestRocSweep:
 
     def test_conventional_tracks_theory(self):
         sc = Scenario(uncertainty_db=0.0, trials=30_000, seed=12, pfa_grid=(0.05, 0.1, 0.3))
-        (curve,) = roc_sweep(sc, ("conventional",))
+        curve, _ = roc_sweep(sc)
         for p in curve.points:
             assert abs(p.empirical_pfa - p.theory_pfa) <= max(0.01, p.empirical_pfa_ci)
             assert abs(p.empirical_pd - p.theory_pd) <= p.empirical_pd_ci
@@ -384,7 +381,7 @@ class TestRocSweep:
         # raw points are reported unregularized; monotonicity along the curve
         # holds within the confidence half-widths
         sc = Scenario(trials=20_000, seed=23)
-        (curve,) = roc_sweep(sc, ("proposed",))
+        _, curve = roc_sweep(sc)
         targets = [p.target_pfa for p in curve.points]
         assert targets == sorted(targets)
         path = sorted((p.empirical_pfa, p.empirical_pd, p.empirical_pd_ci) for p in curve.points)
@@ -393,7 +390,7 @@ class TestRocSweep:
 
 
 class TestOnePass:
-    """A sweep draws once per hypothesis, whatever the grid size or the schemes."""
+    """A sweep draws once per hypothesis, whatever the grid size."""
 
     GRIDS = ((0.1,), (0.05, 0.1, 0.3), (0.01, 0.03, 0.1, 0.2, 0.3, 0.5))
 
@@ -410,34 +407,19 @@ class TestOnePass:
             monkeypatch.setattr(harness, name, counted)
         return counts
 
-    @pytest.mark.parametrize(
-        "schemes",
-        [
-            ("conventional", "proposed"),
-            ("proposed",),
-            ("proposed", "conventional"),
-            ("conventional",),
-        ],
-    )
-    def test_two_forced_calls_per_point(self, calls, schemes):
-        # one forced_rates call per hypothesis scores every point of the grid
+    def test_two_forced_calls_per_point(self, calls):
+        # one forced_rates call per hypothesis scores every point of the grid, for both rules
         for grid in self.GRIDS:
             calls.update(forced_rates=0, conventional_rate=0)
-            curves = roc_sweep(Scenario(trials=500, seed=24, pfa_grid=grid), schemes)
-            assert [c.scheme for c in curves] == list(schemes)
-            assert [len(c.points) for c in curves] == [len(grid)] * len(schemes)
+            curves = roc_sweep(Scenario(trials=500, seed=24, pfa_grid=grid))
+            assert [c.scheme for c in curves] == ["conventional", "proposed"]
+            assert [len(c.points) for c in curves] == [len(grid)] * 2
             assert calls == {"forced_rates": 2, "conventional_rate": 0}
-
-    def test_schemes_validation(self):
-        sc = Scenario(trials=200, seed=24, pfa_grid=self.GRIDS[1])
-        for bad in ("proposed", (), ("hybrid",)):
-            with pytest.raises(ValueError):
-                roc_sweep(sc, bad)
 
     def test_equivalence_reuses_paired_curve(self, calls):
         sc = Scenario(num_crs=3, trials=500, seed=25, pfa_grid=self.GRIDS[1])
         result = equivalence_search(sc, k_range=(2, 3, 4))
-        assert result.searched == (2, 3, 4)
+        assert [c.scenario.num_crs for c in result.conventional_curves] == [2, 3, 4]
         # paired sweep at K=3; K=2 and K=4 share one nested draw at K=4 per hypothesis
         assert calls == {"forced_rates": 2, "conventional_rate": 2}
         paired, proposed = roc_sweep(sc)
@@ -465,7 +447,7 @@ class TestSharedWindowDraw:
             channel_kind=channel_kind,
             fading_block=fading_block,
         )
-        shared = roc_sweep(sc, threads=threads, combiners=self.KINDS)
+        shared = roc_sweep(sc, threads, self.KINDS)
         alone = [
             curve
             for kind in self.KINDS
@@ -524,7 +506,7 @@ class TestSharedWindowDraw:
         # 600 trials of 5 x 4 cells in chunks of 12 windows: 50 chunks per hypothesis
         monkeypatch.setattr(harness, "_CHUNK_CELLS", 250)
         sc = Scenario(trials=600, seed=45, num_crs=4, history_len=5, pfa_grid=(0.05, 0.2, 0.4))
-        shared = roc_sweep(sc, threads=threads, combiners=self.KINDS)
+        shared = roc_sweep(sc, threads, self.KINDS)
         alone = [
             curve
             for kind in self.KINDS
@@ -637,9 +619,7 @@ class TestCommonRandomNumbers:
         covariance = {}
         for h in (0, 1):
             rng = derive_rng(sc.seed, harness._TAG_SWEEP, h)
-            energy, sig_mean = harness._draw_events(
-                sc, rng, (sc.trials, sc.history_len), bool(h), fading_block == "chain"
-            )
+            energy, sig_mean = harness._draw_events(sc, rng, (sc.trials, sc.history_len), bool(h))
             rho = np.maximum(1.0, sig_mean.max(axis=-1) / sig_mean.mean(axis=-1))[:, None]
             predicted = energy.mean(axis=-1)[:, None] >= lams
             lam_new = np.where(predicted, lams / rho, rho * lams)
@@ -697,20 +677,20 @@ class TestPairedRun:
 
 class TestSweepsAndAuc:
     def test_trapezoid_basics(self):
-        assert trapezoid_auc([(0.5, 0.5)]) == pytest.approx(0.5)
-        assert trapezoid_auc([(0.0, 1.0)]) == pytest.approx(1.0)
-        assert trapezoid_auc([(0.2, 0.9), (0.1, 0.7)]) == pytest.approx(
-            trapezoid_auc([(0.1, 0.7), (0.2, 0.9)])
-        )
-
-    def test_auc_with_ci_uses_trapezoid_auc(self):
-        sc = Scenario(trials=2_000, seed=18, pfa_grid=(0.05, 0.1, 0.3))
-        zero = np.zeros((3, 3))
-        for curve in roc_sweep(sc):
-            pairs = [(p.empirical_pfa, p.empirical_pd) for p in curve.points]
-            auc, ci = harness._auc_with_ci(curve.points, zero, zero)
-            assert auc == trapezoid_auc(pairs) == curve.auc
+        def auc(*pairs):
+            points = [
+                harness.RocPoint(0.1, 1.0, x, 0.0, y, 0.0, 0.0, 0.0, 100) for x, y in pairs
+            ]
+            zero = np.zeros((len(points), len(points)))
+            value, ci = harness._auc_with_ci(points, zero, zero)
             assert ci == 0.0
+            return value
+
+        assert auc((0.5, 0.5)) == pytest.approx(0.5)
+        assert auc((0.0, 1.0)) == pytest.approx(1.0)
+        assert auc((0.2, 0.9), (0.1, 0.7)) == auc((0.1, 0.7), (0.2, 0.9))
+        # ties in pfa are walked in ascending pd
+        assert auc((0.3, 0.8), (0.3, 0.6)) == pytest.approx(0.5 * 0.3 * 0.6 + 0.7 * 0.9)
 
     def test_auc_ci_reduces_to_independent_points(self):
         # with uncorrelated points the paired estimator is the per-point
@@ -743,21 +723,6 @@ class TestSweepsAndAuc:
         for scheme in ("conventional", "proposed"):
             ratio = np.mean(sds[scheme]) / np.std(aucs[scheme], ddof=1)
             assert 0.75 <= ratio <= 1.33, (scheme, ratio)
-
-    def test_sweep_param_single_value_matches_roc(self):
-        base = Scenario(trials=2_000, seed=18, pfa_grid=(0.1, 0.3))
-        curves = sweep_param(base, "history_len", (15,))
-        assert len(curves) == 1
-        assert curves == list(roc_sweep(base, ("proposed",)))
-
-    def test_sweep_param_validation(self):
-        base = Scenario(trials=200, seed=18)
-        with pytest.raises(ValueError):
-            sweep_param(base, "snr_db", (1, 2))
-        with pytest.raises(ValueError):
-            sweep_param(base, "history_len", ())
-        with pytest.raises(ValueError):
-            sweep_param(base, "history_len", (1,))
 
     def test_equivalence_degenerate_match(self):
         # with no uncertainty the schemes coincide, so the proposed sensor

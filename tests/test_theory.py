@@ -232,6 +232,22 @@ class TestGaussianTails:
         with pytest.warns(UserWarning):
             qfa_approx(params(N=50), 350.0)
 
+    @pytest.mark.parametrize("rho", [1.0, 1.2])
+    def test_small_n_warning_names_the_caller(self, rho):
+        # each public entry point warns once, from the line that called it
+        p = params(N=64, rho=rho)
+        calls = (
+            lambda: cfar_threshold(p, 0.1),
+            lambda: qfa_approx(p, 500.0),
+            lambda: qd_awgn_approx(p, 500.0, GBAR),
+            lambda: qfa_proposed(p, 500.0),
+        )
+        for call in calls:
+            with pytest.warns(UserWarning, match="N=64 is small") as record:
+                call()
+            assert len(record) == 1
+            assert [w.filename for w in record] == [__file__]
+
 
 class TestAvgStats:
     def test_idle_window(self):
