@@ -407,13 +407,28 @@ class TestOnePass:
             monkeypatch.setattr(harness, name, counted)
         return counts
 
-    def test_two_forced_calls_per_point(self, calls):
-        # one forced_rates call per hypothesis scores every point of the grid, for both rules
+    @pytest.mark.parametrize(
+        "combiners",
+        [
+            None,
+            (CombinerKind.SLS,),
+            (CombinerKind.MRC, CombinerKind.SLC),
+            (CombinerKind.SLC, CombinerKind.MRC, CombinerKind.SLS),
+        ],
+        ids=["own", "sls", "mrc-slc", "slc-mrc-sls"],
+    )
+    def test_two_forced_calls_per_point(self, calls, combiners):
+        # one forced_rates call per hypothesis scores every point of the grid,
+        # for both rules and every combiner
         for grid in self.GRIDS:
             calls.update(forced_rates=0, conventional_rate=0)
-            curves = roc_sweep(Scenario(trials=500, seed=24, pfa_grid=grid))
-            assert [c.scheme for c in curves] == ["conventional", "proposed"]
-            assert [len(c.points) for c in curves] == [len(grid)] * 2
+            sc = Scenario(trials=500, seed=24, pfa_grid=grid)
+            curves = roc_sweep(sc, combiners=combiners)
+            kinds = (sc.combiner,) if combiners is None else combiners
+            assert [(c.scenario.combiner, c.scheme) for c in curves] == [
+                (kind, scheme) for kind in kinds for scheme in ("conventional", "proposed")
+            ]
+            assert [len(c.points) for c in curves] == [len(grid)] * 2 * len(kinds)
             assert calls == {"forced_rates": 2, "conventional_rate": 0}
 
     def test_equivalence_reuses_paired_curve(self, calls):
@@ -691,6 +706,19 @@ class TestSweepsAndAuc:
         assert auc((0.2, 0.9), (0.1, 0.7)) == auc((0.1, 0.7), (0.2, 0.9))
         # ties in pfa are walked in ascending pd
         assert auc((0.3, 0.8), (0.3, 0.6)) == pytest.approx(0.5 * 0.3 * 0.6 + 0.7 * 0.9)
+
+    def test_curve_auc_is_trapezoid_of_its_points(self):
+        # a sweep's AUC is the anchored trapezoid area under its own points,
+        # and _auc_with_ci with zero covariances returns it with a zero half-width
+        sc = Scenario(trials=2_000, seed=18, pfa_grid=(0.05, 0.1, 0.3))
+        zero = np.zeros((3, 3))
+        for curve in roc_sweep(sc):
+            path = [(0.0, 0.0)]
+            path += sorted((p.empirical_pfa, p.empirical_pd) for p in curve.points)
+            path += [(1.0, 1.0)]
+            area = sum((x1 - x0) * (y1 + y0) / 2 for (x0, y0), (x1, y1) in zip(path, path[1:]))
+            assert curve.auc == pytest.approx(area, rel=1e-12)
+            assert harness._auc_with_ci(curve.points, zero, zero) == (curve.auc, 0.0)
 
     def test_auc_ci_reduces_to_independent_points(self):
         # with uncorrelated points the paired estimator is the per-point
