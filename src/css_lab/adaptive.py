@@ -38,49 +38,17 @@ class AdaptiveDecision:
 
 
 class FusionState:
-    """Rolling window of combined energies and mean noise variances.
-
-    Sums are maintained incrementally and the window maximum with a
-    monotonic queue, so a push costs amortised constant time regardless of
-    the window length.
-    """
+    """Rolling window of the last ``capacity`` combined energies and mean noise variances."""
 
     def __init__(self, capacity: int):
         if capacity < 2:
             raise ValueError("capacity must be at least 2")
         self.capacity = capacity
-        self._energy: deque[float] = deque()
-        self._variance: deque[float] = deque()
-        self._energy_sum = 0.0
-        self._variance_sum = 0.0
-        # (push index, value) pairs, values strictly decreasing front to back
-        self._max_queue: deque[tuple[int, float]] = deque()
-        self._pushed = 0
+        self.energy: deque[float] = deque(maxlen=capacity)
+        self.variance: deque[float] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
-        return len(self._energy)
-
-    @property
-    def energy_history(self) -> tuple[float, ...]:
-        return tuple(self._energy)
-
-    @property
-    def variance_history(self) -> tuple[float, ...]:
-        return tuple(self._variance)
-
-    @property
-    def running_energy_sum(self) -> float:
-        return self._energy_sum
-
-    @property
-    def running_variance_sum(self) -> float:
-        return self._variance_sum
-
-    @property
-    def running_variance_max(self) -> float:
-        if not self._max_queue:
-            raise ValueError("no variance entries yet")
-        return self._max_queue[0][1]
+        return len(self.energy)
 
 
 def push_event(state: FusionState, e_comb: float, sigma_mean_sq: float) -> FusionState:
@@ -88,22 +56,8 @@ def push_event(state: FusionState, e_comb: float, sigma_mean_sq: float) -> Fusio
 
     Mutates ``state`` in place and returns it for chaining.
     """
-    if len(state._energy) == state.capacity:
-        old_e = state._energy.popleft()
-        old_v = state._variance.popleft()
-        state._energy_sum -= old_e
-        state._variance_sum -= old_v
-        evicted_index = state._pushed - state.capacity
-        if state._max_queue and state._max_queue[0][0] == evicted_index:
-            state._max_queue.popleft()
-    state._energy.append(e_comb)
-    state._variance.append(sigma_mean_sq)
-    state._energy_sum += e_comb
-    state._variance_sum += sigma_mean_sq
-    while state._max_queue and state._max_queue[-1][1] <= sigma_mean_sq:
-        state._max_queue.pop()
-    state._max_queue.append((state._pushed, sigma_mean_sq))
-    state._pushed += 1
+    state.energy.append(e_comb)
+    state.variance.append(sigma_mean_sq)
     return state
 
 
@@ -117,7 +71,7 @@ def predict_activity(state: FusionState, lambda_base: float) -> tuple[float, Hyp
         raise WarmupIncompleteError(
             f"history holds {len(state)} of {state.capacity} events"
         )
-    e_avg = state.running_energy_sum / state.capacity
+    e_avg = sum(state.energy) / state.capacity
     predicted = Hypothesis.H1 if e_avg >= lambda_base else Hypothesis.H0
     return e_avg, predicted
 
@@ -131,8 +85,7 @@ def estimate_rho(state: FusionState) -> float:
     n = len(state)
     if n < 1:
         raise ValueError("variance history is empty")
-    mean = state.running_variance_sum / n
-    return max(1.0, state.running_variance_max / mean)
+    return max(1.0, max(state.variance) / (sum(state.variance) / n))
 
 
 def dynamic_threshold(lambda_base: float, rho: float, predicted: Hypothesis) -> float:

@@ -51,10 +51,7 @@ def combine(kind: CombinerKind, reports: Sequence[SensingReport]) -> float:
     return float(energies.max())
 
 
-def combine_signal_mrc(
-    blocks: Sequence,
-    gains: Sequence[complex] | None = None,
-) -> np.ndarray:
+def combine_signal_mrc(blocks: Sequence) -> np.ndarray:
     """Maximal-ratio combine raw sample streams into one detector input.
 
     The streams are weighted by channel-gain magnitude and normalised so the
@@ -64,9 +61,7 @@ def combine_signal_mrc(
     """
     if len(blocks) < 1:
         raise ValueError("need at least one block")
-    if gains is None:
-        gains = [b.channel.gain for b in blocks]
-    mags = np.array([abs(g) for g in gains], dtype=float)
+    mags = np.array([abs(b.channel.gain) for b in blocks], dtype=float)
     norm = np.sqrt(np.sum(mags**2))
     if norm <= 0.0:
         raise DegenerateWeightsError("all channel gains are zero; MRC undefined")

@@ -30,7 +30,10 @@ Every stochastic path derives its generator from
 ``SeedSequence((scenario.seed, *tags))`` where the tags encode regime and
 purpose, each purpose under its own leading tag (see :func:`derive_rng`).
 Results are therefore bit-identical across runs and across thread counts:
-threads only ever parallelise whole regimes, each on its own stream.
+threads only ever parallelise whole regimes, each on its own stream.  Both
+rate functions draw in chunks of at most ``_CHUNK_CELLS`` cells under one
+policy: chunk 0 draws on the given stream and every later chunk on a stream
+spawned from it, so a chunk's draws depend on that chunk alone.
 
 Measurement regimes
 -------------------
@@ -254,8 +257,8 @@ def _draw_events(
     rng: np.random.Generator,
     shape: tuple[int, ...],
     signal: bool,
-    sizes: np.ndarray | None = None,
     kinds: Sequence[CombinerKind] | None = None,
+    sizes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Combined energies and mean reported variances for an array of sensing events.
 
@@ -266,21 +269,21 @@ def _draw_events(
     the fading draw is shared along each window (block fading); single
     events fade independently either way.
 
-    ``kinds`` (distinct combiners; default the scenario's own) reads every
-    listed combiner off the one draw of gains and variances, and the energy
-    output gains a leading axis, one entry per kind.  SLC and SLS reduce one
-    per-sensor chi-square draw; MRC's chi-square, at the summed gains, starts
-    from a copy of the stream where that draw starts.
-
-    ``sizes`` (ascending sensor counts, at most ``num_crs``) combines the
-    sensor-axis prefixes of the one ``num_crs``-sensor draw instead, for the
-    scenario's own combiner (``kinds`` is not read then), and
-    both outputs gain a trailing axis, one entry per size: SLC takes a
-    cumulative sum, SLS a cumulative maximum, and MRC draws one chi-square
-    per size at the prefix sums of ``gamma`` and ``gamma * sigma^2``.
+    The energies carry a leading read axis ahead of ``shape``, one entry per
+    read, and the mean variances, of ``shape``, average all ``num_crs``
+    sensors.  A read is a combiner of ``kinds`` (distinct combiners; default
+    the scenario's own), each read off the one draw of gains and variances:
+    SLC and SLS reduce one per-sensor chi-square draw, and MRC's chi-square,
+    at the summed gains, starts from a copy of the stream where that draw
+    starts.  Or a read is a size of ``sizes`` (ascending sensor counts, at
+    most ``num_crs``), the scenario's own combiner on that sensor-axis prefix
+    of the one ``num_crs``-sensor draw: SLC takes a cumulative sum, SLS a
+    cumulative maximum, and MRC draws one chi-square per size at the prefix
+    sums of ``gamma`` and ``gamma * sigma^2``.
     """
-    many = kinds is not None and sizes is None
-    kinds = tuple(kinds) if many else (scenario.combiner,)
+    if kinds is not None and sizes is not None:
+        raise ValueError("read combiners or sensor-count prefixes, not both")
+    kinds = (scenario.combiner,) if kinds is None else tuple(kinds)
     full = (*shape, scenario.num_crs)
     if scenario.channel_kind == "awgn":
         gamma = np.broadcast_to(np.float64(scenario.gamma_bar), full)
@@ -301,7 +304,7 @@ def _draw_events(
             scale = np.cumsum(gamma * sig2, axis=-1)[..., last] / gain
         mrc_rng = copy.deepcopy(rng) if len(kinds) > 1 else rng
     n = scenario.n_samples
-    out = None  # energies, one leading entry per kind
+    out = None  # energies, one leading entry per read
     if len(kinds) > mrc:  # SLC or SLS, read off one per-sensor draw
         if signal:  # the noncentrality replaces the gains: one full-size array fewer at the draw
             gamma = gamma * n
@@ -322,13 +325,9 @@ def _draw_events(
             # nothing reads the per-sensor energies again, so they accumulate in place:
             # a second full-size array per prefix reduction would raise the peak memory
             ufunc = np.add if scenario.combiner is CombinerKind.SLC else np.maximum
-            out = ufunc.accumulate(energy, axis=-1, out=energy)[None, ..., last]
+            out = ufunc.accumulate(energy, axis=-1, out=energy)[..., last]
         del energy
-    if last is None:
-        sig_mean = sig2.mean(axis=-1)
-    else:
-        sig_mean = np.add.accumulate(sig2, axis=-1, out=sig2)[..., last]
-        sig_mean /= sizes
+    sig_mean = sig2.mean(axis=-1)
     del gamma, sig2
     if mrc:  # drawn once the full-size arrays are freed
         if signal:
@@ -337,10 +336,11 @@ def _draw_events(
             energy = mrc_rng.chisquare(n, scale.shape)
         energy *= scale
         if out is None:  # drawn alone
-            out = energy[None]
+            out = energy if last is not None else energy[None]
         else:
             out[kinds.index(CombinerKind.MRC)] = energy
-    return (out if many else out[0]), sig_mean
+    # prefix reads are drawn on a trailing size axis, which keeps the draw order
+    return (out if last is None else np.moveaxis(out, -1, 0)), sig_mean
 
 
 def _sensor_max(energy: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -368,6 +368,47 @@ def _count_at_least(scores: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return scores.size - np.searchsorted(np.sort(scores), lams, side="left")
 
 
+def _rates(
+    scenario: Scenario,
+    h1: bool,
+    lams: Sequence[float] | Sequence[Sequence[float]],
+    rng: np.random.Generator,
+    length: int,
+    kinds: Sequence[CombinerKind] | None = None,
+    sizes: np.ndarray | None = None,
+    rho_override: float | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """The one counting loop: rates over ``scenario.trials`` windows of ``length`` events.
+
+    Per read of :func:`_draw_events` (a combiner of ``kinds`` or a size of
+    ``sizes``) it counts the newest energies and, when ``length > 1``, the
+    dual-threshold scores at or above each threshold.  Returns both rate
+    arrays, one row per read (``None`` for the scores of single events), and
+    the mean estimated rho.
+    """
+    reads = len(sizes) if sizes is not None else len(kinds or (scenario.combiner,))
+    lams = np.atleast_2d(np.asarray(lams, dtype=float))  # one threshold vector per read
+    if lams.ndim != 2 or lams.shape[0] != reads:
+        raise ValueError("lams must hold one threshold vector per combiner or size")
+    per_chunk = max(1, _CHUNK_CELLS // (scenario.num_crs * length))
+    conv_counts = np.zeros(lams.shape, dtype=np.int64)
+    prop_counts = np.zeros_like(conv_counts) if length > 1 else None
+    rho_total = 0.0
+    for chunk, step in enumerate(_chunked(scenario.trials, per_chunk)):
+        stream = rng.spawn(1)[0] if chunk else rng
+        energies, sig_mean = _draw_events(scenario, stream, (step, length), h1, kinds, sizes)
+        for conv, energy, read_lams in zip(conv_counts, energies, lams):
+            conv += _count_at_least(energy[:, -1], read_lams)
+        if prop_counts is not None:
+            # read, window: the rho of each window serves every read
+            scores, rho = _dual_score(energies, sig_mean, rho_override)
+            rho_total += float(rho.sum())
+            for prop, score, read_lams in zip(prop_counts, scores, lams):
+                prop += _count_at_least(score, read_lams)
+    n = scenario.trials
+    return conv_counts / n, (None if prop_counts is None else prop_counts / n), rho_total / n
+
+
 def conventional_rate(
     scenario: Scenario,
     h1: bool,
@@ -378,7 +419,8 @@ def conventional_rate(
     """Fixed-threshold positive rates over single independent events, at every ``lams``.
 
     Leaner than :func:`forced_rates` (no window draws, ``L`` times fewer
-    cells).  The chunks draw one after another on ``rng``.
+    cells).  Chunk 0 draws on ``rng`` and every later chunk on a stream
+    spawned from it, as in :func:`forced_rates`.
 
     With ``sizes`` (ascending sensor counts, the largest at most
     ``scenario.num_crs``) one ``num_crs``-sensor draw scores every size on
@@ -387,23 +429,13 @@ def conventional_rate(
     :func:`equivalence_search` scores its sensor counts this way, so its
     curves across counts share their draws and are correlated.
     """
-    nested = sizes is not None
-    if nested:
+    if sizes is not None:
         sizes = np.asarray(sizes, dtype=np.int64)
         ascending = sizes.size > 0 and np.array_equal(np.unique(sizes), sizes)
         if not ascending or not 1 <= sizes[0] <= sizes[-1] <= scenario.num_crs:
             raise ValueError("sizes must be ascending sensor counts within 1..num_crs")
-    lams = np.atleast_2d(np.asarray(lams, dtype=float))  # one threshold vector per size
-    if lams.ndim != 2 or lams.shape[0] != (sizes.size if nested else 1):
-        raise ValueError("lams must hold one threshold vector per size")
-    per_chunk = max(1, _CHUNK_CELLS // scenario.num_crs)
-    counts = np.zeros(lams.shape, dtype=np.int64)
-    for step in _chunked(scenario.trials, per_chunk):
-        energy, _ = _draw_events(scenario, rng, (step,), h1, sizes=sizes)
-        for size_counts, scores, size_lams in zip(counts, energy.reshape(step, -1).T, lams):
-            size_counts += _count_at_least(scores, size_lams)
-    rates = tuple(counts / scenario.trials)
-    return rates if nested else rates[0]
+    rates, _, _ = _rates(scenario, h1, lams, rng, 1, sizes=sizes)
+    return rates[0] if sizes is None else tuple(rates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,29 +477,10 @@ def forced_rates(
     kinds = (scenario.combiner,) if combiners is None else tuple(combiners)
     if not kinds or len(set(kinds)) != len(kinds):
         raise ValueError("combiners must list distinct combiner kinds")
-    lams = np.atleast_2d(np.asarray(lams, dtype=float))  # one threshold vector per combiner
-    if lams.ndim != 2 or lams.shape[0] != len(kinds):
-        raise ValueError("lams must hold one threshold vector per combiner")
-    length = scenario.history_len
-    per_chunk = max(1, _CHUNK_CELLS // (scenario.num_crs * length))
-    conv_counts = np.zeros(lams.shape, dtype=np.int64)
-    prop_counts = np.zeros_like(conv_counts)
-    rho_total = 0.0
-    for chunk, step in enumerate(_chunked(scenario.trials, per_chunk)):
-        stream = rng.spawn(1)[0] if chunk else rng
-        energies, sig_mean = _draw_events(scenario, stream, (step, length), h1, kinds=kinds)
-        # combiner, window: the rho of each window serves every combiner
-        scores, rho = _dual_score(energies, sig_mean, rho_override)
-        rho_total += float(rho.sum())
-        for conv, prop, energy, score, kind_lams in zip(
-            conv_counts, prop_counts, energies, scores, lams
-        ):
-            conv += _count_at_least(energy[:, -1], kind_lams)
-            prop += _count_at_least(score, kind_lams)
-    rates = tuple(
-        ForcedRates(conv / scenario.trials, prop / scenario.trials, rho_total / scenario.trials)
-        for conv, prop in zip(conv_counts, prop_counts)
+    conv, prop, mean_rho = _rates(
+        scenario, h1, lams, rng, scenario.history_len, kinds, rho_override=rho_override
     )
+    rates = tuple(ForcedRates(c, p, mean_rho) for c, p in zip(conv, prop))
     return rates[0] if combiners is None else rates
 
 
@@ -595,8 +608,6 @@ def roc_sweep(
     ``UserWarning``, since the intervals are then wide.
     """
     kinds = (scenario.combiner,) if combiners is None else tuple(combiners)
-    if not kinds or len(set(kinds)) != len(kinds):
-        raise ValueError("combiners must be a non-empty sequence of distinct combiner kinds")
     if scenario.trials < 100:
         warnings.warn(
             f"only {scenario.trials} trials; confidence intervals will be wide",
@@ -710,7 +721,6 @@ def run_regime_sampled(
     scheme: str,
     h1: bool,
     lam: float,
-    rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
     """Positive-decision rate of one rule and its 3-sigma half-width, from sampled waveforms.
 
@@ -722,8 +732,7 @@ def run_regime_sampled(
     """
     if scheme not in (SCHEME_CONVENTIONAL, SCHEME_PROPOSED):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if rng is None:
-        rng = derive_rng(scenario.seed, _TAG_SAMPLED)
+    rng = derive_rng(scenario.seed, _TAG_SAMPLED)
     hyp = Hypothesis.H1 if h1 else Hypothesis.H0
     noise_model = NoiseModel(NOMINAL_VARIANCE, scenario.uncertainty_db)
     positives = 0

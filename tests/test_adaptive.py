@@ -31,26 +31,31 @@ class TestFusionState:
         for i in range(4):
             push_event(state, float(i), 1.0 + i)
         assert len(state) == 3
-        assert state.energy_history == (1.0, 2.0, 3.0)
-        assert state.variance_history == (2.0, 3.0, 4.0)
+        assert tuple(state.energy) == (1.0, 2.0, 3.0)
+        assert tuple(state.variance) == (2.0, 3.0, 4.0)
 
-    def test_running_sums_match_recompute(self, rng):
-        state = FusionState(17)
+    def test_window_statistics_match_recompute_over_last_pushes(self, rng):
+        capacity = 17
+        state = FusionState(capacity)
+        pushed = []
         for _ in range(1_000):
-            push_event(state, float(rng.exponential(100.0)), float(rng.uniform(0.5, 2.0)))
-            e_sum = sum(state.energy_history)
-            v_sum = sum(state.variance_history)
-            assert state.running_energy_sum == pytest.approx(e_sum, rel=1e-9)
-            assert state.running_variance_sum == pytest.approx(v_sum, rel=1e-9)
-            assert state.running_variance_max == max(state.variance_history)
+            pushed.append((float(rng.exponential(100.0)), float(rng.uniform(0.5, 2.0))))
+            push_event(state, *pushed[-1])
+            if len(state) < capacity:
+                continue
+            energies, variances = zip(*pushed[-capacity:])
+            e_avg, _ = predict_activity(state, 100.0)
+            assert e_avg == pytest.approx(sum(energies) / capacity, rel=1e-12)
+            rho = max(1.0, max(variances) / (sum(variances) / capacity))
+            assert estimate_rho(state) == pytest.approx(rho, rel=1e-12)
 
-    def test_max_tracks_eviction_of_maximum(self):
+    def test_rho_follows_eviction_of_maximum(self):
         state = FusionState(3)
         for v in (9.0, 1.0, 2.0):
             push_event(state, 0.0, v)
-        assert state.running_variance_max == 9.0
+        assert estimate_rho(state) == pytest.approx(9.0 / 4.0)
         push_event(state, 0.0, 1.5)  # evicts the 9.0
-        assert state.running_variance_max == 2.0
+        assert estimate_rho(state) == pytest.approx(2.0 / 1.5)
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -216,6 +216,7 @@ class TestNestedSizes:
         sc = Scenario(combiner=CombinerKind.SLS, num_crs=6, trials=100, seed=33)
         sizes = np.arange(1, 7)
         energy, sig_mean = harness._draw_events(sc, derive_rng(33), (500,), h1, sizes=sizes)
+        assert energy.shape == (len(sizes), 500)
         # the same stream, per sensor: fading, then variances, then energies
         rng = derive_rng(33)
         gamma = rng.exponential(sc.gamma_bar, (500, 6))
@@ -225,8 +226,16 @@ class TestNestedSizes:
             rng.noncentral_chisquare(n, n * gamma / sig2) if h1 else rng.chisquare(n, (500, 6))
         ) * sig2
         for k in sizes:
-            assert np.array_equal(energy[:, k - 1], per_sensor[:, :k].max(axis=1))
-            assert sig_mean[:, k - 1] == pytest.approx(sig2[:, :k].mean(axis=1), rel=1e-12)
+            assert np.array_equal(energy[k - 1], per_sensor[:, :k].max(axis=1))
+        # the mean variance is over every sensor of the draw, whatever the prefix
+        assert np.array_equal(sig_mean, sig2.mean(axis=1))
+
+    def test_combiners_and_prefixes_do_not_mix(self):
+        sc = Scenario(num_crs=4, trials=100, seed=33)
+        with pytest.raises(ValueError):
+            harness._draw_events(
+                sc, derive_rng(33), (10,), False, kinds=(CombinerKind.SLC,), sizes=np.array([2])
+            )
 
     @pytest.mark.parametrize("kind", list(CombinerKind))
     def test_widest_prefix_reproduces_plain_draw(self, kind):
@@ -234,10 +243,11 @@ class TestNestedSizes:
         sc = Scenario(combiner=kind, num_crs=9, trials=100, seed=34)
         plain, _ = harness._draw_events(sc, derive_rng(34), (300,), True)
         nested, _ = harness._draw_events(sc, derive_rng(34), (300,), True, sizes=np.array([9]))
+        assert plain.shape == nested.shape == (1, 300)
         if kind is CombinerKind.SLS:
-            assert np.array_equal(nested[:, 0], plain)
+            assert np.array_equal(nested, plain)
         else:
-            assert nested[:, 0] == pytest.approx(plain, rel=1e-12)
+            assert nested == pytest.approx(plain, rel=1e-12)
 
     def test_sizes_validation(self):
         sc = Scenario(num_crs=4, trials=100, seed=35)
@@ -300,7 +310,7 @@ class TestDualScore:
         rng = derive_rng(47, list(CombinerKind).index(kind))
         forms = set()
         for h1 in (False, True):
-            energy, sig_mean = harness._draw_events(sc, rng, (40, sc.history_len), h1)
+            (energy,), sig_mean = harness._draw_events(sc, rng, (40, sc.history_len), h1)
             score, rho = harness._dual_score(energy, sig_mean, rho_override)
             factor = rho if rho_override is None else rho_override
             forms.update((energy[:, -1] / factor > energy.mean(axis=-1)).tolist())
@@ -442,6 +452,27 @@ class TestOnePass:
         assert result.proposed_curve == proposed
 
 
+class TestRateFunctionsStandAlone:
+    """Neither public rate function calls the other, so a tracer times each on its own."""
+
+    @pytest.mark.parametrize("raising", ["conventional_rate", "forced_rates"])
+    def test_runs_while_the_other_raises(self, monkeypatch, raising):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{raising} was called")
+
+        monkeypatch.setattr(harness, raising, refuse)
+        monkeypatch.setattr(harness, "_CHUNK_CELLS", 400)  # several chunks per call
+        sc = Scenario(trials=300, seed=49, num_crs=4, history_len=5)
+        lam = cfar_threshold(sc.theory_params(), 0.1)
+        if raising == "conventional_rate":
+            harness.forced_rates(sc, True, [lam], derive_rng(49))
+            kinds = (CombinerKind.SLC, CombinerKind.MRC)
+            harness.forced_rates(sc, True, [[lam]] * 2, derive_rng(49), combiners=kinds)
+        else:
+            harness.conventional_rate(sc, True, [lam], derive_rng(49))
+            harness.conventional_rate(sc, True, [[lam]] * 2, derive_rng(49), (2, 4))
+
+
 class TestSharedWindowDraw:
     """SLC and SLS read one per-sensor window draw; every curve equals its own sweep."""
 
@@ -552,18 +583,18 @@ class TestSharedWindowDraw:
         assert chunked.mean_rho == pytest.approx(rho, rel=1e-12)
         if uncertainty_db == 0.0:
             assert chunked.mean_rho == 1.0
-        # conventional_rate draws its chunks one after another on one generator,
-        # with and without nested sensor prefixes
+        # conventional_rate takes its chunks' streams the same way, with and without
+        # nested sensor prefixes
         monkeypatch.setattr(harness, "_CHUNK_CELLS", 40 * 3)  # 40 events per chunk
         nested_lams = [
             [cfar_threshold(sub.theory_params(), t) for t in (0.05, 0.3)]
             for sub in (dataclasses.replace(sc, num_crs=k) for k in (1, 3))
         ]
         for size_lams, sizes in ((lams, None), (nested_lams, (1, 3))):
-            rng = derive_rng(46, 2)
+            streams = [derive_rng(46, 2), *derive_rng(46, 2).spawn(len(steps) - 1)]
             alone = [
                 conventional_rate(dataclasses.replace(sc, trials=step), True, size_lams, rng, sizes)
-                for step in steps
+                for step, rng in zip(steps, streams)
             ]
             chunked = conventional_rate(sc, True, size_lams, derive_rng(46, 2), sizes)
             counts = sum(np.rint(np.asarray(r) * n) for r, n in zip(alone, steps))
@@ -634,7 +665,9 @@ class TestCommonRandomNumbers:
         covariance = {}
         for h in (0, 1):
             rng = derive_rng(sc.seed, harness._TAG_SWEEP, h)
-            energy, sig_mean = harness._draw_events(sc, rng, (sc.trials, sc.history_len), bool(h))
+            (energy,), sig_mean = harness._draw_events(
+                sc, rng, (sc.trials, sc.history_len), bool(h)
+            )
             rho = np.maximum(1.0, sig_mean.max(axis=-1) / sig_mean.mean(axis=-1))[:, None]
             predicted = energy.mean(axis=-1)[:, None] >= lams
             lam_new = np.where(predicted, lams / rho, rho * lams)
@@ -684,7 +717,7 @@ class TestPairedRun:
         # both rules on one rolling stream of H1 events
         sc = Scenario(uncertainty_db=0.0, trials=100, seed=14)
         lam = cfar_threshold(sc.theory_params(), 0.1)
-        energy, sig_mean = harness._draw_events(sc, derive_rng(14, 4), (20_000,), True)
+        (energy,), sig_mean = harness._draw_events(sc, derive_rng(14, 4), (20_000,), True)
         conv = energy >= lam
         prop = _rolling(energy, sig_mean, sc.history_len, lam)
         assert np.array_equal(conv, prop)
