@@ -30,12 +30,17 @@ noncentral chi-square's Poisson count over a gamma SNR gives a
 negative-binomial count, so the average is a negative-binomial sum of
 regularized gamma tails, truncated where computed bounds put each side's
 error at most ``_SERIES_TOL``.  The dual-threshold average's predictor
-weight depends on the SNR, so it integrates over the density instead,
-truncated where all but ~1e-12 of the mass is covered, by a fixed-node
-Gauss-Legendre rule: the integrand is evaluated once per rule as one array
-over the nodes, the node count doubles from 16 until the n- and 2n-node
-values agree within ``_QUAD_TOL``, and ``NumericError`` is raised if they
-never do.  Node sets are built on first use and cached per n.
+weight depends on the SNR, so it integrates over the density instead.  The
+interval ends at the density's ``1 - _TAIL_MASS`` quantile; the integrand
+is the density times a probability, so that bounds the truncation error.
+It is split into panels where the predictor weight and the two Marcum
+tails step (where the affine H1 mean crosses ``lambda``, ``lambda/rho`` and
+``rho*lambda``), and each panel takes fixed-node Gauss-Legendre rules: the
+integrand is evaluated once per rule as one array over the nodes, both
+thresholds in one Marcum call, the node count doubles from 8 until the n-
+and 2n-node values agree within ``_QUAD_TOL`` over the number of panels,
+and ``NumericError`` is raised if they never do.  Node sets are built on
+first use and cached per n.
 
 The dual-threshold scheme's probabilities are convex combinations of the
 conventional ones at ``lambda/rho`` and ``rho*lambda`` weighted by the
@@ -58,10 +63,10 @@ from .fusion import CombinerKind
 
 GAUSSIAN_WARN_FLOOR = 100  # CLT-based formulas degrade below this many samples
 _QUAD_TOL = 1e-9  # absolute agreement of the n- and 2n-node fading averages
-_QUAD_MIN_NODES = 16
+_QUAD_MIN_NODES = 8  # per panel
 _QUAD_MAX_NODES = 8192
 _NEWTON_STEPS = 4  # root refinement steps when a node set is built
-_TAIL_SIGMAS = 40.0  # truncation point of the fading integrals, in gamma-std units
+_TAIL_MASS = 1e-14  # aggregate-SNR probability beyond the fading integrals' upper limit
 _SERIES_TOL = 1e-12  # bound on each truncation error of the negative-binomial series
 _SERIES_SIGMAS = 8.0  # half-width of the series' first window, in standard deviations
 _SERIES_MIN_STEP = 16  # fewest terms a window side widens by
@@ -145,16 +150,18 @@ def _marcum_q_vec(order: float, a, b) -> np.ndarray:
     regularized upper gamma tail.  Where even the central CDF (an upper
     bound on the noncentral one) underflows to zero the value is exactly 1
     in double precision, and the boost evaluator would overflow internally.
+    That screen depends on ``b`` alone, so it runs before ``b`` is broadcast.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    shape = a.shape
-    a, b = a.ravel(), b.ravel()
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     x = b * b
+    live = special.chdtr(2.0 * order, x) != 0.0  # also False at b == 0
+    a, x, nonzero, live = np.broadcast_arrays(a, x, b != 0.0, live)
+    shape = a.shape
+    a, x, nonzero, live = a.ravel(), x.ravel(), nonzero.ravel(), live.ravel()
     out = np.ones(a.shape)
-    central = (b != 0.0) & (a == 0.0)
+    central = nonzero & (a == 0.0)
     out[central] = special.gammaincc(order, x[central] / 2.0)
-    rest = (b != 0.0) & (a != 0.0)
-    rest[rest] = special.chdtr(2.0 * order, x[rest]) != 0.0
+    rest = live & (a != 0.0)
     # the ufunc behind scipy.stats.ncx2.sf; importing scipy.stats costs more than
     # half a second of start-up
     with np.errstate(over="ignore"):
@@ -195,8 +202,8 @@ def qfa_exact(p: TheoryParams, lam: float) -> float:
     return float(_sls_complement_power(branch, p.K))
 
 
-def _detection_tail(p: TheoryParams, lam: float, snr) -> np.ndarray:
-    """Exact detection probability at threshold ``lam > 0``, elementwise over per-sensor SNRs."""
+def _detection_tail(p: TheoryParams, lam, snr) -> np.ndarray:
+    """Exact detection probability, elementwise over broadcast thresholds ``lam > 0`` and SNRs."""
     b = np.sqrt(lam / p.sigma_sq)
     if p.kind is CombinerKind.SLS:
         return _sls_complement_power(_marcum_q_vec(p.u, np.sqrt(p.N * snr), b), p.K)
@@ -272,10 +279,13 @@ def qd_awgn_approx(p: TheoryParams, lam: float, snr: float) -> float:
 
 
 def _fading_upper_limit(p: TheoryParams) -> float:
-    """Truncation point covering all but ~1e-12 of the aggregate SNR mass."""
-    if p.kind is CombinerKind.SLS:
-        return p.gamma_bar * (1.0 + _TAIL_SIGMAS)
-    return p.gamma_bar * (p.K + _TAIL_SIGMAS * np.sqrt(p.K))
+    """The ``1 - _TAIL_MASS`` quantile of the aggregate SNR law (see :func:`_aggregate_snr_pdf`).
+
+    A fading integrand is the density times a probability, at most 1, so
+    truncating there leaves out at most ``_TAIL_MASS``.
+    """
+    shape = 1.0 if p.kind is CombinerKind.SLS else p.K
+    return p.gamma_bar * float(special.gammainccinv(shape, _TAIL_MASS))
 
 
 @functools.cache
@@ -299,29 +309,38 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _fading_average(integrand, hi: float, what: str) -> float:
-    """Integrate a vectorized ``integrand`` over ``[0, hi]``.
+def _fading_average(integrand, edges, what: str) -> float:
+    """Integrate a vectorized ``integrand`` over the panels between consecutive ``edges``.
 
-    Fixed-node Gauss-Legendre rules of ``n = 16, 32, ...`` nodes; the
-    integrand is evaluated once per rule, as one array over its nodes.  The
-    2n-node value is returned once it agrees with the n-node value within
-    ``_QUAD_TOL``; that difference estimates the n-node error, and the
-    2n-node error is far smaller for the smooth integrands used here.
+    On each panel, fixed-node Gauss-Legendre rules of ``n = 8, 16, ...``
+    nodes; the integrand is evaluated once per rule, as one array over its
+    nodes.  A panel's 2n-node value is taken once it agrees with its n-node
+    value within ``_QUAD_TOL`` over the number of panels; that difference
+    estimates the n-node error, and the 2n-node error is far smaller for the
+    smooth integrands used here.  The panel values are summed.
     """
-    previous = None
-    n = _QUAD_MIN_NODES
-    while n <= _QUAD_MAX_NODES:
-        nodes, weights = _legendre_rule(n)
-        value = hi * float(weights @ integrand(hi * nodes))
-        if not np.isfinite(value):
-            raise NumericError(f"quadrature for {what} is not finite with {n} nodes: {value!r}")
-        if previous is not None and abs(value - previous) <= _QUAD_TOL:
-            return value
-        previous, n = value, 2 * n
-    raise NumericError(
-        f"quadrature for {what} did not converge: {previous!r} with {n // 2} nodes, "
-        f"interval=(0.0, {hi!r})"
-    )
+    tol = _QUAD_TOL / (len(edges) - 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        previous = None
+        n = _QUAD_MIN_NODES
+        while n <= _QUAD_MAX_NODES:
+            nodes, weights = _legendre_rule(n)
+            value = (hi - lo) * float(weights @ integrand(lo + (hi - lo) * nodes))
+            if not np.isfinite(value):
+                raise NumericError(
+                    f"quadrature for {what} is not finite with {n} nodes: {value!r}"
+                )
+            if previous is not None and abs(value - previous) <= tol:
+                break
+            previous, n = value, 2 * n
+        else:
+            raise NumericError(
+                f"quadrature for {what} did not converge: {previous!r} with {n // 2} nodes, "
+                f"interval=({lo!r}, {hi!r})"
+            )
+        total += value
+    return total
 
 
 def _aggregate_snr_pdf(p: TheoryParams):
@@ -485,19 +504,21 @@ def qd_proposed_rayleigh(p: TheoryParams, lam: float) -> float:
         return qd_rayleigh(p, lam)
     pdf = _aggregate_snr_pdf(p)
     m = p.L if p.M is None else p.M
-    lam_lo = lam / p.rho
-    lam_hi = p.rho * lam
+    thresholds = np.array([[lam / p.rho], [p.rho * lam]])  # favourable, guarded
     # SLS integrates over one branch's SNR, SLC/MRC over the K-sensor sum
     per_sensor = 1.0 if p.kind is CombinerKind.SLS else p.K
 
     def integrand(g: np.ndarray) -> np.ndarray:
         snr = g / per_sensor
         w = _gaussian_tail(lam, *_avg_moments(p, m, snr))
-        mixture = w * _detection_tail(p, lam_lo, snr) + (1.0 - w) * _detection_tail(
-            p, lam_hi, snr
-        )
-        return mixture * pdf(g)
+        favourable, guarded = _detection_tail(p, thresholds, snr)
+        return (w * favourable + (1.0 - w) * guarded) * pdf(g)
 
-    return _fading_average(
-        integrand, _fading_upper_limit(p), f"{p.kind.name} dual-threshold fading average"
-    )
+    # the predictor weight and the two tails step from 0 to 1 about where the H1
+    # mean, affine in g, crosses lam, lam / rho and rho * lam: a panel edge at each
+    mean0 = _h1_moments(p, 0.0)[0]
+    slope = _h1_moments(p, 1.0 / per_sensor)[0] - mean0
+    hi = _fading_upper_limit(p)
+    steps = ((t - mean0) / slope for t in (lam / p.rho, lam, p.rho * lam))  # ascending
+    edges = [0.0, *(g for g in steps if 0.0 < g < hi), hi]
+    return _fading_average(integrand, edges, f"{p.kind.name} dual-threshold fading average")

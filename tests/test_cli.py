@@ -286,11 +286,11 @@ GOLDEN_SHA256 = {
 # manifest bytes without the started_at line: they pin what no CSV carries, such as
 # the per-curve AUCs, the equivalence search's AUC half-widths and the theory gaps
 GOLDEN_MANIFEST_SHA256 = {
-    "compare": "0267e406f149edc2298e8e522f304e9ad0183889ca2ec3db82deff03992b5771",
-    "equivalence": "64814cc663fdc753c618521953826ca3e9acef29321508b3ce11baa82a161f2f",
-    "roc": "08e3b4099253434571b5b14e013b342b7caa80f90e22b1c355a3e078fc6d2a06",
-    "sweep-k": "7643566f6178c9ae1fa0f1999c1c2778a3f50122bd6eeee7965a39e5a9b77d52",
-    "sweep-l": "c8f551f66f14a91cd3f6968ab2424559751d580b1aea8831d1c3dade6485e91f",
+    "compare": "89aeaa4a519db3e17d6a17503ff848857079436f4d87ddf2dc6e92d4c438e3ab",
+    "equivalence": "6d88245ea7bf3d5fd02666d9b7e69389328f614c141e79a0d2722262a702dc44",
+    "roc": "ef9ee5c589d297f76b3307ac19409a914387e3dc3e216c2c53e7480d361606b6",
+    "sweep-k": "01fd05cdce626c084cb2d34ff1bc11e621910310839f2f2778bf41cf4706151b",
+    "sweep-l": "7babb63e46d5309286f7056acaa9579e959f2e0b292b11a6c9b5c8d335ca1e1a",
     "theory-table": "4ab8d8c505d9b1a3ee222f61d017287159d403680f981aa1d922da347e157169",
 }
 

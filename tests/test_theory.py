@@ -1,11 +1,15 @@
 """Analysis layer: special functions, exact/approximate tails, fading averages,
 window predictor statistics and the dual-threshold probabilities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from css_lab.cli import parse_scenario, run_command
 from css_lab.fusion import CombinerKind, cfar_threshold
+from css_lab.harness import Scenario, expected_rho
 from css_lab.theory import (
     NumericError,
     TheoryParams,
@@ -434,12 +438,19 @@ def _oracle_window_weight(kind, K, n, length, lam, snr):
     return 0.5 * special.erfc((lam - mean) / np.sqrt(2.0 * var))
 
 
-def fading_quad_oracle(p, lam):
-    """Adaptive quadrature of a scalar re-implementation of the fading integrands.
+def _oracle_upper_limit(p):
+    """Mean plus 40 standard deviations of the aggregate SNR, past the analysis layer's limit."""
+    if p.kind is CombinerKind.SLS:
+        return p.gamma_bar * 41.0
+    return p.gamma_bar * (p.K + 40.0 * np.sqrt(p.K))
+
+
+def _oracle_integrand(p, lam):
+    """A re-implementation of the fading integrands, elementwise over the aggregate SNR.
 
     Unit noise variance.  SLS averages one branch's exponential SNR (and, at
-    ``rho = 1``, applies the K-fold complement to the branch average); SLC
-    and MRC average over the gamma-distributed K-sensor SNR sum.
+    ``rho = 1``, the branch tail alone); SLC and MRC average over the
+    gamma-distributed K-sensor SNR sum.
     """
     kind, K, n, gbar, rho = p.kind, p.K, p.N, p.gamma_bar, p.rho
     if kind is CombinerKind.SLS:
@@ -459,12 +470,43 @@ def fading_quad_oracle(p, lam):
             ) * _oracle_detection_tail(kind, K, n, rho * lam, snr)
             return mixture * np.exp(log_pdf(g))
 
-    hi = theory._fading_upper_limit(p)
-    value, abserr = integrate.quad(integrand, 0.0, hi, epsabs=1e-12, epsrel=0.0, limit=500)
+    return integrand
+
+
+def fading_quad_oracle(p, lam):
+    """Adaptive quadrature of :func:`_oracle_integrand` over its own wide interval.
+
+    At ``rho = 1`` SLS applies the K-fold complement to the branch average.
+    """
+    integrand = _oracle_integrand(p, lam)
+    value, abserr = integrate.quad(
+        integrand, 0.0, _oracle_upper_limit(p), epsabs=1e-12, epsrel=0.0, limit=500
+    )
     assert abserr <= 1e-10, (p, lam, abserr)
-    if rho == 1.0 and kind is CombinerKind.SLS:
-        return -np.expm1(K * np.log1p(-value))
+    if p.rho == 1.0 and p.kind is CombinerKind.SLS:
+        return -np.expm1(p.K * np.log1p(-value))
     return value
+
+
+def dense_fading_reference(p, lam):
+    """Fixed 64-node Gauss-Legendre rules on 64 equal parts of each panel.
+
+    The panels split :func:`_oracle_upper_limit`'s interval where the H1
+    mean ``N (c + g)`` (``c = K`` for SLC, 1 otherwise) crosses ``lam``,
+    ``lam / rho`` and ``rho * lam``.  Unit noise variance, ``rho > 1``.
+    """
+    offset = p.K if p.kind is CombinerKind.SLC else 1.0
+    hi = _oracle_upper_limit(p)
+    steps = sorted(t / p.N - offset for t in (lam / p.rho, lam, p.rho * lam))
+    edges = [0.0, *(g for g in steps if 0.0 < g < hi), hi]
+    x, w = np.polynomial.legendre.leggauss(64)
+    integrand = _oracle_integrand(p, lam)
+    total = 0.0
+    for lo, up in zip(edges[:-1], edges[1:]):
+        cuts = np.linspace(lo, up, 65)
+        mid, half = (cuts[1:] + cuts[:-1]) / 2.0, (cuts[1:] - cuts[:-1]) / 2.0
+        total += float(np.sum(half[:, None] * w * integrand(mid[:, None] + half[:, None] * x)))
+    return total
 
 
 class TestFadingAverageOracle:
@@ -480,6 +522,37 @@ class TestFadingAverageOracle:
                         value = qd_proposed_rayleigh(p, lam)  # qd_rayleigh at rho = 1
                         worst = max(worst, abs(value - fading_quad_oracle(p, lam)))
         assert worst <= 1e-8
+
+
+class TestDualThresholdPanels:
+    """The dual-threshold average: panels split at the transition SNRs, truncated at a quantile."""
+
+    def test_default_table_matches_dense_reference(self):
+        scenario = Scenario()
+        rho = expected_rho(scenario)
+        worst = 0.0
+        for kind in CombinerKind:
+            sub = replace(scenario, combiner=kind)
+            for target in sub.pfa_grid:
+                lam = cfar_threshold(sub.theory_params(), target)
+                p = sub.theory_params(rho=rho)
+                error = abs(qd_proposed_rayleigh(p, lam) - dense_fading_reference(p, lam))
+                worst = max(worst, error)
+        assert worst <= 1e-12
+
+    def test_default_table_marcum_evaluation_count(self, monkeypatch, tmp_path):
+        evaluations = []
+        marcum = theory._marcum_q_vec
+
+        def counting(order, a, b):
+            evaluations.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
+            return marcum(order, a, b)
+
+        monkeypatch.setattr(theory, "_marcum_q_vec", counting)
+        run_command("theory-table", parse_scenario(None), tmp_path)
+        # 49,248 evaluations in 458 calls with one rule over the whole 40-sigma interval
+        count = sum(evaluations)
+        assert count <= 20_000, f"{count} Marcum evaluations in {len(evaluations)} calls"
 
 
 class TestConventionalSeries:
@@ -546,12 +619,14 @@ class TestConventionalSeries:
 
 class TestNumericErrorSurface:
     def test_quadrature_failure_raises(self, monkeypatch):
-        # a node cap below what the default-scenario average needs
+        # a node cap below the 64 nodes the first panel of this average needs
         monkeypatch.setattr(theory, "_QUAD_MAX_NODES", 32)
         with pytest.raises(NumericError, match="did not converge"):
             qd_proposed_rayleigh(params(rho=1.1), 7000.0)
         # a non-finite integrand fails at once
-        monkeypatch.setattr(theory, "_marcum_q_vec", lambda order, a, b: np.full(np.shape(a), np.nan))
+        monkeypatch.setattr(
+            theory, "_marcum_q_vec", lambda order, a, b: np.full(np.broadcast(a, b).shape, np.nan)
+        )
         with pytest.raises(NumericError, match="not finite"):
             qd_proposed_rayleigh(params(rho=1.1), 7000.0)
 
