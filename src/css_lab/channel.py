@@ -3,13 +3,13 @@
 Conventions used throughout the simulator:
 
 * The PU waveform is unit-power BPSK on the real axis.
-* The noise variance ``sigma_sq`` is the per-sample variance of the real
+* The noise variance ``v`` is the per-sample variance of the real
   Gaussian noise process, so a pure-noise block of ``n`` samples has energy
-  distributed as ``sigma_sq * chi2(n)`` with mean ``n * sigma_sq`` and
-  variance ``2 * n * sigma_sq**2``.  Sample containers are complex for
-  generality, but synthesis places noise on the real axis (post
-  carrier-recovery baseband), which is what keeps the energy statistic an
-  exact (non)central chi-square with one degree of freedom per sample.
+  distributed as ``v * chi2(n)`` with mean ``n * v`` and variance
+  ``2 * n * v**2``.  Sample containers are complex for generality, but
+  synthesis places noise on the real axis (post carrier-recovery
+  baseband), which is what keeps the energy statistic an exact
+  (non)central chi-square with one degree of freedom per sample.
 * Channel gains are drawn relative to the nominal noise power, so the
   recorded instantaneous SNR is ``|gain|**2`` times signal power over
   nominal noise power and is exponentially distributed under Rayleigh
@@ -88,10 +88,6 @@ class SampleBlock:
             raise ValueError("a sample block needs at least one sample")
         if self.true_noise_variance <= 0.0:
             raise ValueError("true_noise_variance must be positive")
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.samples)
 
 
 def gen_pu_samples(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -157,13 +157,15 @@ def _theory_gap(curve: RocCurve) -> dict:
     empirical rate is exactly 0 or 1; such a point is measured in the
     half-width of a rate of one event in ``trials`` instead, the smallest
     nonzero CI at that trial count, so the gap stays finite and a theory
-    value far from an empty or full count still shows.
+    value far from an empty or full count still shows.  Gaps are rounded to
+    the CSV's 12 significant digits, so a last-bit change in a closed form
+    that leaves the CSV as it is leaves the manifest as it is too.
     """
     n = curve.points[0].trials
     floor = binomial_ci(1.0 / n, n)
 
     def worst(triples) -> float:
-        return float(max(abs(rate - theory) / (ci or floor) for rate, ci, theory in triples))
+        return float(_fmt(max(abs(rate - theory) / (ci or floor) for rate, ci, theory in triples)))
 
     return {
         "combiner": curve.scenario.combiner.name,

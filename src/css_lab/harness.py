@@ -83,7 +83,6 @@ from .fusion import CombinerKind, cfar_threshold, combine, combine_signal_mrc
 from .sensing import make_report, measure_energy
 from .theory import TheoryParams, qd_proposed_rayleigh, qd_rayleigh, qfa_approx, qfa_proposed
 
-NOMINAL_VARIANCE = 1.0  # thresholds and theory scale linearly in it; fixed here
 DEFAULT_SEED = 20240601
 DEFAULT_PFA_GRID = tuple(float(x) for x in np.logspace(np.log10(0.01), np.log10(0.5), 15))
 AUC_MATCH_TOL = 0.02
@@ -161,7 +160,6 @@ class Scenario:
             kind=self.combiner,
             K=self.num_crs,
             N=self.n_samples,
-            sigma_sq=NOMINAL_VARIANCE,
             gamma_bar=self.gamma_bar,
             rho=rho,
             L=self.history_len,
@@ -241,14 +239,13 @@ def binomial_ci(p_hat: float, n: int) -> float:
 def _noise_variances(
     rng: np.random.Generator, uncertainty_db: float, shape: tuple[int, ...]
 ) -> np.ndarray:
-    """Per-sensor noise variances, uniform in dB within ``uncertainty_db`` of nominal."""
+    """Per-sensor noise variances over nominal, uniform in dB within ``uncertainty_db``."""
     if uncertainty_db == 0.0:
-        return np.full(shape, NOMINAL_VARIANCE)
+        return np.ones(shape)
     # in place: these are the largest arrays of a draw, and each copy costs time and memory
     sig2 = rng.uniform(-uncertainty_db, uncertainty_db, shape)
     sig2 /= 10.0
     np.power(10.0, sig2, out=sig2)
-    sig2 *= NOMINAL_VARIANCE
     return sig2
 
 
@@ -633,7 +630,7 @@ def roc_sweep(
 
 def equivalence_search(
     proposed: Scenario,
-    k_range: Sequence[int] | None = None,
+    k_range: Sequence[int],
     threads: int = 1,
 ) -> EquivalenceResult:
     """Smallest conventional sensor count matching the dual-threshold AUC.
@@ -650,7 +647,7 @@ def equivalence_search(
     curves are built in ascending count, and the search stops at the first
     one within ``AUC_MATCH_TOL``, with theory columns only up to it.
     """
-    ks = tuple(int(k) for k in (k_range if k_range is not None else range(1, 49)))
+    ks = tuple(int(k) for k in k_range)
     if not ks or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_range must be ascending positive integers")
     sizes = [k for k in ks if k != proposed.num_crs]
@@ -734,7 +731,7 @@ def run_regime_sampled(
         raise ValueError(f"unknown scheme {scheme!r}")
     rng = derive_rng(scenario.seed, _TAG_SAMPLED)
     hyp = Hypothesis.H1 if h1 else Hypothesis.H0
-    noise_model = NoiseModel(NOMINAL_VARIANCE, scenario.uncertainty_db)
+    noise_model = NoiseModel(1.0, scenario.uncertainty_db)  # energies in nominal units
     positives = 0
     for _ in range(scenario.trials):
         if scheme == SCHEME_CONVENTIONAL:

@@ -2,23 +2,23 @@
 
 Statistic model
 ---------------
-With ``N`` real noise degrees of freedom per sensing event and per-sample
-noise variance ``sigma_sq``, one sensor's energy is
-``sigma_sq * chi2(N)`` under H0 and noncentral with noncentrality
+Energies and thresholds are in units of the nominal per-sample noise
+variance.  With ``N`` real noise degrees of freedom per sensing event, one
+sensor's energy is ``chi2(N)`` under H0 and noncentral with noncentrality
 ``N * snr`` under H1, where ``snr`` is that sensor's per-sample linear SNR.
 From this follow, per combiner (``u = N/2``, ``K`` sensors):
 
-* SLC: exact null ``sigma_sq * chi2(N K)``; detection via the generalized
-  Marcum Q of order ``K u``.
+* SLC: exact null ``chi2(N K)``; detection via the generalized Marcum Q of
+  order ``K u``.
 * MRC: signal-level ratio combining is equivalent to a single detector
-  whose SNR is the sum of branch SNRs, so the null is ``sigma_sq * chi2(N)``
+  whose SNR is the sum of branch SNRs, so the null is ``chi2(N)``
   independent of ``K``.
 * SLS: the maximum of ``K`` independent branch statistics; probabilities
   are one minus the K-th power of the branch complement.
 
 Gaussian approximations replace each (non)central chi-square with a normal
-matched to mean ``m (1 + snr)`` and variance ``2 m (1 + snr)^2 sigma_sq**2``
-style moments, which is where the closed-form CFAR inversion comes from.
+matched to mean ``m (1 + snr)`` and variance ``2 m (1 + snr)^2`` style
+moments, which is where the closed-form CFAR inversion comes from.
 
 SNR argument convention: every function below takes the *per-sensor*
 average linear SNR, assumed equal across sensors; combiner-level scaling
@@ -45,15 +45,15 @@ first use and cached per n.
 The dual-threshold scheme's probabilities are convex combinations of the
 conventional ones at ``lambda/rho`` and ``rho*lambda`` weighted by the
 probability that the window-average predictor fires, itself Gaussian with
-moments determined by how many of the ``L`` window events carry signal
-(``M``).
+moments determined by how many of the ``L`` window events carry signal: none
+for the false-alarm probability, all ``L`` for the detection probability.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -81,35 +81,29 @@ class NumericError(RuntimeError):
 class TheoryParams:
     """Parameter bundle for the analysis layer.
 
-    ``M`` is the number of signal-bearing events assumed in the predictor
-    window; ``None`` defers to the operation's natural regime (0 for
-    false-alarm quantities, ``L`` for detection quantities).
+    ``K`` sensors of ``N`` samples at per-sensor mean SNR ``gamma_bar``,
+    uncertainty factor ``rho`` and predictor window length ``L``; energies
+    and thresholds are in units of the nominal noise variance.
     """
 
     kind: CombinerKind
     K: int
     N: int
-    sigma_sq: float = 1.0
     gamma_bar: float = 1.0
     rho: float = 1.0
     L: int = 15
-    M: int | None = None
 
     def __post_init__(self) -> None:
         if self.K < 1:
             raise ValueError("K must be at least 1")
         if self.N < 2 or self.N % 2 != 0:
             raise ValueError("N must be an even integer >= 2")
-        if self.sigma_sq <= 0.0:
-            raise ValueError("sigma_sq must be positive")
         if self.gamma_bar <= 0.0:
             raise ValueError("gamma_bar must be positive")
         if self.rho < 1.0:
             raise ValueError("rho must be at least 1")
         if self.L < 2:
             raise ValueError("L must be at least 2")
-        if self.M is not None and not 0 <= self.M <= self.L:
-            raise ValueError("M must lie in [0, L]")
 
     @property
     def u(self) -> int:
@@ -119,27 +113,6 @@ class TheoryParams:
 def _q(x):
     """Standard normal upper-tail probability, elementwise."""
     return 0.5 * special.erfc(x / np.sqrt(2.0))
-
-
-def q_func(x: float) -> float:
-    """Standard normal upper-tail probability Q(x)."""
-    return float(_q(x))
-
-
-def inv_erfc(y: float) -> float:
-    """Inverse of the complementary error function on (0, 2)."""
-    if not 0.0 < y < 2.0:
-        raise ValueError("inv_erfc argument must lie strictly inside (0, 2)")
-    return float(special.erfcinv(y))
-
-
-def upper_reg_gamma(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma function Gamma(s, x) / Gamma(s)."""
-    if s <= 0.0:
-        raise ValueError("s must be positive")
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    return float(special.gammaincc(s, x))
 
 
 def _marcum_q_vec(order: float, a, b) -> np.ndarray:
@@ -193,10 +166,10 @@ def qfa_exact(p: TheoryParams, lam: float) -> float:
     """Exact chi-square false-alarm probability of the combined statistic."""
     if lam <= 0.0:
         return 1.0
-    x = lam / (2.0 * p.sigma_sq)
+    x = lam / 2.0
     if p.kind is CombinerKind.SLC:
-        return upper_reg_gamma(p.K * p.u, x)
-    branch = upper_reg_gamma(p.u, x)
+        return float(special.gammaincc(p.K * p.u, x))
+    branch = float(special.gammaincc(p.u, x))
     if p.kind is CombinerKind.MRC:
         return branch
     return float(_sls_complement_power(branch, p.K))
@@ -204,7 +177,7 @@ def qfa_exact(p: TheoryParams, lam: float) -> float:
 
 def _detection_tail(p: TheoryParams, lam, snr) -> np.ndarray:
     """Exact detection probability, elementwise over broadcast thresholds ``lam > 0`` and SNRs."""
-    b = np.sqrt(lam / p.sigma_sq)
+    b = np.sqrt(lam)
     if p.kind is CombinerKind.SLS:
         return _sls_complement_power(_marcum_q_vec(p.u, np.sqrt(p.N * snr), b), p.K)
     order = p.K * p.u if p.kind is CombinerKind.SLC else p.u
@@ -243,7 +216,6 @@ def _gaussian_tail(lam: float, mean, var):
 
 def _h1_moments(p: TheoryParams, snr):
     """Mean and variance of the combined statistic with every sensor at ``snr``."""
-    s2 = p.sigma_sq
     if p.kind is CombinerKind.SLC:
         scale = p.N * p.K
         boost = 1.0 + snr
@@ -253,7 +225,7 @@ def _h1_moments(p: TheoryParams, snr):
     else:  # SLS moments are per branch; the K-fold max is applied separately
         scale = p.N
         boost = 1.0 + snr
-    return scale * s2 * boost, 2.0 * scale * s2 * s2 * boost * boost
+    return scale * boost, 2.0 * scale * boost * boost
 
 
 def _gaussian_rate(p: TheoryParams, lam: float, snr: float) -> float:
@@ -418,21 +390,21 @@ def _nb_gamma_series(r: int, m: int, theta: float, x: float, what: str) -> float
 def qd_rayleigh(p: TheoryParams, lam: float) -> float:
     """Detection probability averaged over Rayleigh fading, by an exact series.
 
-    Given the aggregate SNR ``g``, the statistic over ``sigma_sq`` is
-    noncentral chi-square with ``2 m`` degrees of freedom and noncentrality
-    ``N g``: a Poisson(``N g / 2``) mixture of central ones, so the
-    detection tail is ``sum_j Pois(j) Q(m + j, x)`` with
-    ``x = lam / (2 sigma_sq)``.  With ``g ~ Gamma(r, gamma_bar)`` the
-    Poisson count becomes negative binomial with ``r`` successes and mean
-    ``r N gamma_bar / 2``, which leaves one series and no integral over
-    ``g`` (Digham, Alouini & Simon, IEEE Trans. Commun. 2007).  SLC takes
+    Given the aggregate SNR ``g``, the statistic is noncentral chi-square
+    with ``2 m`` degrees of freedom and noncentrality ``N g``: a
+    Poisson(``N g / 2``) mixture of central ones, so the detection tail is
+    ``sum_j Pois(j) Q(m + j, x)`` with ``x = lam / 2``.  With
+    ``g ~ Gamma(r, gamma_bar)`` the Poisson count becomes negative binomial
+    with ``r`` successes and mean ``r N gamma_bar / 2``, which leaves one
+    series and no integral over ``g`` (Digham, Alouini & Simon, IEEE Trans.
+    Commun. 2007).  SLC takes
     ``(r, m) = (K, K u)`` and MRC ``(K, u)``; SLS averages one exponentially
     faded branch, ``(1, u)``, and applies the K-fold complement
     (independent, identically faded branches).
     """
     if lam <= 0.0:
         return 1.0
-    x = lam / (2.0 * p.sigma_sq)
+    x = lam / 2.0
     theta = p.N * p.gamma_bar / 2.0
     if p.kind is CombinerKind.SLS:
         branch = _nb_gamma_series(1, p.u, theta, x, "SLS branch fading average")
@@ -450,37 +422,17 @@ def _avg_moments(p: TheoryParams, m: int, snr):
     return mu_avg, sigma_avg_sq
 
 
-def avg_stats(p: TheoryParams, snr: float) -> tuple[float, float]:
-    """Mean and variance of the L-event window average of combined energies.
-
-    ``p.M`` of the window events carry signal at the given per-sensor SNR,
-    the rest are noise-only.  ``p.M`` must be set.
-    """
-    if p.M is None:
-        raise ValueError("avg_stats requires an explicit window composition M")
-    if snr < 0.0:
-        raise ValueError("snr must be nonnegative")
-    mu_avg, sigma_avg_sq = _avg_moments(p, p.M, snr)
-    return float(mu_avg), float(sigma_avg_sq)
-
-
-def predictor_prob(p: TheoryParams, lam: float, snr: float) -> float:
-    """Probability that the window-average predictor declares activity."""
-    mu_avg, sigma_avg_sq = avg_stats(p, snr)
-    return float(_gaussian_tail(lam, mu_avg, sigma_avg_sq))
-
-
 def qfa_proposed(p: TheoryParams, lam: float) -> float:
     """Dual-threshold false-alarm probability.
 
     Convex combination of the Gaussian false-alarm rates at the favourable
-    and guarded thresholds, weighted by the predictor; the window is
-    noise-only (``M = 0``) unless ``p.M`` overrides it.
+    and guarded thresholds, weighted by the probability that the predictor
+    fires on a noise-only window.
     """
     _warn_small_n(p)
     if p.rho == 1.0:  # both thresholds coincide; skip the mixture entirely
         return _gaussian_rate(p, lam, 0.0)
-    w = predictor_prob(p if p.M is not None else replace(p, M=0), lam, 0.0)
+    w = float(_gaussian_tail(lam, *_avg_moments(p, 0, 0.0)))
     favourable, guarded = _gaussian_rate(p, lam / p.rho, 0.0), _gaussian_rate(p, p.rho * lam, 0.0)
     return w * favourable + (1.0 - w) * guarded
 
@@ -503,14 +455,13 @@ def qd_proposed_rayleigh(p: TheoryParams, lam: float) -> float:
     if p.rho == 1.0:
         return qd_rayleigh(p, lam)
     pdf = _aggregate_snr_pdf(p)
-    m = p.L if p.M is None else p.M
     thresholds = np.array([[lam / p.rho], [p.rho * lam]])  # favourable, guarded
     # SLS integrates over one branch's SNR, SLC/MRC over the K-sensor sum
     per_sensor = 1.0 if p.kind is CombinerKind.SLS else p.K
 
     def integrand(g: np.ndarray) -> np.ndarray:
         snr = g / per_sensor
-        w = _gaussian_tail(lam, *_avg_moments(p, m, snr))
+        w = _gaussian_tail(lam, *_avg_moments(p, p.L, snr))
         favourable, guarded = _detection_tail(p, thresholds, snr)
         return (w * favourable + (1.0 - w) * guarded) * pdf(g)
 

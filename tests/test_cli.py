@@ -162,8 +162,9 @@ class TestRunCommand:
                     / (float(r[f"empirical_{rate}_ci"]) or floor)
                     for r in curve
                 )
-                # the CSV carries 12 significant digits
+                # the CSV carries 12 significant digits, and so does the gap
                 assert gap[rate] == pytest.approx(expected, rel=1e-9)
+                assert gap[rate] == float(f"{gap[rate]:.12g}")
         # deterministic: a second run writes the same manifest apart from started_at
         run_command(command, scen, tmp_path / "b")
         first, second = (
@@ -286,11 +287,11 @@ GOLDEN_SHA256 = {
 # manifest bytes without the started_at line: they pin what no CSV carries, such as
 # the per-curve AUCs, the equivalence search's AUC half-widths and the theory gaps
 GOLDEN_MANIFEST_SHA256 = {
-    "compare": "89aeaa4a519db3e17d6a17503ff848857079436f4d87ddf2dc6e92d4c438e3ab",
-    "equivalence": "6d88245ea7bf3d5fd02666d9b7e69389328f614c141e79a0d2722262a702dc44",
-    "roc": "ef9ee5c589d297f76b3307ac19409a914387e3dc3e216c2c53e7480d361606b6",
-    "sweep-k": "01fd05cdce626c084cb2d34ff1bc11e621910310839f2f2778bf41cf4706151b",
-    "sweep-l": "7babb63e46d5309286f7056acaa9579e959f2e0b292b11a6c9b5c8d335ca1e1a",
+    "compare": "e1e6dc8dd1987e9826e328f6af67cce896c52569750f3bfa32f664e1fe76a71b",
+    "equivalence": "2853fab193b04da5e39089eb06961e830fdc330a344503c69b2991faa7436171",
+    "roc": "be9eb287d915276d4b8cf805ed3e4892e001663ccab01c86286a5eaee0239770",
+    "sweep-k": "97e23650b34219deba638d2950ab34a632fbecde8f1d336e8bb1b580c4784ad4",
+    "sweep-l": "45ef39e6008a039eaf512c0aa05e25797fcef81ae5e8575a9d514523ab6a4bc6",
     "theory-table": "4ab8d8c505d9b1a3ee222f61d017287159d403680f981aa1d922da347e157169",
 }
 

@@ -13,11 +13,7 @@ from css_lab.harness import Scenario, expected_rho
 from css_lab.theory import (
     NumericError,
     TheoryParams,
-    avg_stats,
-    inv_erfc,
     marcum_q,
-    predictor_prob,
-    q_func,
     qd_awgn_approx,
     qd_awgn_exact,
     qd_proposed_rayleigh,
@@ -25,7 +21,6 @@ from css_lab.theory import (
     qfa_approx,
     qfa_exact,
     qfa_proposed,
-    upper_reg_gamma,
 )
 from css_lab import theory
 
@@ -34,6 +29,11 @@ GBAR = 10 ** (-1.5)
 
 def params(kind=CombinerKind.SLC, K=7, N=1000, **kw):
     return TheoryParams(kind=kind, K=K, N=N, gamma_bar=GBAR, **kw)
+
+
+def predictor_weight(p, m, lam, snr):
+    """Predictor firing probability with ``m`` of the ``p.L`` window events at ``snr``."""
+    return float(theory._gaussian_tail(lam, *theory._avg_moments(p, m, snr)))
 
 
 def marcum_series_oracle(order, a, b):
@@ -46,63 +46,17 @@ def marcum_series_oracle(order, a, b):
     return float(np.sum(stats.poisson.pmf(k, rate) * special.gammaincc(order + k, x)))
 
 
-def upper_gamma_quad_oracle(s, x):
-    """Adaptive quadrature of the normalized defining integrand."""
-    integrand = lambda t: np.exp((s - 1.0) * np.log(t) - t - special.gammaln(s))
-    hi = x + 60.0 * np.sqrt(s) + 60.0
-    value, _ = integrate.quad(integrand, x, hi, epsabs=1e-13, epsrel=1e-13, limit=400)
-    return value
-
-
 class TestQFunc:
     def test_zero(self):
-        assert q_func(0.0) == pytest.approx(0.5, abs=1e-15)
+        assert theory._q(0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_symmetry(self):
         for x in np.linspace(-6, 6, 25):
-            assert q_func(x) + q_func(-x) == pytest.approx(1.0, abs=1e-12)
+            assert theory._q(x) + theory._q(-x) == pytest.approx(1.0, abs=1e-12)
 
     def test_decile(self):
         # 0.9-quantile of the standard normal, root-found on the erfc series
-        assert q_func(1.2815515655) == pytest.approx(0.1, abs=1e-9)
-
-
-class TestInvErfc:
-    def test_unit(self):
-        assert inv_erfc(1.0) == 0.0
-
-    def test_sign_structure(self):
-        assert inv_erfc(0.2) > 0.0
-        assert inv_erfc(1.8) < 0.0
-
-    def test_round_trip_grid(self):
-        for y in np.linspace(1e-4, 2 - 1e-4, 100):
-            assert special.erfc(inv_erfc(float(y))) == pytest.approx(y, rel=1e-10)
-
-    def test_domain(self):
-        for bad in (0.0, 2.0, -1.0, 2.5):
-            with pytest.raises(ValueError):
-                inv_erfc(bad)
-
-
-class TestUpperRegGamma:
-    def test_zero_lower_tail(self):
-        assert upper_reg_gamma(3.7, 0.0) == 1.0
-
-    def test_exponential_special_case(self):
-        for x in (0.1, 1.0, 4.2):
-            assert upper_reg_gamma(1.0, x) == pytest.approx(np.exp(-x), rel=1e-12)
-
-    def test_large_argument_vs_quadrature(self):
-        assert upper_reg_gamma(500.0, 500.0) == pytest.approx(
-            upper_gamma_quad_oracle(500.0, 500.0), abs=1e-8
-        )
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            upper_reg_gamma(0.0, 1.0)
-        with pytest.raises(ValueError):
-            upper_reg_gamma(1.0, -1.0)
+        assert theory._q(1.2815515655) == pytest.approx(0.1, abs=1e-9)
 
 
 class TestMarcumQ:
@@ -112,7 +66,7 @@ class TestMarcumQ:
     def test_zero_noncentrality_identity(self):
         for m, b in ((1.0, 1.0), (5.0, 3.0), (500.0, 32.0)):
             assert marcum_q(m, 0.0, b) == pytest.approx(
-                upper_reg_gamma(m, b * b / 2.0), rel=1e-12
+                special.gammaincc(m, b * b / 2.0), rel=1e-12
             )
 
     def test_unit_case_vs_series(self):
@@ -253,35 +207,25 @@ class TestGaussianTails:
             assert [w.filename for w in record] == [__file__]
 
 
-class TestAvgStats:
+class TestWindowMoments:
     def test_idle_window(self):
-        p = params(L=15, M=0)
-        mu, var = avg_stats(p, GBAR)
+        mu, var = theory._avg_moments(params(L=15), 0, GBAR)
         assert mu == pytest.approx(7000.0)
         assert var == pytest.approx(2 * 1000 * 7 / 15.0)
 
     def test_active_window(self):
-        p = params(L=15, M=15)
-        mu, _ = avg_stats(p, GBAR)
+        mu, _ = theory._avg_moments(params(L=15), 15, GBAR)
         assert mu == pytest.approx(7000.0 * (1.0 + GBAR))
 
-    def test_requires_window_composition(self):
-        with pytest.raises(ValueError):
-            avg_stats(params(), GBAR)
-
-    def test_m_range_validation(self):
-        with pytest.raises(ValueError):
-            params(L=10, M=11)
-
     def test_half_active_window_matches_simulation(self):
-        # 1e5 windows, M=L/2 active events at fixed per-sensor SNR
+        # 1e5 windows, L/2 active events at fixed per-sensor SNR
         rng = np.random.default_rng(63)
         k, n, length, m, windows = 7, 1000, 14, 7, 100_000
-        p = params(L=length, M=m)
+        p = params(L=length)
         active = rng.noncentral_chisquare(n * k, n * k * GBAR, size=(windows, m))
         idle = rng.chisquare(n * k, size=(windows, length - m))
         averages = np.hstack([active, idle]).mean(axis=1)
-        mu, var = avg_stats(p, GBAR)
+        mu, var = theory._avg_moments(p, m, GBAR)
         mean_se = averages.std(ddof=1) / np.sqrt(windows)
         assert abs(averages.mean() - mu) <= 3 * mean_se
         sample_var = averages.var(ddof=1)
@@ -290,23 +234,23 @@ class TestAvgStats:
         assert abs(sample_var - var) <= 3 * var_se
 
 
-class TestPredictorProb:
+class TestPredictorWeight:
     def test_median(self):
-        p = params(L=15, M=15)
-        mu, _ = avg_stats(p, GBAR)
-        assert predictor_prob(p, mu, GBAR) == pytest.approx(0.5, abs=1e-12)
+        p = params(L=15)
+        mu, _ = theory._avg_moments(p, 15, GBAR)
+        assert predictor_weight(p, 15, mu, GBAR) == pytest.approx(0.5, abs=1e-12)
 
     def test_reliable_active_regime(self):
         # probe at the mean combined SNR: essentially certain prediction
-        p = params(L=15, M=15)
+        p = params(L=15)
         lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), 0.1)
-        assert predictor_prob(p, lam, 7 * GBAR) >= 0.99
+        assert predictor_weight(p, 15, lam, 7 * GBAR) >= 0.99
 
     def test_idle_regime(self):
-        p = params(L=15, M=0)
+        p = params(L=15)
         lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), 0.1)
-        assert predictor_prob(p, lam, 0.0) <= 0.01
-        assert predictor_prob(p, lam, 0.0) == pytest.approx(3.4629885e-07, rel=1e-5)
+        assert predictor_weight(p, 0, lam, 0.0) <= 0.01
+        assert predictor_weight(p, 0, lam, 0.0) == pytest.approx(3.4629885e-07, rel=1e-5)
 
 
 class TestProposedFalseAlarm:
@@ -319,6 +263,20 @@ class TestProposedFalseAlarm:
         p = params(rho=1.2, L=15)
         lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), 0.1)
         assert abs(qfa_proposed(p, lam) - qfa_approx(p, 1.2 * lam)) <= 1e-4
+
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_mixes_endpoint_rates_by_idle_window_weight(self, kind):
+        # the predictor sees an idle window: L noise-only events, each of mean
+        # `scale` and variance 2 scale (SLC sums K sensors, MRC and SLS read one)
+        rho, length = 1.2, 15
+        p = params(kind, rho=rho, L=length)
+        scale = 1000 * 7 if kind is CombinerKind.SLC else 1000
+        sd = np.sqrt(2.0 * scale / length)
+        targets = [cfar_threshold(p, t) for t in (0.01, 0.1, 0.5)]
+        for lam in [*targets, *(scale + z * sd for z in (-2.0, 0.0, 1.0, 3.0))]:
+            w = stats.norm.sf((lam - scale) / sd)
+            mixture = w * qfa_approx(p, lam / rho) + (1.0 - w) * qfa_approx(p, rho * lam)
+            assert qfa_proposed(p, lam) == pytest.approx(mixture, rel=1e-12)
 
     def test_between_endpoint_rates(self, rng):
         p = params(rho=1.15, L=15)
@@ -333,8 +291,8 @@ class TestProposedDetection:
     def test_ordering_when_predictor_reliable(self):
         # idle window, near-zero predictor: strictly lower false alarm
         lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), 0.1)
-        p_idle = params(rho=1.1, L=15, M=0)
-        assert predictor_prob(p_idle, lam, 0.0) <= 0.01
+        p_idle = params(rho=1.1, L=15)
+        assert predictor_weight(p_idle, 0, lam, 0.0) <= 0.01
         assert qfa_proposed(p_idle, lam) < qfa_approx(p_idle, lam)
 
 
@@ -374,10 +332,9 @@ class TestProposedRayleigh:
         # mean combined SNR is essentially certain
         prop = params(rho=1.2, L=15)
         conv = params(L=15)
-        gate = params(L=15, M=15)
         for t in np.linspace(0.12, 0.5, 10):
             lam = cfar_threshold(conv, float(t))
-            assert predictor_prob(gate, lam, GBAR) >= 0.99
+            assert predictor_weight(conv, 15, lam, GBAR) >= 0.99
             assert qd_proposed_rayleigh(prop, lam) > qd_rayleigh(conv, lam)
 
     def test_matches_pipeline_monte_carlo(self):
@@ -696,6 +653,4 @@ class TestParamsValidation:
             TheoryParams(CombinerKind.SLC, K=1, N=1000, rho=0.9)
         with pytest.raises(ValueError):
             TheoryParams(CombinerKind.SLC, K=1, N=1000, L=1)
-        with pytest.raises(ValueError):
-            TheoryParams(CombinerKind.SLC, K=1, N=1000, sigma_sq=0.0)
         assert TheoryParams(CombinerKind.SLC, K=1, N=1000).u == 500
