@@ -46,6 +46,14 @@ def marcum_series_oracle(order, a, b):
     return float(np.sum(stats.poisson.pmf(k, rate) * special.gammaincc(order + k, x)))
 
 
+def upper_gamma_quad_oracle(s, x):
+    """Adaptive quadrature of the normalized defining integrand."""
+    integrand = lambda t: np.exp((s - 1.0) * np.log(t) - t - special.gammaln(s))
+    hi = x + 60.0 * np.sqrt(s) + 60.0
+    value, _ = integrate.quad(integrand, x, hi, epsabs=1e-13, epsrel=1e-13, limit=400)
+    return value
+
+
 class TestQFunc:
     def test_zero(self):
         assert theory._q(0.0) == pytest.approx(0.5, abs=1e-15)
@@ -57,6 +65,66 @@ class TestQFunc:
     def test_decile(self):
         # 0.9-quantile of the standard normal, root-found on the erfc series
         assert theory._q(1.2815515655) == pytest.approx(0.1, abs=1e-9)
+
+
+class TestInvErfc:
+    """The inverse-erfc step of ``cfar_threshold``: ``lam = erfcinv(2 rate) 2 sqrt(2 dof) + 2 dof``."""
+
+    def test_unit(self):
+        # erfcinv(1) = 0: a median target lands exactly on the null mean
+        assert special.erfcinv(1.0) == 0.0
+        assert cfar_threshold(params(CombinerKind.SLC), 0.5) == 7000.0
+        assert cfar_threshold(params(CombinerKind.MRC), 0.5) == 1000.0
+
+    def test_sign_structure(self):
+        for kind, mean in ((CombinerKind.SLC, 7000.0), (CombinerKind.MRC, 1000.0)):
+            assert cfar_threshold(params(kind), 0.1) > mean
+            assert cfar_threshold(params(kind), 0.9) < mean
+
+    def test_round_trip_grid(self):
+        for kind in CombinerKind:
+            p = params(kind)
+            for y in np.linspace(1e-4, 2 - 1e-4, 100):
+                target = float(y) / 2.0
+                assert qfa_approx(p, cfar_threshold(p, target)) == pytest.approx(target, rel=1e-10)
+
+    def test_domain(self):
+        # the target check keeps erfcinv's argument inside (0, 2)
+        for kind in CombinerKind:
+            for bad in (0.0, 1.0, -0.5, 1.25):
+                with pytest.raises(ValueError):
+                    cfar_threshold(params(kind), bad)
+        with pytest.raises(ValueError, match="SLS branch"):
+            cfar_threshold(params(CombinerKind.SLS, K=48), 5e-324)
+
+
+class TestUpperRegGamma:
+    """The regularized upper gamma step of ``qfa_exact``, at shape ``K u`` or ``u``."""
+
+    def test_zero_lower_tail(self):
+        for kind in CombinerKind:
+            assert qfa_exact(params(kind), 0.0) == 1.0
+            assert qfa_exact(params(kind), 5e-324) == 1.0
+
+    def test_exponential_special_case(self):
+        # N = 2 gives u = 1, so each branch tail is exp(-lam / 2)
+        for x in (0.1, 1.0, 4.2):
+            for p in (TheoryParams(CombinerKind.SLC, 1, 2), TheoryParams(CombinerKind.MRC, 3, 2)):
+                assert qfa_exact(p, 2.0 * x) == pytest.approx(np.exp(-x), rel=1e-12)
+
+    def test_large_argument_vs_quadrature(self):
+        oracle = upper_gamma_quad_oracle(500.0, 500.0)
+        for p in (TheoryParams(CombinerKind.SLC, 1, 1000), params(CombinerKind.MRC)):
+            assert qfa_exact(p, 1000.0) == pytest.approx(oracle, abs=1e-8)
+
+    def test_domain(self):
+        # TheoryParams refuses a nonpositive shape; a nonpositive threshold saturates
+        with pytest.raises(ValueError):
+            TheoryParams(CombinerKind.SLC, K=0, N=1000)
+        with pytest.raises(ValueError):
+            TheoryParams(CombinerKind.MRC, K=1, N=0)
+        for kind in CombinerKind:
+            assert qfa_exact(params(kind), -1.0) == 1.0
 
 
 class TestMarcumQ:
