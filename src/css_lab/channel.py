@@ -10,8 +10,8 @@ Conventions used throughout the simulator:
   synthesis places noise on the real axis (post carrier-recovery
   baseband), which is what keeps the energy statistic an exact
   (non)central chi-square with one degree of freedom per sample.
-* Channel gains are drawn relative to the nominal noise power, so the
-  recorded instantaneous SNR is ``|gain|**2`` times signal power over
+* Channel gains are drawn relative to the nominal noise power, so a
+  gain's instantaneous SNR is ``|gain|**2`` times signal power over
   nominal noise power and is exponentially distributed under Rayleigh
   fading.
 """
@@ -32,56 +32,12 @@ class Hypothesis(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ChannelDraw:
-    """One realisation of the flat-fading channel between PU and a sensor.
-
-    ``instantaneous_snr`` is the linear per-sample SNR seen through this
-    gain at nominal noise power; it is exponential over repeated draws.
-    """
-
-    gain: complex
-    instantaneous_snr: float
-
-    def __post_init__(self) -> None:
-        if self.instantaneous_snr < 0.0:
-            raise ValueError("instantaneous_snr must be nonnegative")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Nominal noise variance plus a symmetric uncertainty interval in dB.
-
-    Per-event variances are drawn uniformly in dB inside
-    ``[-uncertainty_halfwidth_db, +uncertainty_halfwidth_db]`` around the
-    nominal value; a halfwidth of zero pins every draw to the nominal.
-    """
-
-    nominal_variance: float
-    uncertainty_halfwidth_db: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.nominal_variance <= 0.0:
-            raise ValueError("nominal_variance must be positive")
-        if self.uncertainty_halfwidth_db < 0.0:
-            raise ValueError("uncertainty_halfwidth_db must be nonnegative")
-
-    @property
-    def lower_bound(self) -> float:
-        return self.nominal_variance * 10.0 ** (-self.uncertainty_halfwidth_db / 10.0)
-
-    @property
-    def upper_bound(self) -> float:
-        return self.nominal_variance * 10.0 ** (self.uncertainty_halfwidth_db / 10.0)
-
-
-@dataclass(frozen=True)
 class SampleBlock:
     """The received samples of one sensing event at one sensor."""
 
     samples: np.ndarray
-    true_hypothesis: Hypothesis
     true_noise_variance: float
-    channel: ChannelDraw
+    gain: complex
 
     def __post_init__(self) -> None:
         if len(self.samples) < 1:
@@ -101,31 +57,31 @@ def gen_pu_samples(n: int, rng: np.random.Generator) -> np.ndarray:
     return (2.0 * bits - 1.0).astype(np.complex128)
 
 
-def draw_channel(avg_snr: float, rng: np.random.Generator) -> ChannelDraw:
+def draw_channel(avg_snr: float, rng: np.random.Generator) -> complex:
     """Draw one Rayleigh flat-fading gain with the given average linear SNR.
 
     The gain is circularly symmetric complex Gaussian with
     ``E[|gain|**2] = avg_snr`` (unit signal power, unit nominal noise
-    power), which makes the instantaneous SNR exponential with mean
-    ``avg_snr``.
+    power), which makes the instantaneous SNR ``|gain|**2`` exponential
+    with mean ``avg_snr``.
     """
     if avg_snr <= 0.0:
         raise ValueError("avg_snr must be positive")
     scale = np.sqrt(avg_snr / 2.0)
-    gain = complex(rng.standard_normal() * scale, rng.standard_normal() * scale)
-    return ChannelDraw(gain=gain, instantaneous_snr=abs(gain) ** 2)
+    return complex(rng.standard_normal() * scale, rng.standard_normal() * scale)
 
 
-def draw_noise_variance(model: NoiseModel, rng: np.random.Generator) -> float:
-    """Draw one per-event noise variance, uniform in dB around the nominal."""
-    delta = model.uncertainty_halfwidth_db
-    offset_db = rng.uniform(-delta, delta)
-    return model.nominal_variance * 10.0 ** (offset_db / 10.0)
+def draw_noise_variance(uncertainty_db: float, rng: np.random.Generator) -> float:
+    """Draw one noise variance over nominal, uniform in dB within ``uncertainty_db`` either side."""
+    if uncertainty_db < 0.0:
+        raise ValueError("uncertainty_db must be nonnegative")
+    offset_db = rng.uniform(-uncertainty_db, uncertainty_db)
+    return 10.0 ** (offset_db / 10.0)
 
 
 def synthesize_received(
     hyp: Hypothesis,
-    channel: ChannelDraw,
+    gain: complex,
     pu: np.ndarray,
     noise_variance: float,
     rng: np.random.Generator,
@@ -147,10 +103,5 @@ def synthesize_received(
     noise = rng.standard_normal(pu.size) * np.sqrt(noise_variance)
     samples = noise.astype(np.complex128)
     if hyp is Hypothesis.H1:
-        samples = samples + abs(channel.gain) * pu
-    return SampleBlock(
-        samples=samples,
-        true_hypothesis=hyp,
-        true_noise_variance=noise_variance,
-        channel=channel,
-    )
+        samples = samples + abs(gain) * pu
+    return SampleBlock(samples=samples, true_noise_variance=noise_variance, gain=gain)

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .channel import Hypothesis
-from .sensing import SensingReport
 
 if TYPE_CHECKING:  # theory imports CombinerKind from this module
     from .theory import TheoryParams
@@ -39,16 +38,15 @@ class CombinerKind(enum.Enum):
     SLS = "sls"
 
 
-def combine(kind: CombinerKind, reports: Sequence[SensingReport]) -> float:
-    """Fuse one event's SLC or SLS reports into the combined energy statistic."""
+def combine(kind: CombinerKind, energies: Sequence[float]) -> float:
+    """Fuse one event's SLC or SLS sensor energies into the combined energy statistic."""
     if kind is CombinerKind.MRC:
         raise ValueError("MRC combines sample streams, not energies; use combine_signal_mrc")
-    if len(reports) < 1:
-        raise ValueError("need at least one report")
-    energies = np.array([r.energy for r in reports], dtype=float)
+    if len(energies) < 1:
+        raise ValueError("need at least one energy")
     if kind is CombinerKind.SLC:
-        return float(energies.sum())
-    return float(energies.max())
+        return float(np.sum(energies))
+    return float(np.max(energies))
 
 
 def combine_signal_mrc(blocks: Sequence) -> np.ndarray:
@@ -61,7 +59,7 @@ def combine_signal_mrc(blocks: Sequence) -> np.ndarray:
     """
     if len(blocks) < 1:
         raise ValueError("need at least one block")
-    mags = np.array([abs(b.channel.gain) for b in blocks], dtype=float)
+    mags = np.array([abs(b.gain) for b in blocks], dtype=float)
     norm = np.sqrt(np.sum(mags**2))
     if norm <= 0.0:
         raise DegenerateWeightsError("all channel gains are zero; MRC undefined")

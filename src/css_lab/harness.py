@@ -71,17 +71,16 @@ import numpy as np
 
 from .adaptive import FusionState, advance, push_event
 from .channel import (
-    ChannelDraw,
     Hypothesis,
-    NoiseModel,
     draw_channel,
     draw_noise_variance,
     gen_pu_samples,
     synthesize_received,
 )
 from .fusion import CombinerKind, cfar_threshold, combine, combine_signal_mrc
-from .sensing import make_report, measure_energy
-from .theory import TheoryParams, qd_proposed_rayleigh, qd_rayleigh, qfa_approx, qfa_proposed
+from .sensing import measure_energy
+from .theory import TheoryParams, qd_awgn_exact, qd_proposed_awgn, qd_proposed_rayleigh
+from .theory import qd_rayleigh, qfa_approx, qfa_proposed
 
 DEFAULT_SEED = 20240601
 DEFAULT_PFA_GRID = tuple(float(x) for x in np.logspace(np.log10(0.01), np.log10(0.5), 15))
@@ -514,11 +513,15 @@ def _dual_score(
 def _theory_columns(
     scenario: Scenario, scheme: str, lam: float, rho: float
 ) -> tuple[float, float]:
+    """Closed-form pfa and pd at ``lam``; pd under AWGN is taken at the one SNR, not averaged."""
+    awgn = scenario.channel_kind == "awgn"
     if scheme == SCHEME_CONVENTIONAL:
-        params = scenario.theory_params()
-        return qfa_approx(params, lam), qd_rayleigh(params, lam)
-    params = scenario.theory_params(rho=rho)
-    return qfa_proposed(params, lam), qd_proposed_rayleigh(params, lam)
+        p = scenario.theory_params()
+        pd = qd_awgn_exact(p, lam, p.gamma_bar) if awgn else qd_rayleigh(p, lam)
+        return qfa_approx(p, lam), pd
+    p = scenario.theory_params(rho=rho)
+    pd = qd_proposed_awgn(p, lam, p.gamma_bar) if awgn else qd_proposed_rayleigh(p, lam)
+    return qfa_proposed(p, lam), pd
 
 
 def _auc_with_ci(
@@ -722,7 +725,7 @@ def run_regime_sampled(
     """Positive-decision rate of one rule and its 3-sigma half-width, from sampled waveforms.
 
     The sample-level reference for :func:`forced_rates`: it synthesises
-    full waveforms through the channel/sensing stack and decides with
+    full waveforms, measures and fuses their energies and decides with
     :mod:`css_lab.adaptive`, one freshly-warmed window per trial, under H1
     when ``h1`` and H0 otherwise.  Intended for cross-validation at modest
     trial counts.
@@ -731,17 +734,16 @@ def run_regime_sampled(
         raise ValueError(f"unknown scheme {scheme!r}")
     rng = derive_rng(scenario.seed, _TAG_SAMPLED)
     hyp = Hypothesis.H1 if h1 else Hypothesis.H0
-    noise_model = NoiseModel(1.0, scenario.uncertainty_db)  # energies in nominal units
     positives = 0
     for _ in range(scenario.trials):
         if scheme == SCHEME_CONVENTIONAL:
-            decision = _sampled_event(scenario, hyp, noise_model, rng)[0] >= lam
+            decision = _sampled_event(scenario, hyp, rng)[0] >= lam
         else:
             state = FusionState(scenario.history_len)
             for _event in range(scenario.history_len - 1):
-                e_comb, sig_mean = _sampled_event(scenario, hyp, noise_model, rng)
+                e_comb, sig_mean = _sampled_event(scenario, hyp, rng)
                 push_event(state, e_comb, sig_mean)
-            e_comb, sig_mean = _sampled_event(scenario, hyp, noise_model, rng)
+            e_comb, sig_mean = _sampled_event(scenario, hyp, rng)
             decision = advance(state, e_comb, sig_mean, lam).decision is Hypothesis.H1
         positives += int(decision)
     rate = positives / scenario.trials
@@ -751,7 +753,6 @@ def run_regime_sampled(
 def _sampled_event(
     scenario: Scenario,
     hyp: Hypothesis,
-    noise_model: NoiseModel,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """One full-waveform sensing event; returns (combined energy, mean variance)."""
@@ -759,18 +760,15 @@ def _sampled_event(
     blocks = []
     for _ in range(scenario.num_crs):
         if scenario.channel_kind == "awgn":
-            channel = ChannelDraw(
-                gain=complex(np.sqrt(scenario.gamma_bar)),
-                instantaneous_snr=scenario.gamma_bar,
-            )
+            gain = complex(np.sqrt(scenario.gamma_bar))
         else:
-            channel = draw_channel(scenario.gamma_bar, rng)
-        variance = draw_noise_variance(noise_model, rng)
-        blocks.append(synthesize_received(hyp, channel, pu, variance, rng))
-    reports = [make_report(b) for b in blocks]
+            gain = draw_channel(scenario.gamma_bar, rng)
+        variance = draw_noise_variance(scenario.uncertainty_db, rng)
+        blocks.append(synthesize_received(hyp, gain, pu, variance, rng))
     if scenario.combiner is CombinerKind.MRC:
         e_comb = measure_energy(combine_signal_mrc(blocks))
     else:
-        e_comb = combine(scenario.combiner, reports)
-    sig_mean = float(np.mean([r.est_noise_variance for r in reports]))
+        e_comb = combine(scenario.combiner, [measure_energy(b) for b in blocks])
+    # each sensor knows its drawn noise variance exactly (perfect estimation)
+    sig_mean = float(np.mean([b.true_noise_variance for b in blocks]))
     return e_comb, sig_mean

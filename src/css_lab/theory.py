@@ -437,12 +437,29 @@ def qfa_proposed(p: TheoryParams, lam: float) -> float:
     return w * favourable + (1.0 - w) * guarded
 
 
+def _proposed_mixture(p: TheoryParams, lam: float, snr) -> np.ndarray:
+    """Dual-threshold pd at ``snr``, elementwise: the predictor weight mixes the two exact tails."""
+    thresholds = np.array([[lam / p.rho], [p.rho * lam]])  # favourable, guarded
+    w = _gaussian_tail(lam, *_avg_moments(p, p.L, snr))
+    favourable, guarded = _detection_tail(p, thresholds, snr)
+    return w * favourable + (1.0 - w) * guarded
+
+
+def qd_proposed_awgn(p: TheoryParams, lam: float, snr: float) -> float:
+    """Dual-threshold detection probability with every sensor at the fixed ``snr``.
+
+    ``rho = 1`` returns :func:`qd_awgn_exact`, which also screens ``lam`` and ``snr``.
+    """
+    if p.rho == 1.0 or lam <= 0.0 or snr < 0.0:
+        return qd_awgn_exact(p, lam, snr)
+    return float(_proposed_mixture(p, lam, snr)[0])
+
+
 def qd_proposed_rayleigh(p: TheoryParams, lam: float) -> float:
     """Dual-threshold detection probability averaged over Rayleigh fading.
 
-    The per-SNR mixture uses the exact Marcum tails at the two toggled
-    thresholds, with the Gaussian predictor weight evaluated for a window
-    whose events all see the integration-variable SNR.  ``rho = 1`` returns
+    Averages :func:`_proposed_mixture` over the aggregate SNR, so every
+    window event sees the integration-variable SNR.  ``rho = 1`` returns
     :func:`qd_rayleigh` by an early exit.  For SLC and MRC the mixture also
     tends to it as ``rho -> 1``; for SLS it does not, because the mixture
     applies the K-fold complement inside the average (all branches at one
@@ -455,15 +472,11 @@ def qd_proposed_rayleigh(p: TheoryParams, lam: float) -> float:
     if p.rho == 1.0:
         return qd_rayleigh(p, lam)
     pdf = _aggregate_snr_pdf(p)
-    thresholds = np.array([[lam / p.rho], [p.rho * lam]])  # favourable, guarded
     # SLS integrates over one branch's SNR, SLC/MRC over the K-sensor sum
     per_sensor = 1.0 if p.kind is CombinerKind.SLS else p.K
 
     def integrand(g: np.ndarray) -> np.ndarray:
-        snr = g / per_sensor
-        w = _gaussian_tail(lam, *_avg_moments(p, p.L, snr))
-        favourable, guarded = _detection_tail(p, thresholds, snr)
-        return (w * favourable + (1.0 - w) * guarded) * pdf(g)
+        return _proposed_mixture(p, lam, g / per_sensor) * pdf(g)
 
     # the predictor weight and the two tails step from 0 to 1 about where the H1
     # mean, affine in g, crosses lam, lam / rho and rho * lam: a panel edge at each

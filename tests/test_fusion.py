@@ -15,24 +15,20 @@ from css_lab.fusion import (
     combine_signal_mrc,
     decide_conventional,
 )
-from css_lab.sensing import SensingReport, measure_energy
+from css_lab.sensing import measure_energy
 from css_lab.theory import TheoryParams, qfa_approx
-
-
-def report(energy, variance=1.0):
-    return SensingReport(energy=energy, est_noise_variance=variance)
 
 
 class TestCombine:
     def test_slc_sum(self):
-        assert combine(CombinerKind.SLC, [report(1), report(2), report(3)]) == 6.0
+        assert combine(CombinerKind.SLC, [1.0, 2.0, 3.0]) == 6.0
 
     def test_sls_max(self):
-        assert combine(CombinerKind.SLS, [report(1), report(2), report(3)]) == 3.0
+        assert combine(CombinerKind.SLS, [1.0, 2.0, 3.0]) == 3.0
 
     def test_mrc_points_to_signal_level_combining(self):
         with pytest.raises(ValueError, match="combine_signal_mrc"):
-            combine(CombinerKind.MRC, [report(1), report(2)])
+            combine(CombinerKind.MRC, [1.0, 2.0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -41,14 +37,13 @@ class TestCombine:
     def test_ordering_invariant(self, rng):
         for _ in range(200):
             energies = rng.exponential(5.0, size=rng.integers(1, 8))
-            reports = [report(e) for e in energies]
-            sls = combine(CombinerKind.SLS, reports)
-            slc = combine(CombinerKind.SLC, reports)
+            sls = combine(CombinerKind.SLS, list(energies))
+            slc = combine(CombinerKind.SLC, list(energies))
             assert sls >= energies.max() - 1e-12
             assert slc >= sls - 1e-12
 
     def test_k1_collapse(self):
-        single = [report(4.2)]
+        single = [4.2]
         assert combine(CombinerKind.SLC, single) == combine(CombinerKind.SLS, single) == 4.2
 
 

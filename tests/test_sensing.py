@@ -1,10 +1,10 @@
-"""Energy measurement and report assembly."""
+"""Energy measurement."""
 
 import numpy as np
 import pytest
 from conftest import make_block
 
-from css_lab.sensing import SensingReport, make_report, measure_energy
+from css_lab.sensing import measure_energy
 
 
 class TestMeasureEnergy:
@@ -39,21 +39,3 @@ class TestMeasureEnergy:
                 c**2 * measure_energy(samples), rel=1e-12
             )
 
-
-class TestMakeReport:
-    def test_zero_block_passthrough(self):
-        block = make_block(np.zeros(8), noise_variance=1.3)
-        report = make_report(block)
-        assert report.energy == 0.0
-        assert report.est_noise_variance == 1.3
-
-    def test_pure_function_of_block(self):
-        block = make_block([1, 2, 3])
-        a, b = make_report(block), make_report(block)
-        assert (a.energy, a.est_noise_variance) == (b.energy, b.est_noise_variance)
-
-    def test_report_validation(self):
-        with pytest.raises(ValueError):
-            SensingReport(energy=-1.0, est_noise_variance=1.0)
-        with pytest.raises(ValueError):
-            SensingReport(energy=1.0, est_noise_variance=0.0)

@@ -16,6 +16,7 @@ from css_lab.theory import (
     marcum_q,
     qd_awgn_approx,
     qd_awgn_exact,
+    qd_proposed_awgn,
     qd_proposed_rayleigh,
     qd_rayleigh,
     qfa_approx,
@@ -532,6 +533,46 @@ def dense_fading_reference(p, lam):
         mid, half = (cuts[1:] + cuts[:-1]) / 2.0, (cuts[1:] - cuts[:-1]) / 2.0
         total += float(np.sum(half[:, None] * w * integrand(mid[:, None] + half[:, None] * x)))
     return total
+
+
+class TestProposedAwgn:
+    """The dual-threshold mixture at one SNR, which the Rayleigh average integrates."""
+
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_matches_oracle_mixture(self, kind):
+        worst = 0.0
+        for K in (1, 3, 7):
+            for target in (0.01, 0.1, 0.5):
+                lam = cfar_threshold(TheoryParams(kind, K, 1000), target)
+                for snr_db in (-25.0, -15.0, -5.0):
+                    snr = 10 ** (snr_db / 10)
+                    for rho in (1.1, 1.2):
+                        p = TheoryParams(kind, K=K, N=1000, gamma_bar=snr, rho=rho)
+                        w = _oracle_window_weight(kind, K, 1000, p.L, lam, snr)
+                        favourable = _oracle_detection_tail(kind, K, 1000, lam / rho, snr)
+                        guarded = _oracle_detection_tail(kind, K, 1000, rho * lam, snr)
+                        oracle = w * favourable + (1.0 - w) * guarded
+                        worst = max(worst, abs(qd_proposed_awgn(p, lam, snr) - oracle))
+        assert worst <= 1e-12
+
+    def test_unity_rho_is_fixed_threshold_detection(self):
+        p = params(rho=1.0)
+        for lam in (6900.0, 7151.6, 7400.0):
+            assert qd_proposed_awgn(p, lam, GBAR) == qd_awgn_exact(p, lam, GBAR)
+
+    def test_between_endpoint_tails(self, rng):
+        p = params(rho=1.15, L=15)
+        for lam in rng.uniform(6800, 7800, 25):
+            value = qd_proposed_awgn(p, float(lam), GBAR)
+            lo = qd_awgn_exact(p, 1.15 * float(lam), GBAR)
+            hi = qd_awgn_exact(p, float(lam) / 1.15, GBAR)
+            assert lo - 1e-12 <= value <= hi + 1e-12
+
+    def test_domain(self):
+        p = params(rho=1.2)
+        assert qd_proposed_awgn(p, 0.0, GBAR) == 1.0
+        with pytest.raises(ValueError):
+            qd_proposed_awgn(p, 7000.0, -0.1)
 
 
 class TestFadingAverageOracle:
