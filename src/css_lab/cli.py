@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .fusion import CombinerKind, cfar_threshold
+from .fusion import CombinerKind
 from .harness import (
     SCHEME_CONVENTIONAL,
     SCHEME_PROPOSED,
@@ -126,8 +126,7 @@ def _theory_table_rows(scenario: Scenario) -> list[str]:
     rhos = {SCHEME_CONVENTIONAL: 1.0, SCHEME_PROPOSED: expected_rho(scenario)}
     for kind in (CombinerKind.SLC, CombinerKind.MRC, CombinerKind.SLS):
         sub = replace(scenario, combiner=kind)
-        for target in sub.pfa_grid:
-            lam = cfar_threshold(sub.theory_params(), target)
+        for target, lam in zip(sub.pfa_grid, sub.cfar_grid()):
             for scheme, rho in rhos.items():
                 pfa, pd = _theory_columns(sub, scheme, lam, rho)
                 blank = ("",) * 4  # no empirical columns

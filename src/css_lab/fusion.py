@@ -10,9 +10,9 @@ Three soft-combining statistics are supported:
 * SLS (square-law selection): the largest sensor energy.
 
 Thresholds come from a constant-false-alarm-rate inversion of the Gaussian
-approximation of each statistic's null distribution, read off the same
+approximation of each statistic's null distribution: the same
 :class:`css_lab.theory.TheoryParams` model (``K`` sensors, ``N`` samples,
-nominal noise variance) that the closed forms take.
+nominal noise variance) and the same null moments that the closed forms use.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ def combine_signal_mrc(blocks: Sequence) -> np.ndarray:
 def cfar_threshold(p: TheoryParams, target_pfa: float) -> float:
     """Decision threshold achieving ``target_pfa`` under the Gaussian null model of ``p``.
 
-    Reads ``p.kind``, ``p.K`` and ``p.u``; the threshold is in units of the
-    nominal noise variance.  For SLS it inverts the K-branch complement
-    exactly, using the per-branch rate ``1 - (1 - target_pfa)**(1/K)``.
+    Inverts the null that :func:`css_lab.theory.qfa_approx` evaluates, at the
+    per-branch rate for SLS; the threshold is in units of the nominal noise
+    variance.
     """
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie strictly between 0 and 1")
@@ -80,17 +80,12 @@ def cfar_threshold(p: TheoryParams, target_pfa: float) -> float:
     # imported with this module, ahead of theory, raised the CLI's peak RSS by 0.7 MB
     from scipy import special
 
-    from .theory import _warn_small_n
+    from .theory import _h1_moments, _statistic_rate, _warn_small_n
 
     _warn_small_n(p)
-    rate = target_pfa
-    if p.kind is CombinerKind.SLS:
-        rate = -np.expm1(np.log1p(-target_pfa) / p.K)  # per branch
-        if not 0.0 < rate < 1.0:
-            raise ValueError("SLS branch false-alarm rate left (0, 1); adjust target_pfa")
-    dof = p.K * p.u if p.kind is CombinerKind.SLC else p.u
-    # 2 * rate lies inside (0, 2), where erfcinv is finite
-    return special.erfcinv(2.0 * rate) * 2.0 * np.sqrt(2.0 * dof) + 2.0 * dof
+    mean, var = _h1_moments(p, 0.0)
+    # the rate lies inside (0, 1), so erfcinv's argument lies inside (0, 2), where it is finite
+    return mean + np.sqrt(2.0 * var) * special.erfcinv(2.0 * _statistic_rate(p, target_pfa))
 
 
 def decide_conventional(combined_energy: float, threshold: float) -> Hypothesis:

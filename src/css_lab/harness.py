@@ -85,6 +85,7 @@ from .theory import qd_rayleigh, qfa_approx, qfa_proposed
 DEFAULT_SEED = 20240601
 DEFAULT_PFA_GRID = tuple(float(x) for x in np.logspace(np.log10(0.01), np.log10(0.5), 15))
 AUC_MATCH_TOL = 0.02
+_PFA_FLOOR = float(np.finfo(float).tiny)
 _CHUNK_CELLS = 1 << 22  # cap on rows*events*sensors drawn per chunk
 # expected_rho's chunk: at 1<<20 cells it was faster and held half the peak
 # memory of one 1<<22-cell chunk
@@ -121,9 +122,11 @@ class Scenario:
     fading_block: str = "event"
 
     def __post_init__(self) -> None:
-        # nan and inf pass the comparisons below and fail deep in the draws or the series
-        if not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
+        # nan and inf pass the comparisons below and fail deep in the draws or the series,
+        # and so does an snr_db whose linear SNR overflows, or underflows to 0
+        with np.errstate(all="ignore"):
+            if not 0.0 < np.float64(10.0) ** (self.snr_db / 10.0) < np.inf:
+                raise ValueError("snr_db must be finite, with a positive finite linear SNR")
         if not np.isfinite(self.uncertainty_db):
             raise ValueError("uncertainty_db must be finite")
         if self.n_samples < 2 or self.n_samples % 2 != 0:
@@ -143,8 +146,9 @@ class Scenario:
         grid = tuple(float(t) for t in self.pfa_grid)
         if not grid:
             raise ValueError("pfa_grid must not be empty")
-        if any(not 0.0 < t < 1.0 for t in grid):
-            raise ValueError("pfa_grid entries must lie strictly inside (0, 1)")
+        # below the smallest normal double, SLS's per-branch CFAR rate can underflow to 0
+        if any(not _PFA_FLOOR <= t < 1.0 for t in grid):
+            raise ValueError(f"pfa_grid entries must lie in [{_PFA_FLOOR!r}, 1)")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("pfa_grid must be strictly increasing")
         # a list grid would leave the scenario unhashable and unequal to its tuple twin
@@ -163,6 +167,11 @@ class Scenario:
             rho=rho,
             L=self.history_len,
         )
+
+    def cfar_grid(self) -> list[float]:
+        """The CFAR threshold of each ``pfa_grid`` target under this scenario's null model."""
+        p = self.theory_params()
+        return [cfar_threshold(p, t) for t in self.pfa_grid]
 
     def resolved_text(self) -> str:
         """Canonical key=value rendering of every field; the digest is taken over this."""
@@ -614,10 +623,7 @@ def roc_sweep(
             stacklevel=2,
         )
     subs = {kind: replace(scenario, combiner=kind) for kind in kinds}
-    lams = {
-        kind: [cfar_threshold(sub.theory_params(), t) for t in scenario.pfa_grid]
-        for kind, sub in subs.items()
-    }
+    lams = {kind: sub.cfar_grid() for kind, sub in subs.items()}
 
     def regime(h: int) -> tuple[ForcedRates, ...]:
         rng = derive_rng(scenario.seed, _TAG_SWEEP, h)
@@ -656,10 +662,7 @@ def equivalence_search(
     sizes = [k for k in ks if k != proposed.num_crs]
     subs = {k: replace(proposed, num_crs=k) for k in sizes}
     # every size is scored on the one draw, so every size needs its thresholds first
-    lams = {
-        k: [cfar_threshold(sub.theory_params(), t) for t in proposed.pfa_grid]
-        for k, sub in subs.items()
-    }
+    lams = {k: sub.cfar_grid() for k, sub in subs.items()}
     rates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     if sizes:
 

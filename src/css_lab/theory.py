@@ -16,9 +16,10 @@ From this follow, per combiner (``u = N/2``, ``K`` sensors):
 * SLS: the maximum of ``K`` independent branch statistics; probabilities
   are one minus the K-th power of the branch complement.
 
-Gaussian approximations replace each (non)central chi-square with a normal
-matched to mean ``m (1 + snr)`` and variance ``2 m (1 + snr)^2`` style
-moments, which is where the closed-form CFAR inversion comes from.
+Every closed form reads that model from one place: ``TheoryParams.order``
+(the null's gamma order), ``TheoryParams.snr_shape`` (how many sensor SNRs
+the statistic sums) and :func:`_combined` (the SLS complement).  Gaussian
+forms match a normal to :func:`_h1_moments`; ``cfar_threshold`` inverts it.
 
 SNR argument convention: every function below takes the *per-sensor*
 average linear SNR, assumed equal across sensors; combiner-level scaling
@@ -109,6 +110,14 @@ class TheoryParams:
     def u(self) -> int:
         return self.N // 2
 
+    @property
+    def order(self) -> int:  # gamma order of the null statistic, per branch for SLS
+        return self.K * self.u if self.kind is CombinerKind.SLC else self.u
+
+    @property
+    def snr_shape(self) -> int:  # sensor SNRs the statistic sums: one per SLS branch
+        return 1 if self.kind is CombinerKind.SLS else self.K
+
 
 def _q(x):
     """Standard normal upper-tail probability, elementwise."""
@@ -162,26 +171,29 @@ def _sls_complement_power(branch_prob, k: int):
     return np.where(saturated, 1.0, -np.expm1(k * np.log1p(-np.where(saturated, 0.0, p))))
 
 
+def _combined(p: TheoryParams, rate):
+    """The combiner's rate from its statistic's ``rate``: SLS takes the K-branch complement."""
+    return _sls_complement_power(rate, p.K) if p.kind is CombinerKind.SLS else rate
+
+
+def _statistic_rate(p: TheoryParams, target: float) -> float:
+    """The inverse of :func:`_combined`: the statistic's rate that combines to ``target``."""
+    rate = -np.expm1(np.log1p(-target) / p.K) if p.kind is CombinerKind.SLS else target
+    if not 0.0 < rate < 1.0:  # only an SLS branch rate can leave it, from a target inside
+        raise ValueError("SLS branch false-alarm rate left (0, 1); adjust target_pfa")
+    return rate
+
+
 def qfa_exact(p: TheoryParams, lam: float) -> float:
     """Exact chi-square false-alarm probability of the combined statistic."""
     if lam <= 0.0:
         return 1.0
-    x = lam / 2.0
-    if p.kind is CombinerKind.SLC:
-        return float(special.gammaincc(p.K * p.u, x))
-    branch = float(special.gammaincc(p.u, x))
-    if p.kind is CombinerKind.MRC:
-        return branch
-    return float(_sls_complement_power(branch, p.K))
+    return float(_combined(p, special.gammaincc(p.order, lam / 2.0)))
 
 
 def _detection_tail(p: TheoryParams, lam, snr) -> np.ndarray:
     """Exact detection probability, elementwise over broadcast thresholds ``lam > 0`` and SNRs."""
-    b = np.sqrt(lam)
-    if p.kind is CombinerKind.SLS:
-        return _sls_complement_power(_marcum_q_vec(p.u, np.sqrt(p.N * snr), b), p.K)
-    order = p.K * p.u if p.kind is CombinerKind.SLC else p.u
-    return _marcum_q_vec(order, np.sqrt(p.N * p.K * snr), b)
+    return _combined(p, _marcum_q_vec(p.order, np.sqrt(p.N * p.snr_shape * snr), np.sqrt(lam)))
 
 
 def qd_awgn_exact(p: TheoryParams, lam: float, snr: float) -> float:
@@ -215,25 +227,15 @@ def _gaussian_tail(lam: float, mean, var):
 
 
 def _h1_moments(p: TheoryParams, snr):
-    """Mean and variance of the combined statistic with every sensor at ``snr``."""
-    if p.kind is CombinerKind.SLC:
-        scale = p.N * p.K
-        boost = 1.0 + snr
-    elif p.kind is CombinerKind.MRC:
-        scale = p.N
-        boost = 1.0 + p.K * snr
-    else:  # SLS moments are per branch; the K-fold max is applied separately
-        scale = p.N
-        boost = 1.0 + snr
+    """Mean and variance of the statistic with every sensor at ``snr`` (per branch for SLS)."""
+    scale = 2 * p.order
+    boost = 1.0 + (p.K * snr if p.kind is CombinerKind.MRC else snr)  # MRC's coherent gain
     return scale * boost, 2.0 * scale * boost * boost
 
 
 def _gaussian_rate(p: TheoryParams, lam: float, snr: float) -> float:
     """Gaussian positive rate at ``lam`` with every sensor at ``snr``; never warns."""
-    tail = _gaussian_tail(lam, *_h1_moments(p, snr))
-    if p.kind is CombinerKind.SLS:
-        tail = _sls_complement_power(tail, p.K)
-    return float(tail)
+    return float(_combined(p, _gaussian_tail(lam, *_h1_moments(p, snr))))
 
 
 def qfa_approx(p: TheoryParams, lam: float) -> float:
@@ -256,8 +258,7 @@ def _fading_upper_limit(p: TheoryParams) -> float:
     A fading integrand is the density times a probability, at most 1, so
     truncating there leaves out at most ``_TAIL_MASS``.
     """
-    shape = 1.0 if p.kind is CombinerKind.SLS else p.K
-    return p.gamma_bar * float(special.gammainccinv(shape, _TAIL_MASS))
+    return p.gamma_bar * float(special.gammainccinv(p.snr_shape, _TAIL_MASS))
 
 
 @functools.cache
@@ -318,14 +319,11 @@ def _fading_average(integrand, edges, what: str) -> float:
 def _aggregate_snr_pdf(p: TheoryParams):
     """Density of the combiner's aggregate SNR under Rayleigh branch fading.
 
-    Exponential with mean ``gamma_bar`` per SLS branch, gamma with shape ``K``
-    and scale ``gamma_bar`` for the SLC/MRC sum; the same expressions
-    ``scipy.stats`` evaluates, for ``g > 0``.
+    Gamma with shape ``p.snr_shape`` and scale ``gamma_bar``, the expression
+    ``scipy.stats`` evaluates for ``g > 0``; at shape 1 (an SLS branch) it is
+    bit for bit the exponential, since ``xlogy(0, .)`` and ``gammaln(1)`` are 0.
     """
-    scale = p.gamma_bar
-    if p.kind is CombinerKind.SLS:
-        return lambda g: np.exp(-(g / scale)) / scale
-    shape = p.K
+    scale, shape = p.gamma_bar, p.snr_shape
     return lambda g: (
         np.exp(special.xlogy(shape - 1.0, g / scale) - g / scale - special.gammaln(shape))
         / scale
@@ -397,20 +395,16 @@ def qd_rayleigh(p: TheoryParams, lam: float) -> float:
     ``g ~ Gamma(r, gamma_bar)`` the Poisson count becomes negative binomial
     with ``r`` successes and mean ``r N gamma_bar / 2``, which leaves one
     series and no integral over ``g`` (Digham, Alouini & Simon, IEEE Trans.
-    Commun. 2007).  SLC takes
-    ``(r, m) = (K, K u)`` and MRC ``(K, u)``; SLS averages one exponentially
-    faded branch, ``(1, u)``, and applies the K-fold complement
-    (independent, identically faded branches).
+    Commun. 2007).  ``(r, m) = (p.snr_shape, p.order)``: SLC takes
+    ``(K, K u)`` and MRC ``(K, u)``; SLS averages one exponentially faded
+    branch, ``(1, u)``, and applies the K-fold complement (independent,
+    identically faded branches).
     """
     if lam <= 0.0:
         return 1.0
-    x = lam / 2.0
     theta = p.N * p.gamma_bar / 2.0
-    if p.kind is CombinerKind.SLS:
-        branch = _nb_gamma_series(1, p.u, theta, x, "SLS branch fading average")
-        return float(_sls_complement_power(branch, p.K))
-    order = p.K * p.u if p.kind is CombinerKind.SLC else p.u
-    return _nb_gamma_series(p.K, order, theta, x, f"{p.kind.name} fading average")
+    what = f"{p.kind.name} fading average"
+    return float(_combined(p, _nb_gamma_series(p.snr_shape, p.order, theta, lam / 2.0, what)))
 
 
 def _avg_moments(p: TheoryParams, m: int, snr):
@@ -472,16 +466,14 @@ def qd_proposed_rayleigh(p: TheoryParams, lam: float) -> float:
     if p.rho == 1.0:
         return qd_rayleigh(p, lam)
     pdf = _aggregate_snr_pdf(p)
-    # SLS integrates over one branch's SNR, SLC/MRC over the K-sensor sum
-    per_sensor = 1.0 if p.kind is CombinerKind.SLS else p.K
 
     def integrand(g: np.ndarray) -> np.ndarray:
-        return _proposed_mixture(p, lam, g / per_sensor) * pdf(g)
+        return _proposed_mixture(p, lam, g / p.snr_shape) * pdf(g)
 
     # the predictor weight and the two tails step from 0 to 1 about where the H1
     # mean, affine in g, crosses lam, lam / rho and rho * lam: a panel edge at each
     mean0 = _h1_moments(p, 0.0)[0]
-    slope = _h1_moments(p, 1.0 / per_sensor)[0] - mean0
+    slope = _h1_moments(p, 1.0 / p.snr_shape)[0] - mean0
     hi = _fading_upper_limit(p)
     steps = ((t - mean0) / slope for t in (lam / p.rho, lam, p.rho * lam))  # ascending
     edges = [0.0, *(g for g in steps if 0.0 < g < hi), hi]

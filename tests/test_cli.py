@@ -283,6 +283,9 @@ GOLDEN_SHA256 = {
     "sweep-k": "c713c15fc1667c2c66c7f223d43bde3c76795a52d388ddc74e3c7ef8d56bb572",
     "sweep-l": "c36a6139de2b9f5a0a3a23c95bb3ec3b0a67174381480d67e7eee78ff6e82d8e",
     "theory-table": "a563d26e3410ccefedff86c71cde612914f82a8cb1e7e7db11df12614e2f43ed",
+    "compare-awgn": "3cbde561f24186537214f09d92881c884b468f375b86973e8f99e910094302b2",
+    "theory-table-awgn": "5e90576671ebf31616d5f5e234079a86fb2eaca1cd9c37bcfbdb8084f30ab4c6",
+    "theory-table-k48-n64": "54e48690ecc5cbcdad9dcdcd1121b4aad5afbe8dfc715c662978974a318f5804",
 }
 # manifest bytes without the started_at line: they pin what no CSV carries, such as
 # the per-curve AUCs, the equivalence search's AUC half-widths and the theory gaps
@@ -293,6 +296,17 @@ GOLDEN_MANIFEST_SHA256 = {
     "sweep-k": "97e23650b34219deba638d2950ab34a632fbecde8f1d336e8bb1b580c4784ad4",
     "sweep-l": "45ef39e6008a039eaf512c0aa05e25797fcef81ae5e8575a9d514523ab6a4bc6",
     "theory-table": "4ab8d8c505d9b1a3ee222f61d017287159d403680f981aa1d922da347e157169",
+    "compare-awgn": "4e31ffb18c94ee97698215fc73190aba9ace3a06ecf50cfb5a017e73f2341966",
+    "theory-table-awgn": "a28139694eb617cb455f87804755051039620d56fa0f35c899ed44becde4b685",
+    "theory-table-k48-n64": "00808eccd7719ecbbfd5fc531f78fef0a734ad4d15422e125c9cb1edaace4c32",
+}
+# case -> (subcommand, overrides) for the cases that are not a plain subcommand: the
+# AWGN closed forms, and the SLS per-branch CFAR inversion at K = 48 with N below
+# the Gaussian warning floor
+GOLDEN_CASES = {
+    "compare-awgn": ("compare", ["channel_kind=awgn"]),
+    "theory-table-awgn": ("theory-table", ["channel_kind=awgn"]),
+    "theory-table-k48-n64": ("theory-table", ["num_crs=48", "n_samples=64"]),
 }
 
 
@@ -304,9 +318,10 @@ GOLDEN_MANIFEST_SHA256 = {
 @pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
 def test_golden_csv_digest(command, tmp_path):
     # pins the bytes of the draw kernel, the decision rules and the fading averages
-    scen = parse_scenario(None, overrides=["trials=300", "pfa_grid=0.0935,0.286"])
-    run_command(command, scen, tmp_path)
-    name = command.replace("-", "_") + ".csv"
+    subcommand, extra = GOLDEN_CASES.get(command, (command, []))
+    scen = parse_scenario(None, overrides=["trials=300", "pfa_grid=0.0935,0.286", *extra])
+    run_command(subcommand, scen, tmp_path)
+    name = subcommand.replace("-", "_") + ".csv"
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN_SHA256[command]
     lines = (tmp_path / "manifest.json").read_text().splitlines(keepends=True)
     kept = "".join(line for line in lines if '"started_at"' not in line)
@@ -326,7 +341,16 @@ class TestMain:
         assert err["error"]["type"] == "validation"
 
     @pytest.mark.parametrize(
-        "override", ["snr_db=nan", "snr_db=inf", "uncertainty_db=nan", "uncertainty_db=inf"]
+        "override",
+        [
+            "snr_db=nan",
+            "snr_db=inf",
+            "uncertainty_db=nan",
+            "uncertainty_db=inf",
+            "snr_db=4000",  # the linear SNR overflows
+            "snr_db=-4000",  # the linear SNR underflows to 0
+            "pfa_grid=5e-324",  # SLS's per-branch CFAR rate underflows to 0
+        ],
     )
     def test_non_finite_value_exits_two(self, override, tmp_path, capsys):
         rc = main(["roc", "--set", override, "--set", "trials=200", "--out", str(tmp_path / "nf")])

@@ -69,7 +69,7 @@ class TestQFunc:
 
 
 class TestInvErfc:
-    """The inverse-erfc step of ``cfar_threshold``: ``lam = erfcinv(2 rate) 2 sqrt(2 dof) + 2 dof``."""
+    """The inverse-erfc step of ``cfar_threshold``: ``lam = mean + sqrt(2 var) erfcinv(2 rate)``."""
 
     def test_unit(self):
         # erfcinv(1) = 0: a median target lands exactly on the null mean
