@@ -282,7 +282,7 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _fading_average(integrand, edges, what: str) -> float:
+def _fading_average(integrand, edges, what: str) -> float | np.ndarray:
     """Integrate a vectorized ``integrand`` over the panels between consecutive ``edges``.
 
     On each panel, fixed-node Gauss-Legendre rules of ``n = 8, 16, ...``
@@ -290,7 +290,10 @@ def _fading_average(integrand, edges, what: str) -> float:
     nodes.  A panel's 2n-node value is taken once it agrees with its n-node
     value within ``_QUAD_TOL`` over the number of panels; that difference
     estimates the n-node error, and the 2n-node error is far smaller for the
-    smooth integrands used here.  The panel values are summed.
+    smooth integrands used here.  The panel values are summed.  An integrand
+    may return one column per integral, a ``(nodes, k)`` array: the columns
+    share the nodes, a panel ends once every column agrees, and the result
+    is an array of ``k`` integrals.
     """
     tol = _QUAD_TOL / (len(edges) - 1)
     total = 0.0
@@ -299,17 +302,17 @@ def _fading_average(integrand, edges, what: str) -> float:
         n = _QUAD_MIN_NODES
         while n <= _QUAD_MAX_NODES:
             nodes, weights = _legendre_rule(n)
-            value = (hi - lo) * float(weights @ integrand(lo + (hi - lo) * nodes))
-            if not np.isfinite(value):
+            value = (hi - lo) * (weights @ integrand(lo + (hi - lo) * nodes))
+            if not np.isfinite(value).all():
                 raise NumericError(
-                    f"quadrature for {what} is not finite with {n} nodes: {value!r}"
+                    f"quadrature for {what} is not finite with {n} nodes: {value}"
                 )
-            if previous is not None and abs(value - previous) <= tol:
+            if previous is not None and abs(value - previous).max() <= tol:
                 break
             previous, n = value, 2 * n
         else:
             raise NumericError(
-                f"quadrature for {what} did not converge: {previous!r} with {n // 2} nodes, "
+                f"quadrature for {what} did not converge: {previous} with {n // 2} nodes, "
                 f"interval=({lo!r}, {hi!r})"
             )
         total += value
@@ -344,9 +347,12 @@ def _nb_gamma_series(r: int, m: int, theta: float, x: float, what: str) -> float
     above.  Each side widens until its bound is at most ``_SERIES_TOL``;
     ``NumericError`` is raised for a non-finite value and for a window that
     would exceed ``_SERIES_MAX_TERMS``, where a non-finite bound (never met)
-    also ends.
+    also ends.  A ``theta`` below double epsilon rounds the success
+    probability to 1, and the point-mass limit ``Q(m, x)`` is returned.
     """
     prob = 1.0 / (1.0 + theta)  # success probability of scipy's nbdtr
+    if prob == 1.0:  # theta below double epsilon: J = 0 surely, the negative binomial's limit
+        return float(special.gammaincc(m, x))
     mean, sd = r * theta, np.sqrt(r * theta * (1.0 + theta))
     # J's bulk and Q's rise from 0 to 1 (around j = x - m, over a few sqrt(x))
     lo = max(0, int(max(mean - _SERIES_SIGMAS * sd, x - m - _SERIES_SIGMAS * np.sqrt(x))))
@@ -477,4 +483,4 @@ def qd_proposed_rayleigh(p: TheoryParams, lam: float) -> float:
     hi = _fading_upper_limit(p)
     steps = ((t - mean0) / slope for t in (lam / p.rho, lam, p.rho * lam))  # ascending
     edges = [0.0, *(g for g in steps if 0.0 < g < hi), hi]
-    return _fading_average(integrand, edges, f"{p.kind.name} dual-threshold fading average")
+    return float(_fading_average(integrand, edges, f"{p.kind.name} dual-threshold fading average"))

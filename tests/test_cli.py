@@ -282,10 +282,10 @@ GOLDEN_SHA256 = {
     "roc": "64ebc68eadd1aa131932d0f15a8b6df7dae866de90ad9eb1cdcf30906d85faef",
     "sweep-k": "c713c15fc1667c2c66c7f223d43bde3c76795a52d388ddc74e3c7ef8d56bb572",
     "sweep-l": "c36a6139de2b9f5a0a3a23c95bb3ec3b0a67174381480d67e7eee78ff6e82d8e",
-    "theory-table": "a563d26e3410ccefedff86c71cde612914f82a8cb1e7e7db11df12614e2f43ed",
+    "theory-table": "2505eb709d81fc87f94e0569c6168d90f77e92bc6678c97f5d65654f5ecc4784",
     "compare-awgn": "3cbde561f24186537214f09d92881c884b468f375b86973e8f99e910094302b2",
-    "theory-table-awgn": "5e90576671ebf31616d5f5e234079a86fb2eaca1cd9c37bcfbdb8084f30ab4c6",
-    "theory-table-k48-n64": "54e48690ecc5cbcdad9dcdcd1121b4aad5afbe8dfc715c662978974a318f5804",
+    "theory-table-awgn": "00945c329a9d8114a1021e3d54a1f6935e322d746949e1f732135d37d3babb58",
+    "theory-table-k48-n64": "f36bdb829929a2e8d516dc845b20b52d6586d379ac95ddcfba7d16188984de7f",
 }
 # manifest bytes without the started_at line: they pin what no CSV carries, such as
 # the per-curve AUCs, the equivalence search's AUC half-widths and the theory gaps
@@ -349,6 +349,7 @@ class TestMain:
             "uncertainty_db=inf",
             "snr_db=4000",  # the linear SNR overflows
             "snr_db=-4000",  # the linear SNR underflows to 0
+            "uncertainty_db=4000",  # the linear half-width overflows
             "pfa_grid=5e-324",  # SLS's per-branch CFAR rate underflows to 0
         ],
     )
@@ -358,6 +359,11 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "validation"
         assert override.split("=")[0] in err["message"]
+
+    def test_vanishing_snr_exits_zero(self, tmp_path):
+        # the conventional Rayleigh series at its point-mass limit
+        out = str(tmp_path / "v")
+        assert main(["roc", "--set", "snr_db=-200", "--set", "trials=200", "--out", out]) == 0
 
     def test_removed_pu_model_key_exits_two(self, tmp_path, capsys):
         # a scenario that still sets the removed PU model fails loudly, not silently

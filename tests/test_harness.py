@@ -26,6 +26,7 @@ from css_lab.harness import (
     roc_sweep,
     run_regime_sampled,
 )
+from css_lab.theory import NumericError
 
 
 def _rolling(energies, variances, length, lam, rho_override=None):
@@ -138,10 +139,9 @@ class TestSeeding:
         sc = Scenario(trials=200, seed=5, n_samples=200, num_crs=2, history_len=3, pfa_grid=(0.1,))
         roc_sweep(sc)
         equivalence_search(sc, k_range=(1, 2))
-        expected_rho(sc, windows=10)
         run_regime_sampled(dataclasses.replace(sc, trials=1), "conventional", False, 100.0)
-        # the sweep's two streams, the nested search's two, the rho and sampled streams
-        assert len(used) == 6
+        # the sweep's two streams, the nested search's two and the sampled stream
+        assert len(used) == 5
         first = {derive_rng(*entropy).random() for entropy in used}
         assert len(first) == len(used)
         # each hypothesis' second sweep chunk draws on a stream of its own
@@ -887,14 +887,25 @@ class TestExpectedRho:
     def test_zero_uncertainty(self):
         assert expected_rho(Scenario(uncertainty_db=0.0)) == 1.0
 
-    def test_default_window_value(self):
-        # frozen from a large direct simulation of the window statistic
-        value = expected_rho(Scenario(seed=21), windows=200_000)
-        assert value == pytest.approx(1.0895, abs=0.002)
+    @pytest.mark.parametrize("history_len", [2, 15, 100])
+    @pytest.mark.parametrize("num_crs", [1, 7, 48])
+    @pytest.mark.parametrize("uncertainty_db", [0.5, 1.0, 3.0, 10.0])
+    def test_matches_direct_simulation(self, uncertainty_db, num_crs, history_len):
+        scenario = Scenario(uncertainty_db=uncertainty_db, num_crs=num_crs, history_len=history_len)
+        # about 2M variances per geometry, and at least 1000 windows
+        windows = max(1000, (1 << 21) // (num_crs * history_len))
+        rng = np.random.default_rng((int(uncertainty_db * 10), num_crs, history_len))
+        shape = (windows, history_len, num_crs)
+        rho = harness._window_rho(harness._noise_variances(rng, uncertainty_db, shape).mean(-1))
+        se = rho.std(ddof=1) / np.sqrt(windows)
+        assert abs(expected_rho(scenario) - rho.mean()) <= 4.0 * se
 
-    def test_chunking_leaves_value_unchanged(self, monkeypatch):
-        scenario = Scenario(seed=22)
-        whole = expected_rho(scenario, windows=3_000)
-        # 1000 cells hold 9 windows of 15 x 7: 333 full chunks and a remainder
-        monkeypatch.setattr("css_lab.harness._RHO_CHUNK_CELLS", 1000)
-        assert expected_rho(scenario, windows=3_000) == whole
+    def test_default_matches_finer_lattices(self, monkeypatch):
+        value = expected_rho(Scenario())
+        monkeypatch.setattr(harness, "_RHO_BINS", tuple(4 * b for b in harness._RHO_BINS))
+        assert abs(value - expected_rho(Scenario())) <= 1e-7
+
+    def test_unconverged_lattice_raises(self):
+        # one sensor and L = 2 converge least: the error estimate at 20 dB is about 0.04
+        with pytest.raises(NumericError, match="expected_rho did not converge"):
+            expected_rho(Scenario(uncertainty_db=20.0, num_crs=1, history_len=2))

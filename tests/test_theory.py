@@ -665,6 +665,14 @@ class TestConventionalSeries:
         assert reference < 1.0 - 1e-10
         assert abs(qd_rayleigh(p, lam) - reference) <= 1e-15
 
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_vanishing_snr_reads_the_false_alarm_rate(self, kind):
+        # at -200 dB theta = N gamma_bar / 2 is below double epsilon: the count is 0 surely
+        p = TheoryParams(kind, K=7, N=1000, gamma_bar=1e-20)
+        for target in (0.01, 0.1, 0.5):
+            lam = cfar_threshold(p, target)
+            assert abs(qd_rayleigh(p, lam) - qfa_exact(p, lam)) <= 1e-12
+
     def test_makes_no_marcum_evaluations(self, monkeypatch):
         calls = []
         marcum = theory._marcum_q_vec
