@@ -33,6 +33,7 @@ from .harness import (
     SCHEME_CONVENTIONAL,
     SCHEME_PROPOSED,
     RocCurve,
+    RocPoint,
     Scenario,
     _fmt,
     _theory_columns,
@@ -126,25 +127,27 @@ def _theory_table_rows(scenario: Scenario) -> list[str]:
     rhos = {SCHEME_CONVENTIONAL: 1.0, SCHEME_PROPOSED: expected_rho(scenario)}
     for kind in (CombinerKind.SLC, CombinerKind.MRC, CombinerKind.SLS):
         sub = replace(scenario, combiner=kind)
+        lines = {scheme: _row_template(sub, scheme) for scheme in rhos}
         for target, lam in zip(sub.pfa_grid, sub.cfar_grid()):
             for scheme, rho in rhos.items():
                 pfa, pd = _theory_columns(sub, scheme, lam, rho)
                 blank = ("",) * 4  # no empirical columns
                 values = (_fmt(target), _fmt(lam), *blank, _fmt(pfa), _fmt(pd), "0")
-                rows.append(_row(sub, scheme, *values))
+                rows.append(lines[scheme].format(",".join(values)))
     return rows
 
 
-def _row(scenario: Scenario, scheme: str, *values: str) -> str:
-    """One CSV line in ``CSV_COLUMNS`` order; ``values`` run from target_pfa to trials."""
-    head = (scenario.digest(), scenario.combiner.name, scheme)
-    return ",".join(head + values + (str(scenario.seed),))
+def _row_template(scenario: Scenario, scheme: str) -> str:
+    """A CSV line in ``CSV_COLUMNS`` order, ``{}`` standing for the values target_pfa to trials."""
+    return f"{scenario.digest()},{scenario.combiner.name},{scheme},{{}},{scenario.seed}"
 
 
 def _curve_rows(curve: RocCurve) -> list[str]:
+    line = _row_template(curve.scenario, curve.scheme)  # once: the digest hashes the scenario
     # RocPoint's fields run in CSV order, from target_pfa to trials
+    floats = [f.name for f in dataclasses.fields(RocPoint)[:-1]]
     return [
-        _row(curve.scenario, curve.scheme, *map(_fmt, dataclasses.astuple(p)[:-1]), str(p.trials))
+        line.format(",".join([*(_fmt(getattr(p, f)) for f in floats), str(p.trials)]))
         for p in curve.points
     ]
 

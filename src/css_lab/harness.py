@@ -7,10 +7,12 @@ noncentral chi-square, see :mod:`css_lab.theory`), so the campaign engine
 draws energies directly from those laws instead of synthesising sample
 waveforms; that is orders of magnitude faster and statistically identical.
 One kernel, ``_draw_events``, draws every Monte Carlo path: single events
-and trials x window grids, with the PU present or absent.  SLC and SLS
-differ only in how they reduce the per-sensor energies (a sum or a
-maximum), so one per-sensor draw serves both; MRC combines the same gains
-and variances before its own chi-square draw.  Each rule reduces a trial
+and trials x window grids, with the PU present or absent.  It serves a
+list of reads, each a combiner on a sensor-axis prefix of one draw of gains
+and variances.  SLC and SLS differ only in how they reduce the per-sensor
+energies (a sum or a maximum, both by ``_prefix_reduce``), so one per-sensor
+draw serves both; MRC combines the same gains and variances, by the same
+helper, before its own chi-square draw.  Each rule reduces a trial
 to one score and decides positive at threshold ``lam`` exactly when the
 score reaches ``lam``: the fixed-threshold score is the newest combined
 energy, and one vectorised function, ``_dual_score`` (with the rho
@@ -266,8 +268,7 @@ def _draw_events(
     rng: np.random.Generator,
     shape: tuple[int, ...],
     signal: bool,
-    kinds: Sequence[CombinerKind] | None = None,
-    sizes: np.ndarray | None = None,
+    reads: Sequence[tuple[CombinerKind, int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Combined energies and mean reported variances for an array of sensing events.
 
@@ -278,21 +279,28 @@ def _draw_events(
     the fading draw is shared along each window (block fading); single
     events fade independently either way.
 
-    The energies carry a leading read axis ahead of ``shape``, one entry per
-    read, and the mean variances, of ``shape``, average all ``num_crs``
-    sensors.  A read is a combiner of ``kinds`` (distinct combiners; default
-    the scenario's own), each read off the one draw of gains and variances:
-    SLC and SLS reduce one per-sensor chi-square draw, and MRC's chi-square,
-    at the summed gains, starts from a copy of the stream where that draw
-    starts.  Or a read is a size of ``sizes`` (ascending sensor counts, at
-    most ``num_crs``), the scenario's own combiner on that sensor-axis prefix
-    of the one ``num_crs``-sensor draw: SLC takes a cumulative sum, SLS a
-    cumulative maximum, and MRC draws one chi-square per size at the prefix
-    sums of ``gamma`` and ``gamma * sigma^2``.
+    A read is a ``(combiner, sensors)`` pair: that combiner on the first
+    ``sensors`` of the one ``num_crs``-sensor draw of gains and variances
+    (default: the scenario's own combiner on all of them).  Each combiner's
+    counts must ascend strictly within ``1..num_crs``.  The energies carry a
+    leading read axis ahead of ``shape``, and the mean variances, of
+    ``shape``, average all ``num_crs`` sensors.  SLC and SLS reduce one
+    per-sensor chi-square draw (:func:`_prefix_reduce`, a sum or a maximum).
+    MRC's reads share one chi-square draw at their sums of ``gamma`` and
+    ``gamma * sigma^2``, from a copy of the stream where the per-sensor draw
+    starts, on a trailing read axis: a lone MRC read takes the stream in the
+    order of a plain draw.
     """
-    if kinds is not None and sizes is not None:
-        raise ValueError("read combiners or sensor-count prefixes, not both")
-    kinds = (scenario.combiner,) if kinds is None else tuple(kinds)
+    reads = ((scenario.combiner, scenario.num_crs),) if reads is None else tuple(reads)
+    if not reads:
+        raise ValueError("reads must not be empty")
+    rows: dict[CombinerKind, list[int]] = {}  # each combiner's read indices, by ascending count
+    for i, (kind, count) in enumerate(reads):
+        below = reads[rows[kind][-1]][1] if kind in rows else 0
+        if not below < count <= scenario.num_crs:
+            raise ValueError("each combiner's read counts must ascend strictly within 1..num_crs")
+        rows.setdefault(kind, []).append(i)
+    counts = {kind: [reads[i][1] for i in index] for kind, index in rows.items()}
     full = (*shape, scenario.num_crs)
     if scenario.channel_kind == "awgn":
         gamma = np.broadcast_to(np.float64(scenario.gamma_bar), full)
@@ -302,19 +310,15 @@ def _draw_events(
     else:
         gamma = rng.exponential(scenario.gamma_bar, full)
     sig2 = _noise_variances(rng, scenario.uncertainty_db, full)
-    mrc = CombinerKind.MRC in kinds
-    last = None if sizes is None else sizes - 1  # prefix ends on the sensor axis
+    mrc = rows.pop(CombinerKind.MRC, [])  # rows keeps the reads of the per-sensor draw
     if mrc:  # one detector at the summed SNR, gain-weighted effective variance
-        if last is None:
-            gain = gamma.sum(axis=-1)
-            scale = (gamma * sig2).sum(axis=-1) / gain
-        else:
-            gain = np.cumsum(gamma, axis=-1)[..., last]
-            scale = np.cumsum(gamma * sig2, axis=-1)[..., last] / gain
-        mrc_rng = copy.deepcopy(rng) if len(kinds) > 1 else rng
+        gain = _prefix_reduce(np.add, gamma, counts[CombinerKind.MRC])
+        scale = _prefix_reduce(np.add, gamma * sig2, counts[CombinerKind.MRC])
+        scale /= gain
+        mrc_rng = copy.deepcopy(rng) if rows else rng
     n = scenario.n_samples
-    out = None  # energies, one leading entry per read
-    if len(kinds) > mrc:  # SLC or SLS, read off one per-sensor draw
+    energy = None  # per-sensor energies, which SLC and SLS reduce
+    if rows:
         if signal:  # the noncentrality replaces the gains: one full-size array fewer at the draw
             gamma = gamma * n
             gamma /= sig2
@@ -322,45 +326,42 @@ def _draw_events(
         else:
             energy = rng.chisquare(n, full)
         energy *= sig2
-        if last is None:
-            # after the draw: allocated before it, this raised the peak RSS of compare by 2 MB
-            out = np.empty((len(kinds), *shape))
-            for kind_out, kind in zip(out, kinds):
-                if kind is CombinerKind.SLC:
-                    energy.sum(axis=-1, out=kind_out)
-                elif kind is CombinerKind.SLS:
-                    _sensor_max(energy, kind_out)
-        else:
-            # nothing reads the per-sensor energies again, so they accumulate in place:
-            # a second full-size array per prefix reduction would raise the peak memory
-            ufunc = np.add if scenario.combiner is CombinerKind.SLC else np.maximum
-            out = ufunc.accumulate(energy, axis=-1, out=energy)[..., last]
-        del energy
+    # after the draw: allocated before it, this raised the peak RSS of compare by 2 MB
+    out = np.empty((len(reads), *shape))
+    for kind, index in rows.items():
+        ufunc = np.add if kind is CombinerKind.SLC else np.maximum
+        _prefix_reduce(ufunc, energy, counts[kind], [out[i] for i in index])
+    del energy  # before the mean variances: one array fewer at this point of the peak
     sig_mean = sig2.mean(axis=-1)
     del gamma, sig2
     if mrc:  # drawn once the full-size arrays are freed
         if signal:
-            energy = mrc_rng.noncentral_chisquare(n, n * gain / scale)
+            energy = mrc_rng.noncentral_chisquare(n, np.moveaxis(n * gain / scale, 0, -1))
         else:
-            energy = mrc_rng.chisquare(n, scale.shape)
-        energy *= scale
-        if out is None:  # drawn alone
-            out = energy if last is not None else energy[None]
-        else:
-            out[kinds.index(CombinerKind.MRC)] = energy
-    # prefix reads are drawn on a trailing size axis, which keeps the draw order
-    return (out if last is None else np.moveaxis(out, -1, 0)), sig_mean
+            energy = mrc_rng.chisquare(n, (*shape, len(mrc)))
+        energy *= np.moveaxis(scale, 0, -1)
+        out[mrc] = np.moveaxis(energy, -1, 0)
+    return out, sig_mean
 
 
-def _sensor_max(energy: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``energy.max(axis=-1)`` into ``out``, one sensor slice at a time.
+def _prefix_reduce(ufunc: np.ufunc, values: np.ndarray, counts: Sequence[int], out=None):
+    """``ufunc`` reduced over the first ``count`` entries of the last axis, per ``counts``.
 
-    A maximum is exact in any order, so this equals numpy's reduction bit
-    for bit; over a short trailing axis it runs several times faster.
+    ``counts`` ascend strictly; the result for each count goes to one entry
+    of ``out`` (default: a new array, one leading entry per count).  It
+    folds in one sensor slice at a time, in sensor order, so each result
+    equals ``ufunc.accumulate(values, axis=-1)[..., count - 1]`` bit for bit:
+    a maximum equals numpy's ``max``, and a sum equals numpy's ``sum`` up to
+    7 sensors, past which that sum regroups its terms pairwise.
     """
-    np.copyto(out, energy[..., 0])
-    for k in range(1, energy.shape[-1]):
-        np.maximum(out, energy[..., k], out=out)
+    if out is None:
+        out = np.empty((len(counts), *values.shape[:-1]))
+    done, reduced = 1, values[..., 0]
+    for row, count in zip(out, counts):
+        np.copyto(row, reduced)
+        for k in range(done, count):
+            ufunc(row, values[..., k], out=row)
+        done, reduced = count, row
     return out
 
 
@@ -383,29 +384,26 @@ def _rates(
     lams: Sequence[float] | Sequence[Sequence[float]],
     rng: np.random.Generator,
     length: int,
-    kinds: Sequence[CombinerKind] | None = None,
-    sizes: np.ndarray | None = None,
+    reads: Sequence[tuple[CombinerKind, int]],
     rho_override: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, float]:
     """The one counting loop: rates over ``scenario.trials`` windows of ``length`` events.
 
-    Per read of :func:`_draw_events` (a combiner of ``kinds`` or a size of
-    ``sizes``) it counts the newest energies and, when ``length > 1``, the
-    dual-threshold scores at or above each threshold.  Returns both rate
-    arrays, one row per read (``None`` for the scores of single events), and
-    the mean estimated rho.
+    Per ``(combiner, sensors)`` read of :func:`_draw_events` it counts the
+    newest energies and, when ``length > 1``, the dual-threshold scores at or
+    above each threshold.  Returns both rate arrays, one row per read
+    (``None`` for the scores of single events), and the mean estimated rho.
     """
-    reads = len(sizes) if sizes is not None else len(kinds or (scenario.combiner,))
     lams = np.atleast_2d(np.asarray(lams, dtype=float))  # one threshold vector per read
-    if lams.ndim != 2 or lams.shape[0] != reads:
-        raise ValueError("lams must hold one threshold vector per combiner or size")
+    if lams.ndim != 2 or lams.shape[0] != len(reads):
+        raise ValueError("lams must hold one threshold vector per read")
     per_chunk = max(1, _CHUNK_CELLS // (scenario.num_crs * length))
     conv_counts = np.zeros(lams.shape, dtype=np.int64)
     prop_counts = np.zeros_like(conv_counts) if length > 1 else None
     rho_total = 0.0
     for chunk, step in enumerate(_chunked(scenario.trials, per_chunk)):
         stream = rng.spawn(1)[0] if chunk else rng
-        energies, sig_mean = _draw_events(scenario, stream, (step, length), h1, kinds, sizes)
+        energies, sig_mean = _draw_events(scenario, stream, (step, length), h1, reads)
         for conv, energy, read_lams in zip(conv_counts, energies, lams):
             conv += _count_at_least(energy[:, -1], read_lams)
         if prop_counts is not None:
@@ -438,12 +436,8 @@ def conventional_rate(
     :func:`equivalence_search` scores its sensor counts this way, so its
     curves across counts share their draws and are correlated.
     """
-    if sizes is not None:
-        sizes = np.asarray(sizes, dtype=np.int64)
-        ascending = sizes.size > 0 and np.array_equal(np.unique(sizes), sizes)
-        if not ascending or not 1 <= sizes[0] <= sizes[-1] <= scenario.num_crs:
-            raise ValueError("sizes must be ascending sensor counts within 1..num_crs")
-    rates, _, _ = _rates(scenario, h1, lams, rng, 1, sizes=sizes)
+    counts = (scenario.num_crs,) if sizes is None else sizes
+    rates, _, _ = _rates(scenario, h1, lams, rng, 1, [(scenario.combiner, k) for k in counts])
     return rates[0] if sizes is None else tuple(rates)
 
 
@@ -483,13 +477,10 @@ def forced_rates(
     the same stream: chunk 0 draws on ``rng`` and every later chunk on a
     stream spawned from it, so a chunk's draws depend on that chunk alone.
     """
-    kinds = (scenario.combiner,) if combiners is None else tuple(combiners)
-    if not kinds or len(set(kinds)) != len(kinds):
-        raise ValueError("combiners must list distinct combiner kinds")
-    conv, prop, mean_rho = _rates(
-        scenario, h1, lams, rng, scenario.history_len, kinds, rho_override=rho_override
-    )
-    rates = tuple(ForcedRates(c, p, mean_rho) for c, p in zip(conv, prop))
+    kinds = (scenario.combiner,) if combiners is None else combiners
+    reads = [(kind, scenario.num_crs) for kind in kinds]
+    conv, prop, rho = _rates(scenario, h1, lams, rng, scenario.history_len, reads, rho_override)
+    rates = tuple(ForcedRates(c, p, rho) for c, p in zip(conv, prop))
     return rates[0] if combiners is None else rates
 
 
@@ -688,18 +679,10 @@ def equivalence_search(
             curve = _curve(subs[k], SCHEME_CONVENTIONAL, lams[k], *rates[k], 1.0)
         curves.append(curve)
         if curve.auc >= target - AUC_MATCH_TOL:
-            return EquivalenceResult(
-                k_match=k,
-                auc_gap=target - curve.auc,
-                proposed_curve=target_curve,
-                conventional_curves=tuple(curves),
-            )
-    return EquivalenceResult(
-        k_match=-1,
-        auc_gap=target - curves[-1].auc,
-        proposed_curve=target_curve,
-        conventional_curves=tuple(curves),
-    )
+            break
+    else:
+        k = -1
+    return EquivalenceResult(k, target - curves[-1].auc, target_curve, tuple(curves))
 
 
 def _variance_mean_law(uncertainty_db: float, sensors: int, bins: int):

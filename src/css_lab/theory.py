@@ -137,13 +137,15 @@ def _marcum_q_vec(order: float, a, b) -> np.ndarray:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     x = b * b
     live = special.chdtr(2.0 * order, x) != 0.0  # also False at b == 0
-    a, x, nonzero, live = np.broadcast_arrays(a, x, b != 0.0, live)
+    a, b, x, live = np.broadcast_arrays(a, b, x, live)
     shape = a.shape
-    a, x, nonzero, live = a.ravel(), x.ravel(), nonzero.ravel(), live.ravel()
+    a, b, x, live = a.ravel(), b.ravel(), x.ravel(), live.ravel()
     out = np.ones(a.shape)
-    central = nonzero & (a == 0.0)
+    central = (b != 0.0) & (a == 0.0)
     out[central] = special.gammaincc(order, x[central] / 2.0)
-    rest = live & (a != 0.0)
+    # exactly 1 from a - b >= 39 on, where the evaluator returns nan past a noncentrality of
+    # 1e19: 1 - Q_m(a, b) <= exp(-(a - b)^2 / 2) / 2 < 1e-330 at m >= 1 (Simon and Alouini 2000)
+    rest = live & (a != 0.0) & (a - b < 39.0)
     # the ufunc behind scipy.stats.ncx2.sf; importing scipy.stats costs more than
     # half a second of start-up
     with np.errstate(over="ignore"):

@@ -286,6 +286,8 @@ GOLDEN_SHA256 = {
     "compare-awgn": "3cbde561f24186537214f09d92881c884b468f375b86973e8f99e910094302b2",
     "theory-table-awgn": "00945c329a9d8114a1021e3d54a1f6935e322d746949e1f732135d37d3babb58",
     "theory-table-k48-n64": "f36bdb829929a2e8d516dc845b20b52d6586d379ac95ddcfba7d16188984de7f",
+    "compare-k9": "0513f87bc23945f9eb1e515a4a5f0d4cff6ac25cc91d5c35013c260c93f41e7a",
+    "equivalence-mrc": "5522733720401438e52af565897878f2c634127cc727e42985f424adad11e2b8",
 }
 # manifest bytes without the started_at line: they pin what no CSV carries, such as
 # the per-curve AUCs, the equivalence search's AUC half-widths and the theory gaps
@@ -299,14 +301,19 @@ GOLDEN_MANIFEST_SHA256 = {
     "compare-awgn": "4e31ffb18c94ee97698215fc73190aba9ace3a06ecf50cfb5a017e73f2341966",
     "theory-table-awgn": "a28139694eb617cb455f87804755051039620d56fa0f35c899ed44becde4b685",
     "theory-table-k48-n64": "00808eccd7719ecbbfd5fc531f78fef0a734ad4d15422e125c9cb1edaace4c32",
+    "compare-k9": "548dabc42bc3a6ab51b342e5219a1d56a2e5745509e70ea06a41bd6599a9af5c",
+    "equivalence-mrc": "10a03e8c1cb4900d3862939ee09ed21c492d8ea489138c3af3e713ef871d7802",
 }
 # case -> (subcommand, overrides) for the cases that are not a plain subcommand: the
-# AWGN closed forms, and the SLS per-branch CFAR inversion at K = 48 with N below
-# the Gaussian warning floor
+# AWGN closed forms, the SLS per-branch CFAR inversion at K = 48 with N below the
+# Gaussian warning floor, full reads of more than 7 sensors (where the sensor-order
+# sum and numpy's pairwise sum differ in the last bits), and MRC sensor-prefix reads
 GOLDEN_CASES = {
     "compare-awgn": ("compare", ["channel_kind=awgn"]),
     "theory-table-awgn": ("theory-table", ["channel_kind=awgn"]),
     "theory-table-k48-n64": ("theory-table", ["num_crs=48", "n_samples=64"]),
+    "compare-k9": ("compare", ["num_crs=9"]),
+    "equivalence-mrc": ("equivalence", ["combiner=mrc"]),
 }
 
 
@@ -364,6 +371,14 @@ class TestMain:
         # the conventional Rayleigh series at its point-mass limit
         out = str(tmp_path / "v")
         assert main(["roc", "--set", "snr_db=-200", "--set", "trials=200", "--out", out]) == 0
+
+    @pytest.mark.parametrize("command", ["roc", "compare", "theory-table"])
+    @pytest.mark.parametrize("snr_db", ["150", "3000"])
+    def test_huge_snr_exits_zero(self, command, snr_db, tmp_path):
+        # the dual-threshold fading average takes Marcum Q far past the evaluator's range
+        out = str(tmp_path / "h")
+        args = [command, "--set", f"snr_db={snr_db}", "--set", "trials=200", "--out", out]
+        assert main(args) == 0
 
     def test_removed_pu_model_key_exits_two(self, tmp_path, capsys):
         # a scenario that still sets the removed PU model fails loudly, not silently

@@ -218,7 +218,8 @@ class TestNestedSizes:
     def test_sls_prefix_is_running_max_of_sensor_energies(self, h1):
         sc = Scenario(combiner=CombinerKind.SLS, num_crs=6, trials=100, seed=33)
         sizes = np.arange(1, 7)
-        energy, sig_mean = harness._draw_events(sc, derive_rng(33), (500,), h1, sizes=sizes)
+        reads = [(CombinerKind.SLS, k) for k in sizes]
+        energy, sig_mean = harness._draw_events(sc, derive_rng(33), (500,), h1, reads)
         assert energy.shape == (len(sizes), 500)
         # the same stream, per sensor: fading, then variances, then energies
         rng = derive_rng(33)
@@ -233,19 +234,12 @@ class TestNestedSizes:
         # the mean variance is over every sensor of the draw, whatever the prefix
         assert np.array_equal(sig_mean, sig2.mean(axis=1))
 
-    def test_combiners_and_prefixes_do_not_mix(self):
-        sc = Scenario(num_crs=4, trials=100, seed=33)
-        with pytest.raises(ValueError):
-            harness._draw_events(
-                sc, derive_rng(33), (10,), False, kinds=(CombinerKind.SLC,), sizes=np.array([2])
-            )
-
     @pytest.mark.parametrize("kind", list(CombinerKind))
     def test_widest_prefix_reproduces_plain_draw(self, kind):
-        # the largest size is the whole draw: exact for SLS, up to summation order otherwise
+        # the widest read is the whole draw
         sc = Scenario(combiner=kind, num_crs=9, trials=100, seed=34)
         plain, _ = harness._draw_events(sc, derive_rng(34), (300,), True)
-        nested, _ = harness._draw_events(sc, derive_rng(34), (300,), True, sizes=np.array([9]))
+        nested, _ = harness._draw_events(sc, derive_rng(34), (300,), True, [(kind, 9)])
         assert plain.shape == nested.shape == (1, 300)
         if kind is CombinerKind.SLS:
             assert np.array_equal(nested, plain)
@@ -260,6 +254,18 @@ class TestNestedSizes:
                 conventional_rate(sc, False, lams, derive_rng(35), bad)
         with pytest.raises(ValueError):
             conventional_rate(sc, False, [4000.0, 8000.0], derive_rng(35), (1, 2))
+
+    def test_read_validation(self):
+        # each combiner's counts ascend strictly within 1..num_crs; combiners may interleave
+        sc = Scenario(num_crs=4, trials=100, seed=35)
+        slc, mrc, sls = CombinerKind.SLC, CombinerKind.MRC, CombinerKind.SLS
+        reads = [(slc, 1), (mrc, 2), (sls, 4), (slc, 3), (mrc, 4)]
+        energy, _ = harness._draw_events(sc, derive_rng(35), (10,), True, reads)
+        assert energy.shape == (len(reads), 10)
+        descending = [(slc, 2), (mrc, 1), (slc, 1)]
+        for bad in ([], [(slc, 0)], [(mrc, 5)], [(sls, 3), (sls, 3)], descending):
+            with pytest.raises(ValueError):
+                harness._draw_events(sc, derive_rng(35), (10,), True, bad)
 
     def test_early_match_computes_theory_only_for_searched_counts(self, monkeypatch):
         seen = []
@@ -679,10 +685,17 @@ class TestSharedWindowDraw:
             assert np.array_equal(np.asarray(chunked), counts / sc.trials)
 
     @pytest.mark.parametrize("num_crs", [1, 7, 48])
-    def test_slice_wise_max_is_exact(self, num_crs):
+    def test_prefix_reduce_is_exact(self, num_crs):
         energy = derive_rng(42).chisquare(1000, (200, 15, num_crs))
-        out = np.empty((200, 15))
-        assert np.array_equal(harness._sensor_max(energy, out), np.max(energy, axis=-1))
+        counts = range(1, num_crs + 1)
+        for ufunc in (np.add, np.maximum):
+            prefixes = harness._prefix_reduce(ufunc, energy, counts)
+            assert np.array_equal(prefixes, np.moveaxis(ufunc.accumulate(energy, axis=-1), -1, 0))
+        (widest,) = harness._prefix_reduce(np.maximum, energy, [num_crs])
+        assert np.array_equal(widest, np.max(energy, axis=-1))
+        if num_crs <= 7:  # from 8 sensors numpy's sum regroups its terms pairwise
+            (total,) = harness._prefix_reduce(np.add, energy, [num_crs])
+            assert np.array_equal(total, energy.sum(axis=-1))
 
     def test_combiner_list_validation(self):
         sc = Scenario(trials=100, seed=43)

@@ -143,6 +143,11 @@ class TestMarcumQ:
             marcum_series_oracle(1.0, 1.0, 1.0), abs=1e-10
         )
 
+    def test_far_past_the_threshold_is_one(self):
+        # a noncentrality of 1e20, where scipy's evaluator returns nan; the value is 1
+        # within 1e-330 by the bound exp(-(a - b)^2 / 2) / 2
+        assert theory._marcum_q_vec(3500, 1e10, 84.0) == 1.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             marcum_q(0.5, 1.0, 1.0)
