@@ -125,15 +125,18 @@ def parse_scenario(path: str | os.PathLike | None, overrides: Sequence[str] = ()
 def _theory_table_rows(scenario: Scenario) -> list[str]:
     rows = []
     rhos = {SCHEME_CONVENTIONAL: 1.0, SCHEME_PROPOSED: expected_rho(scenario)}
+    blank = ("",) * 4  # no empirical columns
     for kind in (CombinerKind.SLC, CombinerKind.MRC, CombinerKind.SLS):
         sub = replace(scenario, combiner=kind)
-        lines = {scheme: _row_template(sub, scheme) for scheme in rhos}
-        for target, lam in zip(sub.pfa_grid, sub.cfar_grid()):
-            for scheme, rho in rhos.items():
-                pfa, pd = _theory_columns(sub, scheme, lam, rho)
-                blank = ("",) * 4  # no empirical columns
-                values = (_fmt(target), _fmt(lam), *blank, _fmt(pfa), _fmt(pd), "0")
-                rows.append(lines[scheme].format(",".join(values)))
+        lams = sub.cfar_grid()
+        columns = [
+            (_row_template(sub, scheme), *_theory_columns(sub, scheme, lams, rho))
+            for scheme, rho in rhos.items()
+        ]
+        for i, (target, lam) in enumerate(zip(sub.pfa_grid, lams)):
+            for line, pfa, pd in columns:
+                values = (_fmt(target), _fmt(lam), *blank, _fmt(pfa[i]), _fmt(pd[i]), "0")
+                rows.append(line.format(",".join(values)))
     return rows
 
 

@@ -313,7 +313,7 @@ def _draw_events(
     mrc = rows.pop(CombinerKind.MRC, [])  # rows keeps the reads of the per-sensor draw
     if mrc:  # one detector at the summed SNR, gain-weighted effective variance
         gain = _prefix_reduce(np.add, gamma, counts[CombinerKind.MRC])
-        scale = _prefix_reduce(np.add, gamma * sig2, counts[CombinerKind.MRC])
+        scale = _prefix_reduce(np.add, gamma, counts[CombinerKind.MRC], weights=sig2)
         scale /= gain
         mrc_rng = copy.deepcopy(rng) if rows else rng
     n = scenario.n_samples
@@ -326,6 +326,7 @@ def _draw_events(
         else:
             energy = rng.chisquare(n, full)
         energy *= sig2
+    del gamma  # read by no step past the draws, so not live beside out
     # after the draw: allocated before it, this raised the peak RSS of compare by 2 MB
     out = np.empty((len(reads), *shape))
     for kind, index in rows.items():
@@ -333,10 +334,12 @@ def _draw_events(
         _prefix_reduce(ufunc, energy, counts[kind], [out[i] for i in index])
     del energy  # before the mean variances: one array fewer at this point of the peak
     sig_mean = sig2.mean(axis=-1)
-    del gamma, sig2
+    del sig2
     if mrc:  # drawn once the full-size arrays are freed
-        if signal:
-            energy = mrc_rng.noncentral_chisquare(n, np.moveaxis(n * gain / scale, 0, -1))
+        if signal:  # the noncentrality n * gain / scale, in place: the gains are not read again
+            gain *= n
+            gain /= scale
+            energy = mrc_rng.noncentral_chisquare(n, np.moveaxis(gain, 0, -1))
         else:
             energy = mrc_rng.chisquare(n, (*shape, len(mrc)))
         energy *= np.moveaxis(scale, 0, -1)
@@ -344,7 +347,9 @@ def _draw_events(
     return out, sig_mean
 
 
-def _prefix_reduce(ufunc: np.ufunc, values: np.ndarray, counts: Sequence[int], out=None):
+def _prefix_reduce(
+    ufunc: np.ufunc, values: np.ndarray, counts: Sequence[int], out=None, weights=None
+):
     """``ufunc`` reduced over the first ``count`` entries of the last axis, per ``counts``.
 
     ``counts`` ascend strictly; the result for each count goes to one entry
@@ -352,15 +357,21 @@ def _prefix_reduce(ufunc: np.ufunc, values: np.ndarray, counts: Sequence[int], o
     folds in one sensor slice at a time, in sensor order, so each result
     equals ``ufunc.accumulate(values, axis=-1)[..., count - 1]`` bit for bit:
     a maximum equals numpy's ``max``, and a sum equals numpy's ``sum`` up to
-    7 sensors, past which that sum regroups its terms pairwise.
+    7 sensors, past which that sum regroups its terms pairwise.  With
+    ``weights``, of the shape of ``values``, it reduces ``values * weights``,
+    each product formed one slice at a time, so no full-size product exists.
     """
     if out is None:
         out = np.empty((len(counts), *values.shape[:-1]))
-    done, reduced = 1, values[..., 0]
+
+    def term(k: int) -> np.ndarray:
+        return values[..., k] if weights is None else values[..., k] * weights[..., k]
+
+    done, reduced = 1, term(0)
     for row, count in zip(out, counts):
         np.copyto(row, reduced)
         for k in range(done, count):
-            ufunc(row, values[..., k], out=row)
+            ufunc(row, term(k), out=row)
         done, reduced = count, row
     return out
 
@@ -515,17 +526,23 @@ def _dual_score(
 
 
 def _theory_columns(
-    scenario: Scenario, scheme: str, lam: float, rho: float
-) -> tuple[float, float]:
-    """Closed-form pfa and pd at ``lam``; pd under AWGN is taken at the one SNR, not averaged."""
+    scenario: Scenario, scheme: str, lams: Sequence[float], rho: float
+) -> tuple[list[float], list[float]]:
+    """Closed-form pfa and pd at each of ``lams``; pd under AWGN is taken at the one SNR.
+
+    The dual-threshold Rayleigh pd is one :func:`qd_proposed_rayleigh` call for the grid.
+    """
     awgn = scenario.channel_kind == "awgn"
     if scheme == SCHEME_CONVENTIONAL:
         p = scenario.theory_params()
-        pd = qd_awgn_exact(p, lam, p.gamma_bar) if awgn else qd_rayleigh(p, lam)
-        return qfa_approx(p, lam), pd
+        pd = [qd_awgn_exact(p, lam, p.gamma_bar) if awgn else qd_rayleigh(p, lam) for lam in lams]
+        return [qfa_approx(p, lam) for lam in lams], pd
     p = scenario.theory_params(rho=rho)
-    pd = qd_proposed_awgn(p, lam, p.gamma_bar) if awgn else qd_proposed_rayleigh(p, lam)
-    return qfa_proposed(p, lam), pd
+    if awgn:
+        pd = [qd_proposed_awgn(p, lam, p.gamma_bar) for lam in lams]
+    else:
+        pd = qd_proposed_rayleigh(p, lams).tolist()
+    return [qfa_proposed(p, lam) for lam in lams], pd
 
 
 def _auc_with_ci(
@@ -572,9 +589,9 @@ def _curve(
     """One ROC curve from its H0 and H1 positive rates at the grid thresholds ``lams``."""
     n = scenario.trials
     points = []
-    rates = zip(pfa.tolist(), pd.tolist())
-    for target, lam, (x, y) in zip(scenario.pfa_grid, lams, rates):
-        theory_pfa, theory_pd = _theory_columns(scenario, scheme, lam, mean_rho)
+    theory = _theory_columns(scenario, scheme, lams, mean_rho)
+    rates = zip(pfa.tolist(), pd.tolist(), *theory)
+    for target, lam, (x, y, theory_pfa, theory_pd) in zip(scenario.pfa_grid, lams, rates):
         points.append(
             RocPoint(
                 target_pfa=target,
@@ -768,14 +785,14 @@ def expected_rho(scenario: Scenario) -> float:
         _variance_mean_law(scenario.uncertainty_db, scenario.num_crs, bins) for bins in _RHO_BINS
     ]
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        # blocks of 8 nodes keep each (nodes, atoms) array near 100 kB
-        return np.concatenate(
-            [
-                np.column_stack([_max_tilt(*law, window, t[i : i + 8]) for law in laws])
-                for i in range(0, t.size, 8)
-            ]
-        )
+    def integrand(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # blocks of 8 nodes, each within one panel, keep each (nodes, atoms) array near 100 kB
+        flat = t.ravel()
+        columns = [
+            np.column_stack([_max_tilt(*law, window, flat[i : i + 8]) for law in laws])
+            for i in range(0, flat.size, 8)
+        ]
+        return np.concatenate(columns).reshape(*t.shape, len(laws))
 
     support, law = laws[-1]
     edges = [0.0, 1.0 / (law @ support) / window]
@@ -783,7 +800,7 @@ def expected_rho(scenario: Scenario) -> float:
         raise NumericError(f"expected_rho has no decay scale at history_len={window}")
     while window * max(p @ np.exp(-edges[-1] * x) for x, p in laws) ** window > _RHO_TRUNCATION:
         edges.append(4.0 * edges[-1])
-    coarse, middle, fine = window * _fading_average(integrand, edges, "expected_rho")
+    coarse, middle, fine = window * _fading_average(integrand, [edges], "expected_rho")[0]
     low, value = (4.0 * middle - coarse) / 3.0, (4.0 * fine - middle) / 3.0
     if not abs(value - low) <= _RHO_TOL:
         raise NumericError(

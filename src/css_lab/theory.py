@@ -37,11 +37,12 @@ is the density times a probability, so that bounds the truncation error.
 It is split into panels where the predictor weight and the two Marcum
 tails step (where the affine H1 mean crosses ``lambda``, ``lambda/rho`` and
 ``rho*lambda``), and each panel takes fixed-node Gauss-Legendre rules: the
-integrand is evaluated once per rule as one array over the nodes, both
-thresholds in one Marcum call, the node count doubles from 8 until the n-
-and 2n-node values agree within ``_QUAD_TOL`` over the number of panels,
-and ``NumericError`` is raised if they never do.  Node sets are built on
-first use and cached per n.
+node count doubles from 8 until the n- and 2n-node values agree within
+``_QUAD_TOL`` over the number of panels, and ``NumericError`` is raised if
+they never do.  A threshold grid is one pass: per rule size the integrand
+is evaluated once, as one array over the nodes of every open panel of every
+threshold, both thresholds of the rule in one Marcum call.  Node sets are
+built on first use and cached per n.
 
 The dual-threshold scheme's probabilities are convex combinations of the
 conventional ones at ``lambda/rho`` and ``rho*lambda`` weighted by the
@@ -284,41 +285,59 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _fading_average(integrand, edges, what: str) -> float | np.ndarray:
-    """Integrate a vectorized ``integrand`` over the panels between consecutive ``edges``.
+def _fading_average(integrand, edges, what: str) -> list:
+    """Integrate a vectorized ``integrand`` over the panels of every edge list in ``edges``.
 
-    On each panel, fixed-node Gauss-Legendre rules of ``n = 8, 16, ...``
-    nodes; the integrand is evaluated once per rule, as one array over its
-    nodes.  A panel's 2n-node value is taken once it agrees with its n-node
-    value within ``_QUAD_TOL`` over the number of panels; that difference
-    estimates the n-node error, and the 2n-node error is far smaller for the
-    smooth integrands used here.  The panel values are summed.  An integrand
-    may return one column per integral, a ``(nodes, k)`` array: the columns
-    share the nodes, a panel ends once every column agrees, and the result
-    is an array of ``k`` integrals.
+    ``edges`` holds one ascending edge list per integral, and each integral
+    is the sum of its panels between consecutive edges.  Every panel takes
+    fixed-node Gauss-Legendre rules of ``n = 8, 16, ...`` nodes, one rule
+    size at a time over every panel still open: per size the integrand is
+    called once, as ``integrand(g, rows)`` with ``g`` the ``(open panels, n)``
+    nodes and ``rows`` the integral of each panel, and returns the values
+    at ``g``.  A panel's 2n-node value is taken once it agrees with its
+    n-node value within ``_QUAD_TOL`` over its integral's number of panels;
+    that difference estimates the n-node error, and the 2n-node error is far
+    smaller for the smooth integrands used here.  Each integral sums its
+    panel values in panel order.  An integrand may also return ``k`` columns
+    on a trailing axis, a ``(panels, n, k)`` array: the columns share the
+    nodes, a panel ends once every column agrees, and each integral is an
+    array of ``k`` values.  ``NumericError`` names ``what`` and the panel's
+    interval when a value is not finite or a panel has not converged at
+    ``_QUAD_MAX_NODES`` nodes.
     """
-    tol = _QUAD_TOL / (len(edges) - 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        previous = None
-        n = _QUAD_MIN_NODES
-        while n <= _QUAD_MAX_NODES:
-            nodes, weights = _legendre_rule(n)
-            value = (hi - lo) * (weights @ integrand(lo + (hi - lo) * nodes))
+    rows = np.array([row for row, e in enumerate(edges) for _ in e[1:]])
+    lo = np.concatenate([np.asarray(e[:-1], dtype=float) for e in edges])
+    hi = np.concatenate([np.asarray(e[1:], dtype=float) for e in edges])
+    tol = _QUAD_TOL / np.array([len(e) - 1 for e in edges])[rows]
+    values = [None] * rows.size  # each panel's latest value
+    live = np.arange(rows.size)  # the open panels, in panel order
+    n = _QUAD_MIN_NODES
+    while live.size:
+        if n > _QUAD_MAX_NODES:
+            j = live[0]
+            raise NumericError(
+                f"quadrature for {what} did not converge: {values[j]} with {n // 2} nodes, "
+                f"interval=({float(lo[j])!r}, {float(hi[j])!r})"
+            )
+        nodes, weights = _legendre_rule(n)
+        width = hi[live] - lo[live]
+        f = integrand(lo[live, None] + width[:, None] * nodes, rows[live])
+        still = []
+        for j, w, panel in zip(live, width, f):
+            value = w * (weights @ panel)  # per panel: a matrix product may sum in another order
             if not np.isfinite(value).all():
                 raise NumericError(
-                    f"quadrature for {what} is not finite with {n} nodes: {value}"
+                    f"quadrature for {what} is not finite with {n} nodes: {value}, "
+                    f"interval=({float(lo[j])!r}, {float(hi[j])!r})"
                 )
-            if previous is not None and abs(value - previous).max() <= tol:
-                break
-            previous, n = value, 2 * n
-        else:
-            raise NumericError(
-                f"quadrature for {what} did not converge: {previous} with {n // 2} nodes, "
-                f"interval=({lo!r}, {hi!r})"
-            )
-        total += value
-    return total
+            if values[j] is None or not abs(value - values[j]).max() <= tol[j]:
+                still.append(j)
+            values[j] = value
+        live, n = np.array(still, dtype=int), 2 * n
+    totals = [0.0] * len(edges)
+    for row, value in zip(rows.tolist(), values):
+        totals[row] += value
+    return totals
 
 
 def _aggregate_snr_pdf(p: TheoryParams):
@@ -439,10 +458,22 @@ def qfa_proposed(p: TheoryParams, lam: float) -> float:
     return w * favourable + (1.0 - w) * guarded
 
 
-def _proposed_mixture(p: TheoryParams, lam: float, snr) -> np.ndarray:
-    """Dual-threshold pd at ``snr``, elementwise: the predictor weight mixes the two exact tails."""
-    thresholds = np.array([[lam / p.rho], [p.rho * lam]])  # favourable, guarded
-    w = _gaussian_tail(lam, *_avg_moments(p, p.L, snr))
+def _proposed_mixture(p: TheoryParams, lam, snr) -> np.ndarray:
+    """Dual-threshold pd, elementwise over broadcast ``lam`` and ``snr``.
+
+    The predictor weight mixes the two exact tails.  Past ``boost =
+    sqrt(DBL_MAX / (4 order))`` the H1 variance ``4 order boost^2`` of
+    :func:`_h1_moments` overflows to inf, and the weight reads 1/2.  There
+    the H1 mean ``2 order boost`` exceeds 1e154, and so does the tails'
+    ``a^2``, the mean less the null mean ``2 order``.  A threshold with
+    ``rho * lam`` below 1e153 (CFAR thresholds sit near ``2 order``) then
+    has ``b = sqrt(rho lam) <= a / 2`` and ``a >= 78``, so ``a - b >= 39``:
+    both tails are exactly 1 (see :func:`_marcum_q_vec`), and so is the
+    mixture, whatever the weight.
+    """
+    thresholds = np.array([lam / p.rho, p.rho * lam])  # favourable, guarded
+    with np.errstate(over="ignore"):
+        w = _gaussian_tail(lam, *_avg_moments(p, p.L, snr))
     favourable, guarded = _detection_tail(p, thresholds, snr)
     return w * favourable + (1.0 - w) * guarded
 
@@ -454,35 +485,52 @@ def qd_proposed_awgn(p: TheoryParams, lam: float, snr: float) -> float:
     """
     if p.rho == 1.0 or lam <= 0.0 or snr < 0.0:
         return qd_awgn_exact(p, lam, snr)
-    return float(_proposed_mixture(p, lam, snr)[0])
+    return float(_proposed_mixture(p, lam, snr))
 
 
-def qd_proposed_rayleigh(p: TheoryParams, lam: float) -> float:
+def qd_proposed_rayleigh(p: TheoryParams, lam):
     """Dual-threshold detection probability averaged over Rayleigh fading.
 
+    ``lam`` is one threshold, which returns a float, or a 1-D array of them,
+    which returns an array: a whole grid is one :func:`_fading_average` call.
     Averages :func:`_proposed_mixture` over the aggregate SNR, so every
-    window event sees the integration-variable SNR.  ``rho = 1`` returns
-    :func:`qd_rayleigh` by an early exit.  For SLC and MRC the mixture also
-    tends to it as ``rho -> 1``; for SLS it does not, because the mixture
-    applies the K-fold complement inside the average (all branches at one
-    faded SNR) while :func:`qd_rayleigh` applies it to the averaged branch
-    (independently faded branches).  At K = 7, N = 1000, -15 dB and a 0.1
-    CFAR target, ``rho = 1 + 1e-9`` gives 0.4188 against 0.5832.
+    window event sees the integration-variable SNR.  A threshold ``lam <= 0``
+    gives 1, and ``rho = 1`` gives :func:`qd_rayleigh` at each threshold.
+    For SLC and MRC the mixture also tends to it as ``rho -> 1``; for SLS it
+    does not, because the mixture applies the K-fold complement inside the
+    average (all branches at one faded SNR) while :func:`qd_rayleigh`
+    applies it to the averaged branch (independently faded branches).  At
+    K = 7, N = 1000, -15 dB and a 0.1 CFAR target, ``rho = 1 + 1e-9`` gives
+    0.4188 against 0.5832.
     """
-    if lam <= 0.0:
-        return 1.0
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1:
+        raise ValueError("lam must be a scalar or a 1-D array")
+    flat = lams.reshape(-1)
     if p.rho == 1.0:
-        return qd_rayleigh(p, lam)
+        out = np.array([qd_rayleigh(p, t) for t in flat.tolist()])
+    else:
+        out = np.ones(flat.shape)
+        live = np.flatnonzero(~(flat <= 0.0))  # a nan goes on, to fail as not finite
+        if live.size:
+            out[live] = _proposed_fading_average(p, flat[live])
+    return float(out[0]) if lams.ndim == 0 else out
+
+
+def _proposed_fading_average(p: TheoryParams, lams: np.ndarray) -> list:
+    """:func:`_proposed_mixture` averaged over the aggregate SNR at each threshold of ``lams``."""
     pdf = _aggregate_snr_pdf(p)
 
-    def integrand(g: np.ndarray) -> np.ndarray:
-        return _proposed_mixture(p, lam, g / p.snr_shape) * pdf(g)
+    def integrand(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return _proposed_mixture(p, lams[rows, None], g / p.snr_shape) * pdf(g)
 
     # the predictor weight and the two tails step from 0 to 1 about where the H1
     # mean, affine in g, crosses lam, lam / rho and rho * lam: a panel edge at each
     mean0 = _h1_moments(p, 0.0)[0]
     slope = _h1_moments(p, 1.0 / p.snr_shape)[0] - mean0
     hi = _fading_upper_limit(p)
-    steps = ((t - mean0) / slope for t in (lam / p.rho, lam, p.rho * lam))  # ascending
-    edges = [0.0, *(g for g in steps if 0.0 < g < hi), hi]
-    return float(_fading_average(integrand, edges, f"{p.kind.name} dual-threshold fading average"))
+    edges = []
+    for lam in lams.tolist():
+        steps = ((t - mean0) / slope for t in (lam / p.rho, lam, p.rho * lam))  # ascending
+        edges.append([0.0, *(g for g in steps if 0.0 < g < hi), hi])
+    return _fading_average(integrand, edges, f"{p.kind.name} dual-threshold fading average")

@@ -243,6 +243,21 @@ class TestRunCommand:
         # per hypothesis: one call for all three combiners
         assert calls == [tuple(CombinerKind)] * 2
 
+    @pytest.mark.parametrize("command", ["theory-table", "compare"])
+    def test_one_dual_threshold_fading_average_per_combiner(self, command, tmp_path, monkeypatch):
+        calls = []
+        original = harness.qd_proposed_rayleigh
+
+        def counted(p, lam):
+            calls.append((p.kind, np.shape(lam)))
+            return original(p, lam)
+
+        monkeypatch.setattr(harness, "qd_proposed_rayleigh", counted)
+        scen = parse_scenario(_fast_scenario_file(tmp_path))
+        run_command(command, scen, tmp_path / "q")
+        # each combiner's whole threshold grid in one call
+        assert calls == [(kind, (len(scen.pfa_grid),)) for kind in CombinerKind]
+
     def test_compare_writes_run_record(self, tmp_path):
         scen = parse_scenario(_fast_scenario_file(tmp_path, trials=300))
         manifest = run_command("compare", scen, tmp_path / "r", threads=2)
@@ -379,6 +394,8 @@ class TestMain:
         out = str(tmp_path / "h")
         args = [command, "--set", f"snr_db={snr_db}", "--set", "trials=200", "--out", out]
         assert main(args) == 0
+        # the H1 variance overflows here, but only where both Marcum tails are exactly 1
+        assert json.loads((tmp_path / "h" / "run.json").read_text())["warnings"] == []
 
     def test_removed_pu_model_key_exits_two(self, tmp_path, capsys):
         # a scenario that still sets the removed PU model fails loudly, not silently

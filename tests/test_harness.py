@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,17 +235,37 @@ class TestNestedSizes:
         # the mean variance is over every sensor of the draw, whatever the prefix
         assert np.array_equal(sig_mean, sig2.mean(axis=1))
 
-    @pytest.mark.parametrize("kind", list(CombinerKind))
-    def test_widest_prefix_reproduces_plain_draw(self, kind):
-        # the widest read is the whole draw
+    @pytest.mark.parametrize("h1", [False, True])
+    @pytest.mark.parametrize("kind", [CombinerKind.SLC, CombinerKind.SLS])
+    def test_widest_prefix_reproduces_plain_draw(self, kind, h1):
+        # the widest of several reads is a lone read of the whole draw, bit for bit
         sc = Scenario(combiner=kind, num_crs=9, trials=100, seed=34)
-        plain, _ = harness._draw_events(sc, derive_rng(34), (300,), True)
-        nested, _ = harness._draw_events(sc, derive_rng(34), (300,), True, [(kind, 9)])
-        assert plain.shape == nested.shape == (1, 300)
-        if kind is CombinerKind.SLS:
-            assert np.array_equal(nested, plain)
-        else:
-            assert nested == pytest.approx(plain, rel=1e-12)
+        plain, plain_mean = harness._draw_events(sc, derive_rng(34), (300,), h1)
+        reads = [(kind, 1), (kind, 4), (kind, 9)]
+        nested, nested_mean = harness._draw_events(sc, derive_rng(34), (300,), h1, reads)
+        assert plain.shape == (1, 300) and nested.shape == (3, 300)
+        assert np.array_equal(nested[-1], plain[0])
+        assert np.array_equal(nested_mean, plain_mean)
+
+    @pytest.mark.parametrize("h1", [False, True])
+    def test_mrc_read_holds_no_full_size_product(self, h1):
+        # MRC sums its gain-weighted variances one sensor slice at a time
+        sc = Scenario(num_crs=48, trials=100, seed=36)
+        full = 10_000 * 48 * 8  # bytes of one (events, sensors) array
+
+        def peak(kind, reads=None):
+            sub = dataclasses.replace(sc, combiner=kind)
+            tracemalloc.start()
+            try:
+                harness._draw_events(sub, derive_rng(36), (10_000,), h1, reads)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(CombinerKind.MRC) <= peak(CombinerKind.SLC)
+        # reads at every count: the gains, the variances and two (reads, events) prefix sums
+        every = [(CombinerKind.MRC, k) for k in range(1, 49)]
+        assert peak(CombinerKind.MRC, every) < 4.5 * full
 
     def test_sizes_validation(self):
         sc = Scenario(num_crs=4, trials=100, seed=35)
@@ -431,9 +452,9 @@ class TestAwgnTheoryColumns:
         lams = [cfar_threshold(sc.theory_params(), t) for t in sc.pfa_grid]
         pfa = forced_rates(sc, False, lams, derive_rng(53, 0), rho_override=rho).proposed
         pd = forced_rates(sc, True, lams, derive_rng(53, 1), rho_override=rho).proposed
-        theory = np.array([harness._theory_columns(sc, "proposed", lam, rho) for lam in lams])
-        assert self._gaps(pfa, theory[:, 0], sc.trials).max() <= 1.0
-        assert self._gaps(pd, theory[:, 1], sc.trials).max() <= 1.0
+        theory_pfa, theory_pd = harness._theory_columns(sc, "proposed", lams, rho)
+        assert self._gaps(pfa, theory_pfa, sc.trials).max() <= 1.0
+        assert self._gaps(pd, theory_pd, sc.trials).max() <= 1.0
 
 
 class TestRocSweep:

@@ -411,6 +411,21 @@ class TestProposedRayleigh:
             assert predictor_weight(conv, 15, lam, GBAR) >= 0.99
             assert qd_proposed_rayleigh(prop, lam) > qd_rayleigh(conv, lam)
 
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_grid_call_equals_scalar_calls(self, kind):
+        # one fading_average pass over a grid gives each threshold's own value, bit for bit
+        sc = Scenario(combiner=kind)
+        default = np.array(sc.cfar_grid())
+        dense = np.linspace(0.9 * default.min(), 1.1 * default.max(), 64)
+        dense[7] = 0.0  # lam <= 0: exactly 1
+        for rho, lams in ((1.2, default), (1.2, dense), (1.0, dense)):
+            p = sc.theory_params(rho=rho)
+            grid = qd_proposed_rayleigh(p, lams)
+            assert grid.shape == lams.shape
+            assert np.array_equal(grid, [qd_proposed_rayleigh(p, lam) for lam in lams.tolist()])
+        assert grid[7] == 1.0
+        assert isinstance(qd_proposed_rayleigh(p, float(lams[0])), float)
+
     def test_matches_pipeline_monte_carlo(self):
         # full dual-threshold pipeline under sustained activity with the
         # uncertainty factor pinned, block fading per window
@@ -702,12 +717,17 @@ class TestNumericErrorSurface:
         monkeypatch.setattr(theory, "_QUAD_MAX_NODES", 32)
         with pytest.raises(NumericError, match="did not converge"):
             qd_proposed_rayleigh(params(rho=1.1), 7000.0)
+        # so does a grid call, naming the failing panel
+        with pytest.raises(NumericError, match=r"did not converge.*interval="):
+            qd_proposed_rayleigh(params(rho=1.1), np.array([0.0, 7000.0, 7300.0]))
         # a non-finite integrand fails at once
         monkeypatch.setattr(
             theory, "_marcum_q_vec", lambda order, a, b: np.full(np.broadcast(a, b).shape, np.nan)
         )
         with pytest.raises(NumericError, match="not finite"):
             qd_proposed_rayleigh(params(rho=1.1), 7000.0)
+        with pytest.raises(NumericError, match=r"not finite.*interval="):
+            qd_proposed_rayleigh(params(rho=1.1), np.array([7000.0, 7300.0]))
 
     def test_series_not_finite_raises(self, monkeypatch):
         monkeypatch.setattr(theory.special, "gammaincc", lambda s, x: np.nan)
