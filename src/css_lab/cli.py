@@ -35,14 +35,12 @@ from .harness import (
     RocCurve,
     RocPoint,
     Scenario,
-    _fmt,
-    _theory_columns,
     binomial_ci,
     equivalence_search,
-    expected_rho,
+    fmt,
     roc_sweep,
 )
-from .theory import NumericError
+from .theory import NumericError, closed_form_rates, expected_rho
 
 CSV_COLUMNS = (
     "scenario_digest",
@@ -124,18 +122,18 @@ def parse_scenario(path: str | os.PathLike | None, overrides: Sequence[str] = ()
 
 def _theory_table_rows(scenario: Scenario) -> list[str]:
     rows = []
-    rhos = {SCHEME_CONVENTIONAL: 1.0, SCHEME_PROPOSED: expected_rho(scenario)}
+    rhos = {SCHEME_CONVENTIONAL: 1.0, SCHEME_PROPOSED: expected_rho(scenario.theory_params())}
     blank = ("",) * 4  # no empirical columns
     for kind in (CombinerKind.SLC, CombinerKind.MRC, CombinerKind.SLS):
         sub = replace(scenario, combiner=kind)
         lams = sub.cfar_grid()
         columns = [
-            (_row_template(sub, scheme), *_theory_columns(sub, scheme, lams, rho))
+            (_row_template(sub, scheme), *closed_form_rates(sub.theory_params(rho), lams))
             for scheme, rho in rhos.items()
         ]
         for i, (target, lam) in enumerate(zip(sub.pfa_grid, lams)):
             for line, pfa, pd in columns:
-                values = (_fmt(target), _fmt(lam), *blank, _fmt(pfa[i]), _fmt(pd[i]), "0")
+                values = (fmt(target), fmt(lam), *blank, fmt(pfa[i]), fmt(pd[i]), "0")
                 rows.append(line.format(",".join(values)))
     return rows
 
@@ -150,7 +148,7 @@ def _curve_rows(curve: RocCurve) -> list[str]:
     # RocPoint's fields run in CSV order, from target_pfa to trials
     floats = [f.name for f in dataclasses.fields(RocPoint)[:-1]]
     return [
-        line.format(",".join([*(_fmt(getattr(p, f)) for f in floats), str(p.trials)]))
+        line.format(",".join([*(fmt(getattr(p, f)) for f in floats), str(p.trials)]))
         for p in curve.points
     ]
 
@@ -170,7 +168,7 @@ def _theory_gap(curve: RocCurve) -> dict:
     floor = binomial_ci(1.0 / n, n)
 
     def worst(triples) -> float:
-        return float(_fmt(max(abs(rate - theory) / (ci or floor) for rate, ci, theory in triples)))
+        return float(fmt(max(abs(rate - theory) / (ci or floor) for rate, ci, theory in triples)))
 
     return {
         "combiner": curve.scenario.combiner.name,

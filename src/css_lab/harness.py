@@ -24,7 +24,9 @@ against :func:`forced_rates`.
 
 Ratio combining is realised at the signal level (one detector at the summed
 branch SNR with a gain-weighted effective noise variance), which is the
-statistic the analysis layer describes.
+statistic the analysis layer describes.  Every curve's theory columns are
+that layer's :func:`css_lab.theory.closed_form_rates` at the curve's mean
+estimated rho, which is 1 for the fixed-threshold rule.
 
 Seeding
 -------
@@ -81,20 +83,14 @@ from .channel import (
 )
 from .fusion import CombinerKind, cfar_threshold, combine, combine_signal_mrc
 from .sensing import measure_energy
-from .theory import NumericError, TheoryParams, _fading_average, qd_awgn_exact
-from .theory import qd_proposed_awgn, qd_proposed_rayleigh, qd_rayleigh, qfa_approx, qfa_proposed
+from .theory import CHANNEL_KINDS, TheoryParams, closed_form_rates
+from .theory import expected_rho  # not called here; perfbench/spans.py times harness.expected_rho
 
 DEFAULT_SEED = 20240601
 DEFAULT_PFA_GRID = tuple(float(x) for x in np.logspace(np.log10(0.01), np.log10(0.5), 15))
 AUC_MATCH_TOL = 0.02
 _PFA_FLOOR = float(np.finfo(float).tiny)
 _CHUNK_CELLS = 1 << 22  # cap on rows*events*sensors drawn per chunk
-_RHO_BINS = (128, 256, 512)  # one variance's lattice bins at expected_rho's three levels
-_RHO_GROUP = 4  # merged atoms of the sensor-mean lattice per one-variance bin width
-_RHO_TAIL = 1e-15  # sensor-mean mass dropped at each end of its lattice
-_RHO_FLOOR = 1e-200  # least kept power B^L / B_last^L, far above the subnormals
-_RHO_TRUNCATION = 1e-12  # bound on E[rho] beyond the t-integral's upper limit
-_RHO_TOL = 1e-4  # bound on expected_rho's lattice error estimate
 
 # stream tags keeping every stochastic purpose on its own substream; a tag keeps
 # its number, since every seeded output drawn on it depends on that number
@@ -102,7 +98,6 @@ _TAG_SWEEP = 1
 _TAG_SAMPLED = 5
 _TAG_NESTED = 8
 
-_CHANNEL_KINDS = ("rayleigh", "awgn")
 _FADING_BLOCKS = ("event", "chain")
 
 SCHEME_CONVENTIONAL = "conventional"
@@ -131,22 +126,16 @@ class Scenario:
         with np.errstate(all="ignore"):
             if not 0.0 < np.float64(10.0) ** (self.snr_db / 10.0) < np.inf:
                 raise ValueError("snr_db must be finite, with a positive finite linear SNR")
-            if not 0.0 < np.float64(10.0) ** (self.uncertainty_db / 10.0) < np.inf:
-                raise ValueError(
-                    "uncertainty_db must be finite, with a positive finite linear half-width"
-                )
         if self.n_samples < 2 or self.n_samples % 2 != 0:
             raise ValueError("n_samples must be an even integer >= 2")
         if self.num_crs < 1:
             raise ValueError("num_crs must be at least 1")
         if self.history_len < 2:
             raise ValueError("history_len must be at least 2")
-        if self.uncertainty_db < 0.0:
-            raise ValueError("uncertainty_db must be nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.channel_kind not in _CHANNEL_KINDS:
-            raise ValueError(f"channel_kind must be one of {_CHANNEL_KINDS}")
+        if self.channel_kind not in CHANNEL_KINDS:
+            raise ValueError(f"channel_kind must be one of {CHANNEL_KINDS}")
         if self.fading_block not in _FADING_BLOCKS:
             raise ValueError(f"fading_block must be one of {_FADING_BLOCKS}")
         grid = tuple(float(t) for t in self.pfa_grid)
@@ -159,6 +148,7 @@ class Scenario:
             raise ValueError("pfa_grid must be strictly increasing")
         # a list grid would leave the scenario unhashable and unequal to its tuple twin
         object.__setattr__(self, "pfa_grid", grid)
+        self.theory_params()  # the analysis model's own checks, uncertainty_db among them
 
     @property
     def gamma_bar(self) -> float:
@@ -172,6 +162,8 @@ class Scenario:
             gamma_bar=self.gamma_bar,
             rho=rho,
             L=self.history_len,
+            channel=self.channel_kind,
+            uncertainty_db=self.uncertainty_db,
         )
 
     def cfar_grid(self) -> list[float]:
@@ -188,14 +180,15 @@ class Scenario:
         return hashlib.sha256(self.resolved_text().encode()).hexdigest()[:16]
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """A float as written to every artifact: 12 significant digits."""
     return f"{float(x):.12g}"
 
 
 # field annotation -> text in resolved_text; annotations are postponed, so strings
 _FIELD_TEXT = {
-    "float": _fmt,
-    "tuple[float, ...]": lambda grid: ",".join(_fmt(t) for t in grid),
+    "float": fmt,
+    "tuple[float, ...]": lambda grid: ",".join(fmt(t) for t in grid),
     "CombinerKind": lambda kind: kind.name,
 }
 
@@ -376,14 +369,6 @@ def _prefix_reduce(
     return out
 
 
-def _chunked(total: int, per_chunk: int):
-    done = 0
-    while done < total:
-        step = min(per_chunk, total - done)
-        yield step
-        done += step
-
-
 def _count_at_least(scores: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """How many of ``scores`` reach each threshold of ``lams``: ``(scores >= lam).sum()``."""
     return scores.size - np.searchsorted(np.sort(scores), lams, side="left")
@@ -412,7 +397,8 @@ def _rates(
     conv_counts = np.zeros(lams.shape, dtype=np.int64)
     prop_counts = np.zeros_like(conv_counts) if length > 1 else None
     rho_total = 0.0
-    for chunk, step in enumerate(_chunked(scenario.trials, per_chunk)):
+    for chunk, start in enumerate(range(0, scenario.trials, per_chunk)):
+        step = min(per_chunk, scenario.trials - start)
         stream = rng.spawn(1)[0] if chunk else rng
         energies, sig_mean = _draw_events(scenario, stream, (step, length), h1, reads)
         for conv, energy, read_lams in zip(conv_counts, energies, lams):
@@ -525,26 +511,6 @@ def _dual_score(
     return np.where(high > mean, high, np.minimum(mean, factor * newest)), rho
 
 
-def _theory_columns(
-    scenario: Scenario, scheme: str, lams: Sequence[float], rho: float
-) -> tuple[list[float], list[float]]:
-    """Closed-form pfa and pd at each of ``lams``; pd under AWGN is taken at the one SNR.
-
-    The dual-threshold Rayleigh pd is one :func:`qd_proposed_rayleigh` call for the grid.
-    """
-    awgn = scenario.channel_kind == "awgn"
-    if scheme == SCHEME_CONVENTIONAL:
-        p = scenario.theory_params()
-        pd = [qd_awgn_exact(p, lam, p.gamma_bar) if awgn else qd_rayleigh(p, lam) for lam in lams]
-        return [qfa_approx(p, lam) for lam in lams], pd
-    p = scenario.theory_params(rho=rho)
-    if awgn:
-        pd = [qd_proposed_awgn(p, lam, p.gamma_bar) for lam in lams]
-    else:
-        pd = qd_proposed_rayleigh(p, lams).tolist()
-    return [qfa_proposed(p, lam) for lam in lams], pd
-
-
 def _auc_with_ci(
     points: Sequence[RocPoint], cov_pfa: np.ndarray, cov_pd: np.ndarray
 ) -> tuple[float, float]:
@@ -589,7 +555,7 @@ def _curve(
     """One ROC curve from its H0 and H1 positive rates at the grid thresholds ``lams``."""
     n = scenario.trials
     points = []
-    theory = _theory_columns(scenario, scheme, lams, mean_rho)
+    theory = closed_form_rates(scenario.theory_params(mean_rho), lams)
     rates = zip(pfa.tolist(), pd.tolist(), *theory)
     for target, lam, (x, y, theory_pfa, theory_pd) in zip(scenario.pfa_grid, lams, rates):
         points.append(
@@ -700,114 +666,6 @@ def equivalence_search(
     else:
         k = -1
     return EquivalenceResult(k, target - curves[-1].auc, target_curve, tuple(curves))
-
-
-def _variance_mean_law(uncertainty_db: float, sensors: int, bins: int):
-    """Lattice law of the mean of ``sensors`` noise variances: ascending support and masses.
-
-    One variance ``10^(U/10)``, ``U`` uniform on ``[-d, d]``, takes ``bins``
-    equal bins over its range, each bin's exact mass (the CDF is
-    ``(10 log10 v + d) / (2 d)``) at its midpoint.  The ``sensors``-fold
-    convolution, by FFT, is the mean's law on a lattice ``sensors`` times
-    finer.  Runs of ``ceil(sensors / _RHO_GROUP)`` atoms merge into one at
-    their mean, and the atoms holding the outer ``_RHO_TAIL`` of mass at
-    either end are dropped.
-    """
-    d = uncertainty_db
-    lo, hi = 10.0 ** (-d / 10.0), 10.0 ** (d / 10.0)
-    edges = np.linspace(lo, hi, bins + 1)
-    mass = np.diff(np.log(edges))  # the CDF is linear in log v
-    mass /= mass.sum()
-    size = sensors * (bins - 1) + 1
-    fft_size = 1 << (size - 1).bit_length()
-    law = np.fft.irfft(np.fft.rfft(mass, fft_size) ** sensors, fft_size)[:size]
-    np.maximum(law, 0.0, out=law)  # rounding leaves the far tails slightly negative
-    starts = np.arange(0, size, -(-sensors // _RHO_GROUP))
-    index = np.add.reduceat(law * np.arange(size), starts)
-    law = np.add.reduceat(law, starts)
-    index /= np.where(law > 0.0, law, 1.0)
-    cumulative = np.cumsum(law)
-    keep = law > 0.0
-    keep &= cumulative >= _RHO_TAIL
-    keep &= cumulative - law <= cumulative[-1] - _RHO_TAIL
-    return lo + (hi - lo) / bins * (index[keep] / sensors + 0.5), law[keep]
-
-
-def _max_tilt(support: np.ndarray, law: np.ndarray, window: int, t: np.ndarray) -> np.ndarray:
-    """``E[M exp(-t S)]`` at each ``t``, ``M`` the maximum and ``S`` the sum of ``window`` draws.
-
-    The draws are i.i.d. from the lattice law.  With ``B_j`` the sum of
-    ``law_i exp(-t support_i)`` over ``i <= j``, that is
-    ``sum_j support_j (B_j^L - B_(j-1)^L)``, exact for a lattice law, ties
-    included.  It is summed by parts on ``B / B_last``, whose powers are
-    raised to at least ``_RHO_FLOOR``: that moves the value by at most
-    ``_RHO_FLOOR`` times the support's span, and no power is subnormal.
-    """
-    tilted = np.exp(np.multiply.outer(-t, support))
-    tilted *= law
-    np.cumsum(tilted, axis=1, out=tilted)
-    last = tilted[:, -1].copy()
-    tilted /= last[:, None]
-    np.maximum(tilted, _RHO_FLOOR ** (1.0 / window), out=tilted)
-    np.power(tilted, window, out=tilted)
-    return last**window * (support[-1] - tilted[:, :-1] @ np.diff(support))
-
-
-def expected_rho(scenario: Scenario) -> float:
-    """Mean estimated uncertainty factor ``E[rho]`` for the scenario's window geometry.
-
-    ``rho`` (:func:`_window_rho`) is the largest ``M`` of the window's ``L``
-    sensor-mean variances over their mean, so ``E[rho] = L E[M / S]`` with
-    ``S`` their sum, and ``E[M / S]`` integrates ``E[M exp(-t S)]`` over
-    ``t > 0``, which is exact at each ``t`` on a lattice law of the
-    sensor-mean variance (:func:`_max_tilt`).  The t-panels
-    ``[0, s, 4 s, 16 s, ...]`` sit on the decay scale ``s = 1 / (L E[m])``
-    and end once the rest, at most ``E[exp(-t S)]``, puts at most
-    ``_RHO_TRUNCATION`` on ``E[rho]``.  Deterministic; exactly 1 at zero
-    half-width.
-
-    The lattice error is ``O(h^2)`` in the bin width, so the ``_RHO_BINS``
-    lattices give two Richardson values, and the finer one is returned.
-    Their difference estimates the coarser one's error, about 12 times the
-    finer one's, and must be at most ``_RHO_TOL``, or ``NumericError`` is
-    raised.  That holds for ``uncertainty_db`` up to 10 dB at every sensor
-    count and window length; one sensor and ``L = 2`` converge least
-    (7.7e-5 at 10 dB, 1.6e-4 at 10.5 dB), 48 sensors and ``L = 100`` to
-    about 14 dB.  Past a geometry's range the difference stays above the
-    tolerance up to the largest finite half-width, 3082 dB (checked at 70
-    half-widths and 35 geometries), so there it raises instead of returning
-    an unconverged number.
-    """
-    if scenario.uncertainty_db == 0.0:
-        return 1.0
-    window = scenario.history_len
-    laws = [
-        _variance_mean_law(scenario.uncertainty_db, scenario.num_crs, bins) for bins in _RHO_BINS
-    ]
-
-    def integrand(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # blocks of 8 nodes, each within one panel, keep each (nodes, atoms) array near 100 kB
-        flat = t.ravel()
-        columns = [
-            np.column_stack([_max_tilt(*law, window, flat[i : i + 8]) for law in laws])
-            for i in range(0, flat.size, 8)
-        ]
-        return np.concatenate(columns).reshape(*t.shape, len(laws))
-
-    support, law = laws[-1]
-    edges = [0.0, 1.0 / (law @ support) / window]
-    if not edges[1] > 0.0:  # the decay scale underflows: the panels could never grow
-        raise NumericError(f"expected_rho has no decay scale at history_len={window}")
-    while window * max(p @ np.exp(-edges[-1] * x) for x, p in laws) ** window > _RHO_TRUNCATION:
-        edges.append(4.0 * edges[-1])
-    coarse, middle, fine = window * _fading_average(integrand, [edges], "expected_rho")[0]
-    low, value = (4.0 * middle - coarse) / 3.0, (4.0 * fine - middle) / 3.0
-    if not abs(value - low) <= _RHO_TOL:
-        raise NumericError(
-            f"expected_rho did not converge at uncertainty_db={scenario.uncertainty_db!r}: "
-            f"lattice error estimate {abs(value - low):.3g} above {_RHO_TOL}"
-        )
-    return float(value)
 
 
 def run_regime_sampled(

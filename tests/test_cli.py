@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 import scipy
 
-from css_lab import harness
+import ast
+from pathlib import Path
+
+from css_lab import harness, theory
 from css_lab.cli import (
     CSV_COLUMNS,
     SWEEPS,
@@ -20,8 +23,9 @@ from css_lab.cli import (
     run_command,
 )
 from css_lab.fusion import CombinerKind, cfar_threshold
-from css_lab.harness import Scenario, expected_rho, roc_sweep
-from css_lab.theory import NumericError, qd_proposed_rayleigh, qd_rayleigh, qfa_approx, qfa_proposed
+from css_lab.harness import Scenario, roc_sweep
+from css_lab.theory import NumericError, expected_rho, qd_proposed_rayleigh, qd_rayleigh
+from css_lab.theory import qfa_approx, qfa_proposed
 
 
 class TestParseScenario:
@@ -203,7 +207,7 @@ class TestRunCommand:
                                                   history_len=15))
         run_command("theory-table", scen, tmp_path / "t")
         lines = (tmp_path / "t" / "theory_table.csv").read_text().splitlines()
-        rho = expected_rho(scen)
+        rho = expected_rho(scen.theory_params())
         count = 0
         for line in lines[1:]:
             row = dict(zip(CSV_COLUMNS, line.split(",")))
@@ -246,17 +250,18 @@ class TestRunCommand:
     @pytest.mark.parametrize("command", ["theory-table", "compare"])
     def test_one_dual_threshold_fading_average_per_combiner(self, command, tmp_path, monkeypatch):
         calls = []
-        original = harness.qd_proposed_rayleigh
+        original = theory.qd_proposed_rayleigh
 
         def counted(p, lam):
             calls.append((p.kind, np.shape(lam)))
             return original(p, lam)
 
-        monkeypatch.setattr(harness, "qd_proposed_rayleigh", counted)
+        monkeypatch.setattr(theory, "qd_proposed_rayleigh", counted)
         scen = parse_scenario(_fast_scenario_file(tmp_path))
         run_command(command, scen, tmp_path / "q")
-        # each combiner's whole threshold grid in one call
-        assert calls == [(kind, (len(scen.pfa_grid),)) for kind in CombinerKind]
+        # each curve's whole threshold grid in one call, the fixed-threshold curve's at rho = 1
+        grid = (len(scen.pfa_grid),)
+        assert calls == [(kind, grid) for kind in CombinerKind for _scheme in range(2)]
 
     def test_compare_writes_run_record(self, tmp_path):
         scen = parse_scenario(_fast_scenario_file(tmp_path, trials=300))
@@ -303,6 +308,8 @@ GOLDEN_SHA256 = {
     "theory-table-k48-n64": "f36bdb829929a2e8d516dc845b20b52d6586d379ac95ddcfba7d16188984de7f",
     "compare-k9": "0513f87bc23945f9eb1e515a4a5f0d4cff6ac25cc91d5c35013c260c93f41e7a",
     "equivalence-mrc": "5522733720401438e52af565897878f2c634127cc727e42985f424adad11e2b8",
+    "compare-u0": "d51371639dbce4633dd5f5537cdee430f33d9f9e05e785cacff43ec82bb7c63b",
+    "theory-table-u0": "d5acd2e441c1982961407cac23cfe3a5119aa66d5de7eda554c304415638b156",
 }
 # manifest bytes without the started_at line: they pin what no CSV carries, such as
 # the per-curve AUCs, the equivalence search's AUC half-widths and the theory gaps
@@ -318,17 +325,22 @@ GOLDEN_MANIFEST_SHA256 = {
     "theory-table-k48-n64": "00808eccd7719ecbbfd5fc531f78fef0a734ad4d15422e125c9cb1edaace4c32",
     "compare-k9": "548dabc42bc3a6ab51b342e5219a1d56a2e5745509e70ea06a41bd6599a9af5c",
     "equivalence-mrc": "10a03e8c1cb4900d3862939ee09ed21c492d8ea489138c3af3e713ef871d7802",
+    "compare-u0": "86d845fd0a58f4164f541aa7c9ef9374fa76de4b5439121adda49a90d04e0643",
+    "theory-table-u0": "59aaf8c2cbe537df2a26da315521a3f2e53e28d44db524bbd8b361c078772cc7",
 }
 # case -> (subcommand, overrides) for the cases that are not a plain subcommand: the
 # AWGN closed forms, the SLS per-branch CFAR inversion at K = 48 with N below the
 # Gaussian warning floor, full reads of more than 7 sensors (where the sensor-order
-# sum and numpy's pairwise sum differ in the last bits), and MRC sensor-prefix reads
+# sum and numpy's pairwise sum differ in the last bits), MRC sensor-prefix reads, and
+# no uncertainty, where both schemes' curves take the closed forms' rho = 1 exits
 GOLDEN_CASES = {
     "compare-awgn": ("compare", ["channel_kind=awgn"]),
     "theory-table-awgn": ("theory-table", ["channel_kind=awgn"]),
     "theory-table-k48-n64": ("theory-table", ["num_crs=48", "n_samples=64"]),
     "compare-k9": ("compare", ["num_crs=9"]),
     "equivalence-mrc": ("equivalence", ["combiner=mrc"]),
+    "compare-u0": ("compare", ["uncertainty_db=0"]),
+    "theory-table-u0": ("theory-table", ["uncertainty_db=0"]),
 }
 
 
@@ -348,6 +360,20 @@ def test_golden_csv_digest(command, tmp_path):
     lines = (tmp_path / "manifest.json").read_text().splitlines(keepends=True)
     kept = "".join(line for line in lines if '"started_at"' not in line)
     assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN_MANIFEST_SHA256[command]
+
+
+@pytest.mark.parametrize("module", ["cli", "harness"])
+def test_imports_no_private_name_of_another_module(module):
+    # the front end and the engine use the other modules' public names only
+    source = Path(harness.__file__).with_name(f"{module}.py").read_text()
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("css_lab"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
 
 
 class TestMain:

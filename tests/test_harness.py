@@ -22,12 +22,12 @@ from css_lab.harness import (
     conventional_rate,
     derive_rng,
     equivalence_search,
-    expected_rho,
     forced_rates,
     roc_sweep,
     run_regime_sampled,
 )
-from css_lab.theory import NumericError
+from css_lab import theory
+from css_lab.theory import closed_form_rates
 
 
 def _rolling(energies, variances, length, lam, rho_override=None):
@@ -290,19 +290,20 @@ class TestNestedSizes:
 
     def test_early_match_computes_theory_only_for_searched_counts(self, monkeypatch):
         seen = []
-        original = harness.qd_rayleigh
+        original = theory.qd_rayleigh
 
         def counted(params, lam):
             seen.append(params.K)
             return original(params, lam)
 
-        monkeypatch.setattr(harness, "qd_rayleigh", counted)
+        monkeypatch.setattr(theory, "qd_rayleigh", counted)
         # no uncertainty: the schemes coincide, so K=3 closes the gap
         sc = Scenario(uncertainty_db=0.0, num_crs=3, trials=2_000, seed=36, pfa_grid=(0.1, 0.3))
         result = equivalence_search(sc, k_range=(1, 3, 6, 12, 24))
         searched = [c.scenario.num_crs for c in result.conventional_curves]
         assert result.k_match == 3 and searched == [1, 3]
-        assert sorted(seen) == sorted(searched * len(sc.pfa_grid))
+        # the paired dual-threshold curve, at a mean rho of exactly 1, takes qd_rayleigh too
+        assert sorted(seen) == sorted((searched + [sc.num_crs]) * len(sc.pfa_grid))
 
 
 class TestRollingEngineEquivalence:
@@ -452,7 +453,7 @@ class TestAwgnTheoryColumns:
         lams = [cfar_threshold(sc.theory_params(), t) for t in sc.pfa_grid]
         pfa = forced_rates(sc, False, lams, derive_rng(53, 0), rho_override=rho).proposed
         pd = forced_rates(sc, True, lams, derive_rng(53, 1), rho_override=rho).proposed
-        theory_pfa, theory_pd = harness._theory_columns(sc, "proposed", lams, rho)
+        theory_pfa, theory_pd = closed_form_rates(sc.theory_params(rho), lams)
         assert self._gaps(pfa, theory_pfa, sc.trials).max() <= 1.0
         assert self._gaps(pd, theory_pd, sc.trials).max() <= 1.0
 
@@ -915,31 +916,3 @@ class TestSweepsAndAuc:
         sc = Scenario(trials=200, seed=20)
         with pytest.raises(ValueError):
             equivalence_search(sc, k_range=(5, 3))
-
-
-class TestExpectedRho:
-    def test_zero_uncertainty(self):
-        assert expected_rho(Scenario(uncertainty_db=0.0)) == 1.0
-
-    @pytest.mark.parametrize("history_len", [2, 15, 100])
-    @pytest.mark.parametrize("num_crs", [1, 7, 48])
-    @pytest.mark.parametrize("uncertainty_db", [0.5, 1.0, 3.0, 10.0])
-    def test_matches_direct_simulation(self, uncertainty_db, num_crs, history_len):
-        scenario = Scenario(uncertainty_db=uncertainty_db, num_crs=num_crs, history_len=history_len)
-        # about 2M variances per geometry, and at least 1000 windows
-        windows = max(1000, (1 << 21) // (num_crs * history_len))
-        rng = np.random.default_rng((int(uncertainty_db * 10), num_crs, history_len))
-        shape = (windows, history_len, num_crs)
-        rho = harness._window_rho(harness._noise_variances(rng, uncertainty_db, shape).mean(-1))
-        se = rho.std(ddof=1) / np.sqrt(windows)
-        assert abs(expected_rho(scenario) - rho.mean()) <= 4.0 * se
-
-    def test_default_matches_finer_lattices(self, monkeypatch):
-        value = expected_rho(Scenario())
-        monkeypatch.setattr(harness, "_RHO_BINS", tuple(4 * b for b in harness._RHO_BINS))
-        assert abs(value - expected_rho(Scenario())) <= 1e-7
-
-    def test_unconverged_lattice_raises(self):
-        # one sensor and L = 2 converge least: the error estimate at 20 dB is about 0.04
-        with pytest.raises(NumericError, match="expected_rho did not converge"):
-            expected_rho(Scenario(uncertainty_db=20.0, num_crs=1, history_len=2))

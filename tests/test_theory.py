@@ -9,10 +9,12 @@ from scipy import integrate, special, stats
 
 from css_lab.cli import parse_scenario, run_command
 from css_lab.fusion import CombinerKind, cfar_threshold
-from css_lab.harness import Scenario, expected_rho
+from css_lab.harness import Scenario
 from css_lab.theory import (
     NumericError,
     TheoryParams,
+    closed_form_rates,
+    expected_rho,
     marcum_q,
     qd_awgn_approx,
     qd_awgn_exact,
@@ -23,7 +25,7 @@ from css_lab.theory import (
     qfa_exact,
     qfa_proposed,
 )
-from css_lab import theory
+from css_lab import harness, theory
 
 GBAR = 10 ** (-1.5)
 
@@ -260,6 +262,14 @@ class TestGaussianTails:
             lam = cfar_threshold(p, float(t))
             assert abs(qd_awgn_approx(p, lam, GBAR) - qd_awgn_exact(p, lam, GBAR)) <= 0.01
 
+    @pytest.mark.parametrize("snr", [1e160, 1e300])
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_detection_at_huge_snr_is_one(self, kind, snr):
+        # the H1 variance 2 scale boost^2 overflows to inf here, and the rate read 1/2
+        p = params(kind)
+        assert qd_awgn_exact(p, 7100.0, snr) == 1.0
+        assert qd_awgn_approx(p, 7100.0, snr) == 1.0
+
     def test_small_n_warns(self):
         with pytest.warns(UserWarning):
             qfa_approx(params(N=50), 350.0)
@@ -328,9 +338,11 @@ class TestPredictorWeight:
 
 
 class TestProposedFalseAlarm:
-    def test_unity_rho_collapse_is_exact(self):
-        p = params(rho=1.0)
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_unity_rho_collapse_is_exact(self, kind):
+        p = params(kind, rho=1.0)
         for lam in (6900.0, 7000.0, 7151.6):
+            lam *= 2 * p.order / 7000.0  # about the statistic's null mean, 7000 for SLC
             assert qfa_proposed(p, lam) == qfa_approx(p, lam)
 
     def test_idle_window_regime(self):
@@ -371,9 +383,10 @@ class TestProposedDetection:
 
 
 class TestProposedRayleigh:
-    def test_unity_rho_collapse(self):
-        p = params(rho=1.0)
-        lam = 7151.0
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_unity_rho_collapse(self, kind):
+        p = params(kind, rho=1.0)
+        lam = 7151.0 * (2 * p.order / 7000.0)  # about the statistic's null mean, 7000 for SLC
         assert qd_proposed_rayleigh(p, lam) == qd_rayleigh(p, lam)
 
     @pytest.mark.parametrize(
@@ -575,9 +588,11 @@ class TestProposedAwgn:
                         worst = max(worst, abs(qd_proposed_awgn(p, lam, snr) - oracle))
         assert worst <= 1e-12
 
-    def test_unity_rho_is_fixed_threshold_detection(self):
-        p = params(rho=1.0)
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_unity_rho_is_fixed_threshold_detection(self, kind):
+        p = params(kind, rho=1.0)
         for lam in (6900.0, 7151.6, 7400.0):
+            lam *= 2 * p.order / 7000.0  # about the statistic's null mean, 7000 for SLC
             assert qd_proposed_awgn(p, lam, GBAR) == qd_awgn_exact(p, lam, GBAR)
 
     def test_between_endpoint_tails(self, rng):
@@ -615,7 +630,7 @@ class TestDualThresholdPanels:
 
     def test_default_table_matches_dense_reference(self):
         scenario = Scenario()
-        rho = expected_rho(scenario)
+        rho = expected_rho(scenario.theory_params())
         worst = 0.0
         for kind in CombinerKind:
             sub = replace(scenario, combiner=kind)
@@ -796,3 +811,77 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             TheoryParams(CombinerKind.SLC, K=1, N=1000, L=1)
         assert TheoryParams(CombinerKind.SLC, K=1, N=1000).u == 500
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("channel", "fading"),
+            ("uncertainty_db", -1.0),
+            ("uncertainty_db", float("nan")),
+            ("uncertainty_db", float("inf")),
+            ("uncertainty_db", 4000.0),  # the linear half-width overflows
+        ],
+    )
+    def test_channel_and_uncertainty(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TheoryParams(CombinerKind.SLC, K=1, N=1000, **{field: value})
+
+    def test_scenario_fills_channel_and_uncertainty(self):
+        p = Scenario(channel_kind="awgn", uncertainty_db=2.5).theory_params(rho=1.1)
+        assert (p.channel, p.uncertainty_db, p.rho) == ("awgn", 2.5, 1.1)
+        assert Scenario().theory_params().channel == "rayleigh"
+
+
+class TestClosedFormRates:
+    """Every curve's theory columns; at rho = 1 they are the fixed-threshold forms."""
+
+    @pytest.mark.parametrize("channel", ["rayleigh", "awgn"])
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_unity_rho_is_the_fixed_threshold_rule(self, kind, channel):
+        scenario = Scenario(combiner=kind, channel_kind=channel)
+        p = scenario.theory_params()
+        lams = [*scenario.cfar_grid(), 0.0]  # the default grid and one lam <= 0
+        pfa, pd = closed_form_rates(p, lams)
+        assert pfa == [qfa_approx(p, lam) for lam in lams]
+        if channel == "awgn":
+            assert pd == [qd_awgn_exact(p, lam, p.gamma_bar) for lam in lams]
+        else:
+            assert pd == [qd_rayleigh(p, lam) for lam in lams]
+
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_channel_picks_the_detection_form(self, kind):
+        p = params(kind, rho=1.2)
+        lams = [cfar_threshold(p, t) for t in (0.05, 0.1, 0.3)]
+        pfa, pd = closed_form_rates(p, lams)
+        assert pfa == [qfa_proposed(p, lam) for lam in lams]
+        assert pd == qd_proposed_rayleigh(p, np.array(lams)).tolist()
+        awgn = replace(p, channel="awgn")
+        assert closed_form_rates(awgn, lams) == (pfa, [qd_proposed_awgn(p, lam, GBAR) for lam in lams])
+
+
+class TestExpectedRho:
+    def test_zero_uncertainty(self):
+        assert expected_rho(Scenario(uncertainty_db=0.0).theory_params()) == 1.0
+
+    @pytest.mark.parametrize("history_len", [2, 15, 100])
+    @pytest.mark.parametrize("num_crs", [1, 7, 48])
+    @pytest.mark.parametrize("uncertainty_db", [0.5, 1.0, 3.0, 10.0])
+    def test_matches_direct_simulation(self, uncertainty_db, num_crs, history_len):
+        scenario = Scenario(uncertainty_db=uncertainty_db, num_crs=num_crs, history_len=history_len)
+        # about 2M variances per geometry, and at least 1000 windows
+        windows = max(1000, (1 << 21) // (num_crs * history_len))
+        rng = np.random.default_rng((int(uncertainty_db * 10), num_crs, history_len))
+        shape = (windows, history_len, num_crs)
+        rho = harness._window_rho(harness._noise_variances(rng, uncertainty_db, shape).mean(-1))
+        se = rho.std(ddof=1) / np.sqrt(windows)
+        assert abs(expected_rho(scenario.theory_params()) - rho.mean()) <= 4.0 * se
+
+    def test_default_matches_finer_lattices(self, monkeypatch):
+        value = expected_rho(Scenario().theory_params())
+        monkeypatch.setattr(theory, "_RHO_BINS", tuple(4 * b for b in theory._RHO_BINS))
+        assert abs(value - expected_rho(Scenario().theory_params())) <= 1e-7
+
+    def test_unconverged_lattice_raises(self):
+        # one sensor and L = 2 converge least: the error estimate at 20 dB is about 0.04
+        with pytest.raises(NumericError, match="expected_rho did not converge"):
+            expected_rho(Scenario(uncertainty_db=20.0, num_crs=1, history_len=2).theory_params())
