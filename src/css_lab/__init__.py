@@ -10,8 +10,8 @@ Carlo results.  Everything else is imported from its module
 
 __version__ = "0.1.0"
 
-from .fusion import CombinerKind, cfar_threshold
+# harness first: its standard-library imports ahead of scipy keep the peak RSS lower
 from .harness import Scenario, roc_sweep
-from .theory import NumericError
+from .theory import CombinerKind, NumericError, cfar_threshold
 
 __all__ = ["CombinerKind", "NumericError", "Scenario", "cfar_threshold", "roc_sweep"]

@@ -28,7 +28,6 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .fusion import CombinerKind
 from .harness import (
     SCHEME_CONVENTIONAL,
     SCHEME_PROPOSED,
@@ -40,7 +39,7 @@ from .harness import (
     fmt,
     roc_sweep,
 )
-from .theory import NumericError, closed_form_rates, expected_rho
+from .theory import CombinerKind, NumericError, closed_form_rates, expected_rho
 
 CSV_COLUMNS = (
     "scenario_digest",

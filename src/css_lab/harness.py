@@ -81,9 +81,9 @@ from .channel import (
     gen_pu_samples,
     synthesize_received,
 )
-from .fusion import CombinerKind, cfar_threshold, combine, combine_signal_mrc
+from .fusion import combine, combine_signal_mrc
 from .sensing import measure_energy
-from .theory import CHANNEL_KINDS, TheoryParams, closed_form_rates
+from .theory import CHANNEL_KINDS, CombinerKind, TheoryParams, cfar_threshold, closed_form_rates
 from .theory import expected_rho  # not called here; perfbench/spans.py times harness.expected_rho
 
 DEFAULT_SEED = 20240601
@@ -168,8 +168,7 @@ class Scenario:
 
     def cfar_grid(self) -> list[float]:
         """The CFAR threshold of each ``pfa_grid`` target under this scenario's null model."""
-        p = self.theory_params()
-        return [cfar_threshold(p, t) for t in self.pfa_grid]
+        return cfar_threshold(self.theory_params(), self.pfa_grid).tolist()
 
     def resolved_text(self) -> str:
         """Canonical key=value rendering of every field; the digest is taken over this."""

@@ -19,7 +19,11 @@ From this follow, per combiner (``u = N/2``, ``K`` sensors):
 Every closed form reads that model from one place: ``TheoryParams.order``
 (the null's gamma order), ``TheoryParams.snr_shape`` (how many sensor SNRs
 the statistic sums) and :func:`_combined` (the SLS complement).  Gaussian
-forms match a normal to :func:`_h1_moments`; ``cfar_threshold`` inverts it.
+forms match a normal to :func:`_h1_moments`; :func:`cfar_threshold` inverts
+its null into every curve's thresholds.  Every closed form but the scalar
+series :func:`qd_rayleigh` is elementwise over ``lam`` (``cfar_threshold``
+over its targets): a scalar returns a float, a 1-D array an array, and
+anything else raises ``ValueError``, so a curve's grid is one call per form.
 
 SNR argument convention: every function below takes the *per-sensor*
 average linear SNR, assumed equal across sensors; combiner-level scaling
@@ -53,6 +57,7 @@ noise uncertainty ``TheoryParams.uncertainty_db``.
 
 from __future__ import annotations
 
+import enum
 import functools
 import warnings
 from dataclasses import dataclass
@@ -60,8 +65,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 from scipy.special import _ufuncs
-
-from .fusion import CombinerKind
 
 GAUSSIAN_WARN_FLOOR = 100  # CLT-based formulas degrade below this many samples
 _QUAD_TOL = 1e-9  # absolute agreement of the n- and 2n-node fading averages
@@ -85,6 +88,12 @@ CHANNEL_KINDS = ("rayleigh", "awgn")
 
 class NumericError(RuntimeError):
     """Raised when a fading average fails to converge to its requested tolerance."""
+
+
+class CombinerKind(enum.Enum):
+    SLC = "slc"
+    MRC = "mrc"
+    SLS = "sls"
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,29 @@ def _q(x):
     return 0.5 * special.erfc(x / np.sqrt(2.0))
 
 
+def _elementwise(form):
+    """The closed forms' contract on ``lam`` around a ``form(p, lams, *args)`` of 1-D ``lams``."""
+
+    @functools.wraps(form)
+    def elementwise(p: TheoryParams, lam, *args):
+        lams = np.asarray(lam, dtype=float)
+        if lams.ndim > 1:
+            raise ValueError(f"{form.__name__} takes a scalar or a 1-D array")
+        out = np.asarray(form(p, lams.reshape(-1), *args), dtype=float)
+        return float(out[0]) if lams.ndim == 0 else out
+
+    return elementwise
+
+
+def _above_zero(lams: np.ndarray, tail) -> np.ndarray:
+    """``tail`` of the thresholds of ``lams`` above 0, and 1 at each ``lam <= 0``."""
+    out = np.ones(lams.shape)
+    live = ~(lams <= 0.0)  # a nan goes on, to ``tail``
+    if live.any():
+        out[live] = tail(lams[live])
+    return out
+
+
 def _marcum_q_vec(order: float, a, b) -> np.ndarray:
     """Generalized Marcum Q of one order, elementwise over broadcast ``a`` and ``b``.
 
@@ -195,19 +227,10 @@ def _combined(p: TheoryParams, rate):
     return _sls_complement_power(rate, p.K) if p.kind is CombinerKind.SLS else rate
 
 
-def _statistic_rate(p: TheoryParams, target: float) -> float:
-    """The inverse of :func:`_combined`: the statistic's rate that combines to ``target``."""
-    rate = -np.expm1(np.log1p(-target) / p.K) if p.kind is CombinerKind.SLS else target
-    if not 0.0 < rate < 1.0:  # only an SLS branch rate can leave it, from a target inside
-        raise ValueError("SLS branch false-alarm rate left (0, 1); adjust target_pfa")
-    return rate
-
-
-def qfa_exact(p: TheoryParams, lam: float) -> float:
+@_elementwise
+def qfa_exact(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
     """Exact chi-square false-alarm probability of the combined statistic."""
-    if lam <= 0.0:
-        return 1.0
-    return float(_combined(p, special.gammaincc(p.order, lam / 2.0)))
+    return _above_zero(lams, lambda t: _combined(p, special.gammaincc(p.order, t / 2.0)))
 
 
 def _detection_tail(p: TheoryParams, lam, snr) -> np.ndarray:
@@ -215,7 +238,8 @@ def _detection_tail(p: TheoryParams, lam, snr) -> np.ndarray:
     return _combined(p, _marcum_q_vec(p.order, np.sqrt(p.N * p.snr_shape * snr), np.sqrt(lam)))
 
 
-def qd_awgn_exact(p: TheoryParams, lam: float, snr: float) -> float:
+@_elementwise
+def qd_awgn_exact(p: TheoryParams, lams: np.ndarray, snr: float) -> np.ndarray:
     """Exact fixed-SNR detection probability via the Marcum Q function.
 
     ``snr`` is the common per-sensor per-sample SNR; zero reduces to the
@@ -223,25 +247,21 @@ def qd_awgn_exact(p: TheoryParams, lam: float, snr: float) -> float:
     """
     if snr < 0.0:
         raise ValueError("snr must be nonnegative")
-    if lam <= 0.0:
-        return 1.0
-    return float(_detection_tail(p, lam, snr)[()])
+    return _above_zero(lams, lambda t: _detection_tail(p, t, snr))
 
 
 def _warn_small_n(p: TheoryParams) -> None:
-    """Warn below ``GAUSSIAN_WARN_FLOOR``.
-
-    ``stacklevel=3`` names the caller of the function that calls this, so
-    only public entry points call it, each once and directly.
+    """Warn below ``GAUSSIAN_WARN_FLOOR``, from the caller of the :func:`_elementwise` form
+    that calls this (``stacklevel=4``): only those forms call it, each once and directly.
     """
     if p.N < GAUSSIAN_WARN_FLOOR:
         warnings.warn(
             f"N={p.N} is small; Gaussian approximations may be inaccurate",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def _gaussian_tail(lam: float, mean, var):
+def _gaussian_tail(lam, mean, var):
     return _q((lam - mean) / np.sqrt(var))
 
 
@@ -256,25 +276,47 @@ def _h1_moments(p: TheoryParams, snr):
     return scale * boost, 2.0 * scale * boost * boost
 
 
-def _gaussian_rate(p: TheoryParams, lam: float, snr: float) -> float:
-    """Gaussian positive rate at ``lam`` with every sensor at ``snr``; never warns."""
+@_elementwise
+def cfar_threshold(p: TheoryParams, targets: np.ndarray) -> np.ndarray:
+    """Decision threshold achieving each target pfa under the Gaussian null model of ``p``.
+
+    Inverts the null that :func:`qfa_approx` evaluates, at the per-branch
+    rate for SLS; the threshold is in units of the nominal noise variance.
+    """
+    # in Python: numpy comparisons, first run here ahead of the draws, add 128 kB to peak RSS
+    if not all(0.0 < t < 1.0 for t in targets.tolist()):
+        raise ValueError("target_pfa must lie strictly between 0 and 1")
+    _warn_small_n(p)
+    # the statistic's rate, the inverse of _combined: only an SLS branch rate can leave (0, 1)
+    rate = -np.expm1(np.log1p(-targets) / p.K) if p.kind is CombinerKind.SLS else targets
+    if not all(0.0 < r < 1.0 for r in rate.tolist()):
+        raise ValueError("SLS branch false-alarm rate left (0, 1); adjust target_pfa")
+    mean, var = _h1_moments(p, 0.0)
+    # inside (0, 1) the rate keeps erfcinv's argument inside (0, 2), where it is finite
+    return mean + np.sqrt(2.0 * var) * special.erfcinv(2.0 * rate)
+
+
+def _gaussian_rate(p: TheoryParams, lam: np.ndarray, snr: float) -> np.ndarray:
+    """Gaussian positive rate at each ``lam`` with every sensor at ``snr``; never warns."""
     scale, boost = 2 * p.order, _boost(p, snr)
     sd = np.sqrt(2.0 * scale) * boost  # finite where the variance 2 scale boost^2 overflows
-    return float(_combined(p, _q((lam - scale * boost) / sd)))
+    return _combined(p, _q((lam - scale * boost) / sd))
 
 
-def qfa_approx(p: TheoryParams, lam: float) -> float:
+@_elementwise
+def qfa_approx(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
     """Gaussian (CLT) false-alarm probability of the combined statistic."""
     _warn_small_n(p)
-    return _gaussian_rate(p, lam, 0.0)
+    return _gaussian_rate(p, lams, 0.0)
 
 
-def qd_awgn_approx(p: TheoryParams, lam: float, snr: float) -> float:
+@_elementwise
+def qd_awgn_approx(p: TheoryParams, lams: np.ndarray, snr: float) -> np.ndarray:
     """Gaussian fixed-SNR detection probability of the combined statistic."""
     if snr < 0.0:
         raise ValueError("snr must be nonnegative")
     _warn_small_n(p)
-    return _gaussian_rate(p, lam, snr)
+    return _gaussian_rate(p, lams, snr)
 
 
 def _fading_upper_limit(p: TheoryParams) -> float:
@@ -465,7 +507,8 @@ def _avg_moments(p: TheoryParams, m: int, snr):
     return mu_avg, sigma_avg_sq
 
 
-def qfa_proposed(p: TheoryParams, lam: float) -> float:
+@_elementwise
+def qfa_proposed(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
     """Dual-threshold false-alarm probability.
 
     Convex combination of the Gaussian false-alarm rates at the favourable
@@ -474,9 +517,9 @@ def qfa_proposed(p: TheoryParams, lam: float) -> float:
     """
     _warn_small_n(p)
     if p.rho == 1.0:  # both thresholds coincide; skip the mixture entirely
-        return _gaussian_rate(p, lam, 0.0)
-    w = float(_gaussian_tail(lam, *_avg_moments(p, 0, 0.0)))
-    favourable, guarded = _gaussian_rate(p, lam / p.rho, 0.0), _gaussian_rate(p, p.rho * lam, 0.0)
+        return _gaussian_rate(p, lams, 0.0)
+    w = _gaussian_tail(lams, *_avg_moments(p, 0, 0.0))
+    favourable, guarded = _gaussian_rate(p, lams / p.rho, 0.0), _gaussian_rate(p, p.rho * lams, 0.0)
     return w * favourable + (1.0 - w) * guarded
 
 
@@ -500,43 +543,34 @@ def _proposed_mixture(p: TheoryParams, lam, snr) -> np.ndarray:
     return w * favourable + (1.0 - w) * guarded
 
 
-def qd_proposed_awgn(p: TheoryParams, lam: float, snr: float) -> float:
+@_elementwise
+def qd_proposed_awgn(p: TheoryParams, lams: np.ndarray, snr: float) -> np.ndarray:
     """Dual-threshold detection probability with every sensor at the fixed ``snr``.
 
-    ``rho = 1`` returns :func:`qd_awgn_exact`, which also screens ``lam`` and ``snr``.
+    1 at ``lam <= 0``; ``rho = 1`` returns :func:`qd_awgn_exact`, which also screens ``snr``.
     """
-    if p.rho == 1.0 or lam <= 0.0 or snr < 0.0:
-        return qd_awgn_exact(p, lam, snr)
-    return float(_proposed_mixture(p, lam, snr))
+    if p.rho == 1.0 or snr < 0.0:
+        return qd_awgn_exact(p, lams, snr)
+    return _above_zero(lams, lambda t: _proposed_mixture(p, t, snr))
 
 
-def qd_proposed_rayleigh(p: TheoryParams, lam):
+@_elementwise
+def qd_proposed_rayleigh(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
     """Dual-threshold detection probability averaged over Rayleigh fading.
 
-    ``lam`` is one threshold, which returns a float, or a 1-D array of them,
-    which returns an array: a whole grid is one :func:`_fading_average` call.
-    Averages :func:`_proposed_mixture` over the aggregate SNR, so every
-    window event sees the integration-variable SNR.  A threshold ``lam <= 0``
-    gives 1, and ``rho = 1`` gives :func:`qd_rayleigh` at each threshold.
-    For SLC and MRC the mixture also tends to it as ``rho -> 1``; for SLS it
-    does not, because the mixture applies the K-fold complement inside the
-    average (all branches at one faded SNR) while :func:`qd_rayleigh`
-    applies it to the averaged branch (independently faded branches).  At
-    K = 7, N = 1000, -15 dB and a 0.1 CFAR target, ``rho = 1 + 1e-9`` gives
-    0.4188 against 0.5832.
+    Averages :func:`_proposed_mixture` over the aggregate SNR, a whole grid in one
+    :func:`_fading_average` call, so every window event sees the
+    integration-variable SNR.  A threshold ``lam <= 0`` gives 1, and ``rho = 1``
+    gives :func:`qd_rayleigh` at each threshold.  For SLC and MRC the mixture also
+    tends to it as ``rho -> 1``; for SLS it does not, because the mixture applies
+    the K-fold complement inside the average (all branches at one faded SNR) while
+    :func:`qd_rayleigh` applies it to the averaged branch (independently faded
+    branches).  At K = 7, N = 1000, -15 dB and a 0.1 CFAR target, ``rho = 1 + 1e-9``
+    gives 0.4188 against 0.5832.
     """
-    lams = np.asarray(lam, dtype=float)
-    if lams.ndim > 1:
-        raise ValueError("lam must be a scalar or a 1-D array")
-    flat = lams.reshape(-1)
     if p.rho == 1.0:
-        out = np.array([qd_rayleigh(p, t) for t in flat.tolist()])
-    else:
-        out = np.ones(flat.shape)
-        live = np.flatnonzero(~(flat <= 0.0))  # a nan goes on, to fail as not finite
-        if live.size:
-            out[live] = _proposed_fading_average(p, flat[live])
-    return float(out[0]) if lams.ndim == 0 else out
+        return [qd_rayleigh(p, t) for t in lams.tolist()]
+    return _above_zero(lams, lambda t: _proposed_fading_average(p, t))
 
 
 def _proposed_fading_average(p: TheoryParams, lams: np.ndarray) -> list:
@@ -563,12 +597,12 @@ def closed_form_rates(p: TheoryParams, lams) -> tuple[list[float], list[float]]:
 
     At ``p.rho = 1`` both thresholds are ``lam``: the fixed-threshold rule, whose forms
     (:func:`qfa_approx`, and :func:`qd_awgn_exact` at ``p.gamma_bar`` on an AWGN channel or
-    :func:`qd_rayleigh`) these return bit for bit.  A Rayleigh grid is one pd call.
+    :func:`qd_rayleigh`) these return bit for bit.  The grid is one call per form.
     """
-    pfa = [qfa_proposed(p, lam) for lam in lams]
+    pfa = qfa_proposed(p, lams)
     if p.channel == "awgn":
-        return pfa, [qd_proposed_awgn(p, lam, p.gamma_bar) for lam in lams]
-    return pfa, qd_proposed_rayleigh(p, lams).tolist()
+        return pfa.tolist(), qd_proposed_awgn(p, lams, p.gamma_bar).tolist()
+    return pfa.tolist(), qd_proposed_rayleigh(p, lams).tolist()
 
 
 def _variance_mean_law(uncertainty_db: float, sensors: int, bins: int):

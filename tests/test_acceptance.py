@@ -23,7 +23,6 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate, special, stats
 
-from css_lab.fusion import CombinerKind, cfar_threshold
 from css_lab.harness import (
     Scenario,
     _draw_events,
@@ -35,8 +34,10 @@ from css_lab.harness import (
     roc_sweep,
 )
 from css_lab.theory import (
+    CombinerKind,
     TheoryParams,
     _q,
+    cfar_threshold,
     marcum_q,
     qd_awgn_approx,
     qd_awgn_exact,

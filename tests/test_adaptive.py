@@ -14,8 +14,8 @@ from css_lab.adaptive import (
     push_event,
 )
 from css_lab.channel import Hypothesis
-from css_lab.fusion import CombinerKind, cfar_threshold, decide_conventional
-from css_lab.theory import TheoryParams
+from css_lab.fusion import decide_conventional
+from css_lab.theory import CombinerKind, TheoryParams, cfar_threshold
 
 # window-average predictor probability at the spec's default operating point:
 # Q((lam - N*K*(1+snr)) / sigma_avg) with lam = cfar(SLC, 0.1), K=7, N=1000,

@@ -12,7 +12,7 @@ import scipy
 import ast
 from pathlib import Path
 
-from css_lab import harness, theory
+from css_lab import cli, fusion, harness, theory
 from css_lab.cli import (
     CSV_COLUMNS,
     SWEEPS,
@@ -22,9 +22,9 @@ from css_lab.cli import (
     parse_scenario,
     run_command,
 )
-from css_lab.fusion import CombinerKind, cfar_threshold
 from css_lab.harness import Scenario, roc_sweep
-from css_lab.theory import NumericError, expected_rho, qd_proposed_rayleigh, qd_rayleigh
+from css_lab.theory import CombinerKind, NumericError, cfar_threshold, expected_rho
+from css_lab.theory import qd_proposed_rayleigh, qd_rayleigh
 from css_lab.theory import qfa_approx, qfa_proposed
 
 
@@ -263,6 +263,25 @@ class TestRunCommand:
         grid = (len(scen.pfa_grid),)
         assert calls == [(kind, grid) for kind in CombinerKind for _scheme in range(2)]
 
+    @pytest.mark.parametrize("command", ["theory-table", "compare"])
+    def test_one_cfar_call_per_grid_one_pfa_call_per_curve(self, command, tmp_path, monkeypatch):
+        calls = {"cfar_threshold": [], "qfa_proposed": []}
+        for name, record in calls.items():
+            original = getattr(theory, name)
+
+            def counted(p, grid, original=original, record=record):
+                record.append((p.kind, np.shape(grid)))
+                return original(p, grid)
+
+            for module in (cli, fusion, harness, theory):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        scen = parse_scenario(_fast_scenario_file(tmp_path))
+        run_command(command, scen, tmp_path / "q")
+        grid = (len(scen.pfa_grid),)
+        assert calls["cfar_threshold"] == [(kind, grid) for kind in CombinerKind]
+        assert calls["qfa_proposed"] == [(kind, grid) for kind in CombinerKind for _ in range(2)]
+
     def test_compare_writes_run_record(self, tmp_path):
         scen = parse_scenario(_fast_scenario_file(tmp_path, trials=300))
         manifest = run_command("compare", scen, tmp_path / "r", threads=2)
@@ -362,18 +381,36 @@ def test_golden_csv_digest(command, tmp_path):
     assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN_MANIFEST_SHA256[command]
 
 
-@pytest.mark.parametrize("module", ["cli", "harness"])
-def test_imports_no_private_name_of_another_module(module):
-    # the front end and the engine use the other modules' public names only
+MODULES = sorted(path.stem for path in Path(harness.__file__).parent.glob("*.py"))
+
+
+def _css_lab_imports(module):
     source = Path(harness.__file__).with_name(f"{module}.py").read_text()
-    private = [
-        f"{node.module}.{alias.name}"
+    return [
+        (node.module, alias.name)
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("css_lab"))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("css_lab"))
         for alias in node.names
-        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_no_private_name_of_another_module(module):
+    # every module uses the other modules' public names only
+    private = [
+        f"{home}.{name}"
+        for home, name in _css_lab_imports(module)
+        if name.startswith("_") and not name.endswith("__")
     ]
     assert private == []
+
+
+def test_theory_is_a_leaf_that_owns_the_null_model():
+    # the analysis layer imports nothing of css_lab; fusion re-binds its two names
+    assert _css_lab_imports("theory") == []
+    assert fusion.CombinerKind is theory.CombinerKind
+    assert fusion.cfar_threshold is theory.cfar_threshold
 
 
 class TestMain:

@@ -1,22 +1,13 @@
-"""Combining rules, CFAR threshold inversion and the fixed-threshold decision."""
-
-import itertools
+"""Combining rules and the fixed-threshold decision."""
 
 import numpy as np
 import pytest
 from conftest import make_block
 
 from css_lab.channel import Hypothesis
-from css_lab.fusion import (
-    CombinerKind,
-    DegenerateWeightsError,
-    cfar_threshold,
-    combine,
-    combine_signal_mrc,
-    decide_conventional,
-)
+from css_lab.fusion import DegenerateWeightsError, combine, combine_signal_mrc, decide_conventional
 from css_lab.sensing import measure_energy
-from css_lab.theory import TheoryParams, qfa_approx
+from css_lab.theory import CombinerKind, cfar_threshold
 
 
 class TestCombine:
@@ -62,48 +53,6 @@ class TestCombineSignalMrc:
     def test_all_zero_gains_rejected(self):
         with pytest.raises(DegenerateWeightsError):
             combine_signal_mrc([make_block([1.0, 2.0], snr=0.0)])
-
-
-class TestCfarThreshold:
-    def test_slc_median(self):
-        params = TheoryParams(CombinerKind.SLC, 7, 1000)
-        assert cfar_threshold(params, 0.5) == pytest.approx(7000.0)
-
-    def test_mrc_median(self):
-        params = TheoryParams(CombinerKind.MRC, 7, 1000)
-        assert cfar_threshold(params, 0.5) == pytest.approx(1000.0)
-
-    def test_round_trip_through_gaussian_tail(self):
-        # inverting and re-evaluating the same approximation is exact
-        for kind, k in itertools.product(CombinerKind, (1, 7, 48)):
-            params = TheoryParams(kind, k, 1000)
-            for target in (0.01, 0.05, 0.1, 0.3, 0.5):
-                lam = cfar_threshold(params, target)
-                assert abs(qfa_approx(params, lam) - target) <= 1e-10
-
-    def test_strictly_decreasing_in_target(self):
-        for kind in CombinerKind:
-            params = TheoryParams(kind, 7, 1000)
-            lams = [cfar_threshold(params, t) for t in np.linspace(0.01, 0.9, 15)]
-            assert all(b < a for a, b in zip(lams, lams[1:]))
-
-    def test_k1_thresholds_coincide(self):
-        lams = {
-            kind: cfar_threshold(TheoryParams(kind, 1, 1000), 0.1) for kind in CombinerKind
-        }
-        assert lams[CombinerKind.SLC] == pytest.approx(lams[CombinerKind.MRC])
-        assert lams[CombinerKind.SLS] == pytest.approx(lams[CombinerKind.MRC])
-
-    def test_rejects_bad_target(self):
-        params = TheoryParams(CombinerKind.SLC, 7, 1000)
-        for bad in (0.0, 1.0, -0.1, 1.7):
-            with pytest.raises(ValueError):
-                cfar_threshold(params, bad)
-
-    def test_small_tbw_warns(self):
-        params = TheoryParams(CombinerKind.SLC, 2, 64)
-        with pytest.warns(UserWarning, match="N=64 is small"):
-            cfar_threshold(params, 0.1)
 
 
 class TestDecideConventional:

@@ -14,7 +14,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from css_lab import harness
 from css_lab.adaptive import FusionState, advance, push_event
 from css_lab.channel import Hypothesis
-from css_lab.fusion import CombinerKind, cfar_threshold
 from css_lab.harness import (
     DEFAULT_PFA_GRID,
     Scenario,
@@ -27,7 +26,7 @@ from css_lab.harness import (
     run_regime_sampled,
 )
 from css_lab import theory
-from css_lab.theory import closed_form_rates
+from css_lab.theory import CombinerKind, cfar_threshold, closed_form_rates
 
 
 def _rolling(energies, variances, length, lam, rho_override=None):

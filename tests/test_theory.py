@@ -1,6 +1,7 @@
 """Analysis layer: special functions, exact/approximate tails, fading averages,
 window predictor statistics and the dual-threshold probabilities."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from scipy import integrate, special, stats
 
 from css_lab.cli import parse_scenario, run_command
-from css_lab.fusion import CombinerKind, cfar_threshold
 from css_lab.harness import Scenario
 from css_lab.theory import (
+    CombinerKind,
     NumericError,
     TheoryParams,
+    cfar_threshold,
     closed_form_rates,
     expected_rho,
     marcum_q,
@@ -99,6 +101,48 @@ class TestInvErfc:
                     cfar_threshold(params(kind), bad)
         with pytest.raises(ValueError, match="SLS branch"):
             cfar_threshold(params(CombinerKind.SLS, K=48), 5e-324)
+
+
+class TestCfarThreshold:
+    def test_slc_median(self):
+        params = TheoryParams(CombinerKind.SLC, 7, 1000)
+        assert cfar_threshold(params, 0.5) == pytest.approx(7000.0)
+
+    def test_mrc_median(self):
+        params = TheoryParams(CombinerKind.MRC, 7, 1000)
+        assert cfar_threshold(params, 0.5) == pytest.approx(1000.0)
+
+    def test_round_trip_through_gaussian_tail(self):
+        # inverting and re-evaluating the same approximation is exact
+        for kind, k in itertools.product(CombinerKind, (1, 7, 48)):
+            params = TheoryParams(kind, k, 1000)
+            for target in (0.01, 0.05, 0.1, 0.3, 0.5):
+                lam = cfar_threshold(params, target)
+                assert abs(qfa_approx(params, lam) - target) <= 1e-10
+
+    def test_strictly_decreasing_in_target(self):
+        for kind in CombinerKind:
+            params = TheoryParams(kind, 7, 1000)
+            lams = [cfar_threshold(params, t) for t in np.linspace(0.01, 0.9, 15)]
+            assert all(b < a for a, b in zip(lams, lams[1:]))
+
+    def test_k1_thresholds_coincide(self):
+        lams = {
+            kind: cfar_threshold(TheoryParams(kind, 1, 1000), 0.1) for kind in CombinerKind
+        }
+        assert lams[CombinerKind.SLC] == pytest.approx(lams[CombinerKind.MRC])
+        assert lams[CombinerKind.SLS] == pytest.approx(lams[CombinerKind.MRC])
+
+    def test_rejects_bad_target(self):
+        params = TheoryParams(CombinerKind.SLC, 7, 1000)
+        for bad in (0.0, 1.0, -0.1, 1.7):
+            with pytest.raises(ValueError):
+                cfar_threshold(params, bad)
+
+    def test_small_tbw_warns(self):
+        params = TheoryParams(CombinerKind.SLC, 2, 64)
+        with pytest.warns(UserWarning, match="N=64 is small"):
+            cfar_threshold(params, 0.1)
 
 
 class TestUpperRegGamma:
@@ -382,6 +426,20 @@ class TestProposedDetection:
         assert qfa_proposed(p_idle, lam) < qfa_approx(p_idle, lam)
 
 
+# every closed form that is elementwise over its thresholds (cfar_threshold: its targets)
+ELEMENTWISE_FORMS = {
+    "cfar_threshold": cfar_threshold,
+    "qfa_exact": qfa_exact,
+    "qfa_approx": qfa_approx,
+    "qfa_proposed": qfa_proposed,
+    "qd_awgn_exact": lambda p, lam: qd_awgn_exact(p, lam, GBAR),
+    "qd_awgn_approx": lambda p, lam: qd_awgn_approx(p, lam, GBAR),
+    "qd_proposed_awgn": lambda p, lam: qd_proposed_awgn(p, lam, GBAR),
+    "qd_proposed_rayleigh": qd_proposed_rayleigh,
+}
+ONE_AT_NONPOSITIVE_LAM = {"qfa_exact", "qd_awgn_exact", "qd_proposed_awgn", "qd_proposed_rayleigh"}
+
+
 class TestProposedRayleigh:
     @pytest.mark.parametrize("kind", list(CombinerKind))
     def test_unity_rho_collapse(self, kind):
@@ -425,19 +483,30 @@ class TestProposedRayleigh:
             assert qd_proposed_rayleigh(prop, lam) > qd_rayleigh(conv, lam)
 
     @pytest.mark.parametrize("kind", list(CombinerKind))
-    def test_grid_call_equals_scalar_calls(self, kind):
-        # one fading_average pass over a grid gives each threshold's own value, bit for bit
+    @pytest.mark.parametrize("form", sorted(ELEMENTWISE_FORMS))
+    def test_grid_call_equals_scalar_calls(self, form, kind):
+        # one call over a grid gives each threshold's own value, bit for bit
+        evaluate = ELEMENTWISE_FORMS[form]
         sc = Scenario(combiner=kind)
         default = np.array(sc.cfar_grid())
-        dense = np.linspace(0.9 * default.min(), 1.1 * default.max(), 64)
-        dense[7] = 0.0  # lam <= 0: exactly 1
-        for rho, lams in ((1.2, default), (1.2, dense), (1.0, dense)):
+        if form == "cfar_threshold":  # over targets: the default ones and the pfa_grid floor
+            grids = [np.array([np.finfo(float).tiny, *sc.pfa_grid])]
+        elif form == "qd_proposed_rayleigh":  # a fading average pass over a dense grid too
+            dense = np.linspace(0.9 * default.min(), 1.1 * default.max(), 64)
+            dense[7] = 0.0
+            grids = [np.array([*default, 0.0, -1.0]), dense]
+        else:
+            grids = [np.array([*default, 0.0, -1.0])]
+        for rho, lams in itertools.product((1.0, 1.2), grids):
             p = sc.theory_params(rho=rho)
-            grid = qd_proposed_rayleigh(p, lams)
+            grid = evaluate(p, lams)
             assert grid.shape == lams.shape
-            assert np.array_equal(grid, [qd_proposed_rayleigh(p, lam) for lam in lams.tolist()])
-        assert grid[7] == 1.0
-        assert isinstance(qd_proposed_rayleigh(p, float(lams[0])), float)
+            assert np.array_equal(grid, [evaluate(p, lam) for lam in lams.tolist()])
+            if form in ONE_AT_NONPOSITIVE_LAM:
+                assert (grid[lams <= 0.0] == 1.0).all()
+        assert isinstance(evaluate(p, float(lams[0])), float)
+        with pytest.raises(ValueError, match="scalar or a 1-D array"):
+            evaluate(p, lams.reshape(1, -1))
 
     def test_matches_pipeline_monte_carlo(self):
         # full dual-threshold pipeline under sustained activity with the
