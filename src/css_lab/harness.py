@@ -37,7 +37,12 @@ Results are therefore bit-identical across runs and across thread counts:
 threads only ever parallelise whole regimes, each on its own stream.  Both
 rate functions draw in chunks of at most ``_CHUNK_CELLS`` cells under one
 policy: chunk 0 draws on the given stream and every later chunk on a stream
-spawned from it, so a chunk's draws depend on that chunk alone.
+spawned from it, so a chunk's draws depend on that chunk alone.  Within a
+chunk only the fading gains are drawn whole; the rest goes in blocks of
+trials of at most ``_BLOCK_CELLS`` cells, which change no byte: a variance
+takes one 64-bit output, so the energies' stream starts a known number of
+outputs on (``advance``), every stream is read in whole-array order, and
+rho is summed once per chunk.
 
 Measurement regimes
 -------------------
@@ -66,10 +71,11 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -91,6 +97,7 @@ DEFAULT_PFA_GRID = tuple(float(x) for x in np.logspace(np.log10(0.01), np.log10(
 AUC_MATCH_TOL = 0.02
 _PFA_FLOOR = float(np.finfo(float).tiny)
 _CHUNK_CELLS = 1 << 22  # cap on rows*events*sensors drawn per chunk
+_BLOCK_CELLS = 1 << 16  # cap on rows*events*sensors per block of the draws after the gains
 
 # stream tags keeping every stochastic purpose on its own substream; a tag keeps
 # its number, since every seeded output drawn on it depends on that number
@@ -261,8 +268,8 @@ def _draw_events(
     shape: tuple[int, ...],
     signal: bool,
     reads: Sequence[tuple[CombinerKind, int]] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Combined energies and mean reported variances for an array of sensing events.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Combined energies and mean reported variances of an array of sensing events, in blocks.
 
     ``signal`` is whether the PU transmits.  The fading gains are drawn
     either way; without the PU the energies take numpy's central chi-square,
@@ -274,14 +281,20 @@ def _draw_events(
     A read is a ``(combiner, sensors)`` pair: that combiner on the first
     ``sensors`` of the one ``num_crs``-sensor draw of gains and variances
     (default: the scenario's own combiner on all of them).  Each combiner's
-    counts must ascend strictly within ``1..num_crs``.  The energies carry a
-    leading read axis ahead of ``shape``, and the mean variances, of
-    ``shape``, average all ``num_crs`` sensors.  SLC and SLS reduce one
+    counts must ascend strictly within ``1..num_crs``.  SLC and SLS reduce one
     per-sensor chi-square draw (:func:`_prefix_reduce`, a sum or a maximum).
     MRC's reads share one chi-square draw at their sums of ``gamma`` and
     ``gamma * sigma^2``, from a copy of the stream where the per-sensor draw
     starts, on a trailing read axis: a lone MRC read takes the stream in the
     order of a plain draw.
+
+    Only the gains are drawn whole.  The rest is drawn and yielded in blocks
+    of at most ``_BLOCK_CELLS`` cells along the leading axis of ``shape``:
+    per block, the energies, with a leading read axis, and the mean
+    variances, which average all ``num_crs`` sensors.  The blocks change no
+    byte: each stream is read in the order of a whole-array draw, the
+    variances taking one 64-bit output each, so the energies' stream starts
+    ``prod(shape) * num_crs`` outputs past theirs (none without uncertainty).
     """
     reads = ((scenario.combiner, scenario.num_crs),) if reads is None else tuple(reads)
     if not reads:
@@ -295,48 +308,45 @@ def _draw_events(
     counts = {kind: [reads[i][1] for i in index] for kind, index in rows.items()}
     full = (*shape, scenario.num_crs)
     if scenario.channel_kind == "awgn":
-        gamma = np.broadcast_to(np.float64(scenario.gamma_bar), full)
+        gains = np.broadcast_to(np.float64(scenario.gamma_bar), full)
     elif scenario.fading_block == "chain" and len(shape) == 2:
         row_gamma = rng.exponential(scenario.gamma_bar, (shape[0], 1, scenario.num_crs))
-        gamma = np.broadcast_to(row_gamma, full)
+        gains = np.broadcast_to(row_gamma, full)
     else:
-        gamma = rng.exponential(scenario.gamma_bar, full)
-    sig2 = _noise_variances(rng, scenario.uncertainty_db, full)
+        gains = rng.exponential(scenario.gamma_bar, full)
+    sig_rng = copy.deepcopy(rng)  # the variances' stream; rng moves on to the energies
+    if scenario.uncertainty_db != 0.0:
+        rng.bit_generator.advance(math.prod(full))
     mrc = rows.pop(CombinerKind.MRC, [])  # rows keeps the reads of the per-sensor draw
-    if mrc:  # one detector at the summed SNR, gain-weighted effective variance
-        gain = _prefix_reduce(np.add, gamma, counts[CombinerKind.MRC])
-        scale = _prefix_reduce(np.add, gamma, counts[CombinerKind.MRC], weights=sig2)
-        scale /= gain
-        mrc_rng = copy.deepcopy(rng) if rows else rng
+    mrc_rng = copy.deepcopy(rng) if mrc and rows else rng
     n = scenario.n_samples
-    energy = None  # per-sensor energies, which SLC and SLS reduce
-    if rows:
-        if signal:  # the noncentrality replaces the gains: one full-size array fewer at the draw
-            gamma = gamma * n
-            gamma /= sig2
-            energy = rng.noncentral_chisquare(n, gamma)
-        else:
-            energy = rng.chisquare(n, full)
-        energy *= sig2
-    del gamma  # read by no step past the draws, so not live beside out
-    # after the draw: allocated before it, this raised the peak RSS of compare by 2 MB
-    out = np.empty((len(reads), *shape))
-    for kind, index in rows.items():
-        ufunc = np.add if kind is CombinerKind.SLC else np.maximum
-        _prefix_reduce(ufunc, energy, counts[kind], [out[i] for i in index])
-    del energy  # before the mean variances: one array fewer at this point of the peak
-    sig_mean = sig2.mean(axis=-1)
-    del sig2
-    if mrc:  # drawn once the full-size arrays are freed
-        if signal:  # the noncentrality n * gain / scale, in place: the gains are not read again
-            gain *= n
-            gain /= scale
-            energy = mrc_rng.noncentral_chisquare(n, np.moveaxis(gain, 0, -1))
-        else:
-            energy = mrc_rng.chisquare(n, (*shape, len(mrc)))
-        energy *= np.moveaxis(scale, 0, -1)
-        out[mrc] = np.moveaxis(energy, -1, 0)
-    return out, sig_mean
+    step = max(1, _BLOCK_CELLS // math.prod(full[1:]))
+    for start in range(0, shape[0], step):
+        gamma = gains[start : start + step]
+        sig2 = _noise_variances(sig_rng, scenario.uncertainty_db, gamma.shape)
+        out = np.empty((len(reads), *gamma.shape[:-1]))
+        if rows:
+            if signal:
+                energy = rng.noncentral_chisquare(n, gamma * n / sig2)
+            else:
+                energy = rng.chisquare(n, gamma.shape)
+            energy *= sig2
+            for kind, index in rows.items():
+                ufunc = np.add if kind is CombinerKind.SLC else np.maximum
+                _prefix_reduce(ufunc, energy, counts[kind], [out[i] for i in index])
+        if mrc:  # one detector at the summed SNR, gain-weighted effective variance
+            gain = _prefix_reduce(np.add, gamma, counts[CombinerKind.MRC])
+            scale = _prefix_reduce(np.add, gamma, counts[CombinerKind.MRC], weights=sig2)
+            scale /= gain
+            if signal:  # in place: the gains are not read again
+                gain *= n
+                gain /= scale
+                energy = mrc_rng.noncentral_chisquare(n, np.moveaxis(gain, 0, -1))
+            else:
+                energy = mrc_rng.chisquare(n, (*gamma.shape[:-1], len(mrc)))
+            energy *= np.moveaxis(scale, 0, -1)
+            out[mrc] = np.moveaxis(energy, -1, 0)
+        yield out, sig2.mean(axis=-1)
 
 
 def _prefix_reduce(
@@ -399,13 +409,20 @@ def _rates(
     for chunk, start in enumerate(range(0, scenario.trials, per_chunk)):
         step = min(per_chunk, scenario.trials - start)
         stream = rng.spawn(1)[0] if chunk else rng
-        energies, sig_mean = _draw_events(scenario, stream, (step, length), h1, reads)
-        for conv, energy, read_lams in zip(conv_counts, energies, lams):
-            conv += _count_at_least(energy[:, -1], read_lams)
+        # per read, each window's newest energy and dual-threshold score; one rho per window
+        newest, done = np.empty((len(reads), step)), 0
         if prop_counts is not None:
-            # read, window: the rho of each window serves every read
-            scores, rho = _dual_score(energies, sig_mean, rho_override)
-            rho_total += float(rho.sum())
+            scores, rho = np.empty_like(newest), np.empty(step)
+        for energies, sig_mean in _draw_events(scenario, stream, (step, length), h1, reads):
+            block = slice(done, done + len(sig_mean))
+            done = block.stop
+            newest[:, block] = energies[..., -1]
+            if prop_counts is not None:
+                scores[:, block], rho[block] = _dual_score(energies, sig_mean, rho_override)
+        for conv, score, read_lams in zip(conv_counts, newest, lams):
+            conv += _count_at_least(score, read_lams)
+        if prop_counts is not None:
+            rho_total += float(rho.sum())  # once over the chunk: block sums would regroup it
             for prop, score, read_lams in zip(prop_counts, scores, lams):
                 prop += _count_at_least(score, read_lams)
     n = scenario.trials

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -251,13 +252,14 @@ def qd_awgn_exact(p: TheoryParams, lams: np.ndarray, snr: float) -> np.ndarray:
 
 
 def _warn_small_n(p: TheoryParams) -> None:
-    """Warn below ``GAUSSIAN_WARN_FLOOR``, from the caller of the :func:`_elementwise` form
-    that calls this (``stacklevel=4``): only those forms call it, each once and directly.
-    """
+    """Warn below ``GAUSSIAN_WARN_FLOOR``, from the first caller outside this module."""
     if p.N < GAUSSIAN_WARN_FLOOR:
+        frame, level = sys._getframe(), 1
+        while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"N={p.N} is small; Gaussian approximations may be inaccurate",
-            stacklevel=4,
+            stacklevel=level,
         )
 
 

@@ -314,6 +314,13 @@ class TestRunCommand:
         message = "N=64 is small; Gaussian approximations may be inaccurate"
         assert record["warnings"] == [{"category": "UserWarning", "message": message}]
 
+    def test_small_n_warning_names_a_caller_outside_the_analysis_layer(self, tmp_path):
+        # the closed forms call one another, so the warning climbs past every theory frame
+        scen = parse_scenario(None, ["n_samples=64"])
+        with pytest.warns(UserWarning, match="N=64 is small") as record:
+            run_command("theory-table", scen, tmp_path)
+        assert "theory.py" not in {Path(w.filename).name for w in record}
+
 
 GOLDEN_SHA256 = {
     "compare": "493cf05c353f569bf56f1b23d2e81dc2685b17e1f350e630a0a529dcfef8c351",
@@ -329,6 +336,8 @@ GOLDEN_SHA256 = {
     "equivalence-mrc": "5522733720401438e52af565897878f2c634127cc727e42985f424adad11e2b8",
     "compare-u0": "d51371639dbce4633dd5f5537cdee430f33d9f9e05e785cacff43ec82bb7c63b",
     "theory-table-u0": "d5acd2e441c1982961407cac23cfe3a5119aa66d5de7eda554c304415638b156",
+    "compare-t2000": "bbd6c269b78d10ab20a507e765da57b2232840f8d05abee994a4e6b194000b9f",
+    "equivalence-t2000": "6280c6f71a3ae58b0785f22ca1eb9912ecdb8645bb1d29cc5af1ef3dd8e2956c",
 }
 # manifest bytes without the started_at line: they pin what no CSV carries, such as
 # the per-curve AUCs, the equivalence search's AUC half-widths and the theory gaps
@@ -346,12 +355,16 @@ GOLDEN_MANIFEST_SHA256 = {
     "equivalence-mrc": "10a03e8c1cb4900d3862939ee09ed21c492d8ea489138c3af3e713ef871d7802",
     "compare-u0": "86d845fd0a58f4164f541aa7c9ef9374fa76de4b5439121adda49a90d04e0643",
     "theory-table-u0": "59aaf8c2cbe537df2a26da315521a3f2e53e28d44db524bbd8b361c078772cc7",
+    "compare-t2000": "9775d7ce709a91ea624e18f30a78c8684ca62990a2b290185646f60faa0d1278",
+    "equivalence-t2000": "7a4cdec57db4f6068cc49429f52c98a652b442175c651e1eaba5aa507f8ab60f",
 }
 # case -> (subcommand, overrides) for the cases that are not a plain subcommand: the
 # AWGN closed forms, the SLS per-branch CFAR inversion at K = 48 with N below the
 # Gaussian warning floor, full reads of more than 7 sensors (where the sensor-order
-# sum and numpy's pairwise sum differ in the last bits), MRC sensor-prefix reads, and
-# no uncertainty, where both schemes' curves take the closed forms' rho = 1 exits
+# sum and numpy's pairwise sum differ in the last bits), MRC sensor-prefix reads,
+# no uncertainty, where both schemes' curves take the closed forms' rho = 1 exits, and
+# 2000 trials, which the draw takes in several blocks per hypothesis (300 fit in one);
+# those two digests were recorded with whole-array draws, before draws went in blocks
 GOLDEN_CASES = {
     "compare-awgn": ("compare", ["channel_kind=awgn"]),
     "theory-table-awgn": ("theory-table", ["channel_kind=awgn"]),
@@ -360,6 +373,8 @@ GOLDEN_CASES = {
     "equivalence-mrc": ("equivalence", ["combiner=mrc"]),
     "compare-u0": ("compare", ["uncertainty_db=0"]),
     "theory-table-u0": ("theory-table", ["uncertainty_db=0"]),
+    "compare-t2000": ("compare", ["trials=2000"]),
+    "equivalence-t2000": ("equivalence", ["trials=2000"]),
 }
 
 

@@ -41,6 +41,12 @@ def _rolling(energies, variances, length, lam, rho_override=None):
     return decisions
 
 
+def _joined_draw(scenario, rng, shape, signal, reads=None):
+    """The blocks of :func:`harness._draw_events` joined along the leading axis of ``shape``."""
+    energies, sig_means = zip(*harness._draw_events(scenario, rng, shape, signal, reads))
+    return np.concatenate(energies, axis=1), np.concatenate(sig_means)
+
+
 def _event_loop(energies, variances, length, lam, rho_override=None):
     """The same stream decided one event at a time by the scalar reference."""
     state = FusionState(length)
@@ -219,7 +225,7 @@ class TestNestedSizes:
         sc = Scenario(combiner=CombinerKind.SLS, num_crs=6, trials=100, seed=33)
         sizes = np.arange(1, 7)
         reads = [(CombinerKind.SLS, k) for k in sizes]
-        energy, sig_mean = harness._draw_events(sc, derive_rng(33), (500,), h1, reads)
+        energy, sig_mean = _joined_draw(sc, derive_rng(33), (500,), h1, reads)
         assert energy.shape == (len(sizes), 500)
         # the same stream, per sensor: fading, then variances, then energies
         rng = derive_rng(33)
@@ -239,9 +245,9 @@ class TestNestedSizes:
     def test_widest_prefix_reproduces_plain_draw(self, kind, h1):
         # the widest of several reads is a lone read of the whole draw, bit for bit
         sc = Scenario(combiner=kind, num_crs=9, trials=100, seed=34)
-        plain, plain_mean = harness._draw_events(sc, derive_rng(34), (300,), h1)
+        plain, plain_mean = _joined_draw(sc, derive_rng(34), (300,), h1)
         reads = [(kind, 1), (kind, 4), (kind, 9)]
-        nested, nested_mean = harness._draw_events(sc, derive_rng(34), (300,), h1, reads)
+        nested, nested_mean = _joined_draw(sc, derive_rng(34), (300,), h1, reads)
         assert plain.shape == (1, 300) and nested.shape == (3, 300)
         assert np.array_equal(nested[-1], plain[0])
         assert np.array_equal(nested_mean, plain_mean)
@@ -250,21 +256,24 @@ class TestNestedSizes:
     def test_mrc_read_holds_no_full_size_product(self, h1):
         # MRC sums its gain-weighted variances one sensor slice at a time
         sc = Scenario(num_crs=48, trials=100, seed=36)
-        full = 10_000 * 48 * 8  # bytes of one (events, sensors) array
+        full = 10_000 * 48 * 8  # bytes of one (events, sensors) array: the gains
+        block = harness._BLOCK_CELLS * 8
 
         def peak(kind, reads=None):
             sub = dataclasses.replace(sc, combiner=kind)
             tracemalloc.start()
             try:
-                harness._draw_events(sub, derive_rng(36), (10_000,), h1, reads)
+                for _ in harness._draw_events(sub, derive_rng(36), (10_000,), h1, reads):
+                    pass
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(CombinerKind.MRC) <= peak(CombinerKind.SLC)
-        # reads at every count: the gains, the variances and two (reads, events) prefix sums
+        # reads at every count: past the gains, only arrays of at most one block each
+        # (measured 1.96 full-size arrays: the gains and about 7 blocks)
         every = [(CombinerKind.MRC, k) for k in range(1, 49)]
-        assert peak(CombinerKind.MRC, every) < 4.5 * full
+        assert peak(CombinerKind.MRC, every) < full + 8 * block
 
     def test_sizes_validation(self):
         sc = Scenario(num_crs=4, trials=100, seed=35)
@@ -280,12 +289,12 @@ class TestNestedSizes:
         sc = Scenario(num_crs=4, trials=100, seed=35)
         slc, mrc, sls = CombinerKind.SLC, CombinerKind.MRC, CombinerKind.SLS
         reads = [(slc, 1), (mrc, 2), (sls, 4), (slc, 3), (mrc, 4)]
-        energy, _ = harness._draw_events(sc, derive_rng(35), (10,), True, reads)
+        energy, _ = _joined_draw(sc, derive_rng(35), (10,), True, reads)
         assert energy.shape == (len(reads), 10)
         descending = [(slc, 2), (mrc, 1), (slc, 1)]
         for bad in ([], [(slc, 0)], [(mrc, 5)], [(sls, 3), (sls, 3)], descending):
             with pytest.raises(ValueError):
-                harness._draw_events(sc, derive_rng(35), (10,), True, bad)
+                _joined_draw(sc, derive_rng(35), (10,), True, bad)
 
     def test_early_match_computes_theory_only_for_searched_counts(self, monkeypatch):
         seen = []
@@ -303,6 +312,119 @@ class TestNestedSizes:
         assert result.k_match == 3 and searched == [1, 3]
         # the paired dual-threshold curve, at a mean rho of exactly 1, takes qd_rayleigh too
         assert sorted(seen) == sorted((searched + [sc.num_crs]) * len(sc.pfa_grid))
+
+
+def _whole_array_draw(sc, rng, shape, signal, reads):
+    """Every read of one draw, each step on whole arrays, in the kernel's stream order.
+
+    On one stream: the gains, then the variances, then the per-sensor energies.
+    MRC draws on a copy of the stream from where the per-sensor draw starts, or
+    on the stream itself when no read is SLC or SLS.
+    """
+    full = (*shape, sc.num_crs)
+    if sc.channel_kind == "awgn":
+        gamma = np.full(full, sc.gamma_bar)
+    elif sc.fading_block == "chain":
+        gamma = np.broadcast_to(rng.exponential(sc.gamma_bar, (shape[0], 1, sc.num_crs)), full)
+    else:
+        gamma = rng.exponential(sc.gamma_bar, full)
+    sig2 = harness._noise_variances(rng, sc.uncertainty_db, full)
+    n = sc.n_samples
+    mrc = [i for i, (kind, _) in enumerate(reads) if kind is CombinerKind.MRC]
+    per_sensor_reads = len(mrc) < len(reads)
+    mrc_rng = copy.deepcopy(rng) if per_sensor_reads else rng
+    if per_sensor_reads:
+        drawn = rng.noncentral_chisquare(n, n * gamma / sig2) if signal else rng.chisquare(n, full)
+        per_sensor = drawn * sig2
+    out = np.empty((len(reads), *shape))
+    for i, (kind, count) in enumerate(reads):
+        if kind is not CombinerKind.MRC:
+            ufunc = np.add if kind is CombinerKind.SLC else np.maximum
+            out[i] = ufunc.accumulate(per_sensor, axis=-1)[..., count - 1]
+    if mrc:
+        counts = [reads[i][1] - 1 for i in mrc]
+        gain = np.add.accumulate(gamma, axis=-1)[..., counts]
+        scale = np.add.accumulate(gamma * sig2, axis=-1)[..., counts] / gain
+        if signal:
+            energy = mrc_rng.noncentral_chisquare(n, n * gain / scale)
+        else:
+            energy = mrc_rng.chisquare(n, gain.shape)
+        out[mrc] = np.moveaxis(energy * scale, -1, 0)
+    return out, sig2.mean(axis=-1)
+
+
+class TestBlockDraw:
+    """Drawing a chunk in blocks of trials changes no byte of the draw or of the rates."""
+
+    SLC, MRC, SLS = CombinerKind.SLC, CombinerKind.MRC, CombinerKind.SLS
+    READS = {
+        "slc": [(SLC, 4)],
+        "mrc": [(MRC, 2), (MRC, 4)],  # no per-sensor read: MRC draws on the stream itself
+        "sls": [(SLS, 4)],
+        "mixed": [(SLC, 2), (MRC, 1), (SLS, 4), (MRC, 4), (SLC, 4)],
+    }
+
+    @pytest.mark.parametrize("uncertainty_db", [0.0, 1.0])
+    @pytest.mark.parametrize("channel_kind", ["rayleigh", "awgn"])
+    @pytest.mark.parametrize("fading_block", ["event", "chain"])
+    @pytest.mark.parametrize("h1", [False, True])
+    @pytest.mark.parametrize("reads", sorted(READS))
+    def test_blocks_join_to_the_whole_array_draw(
+        self, monkeypatch, reads, h1, fading_block, channel_kind, uncertainty_db
+    ):
+        sc = Scenario(
+            num_crs=4,
+            history_len=5,
+            trials=100,
+            seed=37,
+            uncertainty_db=uncertainty_db,
+            channel_kind=channel_kind,
+            fading_block=fading_block,
+        )
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", 16 * 5 * 4)  # 16 windows per block
+        rng, whole_rng = derive_rng(37, int(h1)), derive_rng(37, int(h1))
+        blocks = list(harness._draw_events(sc, rng, (50, 5), h1, self.READS[reads]))
+        assert [len(sig_mean) for _, sig_mean in blocks] == [16, 16, 16, 2]
+        energy, sig_mean = _whole_array_draw(sc, whole_rng, (50, 5), h1, self.READS[reads])
+        assert np.array_equal(np.concatenate([e for e, _ in blocks], axis=1), energy)
+        assert np.array_equal(np.concatenate([m for _, m in blocks]), sig_mean)
+        # and the stream goes on from where the whole-array draw leaves it
+        assert rng.random() == whole_rng.random()
+
+    @pytest.mark.parametrize("uncertainty_db", [0.0, 1.0])
+    def test_block_size_moves_no_rate(self, monkeypatch, uncertainty_db):
+        # 2000 windows of 5 x 4 cells in one block, or in blocks of 16 windows, the last
+        # ragged; on these streams, rho summed per block would move mean_rho's last bits
+        sc = Scenario(trials=2000, seed=39, num_crs=4, history_len=5, uncertainty_db=uncertainty_db)
+        kinds = tuple(CombinerKind)
+        lams = [dataclasses.replace(sc, combiner=kind).cfar_grid() for kind in kinds]
+        runs = []
+        for cells in (harness._BLOCK_CELLS, 16 * 5 * 4):
+            monkeypatch.setattr(harness, "_BLOCK_CELLS", cells)
+            rates = [
+                (r.conventional.tolist(), r.proposed.tolist(), r.mean_rho)
+                for h1 in (0, 1)
+                for r in forced_rates(sc, h1, lams, derive_rng(39, h1), combiners=kinds)
+            ]
+            nested = conventional_rate(sc, True, lams[:1] * 2, derive_rng(40), (2, 4))
+            runs.append((rates, [r.tolist() for r in nested]))
+        assert runs[0] == runs[1]
+
+    def test_compare_peak_is_the_gains_and_a_few_blocks(self):
+        # compare's three reads at the defaults: 10,000 windows of 15 events at 7 sensors
+        sc = Scenario()
+        kinds = tuple(CombinerKind)
+        lams = [dataclasses.replace(sc, combiner=kind).cfar_grid() for kind in kinds]
+        gains = sc.trials * sc.history_len * sc.num_crs * 8  # 8.0 MiB
+        for h1 in (False, True):
+            tracemalloc.start()
+            try:
+                forced_rates(sc, h1, lams, derive_rng(sc.seed, h1), combiners=kinds)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # measured 10.4 MiB under H0 and 10.8 MiB under H1: the gains and 5.5 blocks
+            assert peak <= gains + 6 * harness._BLOCK_CELLS * 8
 
 
 class TestRollingEngineEquivalence:
@@ -340,7 +462,7 @@ class TestDualScore:
         rng = derive_rng(47, list(CombinerKind).index(kind))
         forms = set()
         for h1 in (False, True):
-            (energy,), sig_mean = harness._draw_events(sc, rng, (40, sc.history_len), h1)
+            (energy,), sig_mean = _joined_draw(sc, rng, (40, sc.history_len), h1)
             score, rho = harness._dual_score(energy, sig_mean, rho_override)
             factor = rho if rho_override is None else rho_override
             forms.update((energy[:, -1] / factor > energy.mean(axis=-1)).tolist())
@@ -777,9 +899,7 @@ class TestCommonRandomNumbers:
         covariance = {}
         for h in (0, 1):
             rng = derive_rng(sc.seed, harness._TAG_SWEEP, h)
-            (energy,), sig_mean = harness._draw_events(
-                sc, rng, (sc.trials, sc.history_len), bool(h)
-            )
+            (energy,), sig_mean = _joined_draw(sc, rng, (sc.trials, sc.history_len), bool(h))
             rho = np.maximum(1.0, sig_mean.max(axis=-1) / sig_mean.mean(axis=-1))[:, None]
             predicted = energy.mean(axis=-1)[:, None] >= lams
             lam_new = np.where(predicted, lams / rho, rho * lams)
@@ -829,7 +949,7 @@ class TestPairedRun:
         # both rules on one rolling stream of H1 events
         sc = Scenario(uncertainty_db=0.0, trials=100, seed=14)
         lam = cfar_threshold(sc.theory_params(), 0.1)
-        (energy,), sig_mean = harness._draw_events(sc, derive_rng(14, 4), (20_000,), True)
+        (energy,), sig_mean = _joined_draw(sc, derive_rng(14, 4), (20_000,), True)
         conv = energy >= lam
         prop = _rolling(energy, sig_mean, sc.history_len, lam)
         assert np.array_equal(conv, prop)
