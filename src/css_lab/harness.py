@@ -15,12 +15,17 @@ draw serves both; MRC combines the same gains and variances, by the same
 helper, before its own chi-square draw.  Each rule reduces a trial
 to one score and decides positive at threshold ``lam`` exactly when the
 score reaches ``lam``: the fixed-threshold score is the newest combined
-energy, and one vectorised function, ``_dual_score`` (with the rho
-estimator ``_window_rho``), scores the dual-threshold rule on whole windows;
-:mod:`css_lab.adaptive` is its scalar, event-level reference.  A
-sample-level reference path built on :mod:`css_lab.channel` is provided for
-cross-validation (``run_regime_sampled``) and the test suite checks it
-against :func:`forced_rates`.
+energy, and one vectorised function, ``_dual_score``, scores the
+dual-threshold rule on whole windows at the factor rho it is given, which
+the counting loop estimates per window with ``_window_rho``;
+:mod:`css_lab.adaptive` is its scalar, event-level reference.  The two rate
+functions return rate arrays with one row per read: :func:`forced_rates`
+both rules' rates on windows, one row per combiner, with the mean estimated
+rho, and :func:`conventional_rate` the fixed-threshold rates on single
+events, one row per sensor count.  A sample-level reference path built on
+:mod:`css_lab.channel` is provided for cross-validation
+(``run_regime_sampled``) and the test suite checks it against
+:func:`forced_rates`.
 
 Ratio combining is realised at the signal level (one detector at the summed
 branch SNR with a gain-weighted effective noise variance), which is the
@@ -346,7 +351,9 @@ def _draw_events(
                 energy = mrc_rng.chisquare(n, (*gamma.shape[:-1], len(mrc)))
             energy *= np.moveaxis(scale, 0, -1)
             out[mrc] = np.moveaxis(energy, -1, 0)
+            del gain, scale
         yield out, sig2.mean(axis=-1)
+        del out, sig2, energy  # a finished block goes before the next one is drawn
 
 
 def _prefix_reduce(
@@ -386,20 +393,20 @@ def _count_at_least(scores: np.ndarray, lams: np.ndarray) -> np.ndarray:
 def _rates(
     scenario: Scenario,
     h1: bool,
-    lams: Sequence[float] | Sequence[Sequence[float]],
+    lams: Sequence[Sequence[float]],
     rng: np.random.Generator,
     length: int,
     reads: Sequence[tuple[CombinerKind, int]],
-    rho_override: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, float]:
     """The one counting loop: rates over ``scenario.trials`` windows of ``length`` events.
 
     Per ``(combiner, sensors)`` read of :func:`_draw_events` it counts the
     newest energies and, when ``length > 1``, the dual-threshold scores at or
-    above each threshold.  Returns both rate arrays, one row per read
+    above each threshold, scored at each window's estimated rho
+    (:func:`_window_rho`).  Returns both rate arrays, one row per read
     (``None`` for the scores of single events), and the mean estimated rho.
     """
-    lams = np.atleast_2d(np.asarray(lams, dtype=float))  # one threshold vector per read
+    lams = np.asarray(lams, dtype=float)  # one threshold vector per read
     if lams.ndim != 2 or lams.shape[0] != len(reads):
         raise ValueError("lams must hold one threshold vector per read")
     per_chunk = max(1, _CHUNK_CELLS // (scenario.num_crs * length))
@@ -418,7 +425,9 @@ def _rates(
             done = block.stop
             newest[:, block] = energies[..., -1]
             if prop_counts is not None:
-                scores[:, block], rho[block] = _dual_score(energies, sig_mean, rho_override)
+                rho[block] = _window_rho(sig_mean)
+                scores[:, block] = _dual_score(energies, rho[block])
+            del energies, sig_mean  # so that the kernel can free the block
         for conv, score, read_lams in zip(conv_counts, newest, lams):
             conv += _count_at_least(score, read_lams)
         if prop_counts is not None:
@@ -432,45 +441,32 @@ def _rates(
 def conventional_rate(
     scenario: Scenario,
     h1: bool,
-    lams: Sequence[float] | Sequence[Sequence[float]],
+    lams: Sequence[Sequence[float]],
     rng: np.random.Generator,
-    sizes: Sequence[int] | None = None,
-) -> np.ndarray | tuple[np.ndarray, ...]:
-    """Fixed-threshold positive rates over single independent events, at every ``lams``.
+    sizes: Sequence[int],
+) -> np.ndarray:
+    """Fixed-threshold positive rates over single independent events, one row per size.
 
-    Leaner than :func:`forced_rates` (no window draws, ``L`` times fewer
-    cells).  Chunk 0 draws on ``rng`` and every later chunk on a stream
-    spawned from it, as in :func:`forced_rates`.
-
-    With ``sizes`` (ascending sensor counts, the largest at most
-    ``scenario.num_crs``) one ``num_crs``-sensor draw scores every size on
-    its sensor-axis prefix, ``lams`` holds one threshold vector per size, and
-    the call returns one rate vector per size.
-    :func:`equivalence_search` scores its sensor counts this way, so its
-    curves across counts share their draws and are correlated.
+    One ``num_crs``-sensor draw scores every size of ``sizes`` (ascending
+    sensor counts, the largest at most ``scenario.num_crs``) on its
+    sensor-axis prefix, at its own threshold vector of ``lams``; the rates
+    form a ``(sizes, thresholds)`` array.  :func:`equivalence_search` scores
+    its sensor counts this way, so its curves across counts share their
+    draws and are correlated.  Leaner than :func:`forced_rates` (no window
+    draws, ``L`` times fewer cells); chunk 0 draws on ``rng`` and every later
+    chunk on a stream spawned from it, as there.
     """
-    counts = (scenario.num_crs,) if sizes is None else sizes
-    rates, _, _ = _rates(scenario, h1, lams, rng, 1, [(scenario.combiner, k) for k in counts])
-    return rates[0] if sizes is None else tuple(rates)
-
-
-@dataclass(frozen=True, eq=False)
-class ForcedRates:
-    """Both decision rules' positive rates at every grid threshold, on one shared stream."""
-
-    conventional: np.ndarray
-    proposed: np.ndarray
-    mean_rho: float
+    reads = [(scenario.combiner, k) for k in sizes]
+    return _rates(scenario, h1, lams, rng, 1, reads)[0]
 
 
 def forced_rates(
     scenario: Scenario,
     h1: bool,
-    lams: Sequence[float] | Sequence[Sequence[float]],
+    lams: Sequence[Sequence[float]],
     rng: np.random.Generator,
-    rho_override: float | None = None,
-    combiners: Sequence[CombinerKind] | None = None,
-) -> ForcedRates | tuple[ForcedRates, ...]:
+    combiners: Sequence[CombinerKind],
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Positive rates of both rules over independent freshly-warmed windows, at every ``lams``.
 
     Each counted trial is the newest event of its own ``L``-event window,
@@ -482,19 +478,17 @@ def forced_rates(
     the score reaches it, so both rules' decisions are non-increasing in
     ``lam`` and a rate is a count of scores.
 
-    With ``combiners`` (distinct kinds) one window draw of gains and
-    variances serves every listed combiner, and the window mean variance and
-    rho are computed once for all of them.  ``lams`` then holds one threshold
-    vector per combiner, and the call returns one :class:`ForcedRates` per
-    combiner, each equal to what a call for that combiner alone returns from
-    the same stream: chunk 0 draws on ``rng`` and every later chunk on a
-    stream spawned from it, so a chunk's draws depend on that chunk alone.
+    One window draw of gains and variances serves every combiner of
+    ``combiners`` (distinct kinds), each at its own threshold vector of
+    ``lams``, and the window mean variance and rho are computed once for all
+    of them.  Returns the conventional and the dual-threshold rates, each a
+    ``(combiners, thresholds)`` array, and the mean estimated rho.  A
+    combiner's rows equal those of a call for it alone on the same stream:
+    chunk 0 draws on ``rng`` and every later chunk on a stream spawned from
+    it, so a chunk's draws depend on that chunk alone.
     """
-    kinds = (scenario.combiner,) if combiners is None else combiners
-    reads = [(kind, scenario.num_crs) for kind in kinds]
-    conv, prop, rho = _rates(scenario, h1, lams, rng, scenario.history_len, reads, rho_override)
-    rates = tuple(ForcedRates(c, p, rho) for c, p in zip(conv, prop))
-    return rates[0] if combiners is None else rates
+    reads = [(kind, scenario.num_crs) for kind in combiners]
+    return _rates(scenario, h1, lams, rng, scenario.history_len, reads)
 
 
 def _window_rho(sig_mean: np.ndarray) -> np.ndarray:
@@ -502,29 +496,21 @@ def _window_rho(sig_mean: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, sig_mean.max(axis=-1) / sig_mean.mean(axis=-1))
 
 
-def _dual_score(
-    energy: np.ndarray,
-    sig_mean: np.ndarray,
-    rho_override: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The dual-threshold rule's score of each window along the last axis.
+def _dual_score(energy: np.ndarray, rho) -> np.ndarray:
+    """The dual-threshold rule's score of each window along the last axis, at factor ``rho``.
 
     The rule predicts activity when the window mean ``M`` reaches ``lam`` and
     then compares the newest energy ``E`` with ``lam / rho``, else with
     ``rho * lam``.  So it is positive at ``lam`` exactly when the score
     ``E / rho`` (where ``E / rho > M``, else ``min(M, rho * E)``) reaches
-    ``lam``.  Returns the scores and each window's estimated rho, which
-    ``rho_override`` replaces in the score but not in the returned estimate.
-    ``energy`` may carry a leading combiner axis, which the scores keep while
-    rho is estimated once from ``sig_mean``.  :mod:`css_lab.adaptive` is the
-    scalar, event-level reference.
+    ``lam``.  ``rho`` is one factor per window or one for all; ``energy`` may
+    carry a leading combiner axis, which the scores keep.
+    :mod:`css_lab.adaptive` is the scalar, event-level reference.
     """
-    rho = _window_rho(sig_mean)
-    factor = rho if rho_override is None else rho_override
     newest = energy[..., -1]
     mean = energy.mean(axis=-1)
-    high = newest / factor  # the score whenever it lies above the window mean
-    return np.where(high > mean, high, np.minimum(mean, factor * newest)), rho
+    high = newest / rho  # the score whenever it lies above the window mean
+    return np.where(high > mean, high, np.minimum(mean, rho * newest))
 
 
 def _auc_with_ci(
@@ -619,15 +605,17 @@ def roc_sweep(
     subs = {kind: replace(scenario, combiner=kind) for kind in kinds}
     lams = {kind: sub.cfar_grid() for kind, sub in subs.items()}
 
-    def regime(h: int) -> tuple[ForcedRates, ...]:
+    def regime(h: int) -> tuple[np.ndarray, np.ndarray, float]:
         rng = derive_rng(scenario.seed, _TAG_SWEEP, h)
-        return forced_rates(scenario, bool(h), list(lams.values()), rng, combiners=kinds)
+        return forced_rates(scenario, bool(h), list(lams.values()), rng, kinds)
 
+    (conv0, prop0, rho0), (conv1, prop1, _) = _per_hypothesis(regime, threads)
     curves = []
-    for kind, pfa, pd in zip(kinds, *_per_hypothesis(regime, threads)):
+    for i, kind in enumerate(kinds):
         sub, grid = subs[kind], lams[kind]
-        curves.append(_curve(sub, SCHEME_CONVENTIONAL, grid, pfa.conventional, pd.conventional, 1.0))
-        curves.append(_curve(sub, SCHEME_PROPOSED, grid, pfa.proposed, pd.proposed, pfa.mean_rho))
+        curves.append(_curve(sub, SCHEME_CONVENTIONAL, grid, conv0[i], conv1[i], 1.0))
+        # the theory columns take the mean rho of the noise-only (H0) windows
+        curves.append(_curve(sub, SCHEME_PROPOSED, grid, prop0[i], prop1[i], rho0))
     return tuple(curves)
 
 
@@ -660,7 +648,7 @@ def equivalence_search(
     rates: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     if sizes:
 
-        def regime(h: int) -> tuple[np.ndarray, ...]:
+        def regime(h: int) -> np.ndarray:
             rng = derive_rng(proposed.seed, _TAG_NESTED, h)
             return conventional_rate(subs[sizes[-1]], bool(h), list(lams.values()), rng, sizes)
 

@@ -267,14 +267,10 @@ def _gaussian_tail(lam, mean, var):
     return _q((lam - mean) / np.sqrt(var))
 
 
-def _boost(p: TheoryParams, snr):
-    """The statistic's H1 mean over its H0 mean with every sensor at ``snr``."""
-    return 1.0 + (p.K * snr if p.kind is CombinerKind.MRC else snr)  # MRC's coherent gain
-
-
 def _h1_moments(p: TheoryParams, snr):
     """Mean and variance of the statistic with every sensor at ``snr`` (per branch for SLS)."""
-    scale, boost = 2 * p.order, _boost(p, snr)
+    scale = 2 * p.order
+    boost = 1.0 + (p.K * snr if p.kind is CombinerKind.MRC else snr)  # MRC's coherent gain
     return scale * boost, 2.0 * scale * boost * boost
 
 
@@ -298,27 +294,16 @@ def cfar_threshold(p: TheoryParams, targets: np.ndarray) -> np.ndarray:
     return mean + np.sqrt(2.0 * var) * special.erfcinv(2.0 * rate)
 
 
-def _gaussian_rate(p: TheoryParams, lam: np.ndarray, snr: float) -> np.ndarray:
-    """Gaussian positive rate at each ``lam`` with every sensor at ``snr``; never warns."""
-    scale, boost = 2 * p.order, _boost(p, snr)
-    sd = np.sqrt(2.0 * scale) * boost  # finite where the variance 2 scale boost^2 overflows
-    return _combined(p, _q((lam - scale * boost) / sd))
+def _gaussian_rate(p: TheoryParams, lam: np.ndarray) -> np.ndarray:
+    """Gaussian false-alarm rate at each ``lam``; never warns."""
+    return _combined(p, _gaussian_tail(lam, *_h1_moments(p, 0.0)))
 
 
 @_elementwise
 def qfa_approx(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
     """Gaussian (CLT) false-alarm probability of the combined statistic."""
     _warn_small_n(p)
-    return _gaussian_rate(p, lams, 0.0)
-
-
-@_elementwise
-def qd_awgn_approx(p: TheoryParams, lams: np.ndarray, snr: float) -> np.ndarray:
-    """Gaussian fixed-SNR detection probability of the combined statistic."""
-    if snr < 0.0:
-        raise ValueError("snr must be nonnegative")
-    _warn_small_n(p)
-    return _gaussian_rate(p, lams, snr)
+    return _gaussian_rate(p, lams)
 
 
 def _fading_upper_limit(p: TheoryParams) -> float:
@@ -519,9 +504,9 @@ def qfa_proposed(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
     """
     _warn_small_n(p)
     if p.rho == 1.0:  # both thresholds coincide; skip the mixture entirely
-        return _gaussian_rate(p, lams, 0.0)
+        return _gaussian_rate(p, lams)
     w = _gaussian_tail(lams, *_avg_moments(p, 0, 0.0))
-    favourable, guarded = _gaussian_rate(p, lams / p.rho, 0.0), _gaussian_rate(p, p.rho * lams, 0.0)
+    favourable, guarded = _gaussian_rate(p, lams / p.rho), _gaussian_rate(p, p.rho * lams)
     return w * favourable + (1.0 - w) * guarded
 
 

@@ -23,14 +23,14 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate, special, stats
 
+from css_lab import harness
 from css_lab.harness import (
     Scenario,
     _draw_events,
     _dual_score,
-    conventional_rate,
+    _window_rho,
     derive_rng,
     equivalence_search,
-    forced_rates,
     roc_sweep,
 )
 from css_lab.theory import (
@@ -39,7 +39,6 @@ from css_lab.theory import (
     _q,
     cfar_threshold,
     marcum_q,
-    qd_awgn_approx,
     qd_awgn_exact,
     qd_proposed_rayleigh,
     qd_rayleigh,
@@ -47,6 +46,7 @@ from css_lab.theory import (
     qfa_exact,
     qfa_proposed,
 )
+from conftest import conventional_one, forced_one, gaussian_pd
 
 GBAR = 10 ** (-1.5)
 SEED = 20240811
@@ -64,8 +64,8 @@ def _criterion1_rates(kind: CombinerKind):
     rows = []
     for i, target in enumerate(scenario.pfa_grid):
         lam = cfar_threshold(params, target)
-        pfa = conventional_rate(scenario, False, [lam], derive_rng(SEED, 12, i, 0))[0]
-        pd = conventional_rate(scenario, True, [lam], derive_rng(SEED, 12, i, 1))[0]
+        pfa = conventional_one(scenario, False, [lam], derive_rng(SEED, 12, i, 0))[0]
+        pd = conventional_one(scenario, True, [lam], derive_rng(SEED, 12, i, 1))[0]
         rows.append((lam, pfa, pd, qfa_approx(params, lam), qd_rayleigh(params, lam)))
     return scenario, params, rows
 
@@ -129,7 +129,7 @@ def _criterion2_deviations(kind: CombinerKind):
     lams = [cfar_threshold(params, float(t)) for t in grid]
     dev_fa = max(abs(qfa_exact(params, lam) - qfa_approx(params, lam)) for lam in lams)
     dev_d = max(
-        abs(qd_awgn_exact(params, lam, GBAR) - qd_awgn_approx(params, lam, GBAR)) for lam in lams
+        abs(qd_awgn_exact(params, lam, GBAR) - gaussian_pd(params, lam, GBAR)) for lam in lams
     )
     return dev_fa, dev_d
 
@@ -189,9 +189,9 @@ def test_criterion_04_degenerate_equivalence_events(kind):
         energy = np.concatenate([energies[0] for energies, _ in blocks])
         sig_mean = np.concatenate([means for _, means in blocks])
         conv = energy >= lam
-        windows = (sliding_window_view(a, length) for a in (energy, sig_mean))
+        rho = _window_rho(sliding_window_view(sig_mean, length))
         prop = conv.copy()
-        prop[length - 1 :] = _dual_score(*windows)[0] >= lam
+        prop[length - 1 :] = _dual_score(sliding_window_view(energy, length), rho) >= lam
         ok = ok and bool(np.array_equal(conv, prop))
     report(4, f"{kind.name} zero-uncertainty decisions identical on 1e5 events", ok)
     assert ok
@@ -218,8 +218,7 @@ def _criterion5_rates(kind: CombinerKind):
     scenario = Scenario(combiner=kind, trials=10_000, seed=SEED)
     lam = cfar_threshold(scenario.theory_params(), 0.1)
     rng = derive_rng(SEED, 55, list(CombinerKind).index(kind))
-    rates = forced_rates(scenario, True, [lam], rng)
-    conv, prop = rates.conventional[0], rates.proposed[0]
+    (conv,), (prop,), _ = forced_one(scenario, True, [lam], rng)
     sigma = np.sqrt(conv * (1 - conv) / scenario.trials + prop * (1 - prop) / scenario.trials)
     return (conv, prop), sigma
 
@@ -319,7 +318,9 @@ def test_criterion_08_sensor_count_equivalence():
 CRITERION9_TARGETS = (0.01, 0.05, 0.1, 0.3, 0.5)
 
 
-def _criterion9_case(kind: CombinerKind, rho: float = 1.2):
+def _criterion9_case(kind: CombinerKind, monkeypatch, rho: float = 1.2):
+    # every window is scored at rho, through the whole pipeline and its chunks
+    monkeypatch.setattr(harness, "_window_rho", lambda sig_mean: rho)
     h0_scenario = Scenario(combiner=kind, uncertainty_db=0.0, trials=100_000, seed=SEED)
     h1_scenario = Scenario(
         combiner=kind, uncertainty_db=0.0, trials=100_000, seed=SEED, fading_block="chain"
@@ -329,8 +330,8 @@ def _criterion9_case(kind: CombinerKind, rho: float = 1.2):
     for i, target in enumerate(CRITERION9_TARGETS):
         lam = cfar_threshold(params, target)
         rng0, rng1 = derive_rng(SEED, 99, i, 0), derive_rng(SEED, 99, i, 1)
-        fa = forced_rates(h0_scenario, False, [lam], rng0, rho_override=rho).proposed[0]
-        pd = forced_rates(h1_scenario, True, [lam], rng1, rho_override=rho).proposed[0]
+        fa = forced_one(h0_scenario, False, [lam], rng0)[1][0]
+        pd = forced_one(h1_scenario, True, [lam], rng1)[1][0]
         fa_theory = qfa_proposed(params, lam)
         pd_theory = qd_proposed_rayleigh(params, lam)
         n = h0_scenario.trials
@@ -344,8 +345,8 @@ def _criterion9_case(kind: CombinerKind, rho: float = 1.2):
 
 
 @pytest.mark.parametrize("kind", [CombinerKind.SLC, CombinerKind.MRC])
-def test_criterion_09_pipeline_matches_dual_threshold_theory(kind):
-    failures = _criterion9_case(kind)
+def test_criterion_09_pipeline_matches_dual_threshold_theory(kind, monkeypatch):
+    failures = _criterion9_case(kind, monkeypatch)
     report(9, f"{kind.name} pipeline vs dual-threshold closed forms, rho=1.2", not failures,
            "; ".join(failures))
     assert not failures
@@ -361,8 +362,8 @@ def test_criterion_09_pipeline_matches_dual_threshold_theory(kind):
         "the formulas at mid-grid targets"
     ),
 )
-def test_criterion_09_pipeline_matches_dual_threshold_theory_sls():
-    failures = _criterion9_case(CombinerKind.SLS)
+def test_criterion_09_pipeline_matches_dual_threshold_theory_sls(monkeypatch):
+    failures = _criterion9_case(CombinerKind.SLS, monkeypatch)
     report(9, "SLS pipeline vs dual-threshold closed forms, rho=1.2", not failures,
            "; ".join(failures[:3]))
     assert not failures

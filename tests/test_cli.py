@@ -238,9 +238,9 @@ class TestRunCommand:
         calls = []
         original = harness.forced_rates
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("combiners"))
-            return original(*args, **kwargs)
+        def counted(scenario, h1, lams, rng, combiners):
+            calls.append(combiners)
+            return original(scenario, h1, lams, rng, combiners)
 
         monkeypatch.setattr(harness, "forced_rates", counted)
         run_command("compare", parse_scenario(_fast_scenario_file(tmp_path)), tmp_path / "c")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import make_block
+from conftest import conventional_one, make_block
 
 from css_lab.channel import Hypothesis
 from css_lab.fusion import DegenerateWeightsError, combine, combine_signal_mrc, decide_conventional
@@ -68,9 +68,9 @@ class TestDecideConventional:
 
     def test_empirical_false_alarm_rate(self):
         # seeded Monte Carlo: SLC at the 0.1-target threshold
-        from css_lab.harness import Scenario, conventional_rate, derive_rng
+        from css_lab.harness import Scenario, derive_rng
 
         scenario = Scenario(uncertainty_db=0.0, trials=100_000, seed=314)
         lam = cfar_threshold(scenario.theory_params(), 0.1)
-        rate = conventional_rate(scenario, False, [lam], derive_rng(314, 90))[0]
+        rate = conventional_one(scenario, False, [lam], derive_rng(314, 90))[0]
         assert abs(rate - 0.1) <= 3 * np.sqrt(0.1 * 0.9 / scenario.trials)

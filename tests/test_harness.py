@@ -27,6 +27,7 @@ from css_lab.harness import (
 )
 from css_lab import theory
 from css_lab.theory import CombinerKind, cfar_threshold, closed_form_rates
+from conftest import conventional_one, forced_one
 
 
 def _rolling(energies, variances, length, lam, rho_override=None):
@@ -36,8 +37,10 @@ def _rolling(energies, variances, length, lam, rho_override=None):
     the window fills, as :func:`_event_loop` does.
     """
     decisions = energies >= lam
-    windows = (sliding_window_view(a, length) for a in (energies, variances))
-    decisions[length - 1 :] = harness._dual_score(*windows, rho_override)[0] >= lam
+    rho = rho_override
+    if rho is None:
+        rho = harness._window_rho(sliding_window_view(variances, length))
+    decisions[length - 1 :] = harness._dual_score(sliding_window_view(energies, length), rho) >= lam
     return decisions
 
 
@@ -159,18 +162,18 @@ class TestRunRegime:
 
     def test_unreachable_threshold(self):
         sc = Scenario(trials=2000, seed=2)
-        rate = conventional_rate(sc, False, [1e12], derive_rng(2, 2, 0))[0]
+        rate = conventional_one(sc, False, [1e12], derive_rng(2, 2, 0))[0]
         assert rate == 0.0
 
     def test_always_exceeded_threshold(self):
         sc = Scenario(trials=2000, seed=2)
-        rate = forced_rates(sc, True, [1e-9], derive_rng(2, 2, 1)).proposed[0]
+        rate = forced_one(sc, True, [1e-9], derive_rng(2, 2, 1))[1][0]
         assert rate == 1.0
 
     def test_false_alarm_tracks_target(self):
         sc = Scenario(uncertainty_db=0.0, trials=100_000, seed=3)
         lam = cfar_threshold(sc.theory_params(), 0.1)
-        rate = conventional_rate(sc, False, [lam], derive_rng(3, 2, 0))[0]
+        rate = conventional_one(sc, False, [lam], derive_rng(3, 2, 0))[0]
         assert abs(rate - 0.1) <= max(0.01, binomial_ci(rate, sc.trials))
 
     def test_small_trials_warn(self):
@@ -187,8 +190,8 @@ class TestRunRegime:
         # probability
         sc = Scenario(uncertainty_db=0.0, trials=40_000, seed=6)
         lam = cfar_threshold(sc.theory_params(), 0.2)
-        lean = conventional_rate(sc, False, [lam], derive_rng(6, 100))[0]
-        paired = forced_rates(sc, False, [lam], derive_rng(6, 101)).conventional[0]
+        lean = conventional_one(sc, False, [lam], derive_rng(6, 100))[0]
+        paired = forced_one(sc, False, [lam], derive_rng(6, 101))[0][0]
         tol = 3 * np.sqrt(0.2 * 0.8 * 2 / sc.trials)
         assert abs(lean - paired) <= tol
 
@@ -215,7 +218,7 @@ class TestNestedSizes:
             nested = conventional_rate(sc, h1, lams, derive_rng(31, int(h1)), self.SIZES)
             assert len(nested) == len(self.SIZES)
             for i, (sub, lam, rates) in enumerate(zip(subs, lams, nested)):
-                own = conventional_rate(sub, h1, lam, derive_rng(32, i, int(h1)))[0]
+                own = conventional_one(sub, h1, lam, derive_rng(32, i, int(h1)))[0]
                 shared = rates[0]
                 sigma = np.sqrt((own * (1 - own) + shared * (1 - shared)) / sc.trials)
                 assert abs(shared - own) <= 3 * sigma, (sub.num_crs, h1, shared, own)
@@ -270,10 +273,11 @@ class TestNestedSizes:
                 tracemalloc.stop()
 
         assert peak(CombinerKind.MRC) <= peak(CombinerKind.SLC)
-        # reads at every count: past the gains, only arrays of at most one block each
-        # (measured 1.96 full-size arrays: the gains and about 7 blocks)
+        # reads at every count: past the gains, only arrays of at most one block each,
+        # and a finished block goes before the next is drawn (measured 1.84 full-size
+        # arrays: the gains and about 6.2 blocks)
         every = [(CombinerKind.MRC, k) for k in range(1, 49)]
-        assert peak(CombinerKind.MRC, every) < full + 8 * block
+        assert peak(CombinerKind.MRC, every) < full + 7 * block
 
     def test_sizes_validation(self):
         sc = Scenario(num_crs=4, trials=100, seed=35)
@@ -401,13 +405,12 @@ class TestBlockDraw:
         runs = []
         for cells in (harness._BLOCK_CELLS, 16 * 5 * 4):
             monkeypatch.setattr(harness, "_BLOCK_CELLS", cells)
-            rates = [
-                (r.conventional.tolist(), r.proposed.tolist(), r.mean_rho)
-                for h1 in (0, 1)
-                for r in forced_rates(sc, h1, lams, derive_rng(39, h1), combiners=kinds)
-            ]
+            rates = []
+            for h1 in (0, 1):
+                conv, prop, rho = forced_rates(sc, h1, lams, derive_rng(39, h1), kinds)
+                rates.append((conv.tolist(), prop.tolist(), rho))
             nested = conventional_rate(sc, True, lams[:1] * 2, derive_rng(40), (2, 4))
-            runs.append((rates, [r.tolist() for r in nested]))
+            runs.append((rates, nested.tolist()))
         assert runs[0] == runs[1]
 
     def test_compare_peak_is_the_gains_and_a_few_blocks(self):
@@ -419,12 +422,13 @@ class TestBlockDraw:
         for h1 in (False, True):
             tracemalloc.start()
             try:
-                forced_rates(sc, h1, lams, derive_rng(sc.seed, h1), combiners=kinds)
+                forced_rates(sc, h1, lams, derive_rng(sc.seed, h1), kinds)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # measured 10.4 MiB under H0 and 10.8 MiB under H1: the gains and 5.5 blocks
-            assert peak <= gains + 6 * harness._BLOCK_CELLS * 8
+            # measured 10.1 MiB under H0 and 10.3 MiB under H1: the gains and 4.6 blocks,
+            # since a finished block goes before the next one is drawn
+            assert peak <= gains + 5 * harness._BLOCK_CELLS * 8
 
 
 class TestRollingEngineEquivalence:
@@ -463,9 +467,9 @@ class TestDualScore:
         forms = set()
         for h1 in (False, True):
             (energy,), sig_mean = _joined_draw(sc, rng, (40, sc.history_len), h1)
-            score, rho = harness._dual_score(energy, sig_mean, rho_override)
-            factor = rho if rho_override is None else rho_override
-            forms.update((energy[:, -1] / factor > energy.mean(axis=-1)).tolist())
+            rho = harness._window_rho(sig_mean) if rho_override is None else rho_override
+            score = harness._dual_score(energy, rho)
+            forms.update((energy[:, -1] / rho > energy.mean(axis=-1)).tolist())
             lams = rng.uniform(score.min(), score.max(), 30)
             for e, v, s in zip(energy, sig_mean, score):
                 state = FusionState(sc.history_len)
@@ -475,6 +479,29 @@ class TestDualScore:
                     decision = advance(copy.deepcopy(state), e[-1], v[-1], lam, rho_override)
                     assert (decision.decision is Hypothesis.H1) == (s >= lam)
         assert forms == {False, True}  # both forms of the score were decided
+
+    @pytest.mark.parametrize("rho", [1.0, 1.2, 3.0])
+    def test_one_factor_for_all_scores_as_one_per_window(self, rho):
+        # a combiner axis, 40 windows of 5 events: a scalar rho is that rho in every window
+        energy = derive_rng(65).exponential(size=(2, 40, 5))
+        per_window = harness._dual_score(energy, np.full(40, rho))
+        assert per_window.shape == (2, 40)
+        assert np.array_equal(harness._dual_score(energy, rho), per_window)
+
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_pinned_unit_rho_makes_the_rules_coincide(self, monkeypatch, kind):
+        # at rho = 1 the score is the newest energy, so the pipeline's two rate rows agree
+        # bit for bit over several chunks; unpinned, the estimated rho parts them
+        monkeypatch.setattr(harness, "_CHUNK_CELLS", 400)
+        sc = Scenario(combiner=kind, trials=300, seed=66, num_crs=4, history_len=5)
+        lams = np.linspace(0.5, 2.0, 16) * cfar_threshold(sc.theory_params(), 0.1)
+        conv, prop, mean_rho = forced_one(sc, True, lams, derive_rng(66))
+        assert mean_rho > 1.0 and not np.array_equal(conv, prop)
+        monkeypatch.setattr(harness, "_window_rho", lambda sig_mean: 1.0)
+        pinned_conv, pinned_prop, pinned_rho = forced_one(sc, True, lams, derive_rng(66))
+        assert pinned_rho == 1.0
+        assert np.array_equal(pinned_conv, conv)  # the pin moves no draw
+        assert np.array_equal(pinned_prop, pinned_conv)
 
     def test_count_at_least_counts_ties(self):
         # scores on a coarse lattice, so many equal each other and the thresholds
@@ -501,8 +528,8 @@ class TestSampledReference:
             channel_kind=channel_kind,
         )
         lam = cfar_threshold(sc.theory_params(), 0.1)
-        rates = forced_rates(sc, h1, [lam], derive_rng(31, 2, int(h1)))
-        fast = getattr(rates, scheme)[0]
+        conv, prop, _ = forced_one(sc, h1, [lam], derive_rng(31, 2, int(h1)))
+        fast = (prop if scheme == "proposed" else conv)[0]
         slow, _ = run_regime_sampled(sc, scheme, h1, lam)
         p = (fast + slow) / 2
         tol = 3 * np.sqrt(max(p * (1 - p), 1e-4) * 2 / sc.trials)
@@ -568,12 +595,13 @@ class TestAwgnTheoryColumns:
             assert self._gaps(rates, theory, sc.trials).max() <= 1.0, column
 
     @pytest.mark.parametrize("kind", [CombinerKind.SLC, CombinerKind.MRC])
-    def test_dual_threshold_tracks_theory_at_pinned_rho(self, kind):
+    def test_dual_threshold_tracks_theory_at_pinned_rho(self, monkeypatch, kind):
         rho = 1.2
+        monkeypatch.setattr(harness, "_window_rho", lambda sig_mean: rho)
         sc = Scenario(combiner=kind, channel_kind="awgn", uncertainty_db=0.0, seed=53)
         lams = [cfar_threshold(sc.theory_params(), t) for t in sc.pfa_grid]
-        pfa = forced_rates(sc, False, lams, derive_rng(53, 0), rho_override=rho).proposed
-        pd = forced_rates(sc, True, lams, derive_rng(53, 1), rho_override=rho).proposed
+        pfa = forced_one(sc, False, lams, derive_rng(53, 0))[1]
+        pd = forced_one(sc, True, lams, derive_rng(53, 1))[1]
         theory_pfa, theory_pd = closed_form_rates(sc.theory_params(rho), lams)
         assert self._gaps(pfa, theory_pfa, sc.trials).max() <= 1.0
         assert self._gaps(pd, theory_pd, sc.trials).max() <= 1.0
@@ -692,11 +720,11 @@ class TestRateFunctionsStandAlone:
         sc = Scenario(trials=300, seed=49, num_crs=4, history_len=5)
         lam = cfar_threshold(sc.theory_params(), 0.1)
         if raising == "conventional_rate":
-            harness.forced_rates(sc, True, [lam], derive_rng(49))
+            harness.forced_rates(sc, True, [[lam]], derive_rng(49), (sc.combiner,))
             kinds = (CombinerKind.SLC, CombinerKind.MRC)
-            harness.forced_rates(sc, True, [[lam]] * 2, derive_rng(49), combiners=kinds)
+            harness.forced_rates(sc, True, [[lam]] * 2, derive_rng(49), kinds)
         else:
-            harness.conventional_rate(sc, True, [lam], derive_rng(49))
+            harness.conventional_rate(sc, True, [[lam]], derive_rng(49), (sc.num_crs,))
             harness.conventional_rate(sc, True, [[lam]] * 2, derive_rng(49), (2, 4))
 
 
@@ -739,14 +767,13 @@ class TestSharedWindowDraw:
         kinds = (CombinerKind.SLS, CombinerKind.SLC)
         params = [dataclasses.replace(sc, combiner=k).theory_params() for k in kinds]
         lams = [[cfar_threshold(p, t) for t in (0.05, 0.3)] for p in params]
-        shared = forced_rates(sc, h1, lams, derive_rng(41, int(h1)), combiners=kinds)
-        assert len(shared) == len(kinds)
-        for kind, kind_lams, rates in zip(kinds, lams, shared):
+        conv, prop, rho = forced_rates(sc, h1, lams, derive_rng(41, int(h1)), kinds)
+        assert conv.shape == prop.shape == (len(kinds), 2)
+        for kind, kind_lams, *rates in zip(kinds, lams, conv, prop):
             sub = dataclasses.replace(sc, combiner=kind)
-            own = forced_rates(sub, h1, kind_lams, derive_rng(41, int(h1)))
-            assert np.array_equal(rates.conventional, own.conventional)
-            assert np.array_equal(rates.proposed, own.proposed)
-            assert rates.mean_rho == own.mean_rho
+            own = forced_one(sub, h1, kind_lams, derive_rng(41, int(h1)))
+            assert np.array_equal(rates, own[:2])
+            assert rho == own[2]
 
     @pytest.mark.parametrize("chunk_cells", [250, harness._CHUNK_CELLS])  # 50 chunks or one
     @pytest.mark.parametrize("fading_block", ["event", "chain"])
@@ -766,13 +793,12 @@ class TestSharedWindowDraw:
         )
         params = [dataclasses.replace(sc, combiner=k).theory_params() for k in self.KINDS]
         lams = [[cfar_threshold(p, t) for t in (0.05, 0.3)] for p in params]
-        shared = forced_rates(sc, h1, lams, derive_rng(44, int(h1)), combiners=self.KINDS)
-        for kind, kind_lams, rates in zip(self.KINDS, lams, shared):
+        conv, prop, rho = forced_rates(sc, h1, lams, derive_rng(44, int(h1)), self.KINDS)
+        for kind, kind_lams, *rates in zip(self.KINDS, lams, conv, prop):
             sub = dataclasses.replace(sc, combiner=kind)
-            own = forced_rates(sub, h1, kind_lams, derive_rng(44, int(h1)))
-            assert np.array_equal(rates.conventional, own.conventional)
-            assert np.array_equal(rates.proposed, own.proposed)
-            assert rates.mean_rho == own.mean_rho
+            own = forced_one(sub, h1, kind_lams, derive_rng(44, int(h1)))
+            assert np.array_equal(rates, own[:2])
+            assert rho == own[2]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_multi_chunk_sweep_equals_single_combiner_sweeps(self, monkeypatch, threads):
@@ -797,19 +823,19 @@ class TestSharedWindowDraw:
         # chunk 0 draws on the given stream, chunk c on the c-th stream spawned from it
         streams = [derive_rng(46, 1), *derive_rng(46, 1).spawn(len(steps) - 1)]
         alone = [
-            forced_rates(dataclasses.replace(sc, trials=step), True, lams, stream)
+            forced_one(dataclasses.replace(sc, trials=step), True, lams, stream)
             for step, stream in zip(steps, streams)
         ]
         monkeypatch.setattr(harness, "_CHUNK_CELLS", 40 * 4 * 3)  # 40 windows per chunk
-        chunked = forced_rates(sc, True, lams, derive_rng(46, 1))
-        for rule in ("conventional", "proposed"):
+        chunked = forced_one(sc, True, lams, derive_rng(46, 1))
+        for rule in (0, 1):  # conventional, proposed
             # each rate is a count of positive trials over its own trials
-            counts = sum(np.rint(getattr(r, rule) * n) for r, n in zip(alone, steps))
-            assert np.array_equal(getattr(chunked, rule), counts / sc.trials)
-        rho = sum(r.mean_rho * n for r, n in zip(alone, steps)) / sc.trials
-        assert chunked.mean_rho == pytest.approx(rho, rel=1e-12)
+            counts = sum(np.rint(r[rule] * n) for r, n in zip(alone, steps))
+            assert np.array_equal(chunked[rule], counts / sc.trials)
+        rho = sum(r[2] * n for r, n in zip(alone, steps)) / sc.trials
+        assert chunked[2] == pytest.approx(rho, rel=1e-12)
         if uncertainty_db == 0.0:
-            assert chunked.mean_rho == 1.0
+            assert chunked[2] == 1.0
         # conventional_rate takes its chunks' streams the same way, with and without
         # nested sensor prefixes
         monkeypatch.setattr(harness, "_CHUNK_CELLS", 40 * 3)  # 40 events per chunk
@@ -817,15 +843,15 @@ class TestSharedWindowDraw:
             [cfar_threshold(sub.theory_params(), t) for t in (0.05, 0.3)]
             for sub in (dataclasses.replace(sc, num_crs=k) for k in (1, 3))
         ]
-        for size_lams, sizes in ((lams, None), (nested_lams, (1, 3))):
+        for size_lams, sizes in (([lams], (3,)), (nested_lams, (1, 3))):
             streams = [derive_rng(46, 2), *derive_rng(46, 2).spawn(len(steps) - 1)]
             alone = [
                 conventional_rate(dataclasses.replace(sc, trials=step), True, size_lams, rng, sizes)
                 for step, rng in zip(steps, streams)
             ]
             chunked = conventional_rate(sc, True, size_lams, derive_rng(46, 2), sizes)
-            counts = sum(np.rint(np.asarray(r) * n) for r, n in zip(alone, steps))
-            assert np.array_equal(np.asarray(chunked), counts / sc.trials)
+            counts = sum(np.rint(r * n) for r, n in zip(alone, steps))
+            assert np.array_equal(chunked, counts / sc.trials)
 
     @pytest.mark.parametrize("num_crs", [1, 7, 48])
     def test_prefix_reduce_is_exact(self, num_crs):
@@ -845,14 +871,15 @@ class TestSharedWindowDraw:
         slc, mrc, sls = self.KINDS
         for good in ((mrc,), (slc, mrc), (sls, mrc, slc)):
             lams = [[4000.0]] * len(good)
-            assert len(forced_rates(sc, False, lams, derive_rng(43), combiners=good)) == len(good)
+            conv, prop, _ = forced_rates(sc, False, lams, derive_rng(43), good)
+            assert conv.shape == prop.shape == (len(good), 1)
         for bad in ((slc, slc), (mrc, mrc), (sls, slc, sls), ()):
             lams = [[4000.0]] * len(bad)
             with pytest.raises(ValueError):
-                forced_rates(sc, False, lams, derive_rng(43), combiners=bad)
+                forced_rates(sc, False, lams, derive_rng(43), bad)
         for lams in ([[4000.0]], [[4000.0]] * 3, [4000.0, 8000.0]):
             with pytest.raises(ValueError):
-                forced_rates(sc, False, lams, derive_rng(43), combiners=(slc, sls))
+                forced_rates(sc, False, lams, derive_rng(43), (slc, sls))
         for bad in ((), (slc, slc)):
             with pytest.raises(ValueError):
                 roc_sweep(sc, combiners=bad)
@@ -868,14 +895,14 @@ class TestCommonRandomNumbers:
         sc = Scenario(combiner=kind, trials=3_000, seed=26)
         lams = [cfar_threshold(sc.theory_params(), t) for t in self.GRID]
         for h1 in (False, True):
-            whole = forced_rates(sc, h1, lams, derive_rng(26, int(h1)))
-            lean = conventional_rate(sc, h1, lams, derive_rng(27, int(h1)))
+            whole = forced_one(sc, h1, lams, derive_rng(26, int(h1)))
+            lean = conventional_one(sc, h1, lams, derive_rng(27, int(h1)))
             for g, lam in enumerate(lams):
-                alone = forced_rates(sc, h1, [lam], derive_rng(26, int(h1)))
-                assert alone.conventional[0] == whole.conventional[g]
-                assert alone.proposed[0] == whole.proposed[g]
-                assert alone.mean_rho == whole.mean_rho
-                single = conventional_rate(sc, h1, [lam], derive_rng(27, int(h1)))
+                alone = forced_one(sc, h1, [lam], derive_rng(26, int(h1)))
+                assert alone[0][0] == whole[0][g]
+                assert alone[1][0] == whole[1][g]
+                assert alone[2] == whole[2]
+                single = conventional_one(sc, h1, [lam], derive_rng(27, int(h1)))
                 assert single[0] == lean[g]
 
     @pytest.mark.parametrize("kind", list(CombinerKind))

@@ -60,6 +60,7 @@ print(json.dumps({name: span["calls"] for name, span in tracer.summary().items()
             ],
         ),
         ("compare", ["trials=200"], ["harness.forced_rates"]),
+        ("equivalence", ["trials=200"], ["harness.conventional_rate", "harness.forced_rates"]),
     ],
 )
 def test_traced_run_calls_each_layer(command, overrides, spans, tmp_path):
