@@ -272,7 +272,7 @@ def _draw_events(
     rng: np.random.Generator,
     shape: tuple[int, ...],
     signal: bool,
-    reads: Sequence[tuple[CombinerKind, int]] | None = None,
+    reads: Sequence[tuple[CombinerKind, int]],
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Combined energies and mean reported variances of an array of sensing events, in blocks.
 
@@ -284,10 +284,10 @@ def _draw_events(
     events fade independently either way.
 
     A read is a ``(combiner, sensors)`` pair: that combiner on the first
-    ``sensors`` of the one ``num_crs``-sensor draw of gains and variances
-    (default: the scenario's own combiner on all of them).  Each combiner's
-    counts must ascend strictly within ``1..num_crs``.  SLC and SLS reduce one
-    per-sensor chi-square draw (:func:`_prefix_reduce`, a sum or a maximum).
+    ``sensors`` of the one ``num_crs``-sensor draw of gains and variances.
+    Each combiner's counts must ascend strictly within ``1..num_crs``.  SLC
+    and SLS reduce one per-sensor chi-square draw (:func:`_prefix_reduce`, a
+    sum or a maximum).
     MRC's reads share one chi-square draw at their sums of ``gamma`` and
     ``gamma * sigma^2``, from a copy of the stream where the per-sensor draw
     starts, on a trailing read axis: a lone MRC read takes the stream in the
@@ -301,7 +301,7 @@ def _draw_events(
     variances taking one 64-bit output each, so the energies' stream starts
     ``prod(shape) * num_crs`` outputs past theirs (none without uncertainty).
     """
-    reads = ((scenario.combiner, scenario.num_crs),) if reads is None else tuple(reads)
+    reads = tuple(reads)
     if not reads:
         raise ValueError("reads must not be empty")
     rows: dict[CombinerKind, list[int]] = {}  # each combiner's read indices, by ascending count

@@ -185,7 +185,8 @@ def test_criterion_04_degenerate_equivalence_events(kind):
     length = scenario.history_len
     ok = True
     for h1 in (False, True):
-        blocks = list(_draw_events(scenario, derive_rng(SEED, 4), (100_000,), h1))
+        lone = ((scenario.combiner, scenario.num_crs),)
+        blocks = list(_draw_events(scenario, derive_rng(SEED, 4), (100_000,), h1, lone))
         energy = np.concatenate([energies[0] for energies, _ in blocks])
         sig_mean = np.concatenate([means for _, means in blocks])
         conv = energy >= lam

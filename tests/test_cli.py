@@ -328,10 +328,10 @@ GOLDEN_SHA256 = {
     "roc": "64ebc68eadd1aa131932d0f15a8b6df7dae866de90ad9eb1cdcf30906d85faef",
     "sweep-k": "c713c15fc1667c2c66c7f223d43bde3c76795a52d388ddc74e3c7ef8d56bb572",
     "sweep-l": "c36a6139de2b9f5a0a3a23c95bb3ec3b0a67174381480d67e7eee78ff6e82d8e",
-    "theory-table": "2505eb709d81fc87f94e0569c6168d90f77e92bc6678c97f5d65654f5ecc4784",
+    "theory-table": "625817f7d8da46ae382fd48fc8e01b37a6f7edc163ea32fa5e616cae4357b5b7",
     "compare-awgn": "3cbde561f24186537214f09d92881c884b468f375b86973e8f99e910094302b2",
-    "theory-table-awgn": "00945c329a9d8114a1021e3d54a1f6935e322d746949e1f732135d37d3babb58",
-    "theory-table-k48-n64": "f36bdb829929a2e8d516dc845b20b52d6586d379ac95ddcfba7d16188984de7f",
+    "theory-table-awgn": "5c003d952c271bb5893e5d9256272d5212fade5c907d874dc447165a327ba9de",
+    "theory-table-k48-n64": "22e2288dd209d128cbcc89573974adf8f7d89d2f553071e50285dea13ff4aafe",
     "compare-k9": "0513f87bc23945f9eb1e515a4a5f0d4cff6ac25cc91d5c35013c260c93f41e7a",
     "equivalence-mrc": "5522733720401438e52af565897878f2c634127cc727e42985f424adad11e2b8",
     "compare-u0": "d51371639dbce4633dd5f5537cdee430f33d9f9e05e785cacff43ec82bb7c63b",
@@ -342,7 +342,7 @@ GOLDEN_SHA256 = {
 # manifest bytes without the started_at line: they pin what no CSV carries, such as
 # the per-curve AUCs, the equivalence search's AUC half-widths and the theory gaps
 GOLDEN_MANIFEST_SHA256 = {
-    "compare": "e1e6dc8dd1987e9826e328f6af67cce896c52569750f3bfa32f664e1fe76a71b",
+    "compare": "22162cc3da8bbee0c9651b46a72362236579ea44d937893e5c2d6a4cc5e81567",
     "equivalence": "2853fab193b04da5e39089eb06961e830fdc330a344503c69b2991faa7436171",
     "roc": "be9eb287d915276d4b8cf805ed3e4892e001663ccab01c86286a5eaee0239770",
     "sweep-k": "97e23650b34219deba638d2950ab34a632fbecde8f1d336e8bb1b580c4784ad4",
@@ -351,11 +351,11 @@ GOLDEN_MANIFEST_SHA256 = {
     "compare-awgn": "4e31ffb18c94ee97698215fc73190aba9ace3a06ecf50cfb5a017e73f2341966",
     "theory-table-awgn": "a28139694eb617cb455f87804755051039620d56fa0f35c899ed44becde4b685",
     "theory-table-k48-n64": "00808eccd7719ecbbfd5fc531f78fef0a734ad4d15422e125c9cb1edaace4c32",
-    "compare-k9": "548dabc42bc3a6ab51b342e5219a1d56a2e5745509e70ea06a41bd6599a9af5c",
-    "equivalence-mrc": "10a03e8c1cb4900d3862939ee09ed21c492d8ea489138c3af3e713ef871d7802",
+    "compare-k9": "a1433e9d1eca6bfc2a716ce3942a4ab1fc9ddc2245cc78dff98a86ef9819af8f",
+    "equivalence-mrc": "4c785a78315ca20def32f0b45f31b6d85c590752939ce74d4a763965a3f17e0e",
     "compare-u0": "86d845fd0a58f4164f541aa7c9ef9374fa76de4b5439121adda49a90d04e0643",
     "theory-table-u0": "59aaf8c2cbe537df2a26da315521a3f2e53e28d44db524bbd8b361c078772cc7",
-    "compare-t2000": "9775d7ce709a91ea624e18f30a78c8684ca62990a2b290185646f60faa0d1278",
+    "compare-t2000": "c422386c0cc3b739097f8368d81b1ac69bb34e1e73c130cc44ee8ac45bcd005b",
     "equivalence-t2000": "7a4cdec57db4f6068cc49429f52c98a652b442175c651e1eaba5aa507f8ab60f",
 }
 # case -> (subcommand, overrides) for the cases that are not a plain subcommand: the

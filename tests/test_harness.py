@@ -45,7 +45,12 @@ def _rolling(energies, variances, length, lam, rho_override=None):
 
 
 def _joined_draw(scenario, rng, shape, signal, reads=None):
-    """The blocks of :func:`harness._draw_events` joined along the leading axis of ``shape``."""
+    """The blocks of :func:`harness._draw_events` joined along the leading axis of ``shape``.
+
+    ``reads`` defaults to the lone read of the scenario's combiner on every sensor.
+    """
+    if reads is None:
+        reads = ((scenario.combiner, scenario.num_crs),)
     energies, sig_means = zip(*harness._draw_events(scenario, rng, shape, signal, reads))
     return np.concatenate(energies, axis=1), np.concatenate(sig_means)
 
@@ -248,7 +253,7 @@ class TestNestedSizes:
     def test_widest_prefix_reproduces_plain_draw(self, kind, h1):
         # the widest of several reads is a lone read of the whole draw, bit for bit
         sc = Scenario(combiner=kind, num_crs=9, trials=100, seed=34)
-        plain, plain_mean = _joined_draw(sc, derive_rng(34), (300,), h1)
+        plain, plain_mean = _joined_draw(sc, derive_rng(34), (300,), h1, [(kind, 9)])
         reads = [(kind, 1), (kind, 4), (kind, 9)]
         nested, nested_mean = _joined_draw(sc, derive_rng(34), (300,), h1, reads)
         assert plain.shape == (1, 300) and nested.shape == (3, 300)
@@ -262,22 +267,21 @@ class TestNestedSizes:
         full = 10_000 * 48 * 8  # bytes of one (events, sensors) array: the gains
         block = harness._BLOCK_CELLS * 8
 
-        def peak(kind, reads=None):
-            sub = dataclasses.replace(sc, combiner=kind)
+        def peak(reads):
             tracemalloc.start()
             try:
-                for _ in harness._draw_events(sub, derive_rng(36), (10_000,), h1, reads):
+                for _ in harness._draw_events(sc, derive_rng(36), (10_000,), h1, reads):
                     pass
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert peak(CombinerKind.MRC) <= peak(CombinerKind.SLC)
+        assert peak([(CombinerKind.MRC, 48)]) <= peak([(CombinerKind.SLC, 48)])
         # reads at every count: past the gains, only arrays of at most one block each,
         # and a finished block goes before the next is drawn (measured 1.84 full-size
         # arrays: the gains and about 6.2 blocks)
         every = [(CombinerKind.MRC, k) for k in range(1, 49)]
-        assert peak(CombinerKind.MRC, every) < full + 7 * block
+        assert peak(every) < full + 7 * block
 
     def test_sizes_validation(self):
         sc = Scenario(num_crs=4, trials=100, seed=35)

@@ -3,6 +3,7 @@ window predictor statistics and the dual-threshold probabilities."""
 
 import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,14 +241,46 @@ class TestRayleighAverage:
     def test_tiny_threshold(self):
         assert qd_rayleigh(params(), 1e-12) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 128, 1024])
-    def test_node_set_matches_scipy(self, n):
-        nodes, weights = theory._legendre_rule(n)
-        x, w = special.roots_legendre(n)
-        assert np.max(np.abs(nodes - 0.5 * (x + 1.0))) <= 1e-15
-        # the end weights are tiny; both rules lose relative digits there
-        assert np.max(np.abs(weights - 0.5 * w) / w) <= 1e-7
-        assert weights.sum() == pytest.approx(1.0, abs=1e-13)
+    @pytest.mark.parametrize("n", [2, 8, 16, 128, 1024])
+    def test_rule_integrates_monomials_exactly(self, n):
+        nodes, weights = theory._clenshaw_curtis_rule(n)
+        assert nodes.shape == weights.shape == (n + 1,)
+        assert nodes[0] == 0.0 and nodes[-1] == 1.0 and (np.diff(nodes) > 0.0).all()
+        worst = max(abs(weights @ nodes**k - 1.0 / (k + 1)) for k in range(n + 1))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 8, 16, 128, 1024, 8192])
+    def test_rule_weights_are_positive_and_sum_to_one(self, n):
+        weights = theory._clenshaw_curtis_rule(n)[1]
+        assert (weights > 0.0).all()
+        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 1024, 4096])
+    def test_rules_nest_bit_for_bit(self, n):
+        coarse, fine = theory._clenshaw_curtis_rule(n)[0], theory._clenshaw_curtis_rule(2 * n)[0]
+        assert np.array_equal(fine[0::2], coarse)
+
+    def test_fading_average_evaluates_each_node_once(self):
+        # one panel per integral, steeper exponentials needing larger rules
+        rates = np.array([0.5, 20.0, 200.0, 2000.0])
+        edges = [[0.0, 1.0]] * rates.size
+        seen = [[] for _ in rates]
+        calls = []
+
+        def integrand(g, rows):
+            calls.append(rows.tolist())
+            for row, nodes in zip(rows.tolist(), g):
+                seen[row].extend(nodes.tolist())
+            return np.exp(-rates[rows, None] * g) * rates[rows, None]
+
+        totals = theory._fading_average(integrand, edges, "test")
+        assert totals == pytest.approx(-np.expm1(-rates), abs=1e-9)
+        # a panel in i calls ends at n = 8 * 2^(i - 1) intervals: its n + 1 nodes, once each
+        final = [theory._QUAD_MIN_NODES << (sum(row in c for c in calls) - 1) for row in range(4)]
+        assert len(set(final)) > 2
+        assert sum(len(s) for s in seen) == sum(n + 1 for n in final)
+        for nodes, n in zip(seen, final):
+            assert sorted(nodes) == theory._clenshaw_curtis_rule(n)[0].tolist()
 
     def test_k1_collapse_across_kinds(self):
         lam = cfar_threshold(TheoryParams(CombinerKind.MRC, 1, 1000), 0.1)
@@ -719,6 +752,34 @@ class TestDualThresholdPanels:
         count = sum(evaluations)
         assert count <= 20_000, f"{count} Marcum evaluations in {len(evaluations)} calls"
 
+    def test_default_table_ncx2_sf_count(self, monkeypatch, tmp_path):
+        # 17,936 with Gauss-Legendre rules, which do not nest, and both tails at every node
+        evaluations = []
+        ncx2_sf = theory._ufuncs._ncx2_sf
+
+        def counting(x, df, nc):
+            evaluations.append(np.broadcast(x, df, nc).size)
+            return ncx2_sf(x, df, nc)
+
+        monkeypatch.setattr(theory, "_ufuncs", SimpleNamespace(_ncx2_sf=counting))
+        run_command("theory-table", parse_scenario(None), tmp_path)
+        count = sum(evaluations)
+        assert count <= 9_200, f"{count} noncentral chi-square tails in {len(evaluations)} calls"
+
+    @pytest.mark.parametrize("rho", [1.1, 1.2])
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_mixture_skips_zero_weight_tails_bit_for_bit(self, kind, rho):
+        p = params(kind, rho=rho)
+        targets = np.array([0.01, 0.1, 0.5])
+        lams = cfar_threshold(TheoryParams(kind, 7, 1000), targets)[:, None]
+        snr = theory._fading_upper_limit(p) * theory._clenshaw_curtis_rule(64)[0] / p.snr_shape
+        with np.errstate(over="ignore"):
+            w = theory._gaussian_tail(lams, *theory._avg_moments(p, p.L, snr))
+        assert (w == 1.0).any() and ((0.0 < w) & (w < 1.0)).any()
+        favourable, guarded = theory._detection_tail(p, np.array([lams / rho, rho * lams]), snr)
+        full = w * favourable + (1.0 - w) * guarded
+        assert np.array_equal(theory._proposed_mixture(p, lams, snr), full)
+
 
 class TestConventionalSeries:
     """``qd_rayleigh`` is a negative-binomial series of gamma tails, not a quadrature."""
@@ -792,7 +853,7 @@ class TestConventionalSeries:
 
 class TestNumericErrorSurface:
     def test_quadrature_failure_raises(self, monkeypatch):
-        # a node cap below the 64 nodes the first panel of this average needs
+        # a rule cap below the 64 intervals the first panel of this average needs
         monkeypatch.setattr(theory, "_QUAD_MAX_NODES", 32)
         with pytest.raises(NumericError, match="did not converge"):
             qd_proposed_rayleigh(params(rho=1.1), 7000.0)
@@ -839,7 +900,7 @@ class TestWithoutScipyStats:
             for K in (1, 2, 3, 7, 16, 48):
                 for gbar in (10 ** -2.5, GBAR, 1.0):
                     p = TheoryParams(kind, K=K, N=1000, gamma_bar=gbar)
-                    g = theory._fading_upper_limit(p) * theory._legendre_rule(64)[0]
+                    g = theory._fading_upper_limit(p) * theory._clenshaw_curtis_rule(64)[0]
                     if kind is CombinerKind.SLS:
                         expected = stats.expon(scale=gbar).pdf(g)
                     else:
