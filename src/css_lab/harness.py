@@ -43,11 +43,12 @@ threads only ever parallelise whole regimes, each on its own stream.  Both
 rate functions draw in chunks of at most ``_CHUNK_CELLS`` cells under one
 policy: chunk 0 draws on the given stream and every later chunk on a stream
 spawned from it, so a chunk's draws depend on that chunk alone.  Within a
-chunk only the fading gains are drawn whole; the rest goes in blocks of
-trials of at most ``_BLOCK_CELLS`` cells, which change no byte: a variance
-takes one 64-bit output, so the energies' stream starts a known number of
-outputs on (``advance``), every stream is read in whole-array order, and
-rho is summed once per chunk.
+chunk every draw goes in blocks of trials of at most ``_BLOCK_CELLS``
+cells, which change no byte: a first pass moves the stream past the gains
+(an exponential takes a data-dependent number of outputs) and a copy from
+before it redraws each block's gains; a variance takes one 64-bit output,
+so the energies' stream starts a known number of outputs on (``advance``);
+and rho is summed once per chunk.
 
 Measurement regimes
 -------------------
@@ -101,8 +102,10 @@ DEFAULT_SEED = 20240601
 DEFAULT_PFA_GRID = tuple(float(x) for x in np.logspace(np.log10(0.01), np.log10(0.5), 15))
 AUC_MATCH_TOL = 0.02
 _PFA_FLOOR = float(np.finfo(float).tiny)
-_CHUNK_CELLS = 1 << 22  # cap on rows*events*sensors drawn per chunk
-_BLOCK_CELLS = 1 << 16  # cap on rows*events*sensors per block of the draws after the gains
+# cap on rows*events*sensors drawn per chunk: it fixes each chunk's streams, not the
+# memory, so a change moves every byte of a draw of more than one chunk
+_CHUNK_CELLS = 1 << 22
+_BLOCK_CELLS = 1 << 16  # cap on rows*events*sensors per block of a draw; moves no byte
 
 # stream tags keeping every stochastic purpose on its own substream; a tag keeps
 # its number, since every seeded output drawn on it depends on that number
@@ -255,16 +258,25 @@ def binomial_ci(p_hat: float, n: int) -> float:
 
 
 def _noise_variances(
-    rng: np.random.Generator, uncertainty_db: float, shape: tuple[int, ...]
+    rng: np.random.Generator, uncertainty_db: float, shape: tuple[int, ...], out=None
 ) -> np.ndarray:
-    """Per-sensor noise variances over nominal, uniform in dB within ``uncertainty_db``."""
+    """Per-sensor noise variances over nominal, uniform in dB within ``uncertainty_db``.
+
+    They fill ``out`` when given, an array of ``shape``; the draw is
+    ``uniform(-uncertainty_db, uncertainty_db)``'s bit for bit.
+    """
+    if out is None:
+        out = np.empty(shape)
     if uncertainty_db == 0.0:
-        return np.ones(shape)
+        out.fill(1.0)
+        return out
     # in place: these are the largest arrays of a draw, and each copy costs time and memory
-    sig2 = rng.uniform(-uncertainty_db, uncertainty_db, shape)
-    sig2 /= 10.0
-    np.power(10.0, sig2, out=sig2)
-    return sig2
+    rng.random(out=out)
+    out *= 2.0 * uncertainty_db
+    out -= uncertainty_db
+    out /= 10.0
+    np.power(10.0, out, out=out)
+    return out
 
 
 def _draw_events(
@@ -277,8 +289,9 @@ def _draw_events(
     """Combined energies and mean reported variances of an array of sensing events, in blocks.
 
     ``signal`` is whether the PU transmits.  The fading gains are drawn
-    either way; without the PU the energies take numpy's central chi-square,
-    with it the noncentral one at noncentrality ``N * gain / scale``.  With
+    either way, to move the stream on; without the PU the energies take
+    numpy's central chi-square and only MRC reads the gains, with it the
+    noncentral one at noncentrality ``N * gain / scale``.  With
     ``scenario.fading_block == "chain"`` and a 2-D ``(trials, L)`` ``shape``
     the fading draw is shared along each window (block fading); single
     events fade independently either way.
@@ -293,13 +306,16 @@ def _draw_events(
     starts, on a trailing read axis: a lone MRC read takes the stream in the
     order of a plain draw.
 
-    Only the gains are drawn whole.  The rest is drawn and yielded in blocks
-    of at most ``_BLOCK_CELLS`` cells along the leading axis of ``shape``:
-    per block, the energies, with a leading read axis, and the mean
-    variances, which average all ``num_crs`` sensors.  The blocks change no
-    byte: each stream is read in the order of a whole-array draw, the
-    variances taking one 64-bit output each, so the energies' stream starts
-    ``prod(shape) * num_crs`` outputs past theirs (none without uncertainty).
+    Everything is drawn in blocks of at most ``_BLOCK_CELLS`` cells along
+    the leading axis of ``shape``, into buffers reused from block to block;
+    each block yields fresh arrays: its energies, with a leading read axis,
+    and its mean variances, which average all ``num_crs`` sensors.  The
+    blocks change no byte: every stream is read in whole-array order.  A
+    first pass moves ``rng`` past all gains, and a copy from before it
+    redraws each block's gains (one block keeps the pass's; a draw that
+    reads none skips them); the variances take one 64-bit output each, so
+    the energies' stream starts ``prod(shape) * num_crs`` outputs past
+    theirs (none without uncertainty).
     """
     reads = tuple(reads)
     if not reads:
@@ -312,33 +328,38 @@ def _draw_events(
         rows.setdefault(kind, []).append(i)
     counts = {kind: [reads[i][1] for i in index] for kind, index in rows.items()}
     full = (*shape, scenario.num_crs)
+    step = min(shape[0], max(1, _BLOCK_CELLS // math.prod(full[1:])))
+    sizes = [min(step, shape[0] - start) for start in range(0, shape[0], step)]
+    mrc = rows.pop(CombinerKind.MRC, [])  # rows keeps the reads of the per-sensor draw
+    gain_rng = None
     if scenario.channel_kind == "awgn":
-        gains = np.broadcast_to(np.float64(scenario.gamma_bar), full)
-    elif scenario.fading_block == "chain" and len(shape) == 2:
-        row_gamma = rng.exponential(scenario.gamma_bar, (shape[0], 1, scenario.num_crs))
-        gains = np.broadcast_to(row_gamma, full)
+        gains = np.full((1,) * len(full), scenario.gamma_bar)  # one gain for every cell
     else:
-        gains = rng.exponential(scenario.gamma_bar, full)
+        chain = scenario.fading_block == "chain" and len(shape) == 2
+        gains = np.empty((step, 1, full[-1]) if chain else (step, *full[1:]))
+        read = signal or bool(mrc)  # without the PU only MRC's weights read the gains
+        if read and len(sizes) > 1:
+            gain_rng = copy.deepcopy(rng)  # redraws each block's gains before its use
+        for size in sizes:  # moves rng past every gain of the chunk
+            rng.standard_exponential(out=gains[:size])
+        if not read:
+            gains = None
+        elif gain_rng is None:  # one block: the pass drew the gains themselves
+            gains *= scenario.gamma_bar
     sig_rng = copy.deepcopy(rng)  # the variances' stream; rng moves on to the energies
     if scenario.uncertainty_db != 0.0:
         rng.bit_generator.advance(math.prod(full))
-    mrc = rows.pop(CombinerKind.MRC, [])  # rows keeps the reads of the per-sensor draw
     mrc_rng = copy.deepcopy(rng) if mrc and rows else rng
     n = scenario.n_samples
-    step = max(1, _BLOCK_CELLS // math.prod(full[1:]))
-    for start in range(0, shape[0], step):
-        gamma = gains[start : start + step]
-        sig2 = _noise_variances(sig_rng, scenario.uncertainty_db, gamma.shape)
-        out = np.empty((len(reads), *gamma.shape[:-1]))
-        if rows:
-            if signal:
-                energy = rng.noncentral_chisquare(n, gamma * n / sig2)
-            else:
-                energy = rng.chisquare(n, gamma.shape)
-            energy *= sig2
-            for kind, index in rows.items():
-                ufunc = np.add if kind is CombinerKind.SLC else np.maximum
-                _prefix_reduce(ufunc, energy, counts[kind], [out[i] for i in index])
+    sig2_buf = np.empty((step, *full[1:]))
+    chi2_buf = np.empty_like(sig2_buf) if rows else None  # H0 energies, H1 noncentralities
+    for size in sizes:
+        cells = (size, *full[1:])
+        if gain_rng is not None:
+            gain_rng.standard_exponential(out=gains[:size])
+            gains[:size] *= scenario.gamma_bar
+        gamma = None if gains is None else np.broadcast_to(gains[:size], cells)
+        sig2 = _noise_variances(sig_rng, scenario.uncertainty_db, cells, sig2_buf[:size])
         if mrc:  # one detector at the summed SNR, gain-weighted effective variance
             gain = _prefix_reduce(np.add, gamma, counts[CombinerKind.MRC])
             scale = _prefix_reduce(np.add, gamma, counts[CombinerKind.MRC], weights=sig2)
@@ -346,14 +367,31 @@ def _draw_events(
             if signal:  # in place: the gains are not read again
                 gain *= n
                 gain /= scale
-                energy = mrc_rng.noncentral_chisquare(n, np.moveaxis(gain, 0, -1))
+                mrc_energy = mrc_rng.noncentral_chisquare(n, np.moveaxis(gain, 0, -1))
             else:
-                energy = mrc_rng.chisquare(n, (*gamma.shape[:-1], len(mrc)))
-            energy *= np.moveaxis(scale, 0, -1)
-            out[mrc] = np.moveaxis(energy, -1, 0)
+                mrc_energy = mrc_rng.chisquare(n, (*cells[:-1], len(mrc)))
+            mrc_energy *= np.moveaxis(scale, 0, -1)
             del gain, scale
+        out = np.empty((len(reads), *cells[:-1]))  # once MRC's temporaries are gone
+        if mrc:
+            out[mrc] = np.moveaxis(mrc_energy, -1, 0)
+            del mrc_energy
+        if rows:
+            chi2 = chi2_buf[:size]
+            if signal:
+                np.multiply(gamma, n, out=chi2)
+                chi2 /= sig2
+                energy = rng.noncentral_chisquare(n, chi2)
+            else:  # chisquare(n)'s draw, bit for bit
+                energy = rng.standard_gamma(n / 2, out=chi2)
+                energy *= 2.0
+            energy *= sig2
+            for kind, index in rows.items():
+                ufunc = np.add if kind is CombinerKind.SLC else np.maximum
+                _prefix_reduce(ufunc, energy, counts[kind], [out[i] for i in index])
+            del energy
         yield out, sig2.mean(axis=-1)
-        del out, sig2, energy  # a finished block goes before the next one is drawn
+        del out  # a finished block goes before the next one is drawn
 
 
 def _prefix_reduce(

@@ -369,7 +369,7 @@ def _fading_average(integrand, edges, what: str) -> list:
     lo = np.concatenate([np.asarray(e[:-1], dtype=float) for e in edges])
     hi = np.concatenate([np.asarray(e[1:], dtype=float) for e in edges])
     tol = _QUAD_TOL / np.array([len(e) - 1 for e in edges])[rows]
-    values = [None] * rows.size  # each panel's latest value
+    values = None  # each panel's latest value, once the first rule size has run
     live = np.arange(rows.size)  # the open panels, in panel order
     n, held = _QUAD_MIN_NODES, None  # held: the open panels' values at rule n // 2's nodes
     while live.size:
@@ -386,18 +386,22 @@ def _fading_average(integrand, edges, what: str) -> list:
         if held is not None:
             f, new = np.empty((live.size, n + 1, *f.shape[2:])), f
             f[:, 0::2], f[:, 1::2] = held, new
-        still = []
-        for i, (j, w, panel) in enumerate(zip(live, width, f)):
-            value = w * (weights @ panel)  # per panel: a matrix product may sum in another order
-            if not np.isfinite(value).all():
-                raise NumericError(
-                    f"quadrature for {what} is not finite with {n + 1} nodes: {value}, "
-                    f"interval=({float(lo[j])!r}, {float(hi[j])!r})"
-                )
-            if values[j] is None or not abs(value - values[j]).max() <= tol[j]:
-                still.append(i)
-            values[j] = value
-        still = np.array(still, dtype=int)  # an empty list would index as float, a new code path
+        # per panel: a matrix product over all panels may sum in another order
+        value = np.array([weights @ panel for panel in f])
+        value *= width.reshape(-1, *[1] * (value.ndim - 1))
+        finite = np.isfinite(value).reshape(live.size, -1).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NumericError(
+                f"quadrature for {what} is not finite with {n + 1} nodes: {value[i]}, "
+                f"interval=({float(lo[live[i]])!r}, {float(hi[live[i]])!r})"
+            )
+        if values is None:  # the first rule size: every panel stays open
+            values, still = np.empty((rows.size, *value.shape[1:])), np.arange(live.size)
+        else:
+            error = abs(value - values[live]).reshape(live.size, -1).max(axis=1)
+            still = np.flatnonzero(~(error <= tol[live]))
+        values[live] = value
         live, held, n = live[still], f[still], 2 * n
     totals = [0.0] * len(edges)
     for row, value in zip(rows.tolist(), values):

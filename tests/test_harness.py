@@ -55,6 +55,17 @@ def _joined_draw(scenario, rng, shape, signal, reads=None):
     return np.concatenate(energies, axis=1), np.concatenate(sig_means)
 
 
+def _draw_peak(scenario, rng, shape, signal, reads):
+    """The tracemalloc peak of one :func:`harness._draw_events` call run through its blocks."""
+    tracemalloc.start()
+    try:
+        for _ in harness._draw_events(scenario, rng, shape, signal, reads):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _event_loop(energies, variances, length, lam, rho_override=None):
     """The same stream decided one event at a time by the scalar reference."""
     state = FusionState(length)
@@ -264,24 +275,30 @@ class TestNestedSizes:
     def test_mrc_read_holds_no_full_size_product(self, h1):
         # MRC sums its gain-weighted variances one sensor slice at a time
         sc = Scenario(num_crs=48, trials=100, seed=36)
-        full = 10_000 * 48 * 8  # bytes of one (events, sensors) array: the gains
-        block = harness._BLOCK_CELLS * 8
+        block = harness._BLOCK_CELLS * 8  # 10,000 events of 48 sensors are 7.3 blocks
 
         def peak(reads):
-            tracemalloc.start()
-            try:
-                for _ in harness._draw_events(sc, derive_rng(36), (10_000,), h1, reads):
-                    pass
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return _draw_peak(sc, derive_rng(36), (10_000,), h1, reads)
 
-        assert peak([(CombinerKind.MRC, 48)]) <= peak([(CombinerKind.SLC, 48)])
-        # reads at every count: past the gains, only arrays of at most one block each,
-        # and a finished block goes before the next is drawn (measured 1.84 full-size
-        # arrays: the gains and about 6.2 blocks)
+        # measured 2.2 blocks: the gains and the variances, and MRC's reduced arrays
+        assert peak([(CombinerKind.MRC, 48)]) < 7 * block
+        # reads at every count: only arrays of at most one block each, and a finished
+        # block goes before the next is drawn (measured 6.2 blocks, the loop variable
+        # holding the previous block's energies among them)
         every = [(CombinerKind.MRC, k) for k in range(1, 49)]
-        assert peak(every) < full + 7 * block
+        assert peak(every) < 7 * block
+
+    def test_h0_per_sensor_reads_hold_no_gains(self):
+        # without the PU, SLC and SLS read only the variances: their draw keeps no gains
+        # block, which a draw with an MRC read does
+        sc = Scenario()
+        block = harness._BLOCK_CELLS * 8
+        per_sensor = [(CombinerKind.SLC, sc.num_crs), (CombinerKind.SLS, sc.num_crs)]
+
+        def peak(reads):
+            return _draw_peak(sc, derive_rng(sc.seed), (sc.trials, sc.history_len), False, reads)
+
+        assert peak(per_sensor) + block <= peak(per_sensor + [(CombinerKind.MRC, sc.num_crs)])
 
     def test_sizes_validation(self):
         sc = Scenario(num_crs=4, trials=100, seed=35)
@@ -417,12 +434,15 @@ class TestBlockDraw:
             runs.append((rates, nested.tolist()))
         assert runs[0] == runs[1]
 
-    def test_compare_peak_is_the_gains_and_a_few_blocks(self):
-        # compare's three reads at the defaults: 10,000 windows of 15 events at 7 sensors
-        sc = Scenario()
+    @pytest.mark.parametrize("trials", [10_000, 30_000])
+    def test_compare_peak_is_a_few_blocks_and_the_score_vectors(self, trials):
+        # compare's three reads: windows of 15 events at 7 sensors, in one chunk
+        sc = Scenario(trials=trials)
         kinds = tuple(CombinerKind)
         lams = [dataclasses.replace(sc, combiner=kind).cfar_grid() for kind in kinds]
-        gains = sc.trials * sc.history_len * sc.num_crs * 8  # 8.0 MiB
+        # _rates' per-chunk vectors: per read the newest energies and the scores, then
+        # rho and one sorted copy of a score vector
+        vectors = (2 * len(kinds) + 2) * trials * 8
         for h1 in (False, True):
             tracemalloc.start()
             try:
@@ -430,9 +450,9 @@ class TestBlockDraw:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # measured 10.1 MiB under H0 and 10.3 MiB under H1: the gains and 4.6 blocks,
-            # since a finished block goes before the next one is drawn
-            assert peak <= gains + 5 * harness._BLOCK_CELLS * 8
+            # measured 2.4 MiB under H0 and 2.8 MiB under H1 at 10,000 trials, 3.5 and
+            # 3.9 MiB at 30,000; any other array sized by the trials breaks the bound
+            assert peak <= vectors + 5 * harness._BLOCK_CELLS * 8
 
 
 class TestRollingEngineEquivalence:
