@@ -103,12 +103,10 @@ def advance(
     e_comb: float,
     sigma_mean_sq: float,
     lambda_base: float,
-    rho_override: float | None = None,
 ) -> AdaptiveDecision:
     """Push one combined event and run the full dual-threshold decision.
 
-    ``rho_override`` pins the uncertainty factor (used when validating the
-    analysis layer); by default it is estimated from the window.
+    The uncertainty factor is estimated from the window (:func:`estimate_rho`).
     """
     if len(state) < state.capacity - 1:
         raise WarmupIncompleteError(
@@ -117,7 +115,7 @@ def advance(
         )
     push_event(state, e_comb, sigma_mean_sq)
     e_avg, predicted = predict_activity(state, lambda_base)
-    rho = estimate_rho(state) if rho_override is None else rho_override
+    rho = estimate_rho(state)
     lambda_new = dynamic_threshold(lambda_base, rho, predicted)
     decision = decide_conventional(e_comb, lambda_new)
     return AdaptiveDecision(

@@ -40,15 +40,12 @@ Every stochastic path derives its generator from
 purpose, each purpose under its own leading tag (see :func:`derive_rng`).
 Results are therefore bit-identical across runs and across thread counts:
 threads only ever parallelise whole regimes, each on its own stream.  Both
-rate functions draw in chunks of at most ``_CHUNK_CELLS`` cells under one
-policy: chunk 0 draws on the given stream and every later chunk on a stream
-spawned from it, so a chunk's draws depend on that chunk alone.  Within a
-chunk every draw goes in blocks of trials of at most ``_BLOCK_CELLS``
-cells, which change no byte: a first pass moves the stream past the gains
-(an exponential takes a data-dependent number of outputs) and a copy from
-before it redraws each block's gains; a variance takes one 64-bit output,
-so the energies' stream starts a known number of outputs on (``advance``);
-and rho is summed once per chunk.
+rate functions draw in blocks of trials of at most ``_BLOCK_CELLS`` cells,
+and each block draws each purpose (fading gains, noise variances,
+per-sensor chi-squares, MRC's chi-squares) on a stream of its own, spawned
+from the regime's stream.  So a block's draws depend on that block alone,
+no read moves another's draws, and a draw that reads no gains skips them;
+the block size fixes the streams.
 
 Measurement regimes
 -------------------
@@ -66,8 +63,8 @@ covariance of the decisions across the grid (a paired delta method), not
 from independent per-point binomial widths.  A sweep over several combiners
 (``compare``) draws its windows' gains and variances once per hypothesis;
 SLC and SLS read one per-sensor chi-square draw off them and MRC a draw of
-its own, both from one point of the sweep's stream, so each combiner's curves
-are exactly those of a sweep of that combiner alone.  Sensor-count searches share
+its own, each on its own stream, so each combiner's curves are exactly those
+of a sweep of that combiner alone.  Sensor-count searches share
 one prefix draw: :func:`equivalence_search` draws once per hypothesis at its
 largest count and scores every smaller count on the sensor-axis prefixes of
 that draw, so its curves across counts are correlated.
@@ -75,7 +72,6 @@ that draw, so its curves across counts are correlated.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 import warnings
@@ -102,10 +98,9 @@ DEFAULT_SEED = 20240601
 DEFAULT_PFA_GRID = tuple(float(x) for x in np.logspace(np.log10(0.01), np.log10(0.5), 15))
 AUC_MATCH_TOL = 0.02
 _PFA_FLOOR = float(np.finfo(float).tiny)
-# cap on rows*events*sensors drawn per chunk: it fixes each chunk's streams, not the
-# memory, so a change moves every byte of a draw of more than one chunk
-_CHUNK_CELLS = 1 << 22
-_BLOCK_CELLS = 1 << 16  # cap on rows*events*sensors per block of a draw; moves no byte
+# cap on rows*events*sensors per block of a draw; each block draws on streams of its
+# own, so a change moves every byte of a draw of more than one block
+_BLOCK_CELLS = 1 << 16
 
 # stream tags keeping every stochastic purpose on its own substream; a tag keeps
 # its number, since every seeded output drawn on it depends on that number
@@ -258,25 +253,15 @@ def binomial_ci(p_hat: float, n: int) -> float:
 
 
 def _noise_variances(
-    rng: np.random.Generator, uncertainty_db: float, shape: tuple[int, ...], out=None
+    rng: np.random.Generator, uncertainty_db: float, shape: tuple[int, ...]
 ) -> np.ndarray:
-    """Per-sensor noise variances over nominal, uniform in dB within ``uncertainty_db``.
-
-    They fill ``out`` when given, an array of ``shape``; the draw is
-    ``uniform(-uncertainty_db, uncertainty_db)``'s bit for bit.
-    """
-    if out is None:
-        out = np.empty(shape)
+    """Per-sensor noise variances over nominal, uniform in dB within ``uncertainty_db``."""
     if uncertainty_db == 0.0:
-        out.fill(1.0)
-        return out
+        return np.ones(shape)
     # in place: these are the largest arrays of a draw, and each copy costs time and memory
-    rng.random(out=out)
-    out *= 2.0 * uncertainty_db
-    out -= uncertainty_db
+    out = rng.uniform(-uncertainty_db, uncertainty_db, shape)
     out /= 10.0
-    np.power(10.0, out, out=out)
-    return out
+    return np.power(10.0, out, out=out)
 
 
 def _draw_events(
@@ -288,10 +273,9 @@ def _draw_events(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Combined energies and mean reported variances of an array of sensing events, in blocks.
 
-    ``signal`` is whether the PU transmits.  The fading gains are drawn
-    either way, to move the stream on; without the PU the energies take
-    numpy's central chi-square and only MRC reads the gains, with it the
-    noncentral one at noncentrality ``N * gain / scale``.  With
+    ``signal`` is whether the PU transmits: without it the energies take
+    numpy's central chi-square and only MRC reads the fading gains, with it
+    the noncentral one at noncentrality ``N * gain / scale``.  With
     ``scenario.fading_block == "chain"`` and a 2-D ``(trials, L)`` ``shape``
     the fading draw is shared along each window (block fading); single
     events fade independently either way.
@@ -300,22 +284,17 @@ def _draw_events(
     ``sensors`` of the one ``num_crs``-sensor draw of gains and variances.
     Each combiner's counts must ascend strictly within ``1..num_crs``.  SLC
     and SLS reduce one per-sensor chi-square draw (:func:`_prefix_reduce`, a
-    sum or a maximum).
-    MRC's reads share one chi-square draw at their sums of ``gamma`` and
-    ``gamma * sigma^2``, from a copy of the stream where the per-sensor draw
-    starts, on a trailing read axis: a lone MRC read takes the stream in the
-    order of a plain draw.
+    sum or a maximum); MRC's reads share one chi-square draw at their sums of
+    ``gamma`` and ``gamma * sigma^2``.
 
-    Everything is drawn in blocks of at most ``_BLOCK_CELLS`` cells along
-    the leading axis of ``shape``, into buffers reused from block to block;
-    each block yields fresh arrays: its energies, with a leading read axis,
-    and its mean variances, which average all ``num_crs`` sensors.  The
-    blocks change no byte: every stream is read in whole-array order.  A
-    first pass moves ``rng`` past all gains, and a copy from before it
-    redraws each block's gains (one block keeps the pass's; a draw that
-    reads none skips them); the variances take one 64-bit output each, so
-    the energies' stream starts ``prod(shape) * num_crs`` outputs past
-    theirs (none without uncertainty).
+    The draw goes in blocks of at most ``_BLOCK_CELLS`` cells along the
+    leading axis of ``shape``.  Each block draws on four streams spawned from
+    ``rng``, one per purpose: the gains (not drawn when nothing reads them),
+    the variances, the per-sensor chi-squares and MRC's chi-squares; ``rng``
+    itself draws nothing.  So the block size fixes the streams, and no read
+    moves another's draws.  Each block yields fresh arrays: its energies, with
+    a leading read axis, and its mean variances, which average all
+    ``num_crs`` sensors.
     """
     reads = tuple(reads)
     if not reads:
@@ -329,37 +308,20 @@ def _draw_events(
     counts = {kind: [reads[i][1] for i in index] for kind, index in rows.items()}
     full = (*shape, scenario.num_crs)
     step = min(shape[0], max(1, _BLOCK_CELLS // math.prod(full[1:])))
-    sizes = [min(step, shape[0] - start) for start in range(0, shape[0], step)]
     mrc = rows.pop(CombinerKind.MRC, [])  # rows keeps the reads of the per-sensor draw
-    gain_rng = None
-    if scenario.channel_kind == "awgn":
-        gains = np.full((1,) * len(full), scenario.gamma_bar)  # one gain for every cell
-    else:
-        chain = scenario.fading_block == "chain" and len(shape) == 2
-        gains = np.empty((step, 1, full[-1]) if chain else (step, *full[1:]))
-        read = signal or bool(mrc)  # without the PU only MRC's weights read the gains
-        if read and len(sizes) > 1:
-            gain_rng = copy.deepcopy(rng)  # redraws each block's gains before its use
-        for size in sizes:  # moves rng past every gain of the chunk
-            rng.standard_exponential(out=gains[:size])
-        if not read:
-            gains = None
-        elif gain_rng is None:  # one block: the pass drew the gains themselves
-            gains *= scenario.gamma_bar
-    sig_rng = copy.deepcopy(rng)  # the variances' stream; rng moves on to the energies
-    if scenario.uncertainty_db != 0.0:
-        rng.bit_generator.advance(math.prod(full))
-    mrc_rng = copy.deepcopy(rng) if mrc and rows else rng
+    chain = scenario.fading_block == "chain" and len(shape) == 2
     n = scenario.n_samples
-    sig2_buf = np.empty((step, *full[1:]))
-    chi2_buf = np.empty_like(sig2_buf) if rows else None  # H0 energies, H1 noncentralities
-    for size in sizes:
-        cells = (size, *full[1:])
-        if gain_rng is not None:
-            gain_rng.standard_exponential(out=gains[:size])
-            gains[:size] *= scenario.gamma_bar
-        gamma = None if gains is None else np.broadcast_to(gains[:size], cells)
-        sig2 = _noise_variances(sig_rng, scenario.uncertainty_db, cells, sig2_buf[:size])
+    for start in range(0, shape[0], step):
+        cells = (min(step, shape[0] - start), *full[1:])
+        # rng.spawn(4)'s streams: Generator.spawn's own code is 64 kB more to hold resident
+        gain_rng, sig_rng, energy_rng, mrc_rng = map(np.random.Generator, rng.bit_generator.spawn(4))
+        gamma = None  # without the PU only MRC's weights read the gains
+        if scenario.channel_kind == "awgn":
+            gamma = np.broadcast_to(scenario.gamma_bar, cells)
+        elif signal or mrc:
+            fading = (cells[0], 1, cells[-1]) if chain else cells
+            gamma = np.broadcast_to(gain_rng.exponential(scenario.gamma_bar, fading), cells)
+        sig2 = _noise_variances(sig_rng, scenario.uncertainty_db, cells)
         if mrc:  # one detector at the summed SNR, gain-weighted effective variance
             gain = _prefix_reduce(np.add, gamma, counts[CombinerKind.MRC])
             scale = _prefix_reduce(np.add, gamma, counts[CombinerKind.MRC], weights=sig2)
@@ -367,31 +329,29 @@ def _draw_events(
             if signal:  # in place: the gains are not read again
                 gain *= n
                 gain /= scale
-                mrc_energy = mrc_rng.noncentral_chisquare(n, np.moveaxis(gain, 0, -1))
+                mrc_energy = mrc_rng.noncentral_chisquare(n, gain)
             else:
-                mrc_energy = mrc_rng.chisquare(n, (*cells[:-1], len(mrc)))
-            mrc_energy *= np.moveaxis(scale, 0, -1)
+                mrc_energy = mrc_rng.chisquare(n, gain.shape)
+            mrc_energy *= scale
             del gain, scale
         out = np.empty((len(reads), *cells[:-1]))  # once MRC's temporaries are gone
         if mrc:
-            out[mrc] = np.moveaxis(mrc_energy, -1, 0)
+            out[mrc] = mrc_energy
             del mrc_energy
         if rows:
-            chi2 = chi2_buf[:size]
-            if signal:
-                np.multiply(gamma, n, out=chi2)
-                chi2 /= sig2
-                energy = rng.noncentral_chisquare(n, chi2)
-            else:  # chisquare(n)'s draw, bit for bit
-                energy = rng.standard_gamma(n / 2, out=chi2)
-                energy *= 2.0
+            if signal:  # the noncentralities, freed as the draw replaces them
+                energy = np.multiply(gamma, n)
+                energy /= sig2
+                energy = energy_rng.noncentral_chisquare(n, energy)
+            else:
+                energy = energy_rng.chisquare(n, cells)
             energy *= sig2
             for kind, index in rows.items():
                 ufunc = np.add if kind is CombinerKind.SLC else np.maximum
                 _prefix_reduce(ufunc, energy, counts[kind], [out[i] for i in index])
             del energy
         yield out, sig2.mean(axis=-1)
-        del out  # a finished block goes before the next one is drawn
+        del out, gamma, sig2  # a finished block goes before the next one is drawn
 
 
 def _prefix_reduce(
@@ -447,31 +407,19 @@ def _rates(
     lams = np.asarray(lams, dtype=float)  # one threshold vector per read
     if lams.ndim != 2 or lams.shape[0] != len(reads):
         raise ValueError("lams must hold one threshold vector per read")
-    per_chunk = max(1, _CHUNK_CELLS // (scenario.num_crs * length))
     conv_counts = np.zeros(lams.shape, dtype=np.int64)
     prop_counts = np.zeros_like(conv_counts) if length > 1 else None
     rho_total = 0.0
-    for chunk, start in enumerate(range(0, scenario.trials, per_chunk)):
-        step = min(per_chunk, scenario.trials - start)
-        stream = rng.spawn(1)[0] if chunk else rng
-        # per read, each window's newest energy and dual-threshold score; one rho per window
-        newest, done = np.empty((len(reads), step)), 0
+    for energies, sig_mean in _draw_events(scenario, rng, (scenario.trials, length), h1, reads):
+        for conv, energy, read_lams in zip(conv_counts, energies, lams):
+            conv += _count_at_least(energy[..., -1], read_lams)
         if prop_counts is not None:
-            scores, rho = np.empty_like(newest), np.empty(step)
-        for energies, sig_mean in _draw_events(scenario, stream, (step, length), h1, reads):
-            block = slice(done, done + len(sig_mean))
-            done = block.stop
-            newest[:, block] = energies[..., -1]
-            if prop_counts is not None:
-                rho[block] = _window_rho(sig_mean)
-                scores[:, block] = _dual_score(energies, rho[block])
-            del energies, sig_mean  # so that the kernel can free the block
-        for conv, score, read_lams in zip(conv_counts, newest, lams):
-            conv += _count_at_least(score, read_lams)
-        if prop_counts is not None:
-            rho_total += float(rho.sum())  # once over the chunk: block sums would regroup it
-            for prop, score, read_lams in zip(prop_counts, scores, lams):
+            rho = _window_rho(sig_mean)
+            # broadcast: a rho pinned to one factor for all windows counts once per window
+            rho_total += float(np.broadcast_to(rho, len(sig_mean)).sum())
+            for prop, score, read_lams in zip(prop_counts, _dual_score(energies, rho), lams):
                 prop += _count_at_least(score, read_lams)
+        del energies, sig_mean  # so that the kernel can free the block
     n = scenario.trials
     return conv_counts / n, (None if prop_counts is None else prop_counts / n), rho_total / n
 
@@ -491,8 +439,8 @@ def conventional_rate(
     form a ``(sizes, thresholds)`` array.  :func:`equivalence_search` scores
     its sensor counts this way, so its curves across counts share their
     draws and are correlated.  Leaner than :func:`forced_rates` (no window
-    draws, ``L`` times fewer cells); chunk 0 draws on ``rng`` and every later
-    chunk on a stream spawned from it, as there.
+    draws, ``L`` times fewer cells); its blocks draw on streams spawned from
+    ``rng``, as there.
     """
     reads = [(scenario.combiner, k) for k in sizes]
     return _rates(scenario, h1, lams, rng, 1, reads)[0]
@@ -522,8 +470,8 @@ def forced_rates(
     of them.  Returns the conventional and the dual-threshold rates, each a
     ``(combiners, thresholds)`` array, and the mean estimated rho.  A
     combiner's rows equal those of a call for it alone on the same stream:
-    chunk 0 draws on ``rng`` and every later chunk on a stream spawned from
-    it, so a chunk's draws depend on that chunk alone.
+    each block draws each purpose on its own stream spawned from ``rng`` (see
+    :func:`_draw_events`).
     """
     reads = [(kind, scenario.num_crs) for kind in combiners]
     return _rates(scenario, h1, lams, rng, scenario.history_len, reads)

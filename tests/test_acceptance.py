@@ -320,7 +320,7 @@ CRITERION9_TARGETS = (0.01, 0.05, 0.1, 0.3, 0.5)
 
 
 def _criterion9_case(kind: CombinerKind, monkeypatch, rho: float = 1.2):
-    # every window is scored at rho, through the whole pipeline and its chunks
+    # every window is scored at rho, through the whole pipeline and its blocks
     monkeypatch.setattr(harness, "_window_rho", lambda sig_mean: rho)
     h0_scenario = Scenario(combiner=kind, uncertainty_db=0.0, trials=100_000, seed=SEED)
     h1_scenario = Scenario(

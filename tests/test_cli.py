@@ -323,48 +323,48 @@ class TestRunCommand:
 
 
 GOLDEN_SHA256 = {
-    "compare": "493cf05c353f569bf56f1b23d2e81dc2685b17e1f350e630a0a529dcfef8c351",
-    "equivalence": "3824cf44f147b93f8f15a93641fbf47791e992ed3c43eb3c2dbb3300dcb12f67",
-    "roc": "64ebc68eadd1aa131932d0f15a8b6df7dae866de90ad9eb1cdcf30906d85faef",
-    "sweep-k": "c713c15fc1667c2c66c7f223d43bde3c76795a52d388ddc74e3c7ef8d56bb572",
-    "sweep-l": "c36a6139de2b9f5a0a3a23c95bb3ec3b0a67174381480d67e7eee78ff6e82d8e",
+    "compare": "793404a9a29c056fd95d16cb9ced5abbfdbf831be060199e52475fc13a83fb96",
+    "equivalence": "eda11d260d485f6943865a8218aebc5a6aa283884dd76f8151f3f3dc83fc265a",
+    "roc": "5515dd9c5500898da420a9b3817840b74ec85ae16f130edc53d4c22a67994626",
+    "sweep-k": "a0f53efc9fb8fbb3fd1648c8087093ff3fa3a83dad58dd3beec2504ce41b25db",
+    "sweep-l": "fb6565b0c32709389f54be70696603796e44847d71551a15069b3cdd64e145c7",
     "theory-table": "625817f7d8da46ae382fd48fc8e01b37a6f7edc163ea32fa5e616cae4357b5b7",
-    "compare-awgn": "3cbde561f24186537214f09d92881c884b468f375b86973e8f99e910094302b2",
+    "compare-awgn": "d8696a31eca8a0617bb30c64121435b37937dc4d225b50068f91a2005e3a71e1",
     "theory-table-awgn": "5c003d952c271bb5893e5d9256272d5212fade5c907d874dc447165a327ba9de",
     "theory-table-k48-n64": "22e2288dd209d128cbcc89573974adf8f7d89d2f553071e50285dea13ff4aafe",
-    "compare-k9": "0513f87bc23945f9eb1e515a4a5f0d4cff6ac25cc91d5c35013c260c93f41e7a",
-    "equivalence-mrc": "5522733720401438e52af565897878f2c634127cc727e42985f424adad11e2b8",
-    "compare-u0": "d51371639dbce4633dd5f5537cdee430f33d9f9e05e785cacff43ec82bb7c63b",
+    "compare-k9": "e343815f8e93c9e6d8be133759acfddb941211a78dd3fee7d33ca9d2defe81f7",
+    "equivalence-mrc": "0419b59393cb5e2bf5561d577de1b2b29d653a7a1a981377a62c8d7099e5cb00",
+    "compare-u0": "669bb948d4b9c3da6feac406fff4005aadc3653c5a8c57a86f7b79b3ecb86042",
     "theory-table-u0": "d5acd2e441c1982961407cac23cfe3a5119aa66d5de7eda554c304415638b156",
-    "compare-t2000": "bbd6c269b78d10ab20a507e765da57b2232840f8d05abee994a4e6b194000b9f",
-    "equivalence-t2000": "6280c6f71a3ae58b0785f22ca1eb9912ecdb8645bb1d29cc5af1ef3dd8e2956c",
+    "compare-t2000": "82b9a23463b3413153cb36004db23958f1e6a7715efa42a7aacd107d46fe7f07",
+    "equivalence-t2000": "ca6531f5d8c71e0259f6f29994c4fda77f835d53cdf22b6b5f46f6f6e948705d",
 }
 # manifest bytes without the started_at line: they pin what no CSV carries, such as
 # the per-curve AUCs, the equivalence search's AUC half-widths and the theory gaps
 GOLDEN_MANIFEST_SHA256 = {
-    "compare": "22162cc3da8bbee0c9651b46a72362236579ea44d937893e5c2d6a4cc5e81567",
-    "equivalence": "2853fab193b04da5e39089eb06961e830fdc330a344503c69b2991faa7436171",
-    "roc": "be9eb287d915276d4b8cf805ed3e4892e001663ccab01c86286a5eaee0239770",
-    "sweep-k": "97e23650b34219deba638d2950ab34a632fbecde8f1d336e8bb1b580c4784ad4",
-    "sweep-l": "45ef39e6008a039eaf512c0aa05e25797fcef81ae5e8575a9d514523ab6a4bc6",
+    "compare": "fa0c8785f71b562009179106b8b7d99e377d06914059aa89d115e3c74df92818",
+    "equivalence": "fba51ae312e165c46743c0842e35c4abd1ebce0c5687b70ec47db06945405e37",
+    "roc": "a851424cb405de181346fef0c31178640b2d96d614e4195807eff1f0ee34b1e5",
+    "sweep-k": "ee91ba52478a81746ef5fff98c57fe5a186621f95707558e83328ff1531048e7",
+    "sweep-l": "ac5eae39aaeb32eec4f1cdd433298c3290033c1c43fb57b59a98f71b5a956c77",
     "theory-table": "4ab8d8c505d9b1a3ee222f61d017287159d403680f981aa1d922da347e157169",
-    "compare-awgn": "4e31ffb18c94ee97698215fc73190aba9ace3a06ecf50cfb5a017e73f2341966",
+    "compare-awgn": "d28133dac09d59466b3c0f763463a2494d7c08324c8b8b1b9d7bf7cdbf430149",
     "theory-table-awgn": "a28139694eb617cb455f87804755051039620d56fa0f35c899ed44becde4b685",
     "theory-table-k48-n64": "00808eccd7719ecbbfd5fc531f78fef0a734ad4d15422e125c9cb1edaace4c32",
-    "compare-k9": "a1433e9d1eca6bfc2a716ce3942a4ab1fc9ddc2245cc78dff98a86ef9819af8f",
-    "equivalence-mrc": "4c785a78315ca20def32f0b45f31b6d85c590752939ce74d4a763965a3f17e0e",
-    "compare-u0": "86d845fd0a58f4164f541aa7c9ef9374fa76de4b5439121adda49a90d04e0643",
+    "compare-k9": "6423bf8ebe73f167e8cda79e37c03282e4a5db441e8a808667db1423ced991a3",
+    "equivalence-mrc": "ebc73e96a6308849188c92fcf52c35c76f3647c1c032243ba5fad01fae5084e6",
+    "compare-u0": "fbfead392784d600356d6ffcc5a320b4fecca6ef2906497c15c153b91fd6a7d5",
     "theory-table-u0": "59aaf8c2cbe537df2a26da315521a3f2e53e28d44db524bbd8b361c078772cc7",
-    "compare-t2000": "c422386c0cc3b739097f8368d81b1ac69bb34e1e73c130cc44ee8ac45bcd005b",
-    "equivalence-t2000": "7a4cdec57db4f6068cc49429f52c98a652b442175c651e1eaba5aa507f8ab60f",
+    "compare-t2000": "fe0591eda9047c41e674da351be3fafe1a977b6e32c7797c0f685439d38418c1",
+    "equivalence-t2000": "c6f264a95ab910ad92e44363dd82edde35ea53fc9078d4d698dd220acd2cb06a",
 }
 # case -> (subcommand, overrides) for the cases that are not a plain subcommand: the
 # AWGN closed forms, the SLS per-branch CFAR inversion at K = 48 with N below the
 # Gaussian warning floor, full reads of more than 7 sensors (where the sensor-order
 # sum and numpy's pairwise sum differ in the last bits), MRC sensor-prefix reads,
 # no uncertainty, where both schemes' curves take the closed forms' rho = 1 exits, and
-# 2000 trials, which the draw takes in several blocks per hypothesis (300 fit in one);
-# those two digests were recorded with whole-array draws, before draws went in blocks
+# 2000 trials, which the draw takes in several blocks per hypothesis (300 fit in one),
+# each block on streams of its own
 GOLDEN_CASES = {
     "compare-awgn": ("compare", ["channel_kind=awgn"]),
     "theory-table-awgn": ("theory-table", ["channel_kind=awgn"]),

@@ -11,7 +11,7 @@ import pytest
 import scipy
 from numpy.lib.stride_tricks import sliding_window_view
 
-from css_lab import harness
+from css_lab import adaptive, harness
 from css_lab.adaptive import FusionState, advance, push_event
 from css_lab.channel import Hypothesis
 from css_lab.harness import (
@@ -66,7 +66,7 @@ def _draw_peak(scenario, rng, shape, signal, reads):
         tracemalloc.stop()
 
 
-def _event_loop(energies, variances, length, lam, rho_override=None):
+def _event_loop(energies, variances, length, lam):
     """The same stream decided one event at a time by the scalar reference."""
     state = FusionState(length)
     decisions = np.empty(energies.size, dtype=bool)
@@ -76,7 +76,7 @@ def _event_loop(energies, variances, length, lam, rho_override=None):
             push_event(state, float(e), float(v))
             decisions[i] = e >= lam
         else:
-            decision = advance(state, float(e), float(v), lam, rho_override)
+            decision = advance(state, float(e), float(v), lam)
             decisions[i] = decision.decision is Hypothesis.H1
             rhos.append(decision.rho)
     return decisions, rhos
@@ -151,26 +151,31 @@ class TestSeeding:
             used.add((seed, *tags))
             return derive_rng(seed, *tags)
 
-        starts = []
+        drawn = []
         draw = harness._draw_events
 
         def recording_draw(scenario, rng, *args, **kwargs):
-            starts.append(copy.deepcopy(rng).random())
+            drawn.append(rng)
             return draw(scenario, rng, *args, **kwargs)
 
         monkeypatch.setattr(harness, "derive_rng", recording)
         monkeypatch.setattr(harness, "_draw_events", recording_draw)
-        monkeypatch.setattr(harness, "_CHUNK_CELLS", 600)  # the sweep's windows in two chunks
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", 600)  # the sweep's windows in two blocks
         sc = Scenario(trials=200, seed=5, n_samples=200, num_crs=2, history_len=3, pfa_grid=(0.1,))
         roc_sweep(sc)
         equivalence_search(sc, k_range=(1, 2))
         run_regime_sampled(dataclasses.replace(sc, trials=1), "conventional", False, 100.0)
         # the sweep's two streams, the nested search's two and the sampled stream
         assert len(used) == 5
-        first = {derive_rng(*entropy).random() for entropy in used}
-        assert len(first) == len(used)
-        # each hypothesis' second sweep chunk draws on a stream of its own
-        assert len(set(starts) - first) == 2
+        # each block spawned four streams, one per purpose, and drew nothing on its own: the
+        # nested draws take one block, the sweep's (run twice, the search pairs it) two
+        spawned = sorted(rng.bit_generator.seed_seq.n_children_spawned for rng in drawn)
+        assert spawned == [4, 4, 8, 8, 8, 8]
+        for rng in drawn:
+            assert rng.random() == derive_rng(*rng.bit_generator.seed_seq.entropy).random()
+        roots = [derive_rng(*entropy) for entropy in used]
+        streams = roots + [child for root in roots for child in root.spawn(8)]
+        assert len({stream.random() for stream in streams}) == len(streams)
 
 
 class TestRunRegime:
@@ -246,14 +251,15 @@ class TestNestedSizes:
         reads = [(CombinerKind.SLS, k) for k in sizes]
         energy, sig_mean = _joined_draw(sc, derive_rng(33), (500,), h1, reads)
         assert energy.shape == (len(sizes), 500)
-        # the same stream, per sensor: fading, then variances, then energies
-        rng = derive_rng(33)
-        gamma = rng.exponential(sc.gamma_bar, (500, 6))
-        sig2 = harness._noise_variances(rng, sc.uncertainty_db, (500, 6))
+        # the one block's streams, per sensor: fading, variances, then energies
+        gain_rng, sig_rng, energy_rng, _ = derive_rng(33).spawn(4)
+        gamma = gain_rng.exponential(sc.gamma_bar, (500, 6))
+        sig2 = harness._noise_variances(sig_rng, sc.uncertainty_db, (500, 6))
         n = sc.n_samples
-        per_sensor = (
-            rng.noncentral_chisquare(n, n * gamma / sig2) if h1 else rng.chisquare(n, (500, 6))
-        ) * sig2
+        if h1:
+            per_sensor = energy_rng.noncentral_chisquare(n, n * gamma / sig2) * sig2
+        else:
+            per_sensor = energy_rng.chisquare(n, (500, 6)) * sig2
         for k in sizes:
             assert np.array_equal(energy[k - 1], per_sensor[:, :k].max(axis=1))
         # the mean variance is over every sensor of the draw, whatever the prefix
@@ -283,7 +289,7 @@ class TestNestedSizes:
         # measured 2.2 blocks: the gains and the variances, and MRC's reduced arrays
         assert peak([(CombinerKind.MRC, 48)]) < 7 * block
         # reads at every count: only arrays of at most one block each, and a finished
-        # block goes before the next is drawn (measured 6.2 blocks, the loop variable
+        # block goes before the next is drawn (measured 6.0 blocks, the loop variable
         # holding the previous block's energies among them)
         every = [(CombinerKind.MRC, k) for k in range(1, 49)]
         assert peak(every) < 7 * block
@@ -339,52 +345,50 @@ class TestNestedSizes:
         assert sorted(seen) == sorted((searched + [sc.num_crs]) * len(sc.pfa_grid))
 
 
-def _whole_array_draw(sc, rng, shape, signal, reads):
-    """Every read of one draw, each step on whole arrays, in the kernel's stream order.
+def _block_reference(sc, streams, cells, signal, reads):
+    """Every read of one block of a draw, each step on whole arrays, on the block's streams.
 
-    On one stream: the gains, then the variances, then the per-sensor energies.
-    MRC draws on a copy of the stream from where the per-sensor draw starts, or
-    on the stream itself when no read is SLC or SLS.
+    ``streams`` are the block's four: the gains', the variances', the per-sensor
+    chi-squares' and MRC's.  Each is drawn whether or not a read needs it.
     """
-    full = (*shape, sc.num_crs)
+    gain_rng, sig_rng, energy_rng, mrc_rng = streams
     if sc.channel_kind == "awgn":
-        gamma = np.full(full, sc.gamma_bar)
+        gamma = np.full(cells, sc.gamma_bar)
     elif sc.fading_block == "chain":
-        gamma = np.broadcast_to(rng.exponential(sc.gamma_bar, (shape[0], 1, sc.num_crs)), full)
+        gamma = np.broadcast_to(gain_rng.exponential(sc.gamma_bar, (cells[0], 1, cells[-1])), cells)
     else:
-        gamma = rng.exponential(sc.gamma_bar, full)
-    sig2 = harness._noise_variances(rng, sc.uncertainty_db, full)
+        gamma = gain_rng.exponential(sc.gamma_bar, cells)
+    sig2 = harness._noise_variances(sig_rng, sc.uncertainty_db, cells)
     n = sc.n_samples
-    mrc = [i for i, (kind, _) in enumerate(reads) if kind is CombinerKind.MRC]
-    per_sensor_reads = len(mrc) < len(reads)
-    mrc_rng = copy.deepcopy(rng) if per_sensor_reads else rng
-    if per_sensor_reads:
-        drawn = rng.noncentral_chisquare(n, n * gamma / sig2) if signal else rng.chisquare(n, full)
-        per_sensor = drawn * sig2
-    out = np.empty((len(reads), *shape))
+    if signal:
+        per_sensor = energy_rng.noncentral_chisquare(n, n * gamma / sig2) * sig2
+    else:
+        per_sensor = energy_rng.chisquare(n, cells) * sig2
+    out = np.empty((len(reads), *cells[:-1]))
     for i, (kind, count) in enumerate(reads):
         if kind is not CombinerKind.MRC:
             ufunc = np.add if kind is CombinerKind.SLC else np.maximum
             out[i] = ufunc.accumulate(per_sensor, axis=-1)[..., count - 1]
+    mrc = [i for i, (kind, _) in enumerate(reads) if kind is CombinerKind.MRC]
     if mrc:
         counts = [reads[i][1] - 1 for i in mrc]
-        gain = np.add.accumulate(gamma, axis=-1)[..., counts]
-        scale = np.add.accumulate(gamma * sig2, axis=-1)[..., counts] / gain
+        gain = np.moveaxis(np.add.accumulate(gamma, axis=-1)[..., counts], -1, 0)
+        scale = np.moveaxis(np.add.accumulate(gamma * sig2, axis=-1)[..., counts], -1, 0) / gain
         if signal:
             energy = mrc_rng.noncentral_chisquare(n, n * gain / scale)
         else:
             energy = mrc_rng.chisquare(n, gain.shape)
-        out[mrc] = np.moveaxis(energy * scale, -1, 0)
+        out[mrc] = energy * scale
     return out, sig2.mean(axis=-1)
 
 
 class TestBlockDraw:
-    """Drawing a chunk in blocks of trials changes no byte of the draw or of the rates."""
+    """Each block of a draw takes one stream per purpose; no array grows with the trials."""
 
     SLC, MRC, SLS = CombinerKind.SLC, CombinerKind.MRC, CombinerKind.SLS
     READS = {
         "slc": [(SLC, 4)],
-        "mrc": [(MRC, 2), (MRC, 4)],  # no per-sensor read: MRC draws on the stream itself
+        "mrc": [(MRC, 2), (MRC, 4)],  # no per-sensor read
         "sls": [(SLS, 4)],
         "mixed": [(SLC, 2), (MRC, 1), (SLS, 4), (MRC, 4), (SLC, 4)],
     }
@@ -394,7 +398,7 @@ class TestBlockDraw:
     @pytest.mark.parametrize("fading_block", ["event", "chain"])
     @pytest.mark.parametrize("h1", [False, True])
     @pytest.mark.parametrize("reads", sorted(READS))
-    def test_blocks_join_to_the_whole_array_draw(
+    def test_each_block_is_the_reference_draw_on_its_streams(
         self, monkeypatch, reads, h1, fading_block, channel_kind, uncertainty_db
     ):
         sc = Scenario(
@@ -407,42 +411,39 @@ class TestBlockDraw:
             fading_block=fading_block,
         )
         monkeypatch.setattr(harness, "_BLOCK_CELLS", 16 * 5 * 4)  # 16 windows per block
-        rng, whole_rng = derive_rng(37, int(h1)), derive_rng(37, int(h1))
+        rng, root = derive_rng(37, int(h1)), derive_rng(37, int(h1))
         blocks = list(harness._draw_events(sc, rng, (50, 5), h1, self.READS[reads]))
         assert [len(sig_mean) for _, sig_mean in blocks] == [16, 16, 16, 2]
-        energy, sig_mean = _whole_array_draw(sc, whole_rng, (50, 5), h1, self.READS[reads])
-        assert np.array_equal(np.concatenate([e for e, _ in blocks], axis=1), energy)
-        assert np.array_equal(np.concatenate([m for _, m in blocks]), sig_mean)
-        # and the stream goes on from where the whole-array draw leaves it
-        assert rng.random() == whole_rng.random()
+        for energy, sig_mean in blocks:  # block b takes the b-th four streams spawned
+            cells = (len(sig_mean), 5, sc.num_crs)
+            reference = _block_reference(sc, root.spawn(4), cells, h1, self.READS[reads])
+            assert np.array_equal(energy, reference[0])
+            assert np.array_equal(sig_mean, reference[1])
+        # and the draw's own stream drew nothing
+        assert rng.random() == derive_rng(37, int(h1)).random()
 
-    @pytest.mark.parametrize("uncertainty_db", [0.0, 1.0])
-    def test_block_size_moves_no_rate(self, monkeypatch, uncertainty_db):
-        # 2000 windows of 5 x 4 cells in one block, or in blocks of 16 windows, the last
-        # ragged; on these streams, rho summed per block would move mean_rho's last bits
-        sc = Scenario(trials=2000, seed=39, num_crs=4, history_len=5, uncertainty_db=uncertainty_db)
-        kinds = tuple(CombinerKind)
-        lams = [dataclasses.replace(sc, combiner=kind).cfar_grid() for kind in kinds]
-        runs = []
-        for cells in (harness._BLOCK_CELLS, 16 * 5 * 4):
-            monkeypatch.setattr(harness, "_BLOCK_CELLS", cells)
-            rates = []
-            for h1 in (0, 1):
-                conv, prop, rho = forced_rates(sc, h1, lams, derive_rng(39, h1), kinds)
-                rates.append((conv.tolist(), prop.tolist(), rho))
-            nested = conventional_rate(sc, True, lams[:1] * 2, derive_rng(40), (2, 4))
-            runs.append((rates, nested.tolist()))
-        assert runs[0] == runs[1]
+    def test_h0_per_sensor_draw_is_the_same_under_any_fading(self, monkeypatch):
+        # without the PU, SLC and SLS read no gains, which have a stream of their own: the
+        # fading model moves no byte of their draw, as it does with the PU
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", 16 * 5 * 4)  # 16 windows per block
+        sc = Scenario(num_crs=4, history_len=5, trials=100, seed=38)
+        reads = [(self.SLC, 2), (self.SLS, 4), (self.SLC, 4)]
+        fadings = [{}, {"fading_block": "chain"}, {"channel_kind": "awgn"}]
+        for h1 in (False, True):
+            draws = [
+                _joined_draw(dataclasses.replace(sc, **fading), derive_rng(38), (50, 5), h1, reads)
+                for fading in fadings
+            ]
+            for energy, sig_mean in draws[1:]:
+                assert np.array_equal(sig_mean, draws[0][1])
+                assert np.array_equal(energy, draws[0][0]) is not h1
 
     @pytest.mark.parametrize("trials", [10_000, 30_000])
-    def test_compare_peak_is_a_few_blocks_and_the_score_vectors(self, trials):
-        # compare's three reads: windows of 15 events at 7 sensors, in one chunk
+    def test_compare_peak_is_a_few_blocks(self, trials):
+        # compare's three reads: windows of 15 events at 7 sensors
         sc = Scenario(trials=trials)
         kinds = tuple(CombinerKind)
         lams = [dataclasses.replace(sc, combiner=kind).cfar_grid() for kind in kinds]
-        # _rates' per-chunk vectors: per read the newest energies and the scores, then
-        # rho and one sorted copy of a score vector
-        vectors = (2 * len(kinds) + 2) * trials * 8
         for h1 in (False, True):
             tracemalloc.start()
             try:
@@ -450,9 +451,9 @@ class TestBlockDraw:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # measured 2.4 MiB under H0 and 2.8 MiB under H1 at 10,000 trials, 3.5 and
-            # 3.9 MiB at 30,000; any other array sized by the trials breaks the bound
-            assert peak <= vectors + 5 * harness._BLOCK_CELLS * 8
+            # measured 1.97 MiB (3.9 blocks) under H0 and 2.47 MiB (4.9 blocks) under H1, at
+            # 10,000 trials as at 30,000; a trials-sized array per read breaks the bound
+            assert peak <= 5.5 * harness._BLOCK_CELLS * 8
 
 
 class TestRollingEngineEquivalence:
@@ -469,12 +470,13 @@ class TestRollingEngineEquivalence:
         assert np.array_equal(fast, slow)
         assert all(r >= 1.0 for r in rhos)
 
-    def test_rho_override(self, rng):
+    def test_rho_override(self, rng, monkeypatch):
         energies = rng.exponential(100.0, 50)
         variances = rng.uniform(0.9, 1.1, 50)
         fixed = _rolling(energies, variances, 5, 100.0, rho_override=1.5)
         assert fixed.shape == (50,)
-        slow, rhos = _event_loop(energies, variances, 5, 100.0, rho_override=1.5)
+        monkeypatch.setattr(adaptive, "estimate_rho", lambda state: 1.5)
+        slow, rhos = _event_loop(energies, variances, 5, 100.0)
         assert np.array_equal(fixed, slow)
         assert set(rhos) == {1.5}
 
@@ -484,8 +486,12 @@ class TestDualScore:
 
     @pytest.mark.parametrize("rho_override", [None, 1.5])
     @pytest.mark.parametrize("kind", list(CombinerKind))
-    def test_score_decides_as_the_event_loop_at_random_thresholds(self, kind, rho_override):
+    def test_score_decides_as_the_event_loop_at_random_thresholds(
+        self, monkeypatch, kind, rho_override
+    ):
         # a strong, widely faded signal, so that E / rho exceeds the window mean now and then
+        if rho_override is not None:
+            monkeypatch.setattr(adaptive, "estimate_rho", lambda state: rho_override)
         sc = Scenario(combiner=kind, snr_db=10.0, num_crs=2, history_len=5, trials=100, seed=47)
         rng = derive_rng(47, list(CombinerKind).index(kind))
         forms = set()
@@ -500,7 +506,7 @@ class TestDualScore:
                 for x, y in zip(e[:-1], v[:-1]):
                     push_event(state, float(x), float(y))
                 for lam in lams:
-                    decision = advance(copy.deepcopy(state), e[-1], v[-1], lam, rho_override)
+                    decision = advance(copy.deepcopy(state), e[-1], v[-1], lam)
                     assert (decision.decision is Hypothesis.H1) == (s >= lam)
         assert forms == {False, True}  # both forms of the score were decided
 
@@ -515,8 +521,8 @@ class TestDualScore:
     @pytest.mark.parametrize("kind", list(CombinerKind))
     def test_pinned_unit_rho_makes_the_rules_coincide(self, monkeypatch, kind):
         # at rho = 1 the score is the newest energy, so the pipeline's two rate rows agree
-        # bit for bit over several chunks; unpinned, the estimated rho parts them
-        monkeypatch.setattr(harness, "_CHUNK_CELLS", 400)
+        # bit for bit over several blocks; unpinned, the estimated rho parts them
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", 400)
         sc = Scenario(combiner=kind, trials=300, seed=66, num_crs=4, history_len=5)
         lams = np.linspace(0.5, 2.0, 16) * cfar_threshold(sc.theory_params(), 0.1)
         conv, prop, mean_rho = forced_one(sc, True, lams, derive_rng(66))
@@ -740,7 +746,7 @@ class TestRateFunctionsStandAlone:
             raise AssertionError(f"{raising} was called")
 
         monkeypatch.setattr(harness, raising, refuse)
-        monkeypatch.setattr(harness, "_CHUNK_CELLS", 400)  # several chunks per call
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", 400)  # several blocks per call
         sc = Scenario(trials=300, seed=49, num_crs=4, history_len=5)
         lam = cfar_threshold(sc.theory_params(), 0.1)
         if raising == "conventional_rate":
@@ -784,9 +790,9 @@ class TestSharedWindowDraw:
         ]
 
     @pytest.mark.parametrize("h1", [False, True])
-    def test_forced_rates_equal_per_combiner_calls_across_chunks(self, monkeypatch, h1):
-        # 600 trials of 5 x 4 cells in chunks of 12 windows: 50 chunks
-        monkeypatch.setattr("css_lab.harness._CHUNK_CELLS", 250)
+    def test_forced_rates_equal_per_combiner_calls_across_blocks(self, monkeypatch, h1):
+        # 600 trials of 5 x 4 cells in blocks of 12 windows: 50 blocks
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", 250)
         sc = Scenario(trials=600, seed=41, num_crs=4, history_len=5)
         kinds = (CombinerKind.SLS, CombinerKind.SLC)
         params = [dataclasses.replace(sc, combiner=k).theory_params() for k in kinds]
@@ -799,14 +805,14 @@ class TestSharedWindowDraw:
             assert np.array_equal(rates, own[:2])
             assert rho == own[2]
 
-    @pytest.mark.parametrize("chunk_cells", [250, harness._CHUNK_CELLS])  # 50 chunks or one
+    @pytest.mark.parametrize("block_cells", [250, harness._BLOCK_CELLS])  # 50 blocks or one
     @pytest.mark.parametrize("fading_block", ["event", "chain"])
     @pytest.mark.parametrize("channel_kind", ["rayleigh", "awgn"])
     @pytest.mark.parametrize("h1", [False, True])
     def test_three_combiner_forced_rates_equal_per_combiner_calls(
-        self, monkeypatch, h1, channel_kind, fading_block, chunk_cells
+        self, monkeypatch, h1, channel_kind, fading_block, block_cells
     ):
-        monkeypatch.setattr(harness, "_CHUNK_CELLS", chunk_cells)
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", block_cells)
         sc = Scenario(
             trials=600,
             seed=44,
@@ -825,9 +831,9 @@ class TestSharedWindowDraw:
             assert rho == own[2]
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_multi_chunk_sweep_equals_single_combiner_sweeps(self, monkeypatch, threads):
-        # 600 trials of 5 x 4 cells in chunks of 12 windows: 50 chunks per hypothesis
-        monkeypatch.setattr(harness, "_CHUNK_CELLS", 250)
+    def test_multi_block_sweep_equals_single_combiner_sweeps(self, monkeypatch, threads):
+        # 600 trials of 5 x 4 cells in blocks of 12 windows: 50 blocks per hypothesis
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", 250)
         sc = Scenario(trials=600, seed=45, num_crs=4, history_len=5, pfa_grid=(0.05, 0.2, 0.4))
         shared = roc_sweep(sc, threads, self.KINDS)
         alone = [
@@ -838,44 +844,50 @@ class TestSharedWindowDraw:
         assert shared == tuple(alone)
 
     @pytest.mark.parametrize("uncertainty_db", [0.0, 1.0])
-    def test_chunks_combine_as_trial_weighted_single_chunk_calls(
+    def test_blocks_combine_as_trial_weighted_single_block_calls(
         self, monkeypatch, uncertainty_db
     ):
         sc = Scenario(trials=250, seed=46, num_crs=3, history_len=4, uncertainty_db=uncertainty_db)
         lams = [cfar_threshold(sc.theory_params(), t) for t in (0.05, 0.3)]
         steps = [40] * 6 + [10]
-        # chunk 0 draws on the given stream, chunk c on the c-th stream spawned from it
-        streams = [derive_rng(46, 1), *derive_rng(46, 1).spawn(len(steps) - 1)]
+
+        def block_stream(tag, block):
+            # a stream whose first four spawned streams are those of a draw's block-th block
+            rng = derive_rng(46, tag)
+            rng.spawn(4 * block)
+            return rng
+
         alone = [
-            forced_one(dataclasses.replace(sc, trials=step), True, lams, stream)
-            for step, stream in zip(steps, streams)
+            forced_one(dataclasses.replace(sc, trials=step), True, lams, block_stream(1, b))
+            for b, step in enumerate(steps)
         ]
-        monkeypatch.setattr(harness, "_CHUNK_CELLS", 40 * 4 * 3)  # 40 windows per chunk
-        chunked = forced_one(sc, True, lams, derive_rng(46, 1))
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", 40 * 4 * 3)  # 40 windows per block
+        blocked = forced_one(sc, True, lams, derive_rng(46, 1))
         for rule in (0, 1):  # conventional, proposed
             # each rate is a count of positive trials over its own trials
             counts = sum(np.rint(r[rule] * n) for r, n in zip(alone, steps))
-            assert np.array_equal(chunked[rule], counts / sc.trials)
+            assert np.array_equal(blocked[rule], counts / sc.trials)
         rho = sum(r[2] * n for r, n in zip(alone, steps)) / sc.trials
-        assert chunked[2] == pytest.approx(rho, rel=1e-12)
+        assert blocked[2] == pytest.approx(rho, rel=1e-12)
         if uncertainty_db == 0.0:
-            assert chunked[2] == 1.0
-        # conventional_rate takes its chunks' streams the same way, with and without
+            assert blocked[2] == 1.0
+        # conventional_rate takes its blocks' streams the same way, with and without
         # nested sensor prefixes
-        monkeypatch.setattr(harness, "_CHUNK_CELLS", 40 * 3)  # 40 events per chunk
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", 40 * 3)  # 40 events per block
         nested_lams = [
             [cfar_threshold(sub.theory_params(), t) for t in (0.05, 0.3)]
             for sub in (dataclasses.replace(sc, num_crs=k) for k in (1, 3))
         ]
         for size_lams, sizes in (([lams], (3,)), (nested_lams, (1, 3))):
-            streams = [derive_rng(46, 2), *derive_rng(46, 2).spawn(len(steps) - 1)]
             alone = [
-                conventional_rate(dataclasses.replace(sc, trials=step), True, size_lams, rng, sizes)
-                for step, rng in zip(steps, streams)
+                conventional_rate(
+                    dataclasses.replace(sc, trials=step), True, size_lams, block_stream(2, b), sizes
+                )
+                for b, step in enumerate(steps)
             ]
-            chunked = conventional_rate(sc, True, size_lams, derive_rng(46, 2), sizes)
+            blocked = conventional_rate(sc, True, size_lams, derive_rng(46, 2), sizes)
             counts = sum(np.rint(r * n) for r, n in zip(alone, steps))
-            assert np.array_equal(chunked, counts / sc.trials)
+            assert np.array_equal(blocked, counts / sc.trials)
 
     @pytest.mark.parametrize("num_crs", [1, 7, 48])
     def test_prefix_reduce_is_exact(self, num_crs):
