@@ -438,6 +438,38 @@ class TestBlockDraw:
                 assert np.array_equal(sig_mean, draws[0][1])
                 assert np.array_equal(energy, draws[0][0]) is not h1
 
+    @pytest.mark.parametrize("uncertainty_db", [0.0, 1.0])
+    def test_block_size_moves_rates_only_within_their_noise(self, monkeypatch, uncertainty_db):
+        # 2000 windows of 5 x 4 cells in one block, or in blocks of 15 windows, the last
+        # ragged: the block size picks the streams, so the rates move, but no tiling biases
+        # them, as a rate or rho averaged per block at the wrong weights would
+        sc = Scenario(trials=2000, seed=39, num_crs=4, history_len=5, uncertainty_db=uncertainty_db)
+        kinds = tuple(CombinerKind)
+        lams = [dataclasses.replace(sc, combiner=kind).cfar_grid() for kind in kinds]
+        runs = []
+        for cells in (harness._BLOCK_CELLS, 15 * 5 * 4):
+            monkeypatch.setattr(harness, "_BLOCK_CELLS", cells)
+            rates, rhos = [], []
+            for h1 in (0, 1):
+                conv, prop, rho = forced_rates(sc, h1, lams, derive_rng(39, h1), kinds)
+                rates += [conv, prop]
+                rhos.append(rho)
+            rates.append(conventional_rate(sc, True, lams[:1] * 2, derive_rng(40), (2, 4)))
+            runs.append((np.concatenate(rates, axis=None), np.array(rhos)))
+        (one, one_rho), (tiled, tiled_rho) = runs
+        assert not np.array_equal(one, tiled)
+        # each rate is a count over 2000 independent trials on either side: 5 sigma of the
+        # difference of two binomials, at the pooled rate
+        pooled = (one + tiled) / 2
+        assert np.all(np.abs(one - tiled) <= 5 * np.sqrt(2 * pooled * (1 - pooled) / sc.trials))
+        if uncertainty_db == 0.0:
+            assert np.array_equal(one_rho, [1.0, 1.0]) and np.array_equal(tiled_rho, one_rho)
+        else:
+            # a window's rho lies in [1, 10^(2 u / 10)]: its variance is at most a quarter of
+            # that range squared
+            sigma = (10 ** (2 * uncertainty_db / 10) - 1) / 2 / np.sqrt(sc.trials)
+            assert np.all(np.abs(one_rho - tiled_rho) <= 5 * np.sqrt(2) * sigma)
+
     @pytest.mark.parametrize("trials", [10_000, 30_000])
     def test_compare_peak_is_a_few_blocks(self, trials):
         # compare's three reads: windows of 15 events at 7 sensors
