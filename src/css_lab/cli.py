@@ -334,25 +334,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="worker threads for the H0 and H1 draws of each sweep "
-        "(falls back to CSS_LAB_THREADS, then 1)",
+        default=1,
+        help="worker threads for the H0 and H1 draws of each sweep (default 1)",
     )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = args.threads
     try:
-        if threads is None:
-            raw = os.environ.get("CSS_LAB_THREADS", "1") or "1"
-            try:
-                threads = int(raw)
-            except ValueError:
-                raise ValidationError(f"CSS_LAB_THREADS must be an integer, got {raw!r}") from None
         scenario = parse_scenario(args.scenario, args.overrides)
-        run_command(args.subcommand, scenario, args.out, threads=max(1, threads))
+        run_command(args.subcommand, scenario, args.out, threads=max(1, args.threads))
     except ValidationError as exc:
         json.dump({"error": {"type": "validation", "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")

@@ -18,12 +18,14 @@ From this follow, per combiner (``u = N/2``, ``K`` sensors):
 
 Every closed form reads that model from one place: ``TheoryParams.order``
 (the null's gamma order), ``TheoryParams.snr_shape`` (how many sensor SNRs
-the statistic sums) and :func:`_combined` (the SLS complement).  Gaussian
-forms match a normal to :func:`_h1_moments`; :func:`cfar_threshold` inverts
-its null into every curve's thresholds.  Every closed form but the scalar
-series :func:`qd_rayleigh` is elementwise over ``lam`` (``cfar_threshold``
-over its targets): a scalar returns a float, a 1-D array an array, and
-anything else raises ``ValueError``, so a curve's grid is one call per form.
+the statistic sums) and :func:`_combined` (the SLS complement).  The
+theory columns are exact tails.  Gaussian forms match a normal to
+:func:`_h1_moments`: the window predictor, :func:`qfa_approx`, and the null
+that :func:`cfar_threshold` inverts into every curve's thresholds.  Every
+closed form but the scalar series :func:`qd_rayleigh` is elementwise over
+``lam`` (``cfar_threshold`` over its targets): a scalar returns a float, a
+1-D array an array, and anything else raises ``ValueError``, so a curve's
+grid is one call per form.
 
 SNR argument convention: every function below takes the *per-sensor*
 average linear SNR, assumed equal across sensors; combiner-level scaling
@@ -46,12 +48,13 @@ rules whose interval count doubles until each panel converges, or raises
 The dual-threshold rule compares the newest energy with ``lambda/rho`` or
 ``rho*lambda``, so its probabilities are convex combinations of the
 fixed-threshold ones there, weighted by the probability that the
-window-average predictor fires, itself Gaussian with moments determined by
-how many of the ``L`` window events carry signal: none for the false-alarm
-probability, all ``L`` for the detection probability.  At ``rho = 1`` both
-thresholds are ``lambda`` and the forms return the fixed-threshold ones bit
-for bit, so one function, :func:`closed_form_rates`, gives every curve's
-theory columns, choosing the pd form by ``TheoryParams.channel``.
+window-average predictor fires, itself Gaussian with the moments of ``L``
+window events at the detection SNR.  That one mixture of exact tails,
+:func:`_proposed_mixture`, gives both columns: pfa is the mixture at zero
+SNR, where the window is idle.  At ``rho = 1`` both thresholds are
+``lambda`` and the forms return the fixed-threshold ones bit for bit, so
+one function, :func:`closed_form_rates`, gives every curve's theory
+columns, choosing the pd form by ``TheoryParams.channel``.
 :func:`expected_rho` is the mean estimated ``rho`` of a window under the
 noise uncertainty ``TheoryParams.uncertainty_db``.
 """
@@ -294,16 +297,11 @@ def cfar_threshold(p: TheoryParams, targets: np.ndarray) -> np.ndarray:
     return mean + np.sqrt(2.0 * var) * special.erfcinv(2.0 * rate)
 
 
-def _gaussian_rate(p: TheoryParams, lam: np.ndarray) -> np.ndarray:
-    """Gaussian false-alarm rate at each ``lam``; never warns."""
-    return _combined(p, _gaussian_tail(lam, *_h1_moments(p, 0.0)))
-
-
 @_elementwise
 def qfa_approx(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
     """Gaussian (CLT) false-alarm probability of the combined statistic."""
     _warn_small_n(p)
-    return _gaussian_rate(p, lams)
+    return _combined(p, _gaussian_tail(lams, *_h1_moments(p, 0.0)))
 
 
 def _fading_upper_limit(p: TheoryParams) -> float:
@@ -503,33 +501,30 @@ def qd_rayleigh(p: TheoryParams, lam: float) -> float:
     return float(_combined(p, _nb_gamma_series(p.snr_shape, p.order, theta, lam / 2.0, what)))
 
 
-def _avg_moments(p: TheoryParams, m: int, snr):
-    """Window-average mean and variance with ``m`` of ``p.L`` events at ``snr``."""
-    mean1, var1 = _h1_moments(p, snr)
-    mean0, var0 = _h1_moments(p, 0.0)
-    mu_avg = (m * mean1 + (p.L - m) * mean0) / p.L
-    sigma_avg_sq = (m * var1 + (p.L - m) * var0) / (p.L * p.L)
-    return mu_avg, sigma_avg_sq
+def _avg_moments(p: TheoryParams, snr):
+    """Mean and variance of the window average of ``p.L`` events, each at ``snr``.
+
+    At ``snr = 0`` that is the idle window, which the false-alarm probability reads.
+    """
+    mean, var = _h1_moments(p, snr)
+    return mean, var / p.L
 
 
 @_elementwise
 def qfa_proposed(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
-    """Dual-threshold false-alarm probability.
+    """Dual-threshold false-alarm probability: :func:`qd_proposed_awgn` at zero SNR.
 
-    Convex combination of the Gaussian false-alarm rates at the favourable
-    and guarded thresholds, weighted by the probability that the predictor
-    fires on a noise-only window.
+    The predictor's firing probability on an idle window mixes the exact tails at
+    the favourable and guarded thresholds.  ``rho = 1`` returns :func:`qfa_exact`.
     """
     _warn_small_n(p)
-    if p.rho == 1.0:  # both thresholds coincide; skip the mixture entirely
-        return _gaussian_rate(p, lams)
-    w = _gaussian_tail(lams, *_avg_moments(p, 0, 0.0))
-    favourable, guarded = _gaussian_rate(p, lams / p.rho), _gaussian_rate(p, p.rho * lams)
-    return w * favourable + (1.0 - w) * guarded
+    if p.rho == 1.0:
+        return qfa_exact(p, lams)
+    return _above_zero(lams, lambda t: _proposed_mixture(p, t, 0.0))
 
 
 def _proposed_mixture(p: TheoryParams, lam, snr) -> np.ndarray:
-    """Dual-threshold pd, elementwise over broadcast ``lam`` and ``snr``.
+    """Dual-threshold pd, elementwise over broadcast ``lam`` and ``snr``; pfa at ``snr = 0``.
 
     The predictor weight mixes the two exact tails.  Past ``boost =
     sqrt(DBL_MAX / (4 order))`` the H1 variance ``4 order boost^2`` of
@@ -548,7 +543,7 @@ def _proposed_mixture(p: TheoryParams, lam, snr) -> np.ndarray:
     """
     thresholds = np.array([lam / p.rho, p.rho * lam])  # favourable, guarded
     with np.errstate(over="ignore"):
-        w = _gaussian_tail(lam, *_avg_moments(p, p.L, snr))
+        w = _gaussian_tail(lam, *_avg_moments(p, snr))
     snrs = np.where(np.array([w == 0.0, w == 1.0]), np.inf, snr)
     favourable, guarded = _detection_tail(p, thresholds, snrs)
     return w * favourable + (1.0 - w) * guarded
@@ -607,7 +602,7 @@ def closed_form_rates(p: TheoryParams, lams) -> tuple[list[float], list[float]]:
     """Closed-form pfa and pd lists of the dual-threshold rule at each threshold of ``lams``.
 
     At ``p.rho = 1`` both thresholds are ``lam``: the fixed-threshold rule, whose forms
-    (:func:`qfa_approx`, and :func:`qd_awgn_exact` at ``p.gamma_bar`` on an AWGN channel or
+    (:func:`qfa_exact`, and :func:`qd_awgn_exact` at ``p.gamma_bar`` on an AWGN channel or
     :func:`qd_rayleigh`) these return bit for bit.  The grid is one call per form.
     """
     pfa = qfa_proposed(p, lams)

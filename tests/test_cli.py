@@ -25,7 +25,7 @@ from css_lab.cli import (
 from css_lab.harness import Scenario, roc_sweep
 from css_lab.theory import CombinerKind, NumericError, cfar_threshold, expected_rho
 from css_lab.theory import qd_proposed_rayleigh, qd_rayleigh
-from css_lab.theory import qfa_approx, qfa_proposed
+from css_lab.theory import qfa_exact, qfa_proposed
 
 
 class TestParseScenario:
@@ -192,6 +192,13 @@ class TestRunCommand:
         assert gap["pfa"] == pytest.approx(0.05 / one_event, rel=1e-12)
         assert np.isfinite(gap["pd"])
 
+    def test_default_compare_without_uncertainty_is_within_one_ci(self, tmp_path):
+        # at nominal noise every curve's exact theory columns track its draws, pfa too
+        manifest = run_command("compare", parse_scenario(None, ["uncertainty_db=0"]), tmp_path)
+        gaps = manifest["theory_gap"]
+        assert len(gaps) == 2 * len(CombinerKind)
+        assert max(max(gap["pfa"], gap["pd"]) for gap in gaps) <= 1.0, gaps
+
     def test_theory_table_has_no_theory_gap(self, tmp_path):
         scen = parse_scenario(_fast_scenario_file(tmp_path))
         assert "theory_gap" not in run_command("theory-table", scen, tmp_path / "t")
@@ -219,7 +226,7 @@ class TestRunCommand:
                 cfar_threshold(sub.theory_params(), float(row["target_pfa"])), rel=1e-11
             )
             if row["scheme"] == "conventional":
-                pfa = qfa_approx(sub.theory_params(), lam)
+                pfa = qfa_exact(sub.theory_params(), lam)
                 pd = qd_rayleigh(sub.theory_params(), lam)
             else:
                 pfa = qfa_proposed(sub.theory_params(rho=rho), lam)
@@ -323,40 +330,40 @@ class TestRunCommand:
 
 
 GOLDEN_SHA256 = {
-    "compare": "793404a9a29c056fd95d16cb9ced5abbfdbf831be060199e52475fc13a83fb96",
-    "equivalence": "eda11d260d485f6943865a8218aebc5a6aa283884dd76f8151f3f3dc83fc265a",
-    "roc": "5515dd9c5500898da420a9b3817840b74ec85ae16f130edc53d4c22a67994626",
-    "sweep-k": "a0f53efc9fb8fbb3fd1648c8087093ff3fa3a83dad58dd3beec2504ce41b25db",
-    "sweep-l": "fb6565b0c32709389f54be70696603796e44847d71551a15069b3cdd64e145c7",
-    "theory-table": "625817f7d8da46ae382fd48fc8e01b37a6f7edc163ea32fa5e616cae4357b5b7",
-    "compare-awgn": "d8696a31eca8a0617bb30c64121435b37937dc4d225b50068f91a2005e3a71e1",
-    "theory-table-awgn": "5c003d952c271bb5893e5d9256272d5212fade5c907d874dc447165a327ba9de",
-    "theory-table-k48-n64": "22e2288dd209d128cbcc89573974adf8f7d89d2f553071e50285dea13ff4aafe",
-    "compare-k9": "e343815f8e93c9e6d8be133759acfddb941211a78dd3fee7d33ca9d2defe81f7",
-    "equivalence-mrc": "0419b59393cb5e2bf5561d577de1b2b29d653a7a1a981377a62c8d7099e5cb00",
-    "compare-u0": "669bb948d4b9c3da6feac406fff4005aadc3653c5a8c57a86f7b79b3ecb86042",
-    "theory-table-u0": "d5acd2e441c1982961407cac23cfe3a5119aa66d5de7eda554c304415638b156",
-    "compare-t2000": "82b9a23463b3413153cb36004db23958f1e6a7715efa42a7aacd107d46fe7f07",
-    "equivalence-t2000": "ca6531f5d8c71e0259f6f29994c4fda77f835d53cdf22b6b5f46f6f6e948705d",
+    "compare": "2e199a6d73974ecaa6834e2c11687739509724f465e42fee7550571fa7327759",
+    "equivalence": "23f6fe673285bf4218b2f43d422a4152202d6989b9ac1263696af4132a8b4d51",
+    "roc": "696459020d97ac82edf0df122b27ee56af65070604585a9a5c064672ca77e0ef",
+    "sweep-k": "80469d63cfe223aad9457974d0c4e70eb1daf599b047578e509090ee74d14236",
+    "sweep-l": "973a874879c42e867c86bdb222ec0b9a26fd9caa633988323d667484ae577e66",
+    "theory-table": "54a9a2e28943fbf965832756aee34b0b4dcf97767c0c4bc96a99efde6fd325f3",
+    "compare-awgn": "f89a11ce97868ed7018ea8efb12c2cf449c583e33ac0411a1547d9089f2e458d",
+    "theory-table-awgn": "afb35b95b2e3e4476053a9c3f6b5138477007a920eb6f39ace29c73ad1284577",
+    "theory-table-k48-n64": "99ed35865c2f5e2d3977b14575c91476ccee62fe2e5ad22644fe0642d49e692e",
+    "compare-k9": "ea16c71836b92e16d2582229f16e58e54b7137c999b4386df303af574c9eeffb",
+    "equivalence-mrc": "0a1620c717ace4972d9c4e0dd88c1019953fe8ef27672ac04bccdbe0de459b49",
+    "compare-u0": "8bfaf690e0a0dcbdebedc0f59739bdc632e235e18fbeb2eaec1d7fd3a0494c81",
+    "theory-table-u0": "a9fcb3759e8c0a791a7fd5a9ff742d3a9bbc792213bc084189d30a85f7f50ca1",
+    "compare-t2000": "43dc140a3cd283b6c795b2b9066ceb723faacb5f6dae44e9ac33244b3c9d7b09",
+    "equivalence-t2000": "c5e8ad6b34f946364bee5076ba5d343687f99c7297e4f536bb13f46e7a1771e7",
 }
 # manifest bytes without the started_at line: they pin what no CSV carries, such as
 # the per-curve AUCs, the equivalence search's AUC half-widths and the theory gaps
 GOLDEN_MANIFEST_SHA256 = {
-    "compare": "fa0c8785f71b562009179106b8b7d99e377d06914059aa89d115e3c74df92818",
-    "equivalence": "fba51ae312e165c46743c0842e35c4abd1ebce0c5687b70ec47db06945405e37",
-    "roc": "a851424cb405de181346fef0c31178640b2d96d614e4195807eff1f0ee34b1e5",
-    "sweep-k": "ee91ba52478a81746ef5fff98c57fe5a186621f95707558e83328ff1531048e7",
-    "sweep-l": "ac5eae39aaeb32eec4f1cdd433298c3290033c1c43fb57b59a98f71b5a956c77",
+    "compare": "711411949ffc9203444d5e4dd732525391f92ece6a820dcea429542bd6bc3d07",
+    "equivalence": "d50c906329cd95a7e93b9f12ca86d595c30a06818347866b6d37728ed09a6a8c",
+    "roc": "191b74d66b9a33d05d7c61ff8fd5a083a21edb0910f251d62b902c6005ea008e",
+    "sweep-k": "24713518e12935664eca90c72e7ca59027f2e26bdb6f2021b1c3cfc2e0dfa207",
+    "sweep-l": "c362018b07cc0a2ce078f9e17ec171a576e244393a216671523f4455881a1a1f",
     "theory-table": "4ab8d8c505d9b1a3ee222f61d017287159d403680f981aa1d922da347e157169",
-    "compare-awgn": "d28133dac09d59466b3c0f763463a2494d7c08324c8b8b1b9d7bf7cdbf430149",
+    "compare-awgn": "c568a78d214a2314a4980b666e0815511832fb100ec3833379a89fa924585421",
     "theory-table-awgn": "a28139694eb617cb455f87804755051039620d56fa0f35c899ed44becde4b685",
     "theory-table-k48-n64": "00808eccd7719ecbbfd5fc531f78fef0a734ad4d15422e125c9cb1edaace4c32",
-    "compare-k9": "6423bf8ebe73f167e8cda79e37c03282e4a5db441e8a808667db1423ced991a3",
-    "equivalence-mrc": "ebc73e96a6308849188c92fcf52c35c76f3647c1c032243ba5fad01fae5084e6",
-    "compare-u0": "fbfead392784d600356d6ffcc5a320b4fecca6ef2906497c15c153b91fd6a7d5",
+    "compare-k9": "ea9f84adcf34c7785477ed56d4a0c643ab63f479b049f64be8dd32adbe9ae5e1",
+    "equivalence-mrc": "a8c08b435ce55740b5ecd25c8fb01f7662862b5fcca9c6e62d80de501f414550",
+    "compare-u0": "a3f19d6a983a2850655eab630397892b136521cbff8930b7d5bbe5fb88beb5ae",
     "theory-table-u0": "59aaf8c2cbe537df2a26da315521a3f2e53e28d44db524bbd8b361c078772cc7",
-    "compare-t2000": "fe0591eda9047c41e674da351be3fafe1a977b6e32c7797c0f685439d38418c1",
-    "equivalence-t2000": "c6f264a95ab910ad92e44363dd82edde35ea53fc9078d4d698dd220acd2cb06a",
+    "compare-t2000": "1a6d1cf3c1e165b06aafb6c88a092811a7630f7a5cff89736b90b9c2c5f63b7a",
+    "equivalence-t2000": "9cf48469d3bbbe1d9facb25621dc9bab880e1f87a7948b708483cee7e774ac58",
 }
 # case -> (subcommand, overrides) for the cases that are not a plain subcommand: the
 # AWGN closed forms, the SLS per-branch CFAR inversion at K = 48 with N below the
@@ -497,24 +504,20 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "numeric"
 
-    def test_non_integer_threads_env_exits_two(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CSS_LAB_THREADS", "two")
-        rc = main(["roc", "--set", "trials=100", "--out", str(tmp_path / "badt")])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err["type"] == "validation"
-        assert "CSS_LAB_THREADS" in err["message"]
+    def test_non_integer_threads_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["roc", "--threads", "two", "--out", str(tmp_path / "badt")])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "badt").exists()
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CSS_LAB_THREADS", "2")
+    def test_threads_flag(self, tmp_path):
         scen = _fast_scenario_file(tmp_path)
-        rc = main(["roc", "--scenario", str(scen), "--out", str(tmp_path / "envt")])
-        assert rc == 0
-        # identical artifacts regardless of thread count
-        monkeypatch.setenv("CSS_LAB_THREADS", "1")
-        rc = main(["roc", "--scenario", str(scen), "--out", str(tmp_path / "env1")])
-        assert rc == 0
-        assert (tmp_path / "envt" / "roc.csv").read_bytes() == (
-            tmp_path / "env1" / "roc.csv"
-        ).read_bytes()
+        for threads in ("2", "1"):
+            argv = ["roc", "--scenario", str(scen), "--threads", threads]
+            assert main([*argv, "--out", str(tmp_path / threads)]) == 0
+        # identical artifacts regardless of thread count, one thread by default
+        assert main(["roc", "--scenario", str(scen), "--out", str(tmp_path / "d")]) == 0
+        assert json.loads((tmp_path / "d" / "run.json").read_text())["threads"] == 1
+        roc = [(tmp_path / d / "roc.csv").read_bytes() for d in ("2", "1", "d")]
+        assert roc[0] == roc[1] == roc[2]

@@ -37,9 +37,9 @@ def params(kind=CombinerKind.SLC, K=7, N=1000, **kw):
     return TheoryParams(kind=kind, K=K, N=N, gamma_bar=GBAR, **kw)
 
 
-def predictor_weight(p, m, lam, snr):
-    """Predictor firing probability with ``m`` of the ``p.L`` window events at ``snr``."""
-    return float(theory._gaussian_tail(lam, *theory._avg_moments(p, m, snr)))
+def predictor_weight(p, lam, snr):
+    """Predictor firing probability with all ``p.L`` window events at ``snr``; idle at 0."""
+    return float(theory._gaussian_tail(lam, *theory._avg_moments(p, snr)))
 
 
 def marcum_series_oracle(order, a, b):
@@ -366,23 +366,23 @@ class TestGaussianTails:
 
 class TestWindowMoments:
     def test_idle_window(self):
-        mu, var = theory._avg_moments(params(L=15), 0, GBAR)
+        # all L events at zero SNR
+        mu, var = theory._avg_moments(params(L=15), 0.0)
         assert mu == pytest.approx(7000.0)
         assert var == pytest.approx(2 * 1000 * 7 / 15.0)
 
     def test_active_window(self):
-        mu, _ = theory._avg_moments(params(L=15), 15, GBAR)
+        mu, _ = theory._avg_moments(params(L=15), GBAR)
         assert mu == pytest.approx(7000.0 * (1.0 + GBAR))
 
-    def test_half_active_window_matches_simulation(self):
-        # 1e5 windows, L/2 active events at fixed per-sensor SNR
+    def test_active_window_matches_simulation(self):
+        # 1e5 windows of L active events at fixed per-sensor SNR
         rng = np.random.default_rng(63)
-        k, n, length, m, windows = 7, 1000, 14, 7, 100_000
+        k, n, length, windows = 7, 1000, 14, 100_000
         p = params(L=length)
-        active = rng.noncentral_chisquare(n * k, n * k * GBAR, size=(windows, m))
-        idle = rng.chisquare(n * k, size=(windows, length - m))
-        averages = np.hstack([active, idle]).mean(axis=1)
-        mu, var = theory._avg_moments(p, m, GBAR)
+        events = rng.noncentral_chisquare(n * k, n * k * GBAR, size=(windows, length))
+        averages = events.mean(axis=1)
+        mu, var = theory._avg_moments(p, GBAR)
         mean_se = averages.std(ddof=1) / np.sqrt(windows)
         assert abs(averages.mean() - mu) <= 3 * mean_se
         sample_var = averages.var(ddof=1)
@@ -394,20 +394,20 @@ class TestWindowMoments:
 class TestPredictorWeight:
     def test_median(self):
         p = params(L=15)
-        mu, _ = theory._avg_moments(p, 15, GBAR)
-        assert predictor_weight(p, 15, mu, GBAR) == pytest.approx(0.5, abs=1e-12)
+        mu, _ = theory._avg_moments(p, GBAR)
+        assert predictor_weight(p, mu, GBAR) == pytest.approx(0.5, abs=1e-12)
 
     def test_reliable_active_regime(self):
         # probe at the mean combined SNR: essentially certain prediction
         p = params(L=15)
         lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), 0.1)
-        assert predictor_weight(p, 15, lam, 7 * GBAR) >= 0.99
+        assert predictor_weight(p, lam, 7 * GBAR) >= 0.99
 
     def test_idle_regime(self):
         p = params(L=15)
         lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), 0.1)
-        assert predictor_weight(p, 0, lam, 0.0) <= 0.01
-        assert predictor_weight(p, 0, lam, 0.0) == pytest.approx(3.4629885e-07, rel=1e-5)
+        assert predictor_weight(p, lam, 0.0) <= 0.01
+        assert predictor_weight(p, lam, 0.0) == pytest.approx(3.4629885e-07, rel=1e-5)
 
 
 class TestProposedFalseAlarm:
@@ -416,12 +416,20 @@ class TestProposedFalseAlarm:
         p = params(kind, rho=1.0)
         for lam in (6900.0, 7000.0, 7151.6):
             lam *= 2 * p.order / 7000.0  # about the statistic's null mean, 7000 for SLC
-            assert qfa_proposed(p, lam) == qfa_approx(p, lam)
+            assert qfa_proposed(p, lam) == qfa_exact(p, lam)
 
     def test_idle_window_regime(self):
         p = params(rho=1.2, L=15)
         lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), 0.1)
-        assert abs(qfa_proposed(p, lam) - qfa_approx(p, 1.2 * lam)) <= 1e-4
+        assert abs(qfa_proposed(p, lam) - qfa_exact(p, 1.2 * lam)) <= 1e-4
+
+    @pytest.mark.parametrize("rho", [1.05, 1.2])
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_is_the_detection_mixture_at_zero_snr(self, kind, rho):
+        # one mixture gives both columns: an idle window is all L events at zero SNR
+        p = params(kind, rho=rho)
+        lams = np.array([*Scenario(combiner=kind).cfar_grid(), 0.0, -1.0])
+        assert np.array_equal(qfa_proposed(p, lams), qd_proposed_awgn(p, lams, 0.0))
 
     @pytest.mark.parametrize("kind", list(CombinerKind))
     def test_mixes_endpoint_rates_by_idle_window_weight(self, kind):
@@ -434,15 +442,15 @@ class TestProposedFalseAlarm:
         targets = [cfar_threshold(p, t) for t in (0.01, 0.1, 0.5)]
         for lam in [*targets, *(scale + z * sd for z in (-2.0, 0.0, 1.0, 3.0))]:
             w = stats.norm.sf((lam - scale) / sd)
-            mixture = w * qfa_approx(p, lam / rho) + (1.0 - w) * qfa_approx(p, rho * lam)
+            mixture = w * qfa_exact(p, lam / rho) + (1.0 - w) * qfa_exact(p, rho * lam)
             assert qfa_proposed(p, lam) == pytest.approx(mixture, rel=1e-12)
 
     def test_between_endpoint_rates(self, rng):
         p = params(rho=1.15, L=15)
         for lam in rng.uniform(6800, 7400, 25):
             value = qfa_proposed(p, float(lam))
-            lo = qfa_approx(p, 1.15 * float(lam))
-            hi = qfa_approx(p, float(lam) / 1.15)
+            lo = qfa_exact(p, 1.15 * float(lam))
+            hi = qfa_exact(p, float(lam) / 1.15)
             assert lo - 1e-12 <= value <= hi + 1e-12
 
 
@@ -451,8 +459,8 @@ class TestProposedDetection:
         # idle window, near-zero predictor: strictly lower false alarm
         lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), 0.1)
         p_idle = params(rho=1.1, L=15)
-        assert predictor_weight(p_idle, 0, lam, 0.0) <= 0.01
-        assert qfa_proposed(p_idle, lam) < qfa_approx(p_idle, lam)
+        assert predictor_weight(p_idle, lam, 0.0) <= 0.01
+        assert qfa_proposed(p_idle, lam) < qfa_exact(p_idle, lam)
 
 
 # every closed form that is elementwise over its thresholds (cfar_threshold: its targets)
@@ -465,7 +473,13 @@ ELEMENTWISE_FORMS = {
     "qd_proposed_awgn": lambda p, lam: qd_proposed_awgn(p, lam, GBAR),
     "qd_proposed_rayleigh": qd_proposed_rayleigh,
 }
-ONE_AT_NONPOSITIVE_LAM = {"qfa_exact", "qd_awgn_exact", "qd_proposed_awgn", "qd_proposed_rayleigh"}
+ONE_AT_NONPOSITIVE_LAM = {
+    "qfa_exact",
+    "qfa_proposed",
+    "qd_awgn_exact",
+    "qd_proposed_awgn",
+    "qd_proposed_rayleigh",
+}
 
 
 class TestProposedRayleigh:
@@ -507,7 +521,7 @@ class TestProposedRayleigh:
         conv = params(L=15)
         for t in np.linspace(0.12, 0.5, 10):
             lam = cfar_threshold(conv, float(t))
-            assert predictor_weight(conv, 15, lam, GBAR) >= 0.99
+            assert predictor_weight(conv, lam, GBAR) >= 0.99
             assert qd_proposed_rayleigh(prop, lam) > qd_rayleigh(conv, lam)
 
     @pytest.mark.parametrize("kind", list(CombinerKind))
@@ -774,7 +788,7 @@ class TestDualThresholdPanels:
         lams = cfar_threshold(TheoryParams(kind, 7, 1000), targets)[:, None]
         snr = theory._fading_upper_limit(p) * theory._clenshaw_curtis_rule(64)[0] / p.snr_shape
         with np.errstate(over="ignore"):
-            w = theory._gaussian_tail(lams, *theory._avg_moments(p, p.L, snr))
+            w = theory._gaussian_tail(lams, *theory._avg_moments(p, snr))
         assert (w == 1.0).any() and ((0.0 < w) & (w < 1.0)).any()
         favourable, guarded = theory._detection_tail(p, np.array([lams / rho, rho * lams]), snr)
         full = w * favourable + (1.0 - w) * guarded
@@ -967,7 +981,7 @@ class TestClosedFormRates:
         p = scenario.theory_params()
         lams = [*scenario.cfar_grid(), 0.0]  # the default grid and one lam <= 0
         pfa, pd = closed_form_rates(p, lams)
-        assert pfa == [qfa_approx(p, lam) for lam in lams]
+        assert pfa == [qfa_exact(p, lam) for lam in lams]
         if channel == "awgn":
             assert pd == [qd_awgn_exact(p, lam, p.gamma_bar) for lam in lams]
         else:
