@@ -22,27 +22,25 @@ the statistic sums) and :func:`_combined` (the SLS complement).  The
 theory columns are exact tails.  Gaussian forms match a normal to
 :func:`_h1_moments`: the window predictor, :func:`qfa_approx`, and the null
 that :func:`cfar_threshold` inverts into every curve's thresholds.  Every
-closed form but the scalar series :func:`qd_rayleigh` is elementwise over
-``lam`` (``cfar_threshold`` over its targets): a scalar returns a float, a
-1-D array an array, and anything else raises ``ValueError``, so a curve's
-grid is one call per form.
+closed form is elementwise over ``lam`` (``cfar_threshold`` over its
+targets): a scalar returns a float, a 1-D array an array, and anything else
+raises ``ValueError``, so a curve's grid is one call per form.
 
-SNR argument convention: every function below takes the *per-sensor*
-average linear SNR, assumed equal across sensors; combiner-level scaling
-(``K`` sums for SLC totals and MRC coherent gain) happens internally.
-Rayleigh-fading averages run over the combiner's aggregate SNR density
-(gamma with shape ``K`` for SLC/MRC, exponential per branch for SLS).  The
-conventional average, :func:`qd_rayleigh`, is an exact series: mixing the
-noncentral chi-square's Poisson count over a gamma SNR gives a
-negative-binomial count, so the average is a negative-binomial sum of
-regularized gamma tails, truncated where computed bounds put each side's
-error at most ``_SERIES_TOL``.  The dual-threshold average's predictor
-weight depends on the SNR, so it integrates over the density instead, up to
-its ``1 - _TAIL_MASS`` quantile (the integrand is the density times a
-probability, so that bounds the truncation error), on panels split where
-the predictor weight and the two Marcum tails step.  :func:`_fading_average`
-integrates a whole threshold grid in one pass of nested Clenshaw-Curtis
-rules whose interval count doubles until each panel converges, or raises
+SNR argument convention: every function below takes the *per-sensor* average
+linear SNR, assumed equal across sensors; combiner-level scaling (``K`` sums
+for SLC totals and MRC coherent gain) happens internally.  Rayleigh-fading
+averages run over the combiner's aggregate SNR density (gamma with shape
+``K`` for SLC/MRC, exponential per branch for SLS).  The conventional
+average, :func:`qd_rayleigh`, takes no integral: over a gamma SNR the
+statistic is a negative-binomial mixture of gamma laws, whose tail a
+Fourier-cosine series (:func:`_cosine_tail`) sums from its closed-form
+characteristic function.  The dual-threshold average's predictor weight
+depends on the SNR, so it integrates over the density instead, up to its
+``1 - _TAIL_MASS`` quantile (the integrand is the density times a
+probability, so that bounds the truncation error), on panels split where the
+predictor weight and the two Marcum tails step.  :func:`_fading_average`
+integrates a whole threshold grid in one pass of nested Clenshaw-Curtis rules
+whose interval count doubles until each panel converges, or raises
 ``NumericError``; each doubling evaluates only the new nodes.
 
 The dual-threshold rule compares the newest energy with ``lambda/rho`` or
@@ -63,6 +61,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -76,10 +75,13 @@ _QUAD_TOL = 1e-9  # absolute agreement of the n- and 2n-interval fading averages
 _QUAD_MIN_NODES = 8  # intervals of a panel's first rule, which has n + 1 nodes
 _QUAD_MAX_NODES = 8192  # intervals of the largest rule
 _TAIL_MASS = 1e-14  # aggregate-SNR probability beyond the fading integrals' upper limit
-_SERIES_TOL = 1e-12  # bound on each truncation error of the negative-binomial series
-_SERIES_SIGMAS = 8.0  # half-width of the series' first window, in standard deviations
-_SERIES_MIN_STEP = 16  # fewest terms a window side widens by
-_SERIES_MAX_TERMS = 1 << 20
+_COS_PEEL = 4  # mixture terms qd_rayleigh sums exactly ahead of its cosine tail
+_COS_MASS = 1e-16  # Chernoff bound on the mass outside each side of a cosine tail's interval
+# c t of the Chernoff bounds qd_rayleigh tries: a row at t < 0 for a, one at 0 < c t < 1 for b
+_CHERNOFF_CT = np.array([-(2.0 ** np.arange(-12.0, 4.0, 0.5)), 2.0 ** np.arange(-16.0, 0.0, 0.5)])
+_COS_TOL = 1e-14  # agreement of a threshold's n- and 2n-term cosine sums
+_COS_MIN_TERMS = 128  # terms of a cosine tail's first sum, checked against twice as many
+_COS_MAX_TERMS = 1 << 16
 _RHO_BINS = (128, 256, 512)  # one variance's lattice bins at expected_rho's three levels
 _RHO_GROUP = 4  # merged atoms of the sensor-mean lattice per one-variance bin width
 _RHO_TAIL = 1e-15  # sensor-mean mass dropped at each end of its lattice
@@ -421,84 +423,83 @@ def _aggregate_snr_pdf(p: TheoryParams):
     )
 
 
-def _nb_gamma_series(r: int, m: int, theta: float, x: float, what: str) -> float:
-    """``sum_j NB(j; r, theta) * Q(m + j, x)``, truncated with computed error bounds.
+def _cosine_tail(shifted, a: float, b: float, mass: float, xs: np.ndarray, what: str):
+    """``P(Y >= x)`` at each ``x`` of ``xs``, for a measure of total ``mass`` on ``[a, b]``.
 
-    ``NB(j; r, theta)`` is the negative binomial mass with ``r`` successes and
-    mean ``r * theta`` and ``Q`` the regularized upper gamma function.  Only
-    the window ``lo <= j < hi`` is summed term by term: ``Q(m + lo, x)`` comes
-    from one ``gammaincc`` and the rest of the window by adding the Poisson
-    terms ``Q(s + 1, x) - Q(s, x) = e^-x x^s / s!``; the mass above the window
-    adds as ``P(J >= hi)``, since ``Q`` rises to 1 with ``j``.  ``Q`` also
-    increases with ``j``, which bounds the errors by
-    ``P(J < lo) Q(m + lo, x)`` below and ``P(J >= hi) (1 - Q(m + hi, x))``
-    above.  Each side widens until its bound is at most ``_SERIES_TOL``;
-    ``NumericError`` is raised for a non-finite value and for a window that
-    would exceed ``_SERIES_MAX_TERMS``, where a non-finite bound (never met)
-    also ends.  A ``theta`` below double epsilon rounds the success
-    probability to 1, and the point-mass limit ``Q(m, x)`` is returned.
+    Fang & Oosterlee's cosine expansion (SIAM J. Sci. Comput. 2008), integrated term by
+    term: ``mass (b - x) / (b - a) - sum_(k >= 1) 2 shifted(u_k) sin(u_k (x - a)) / (k pi)``
+    with ``u_k = k pi / (b - a)`` and ``shifted(u) = Re[phi(u) e^(-i u a)]``.  The terms
+    double from ``_COS_MIN_TERMS`` until a threshold's n- and 2n-term sums agree within
+    ``_COS_TOL``; each threshold stops on its own and sums only its own row.  Outside
+    ``[a, b]``, where the series extrapolates wrongly, a threshold reads that side's limit.
+    ``NumericError`` names ``what`` for a non-finite term and past ``_COS_MAX_TERMS``.
     """
-    prob = 1.0 / (1.0 + theta)  # success probability of scipy's nbdtr
-    if prob == 1.0:  # theta below double epsilon: J = 0 surely, the negative binomial's limit
-        return float(special.gammaincc(m, x))
-    mean, sd = r * theta, np.sqrt(r * theta * (1.0 + theta))
-    # J's bulk and Q's rise from 0 to 1 (around j = x - m, over a few sqrt(x))
-    lo = max(0, int(max(mean - _SERIES_SIGMAS * sd, x - m - _SERIES_SIGMAS * np.sqrt(x))))
-    hi = max(lo, int(np.ceil(min(mean + _SERIES_SIGMAS * sd, x - m + _SERIES_SIGMAS * np.sqrt(x)))))
-    while True:
-        if hi - lo > _SERIES_MAX_TERMS:
-            raise NumericError(
-                f"series for {what} did not converge: its error bounds need more than "
-                f"{_SERIES_MAX_TERMS} terms, j in [{lo}, {hi})"
-            )
-        q_lo = special.gammaincc(m + lo, x)
-        below = special.nbdtr(lo - 1, r, prob) * q_lo if lo > 0 else 0.0
-        mass_above = special.nbdtrc(hi - 1, r, prob) if hi > 0 else 1.0
-        above = mass_above * special.gammainc(m + hi, x)
-        if below <= _SERIES_TOL and above <= _SERIES_TOL:
-            break
-        width = max(hi - lo, _SERIES_MIN_STEP)
-        if below > _SERIES_TOL:
-            lo = max(0, lo - width)
-        if above > _SERIES_TOL:
-            hi += width
-    j = np.arange(lo, hi, dtype=float)
-    s = m + j
-    steps = np.exp(special.xlogy(s, x) - x - special.gammaln(s + 1.0))  # Q(s + 1) - Q(s)
-    q = q_lo + (np.cumsum(steps) - steps)
-    log_mass = (
-        special.gammaln(r + j)
-        - special.gammaln(j + 1.0)
-        - special.gammaln(r)
-        + r * np.log(prob)
-        + j * np.log1p(-prob)
-    )
-    value = float(np.exp(log_mass) @ q) + mass_above
-    if not np.isfinite(value):
-        raise NumericError(f"series for {what} is not finite on j in [{lo}, {hi}): {value!r}")
-    return value
+    out = np.where(xs <= a, mass, 0.0)
+    live = np.flatnonzero((a < xs) & (xs < b))
+    scale, offsets = np.pi / (b - a), xs[live] - a
+    values = mass * (1.0 - offsets / (b - a))  # the k = 0 term
+    n, k = _COS_MIN_TERMS, np.arange(1.0, 2.0 * _COS_MIN_TERMS)  # first block: the n and 2n sums
+    while live.size:
+        if 2 * n > _COS_MAX_TERMS:
+            raise NumericError(f"cosine tail for {what} did not converge at {n} terms")
+        u = scale * k
+        weights = shifted(u) * (2.0 / np.pi) / k
+        if not math.isfinite(weights.sum()):  # a nan or an inf term makes the sum one
+            raise NumericError(f"cosine tail for {what} is not finite with {2 * n} terms")
+        terms = np.sin(np.multiply.outer(offsets, u)) * weights  # a row per threshold
+        head = k.size - n  # the first block's terms below n
+        step = terms[:, head:].sum(axis=1)
+        values -= terms[:, :head].sum(axis=1) + step
+        done = abs(step) <= _COS_TOL
+        out[live[done]] = values[done]
+        live, offsets, values = live[~done], offsets[~done], values[~done]
+        n, k = 2 * n, np.arange(2.0 * n, 4.0 * n)
+    return out
 
 
-def qd_rayleigh(p: TheoryParams, lam: float) -> float:
-    """Detection probability averaged over Rayleigh fading, by an exact series.
+@_elementwise
+def qd_rayleigh(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
+    """Detection probability averaged over Rayleigh fading, by a cosine-series tail.
 
-    Given the aggregate SNR ``g``, the statistic is noncentral chi-square
-    with ``2 m`` degrees of freedom and noncentrality ``N g``: a
-    Poisson(``N g / 2``) mixture of central ones, so the detection tail is
-    ``sum_j Pois(j) Q(m + j, x)`` with ``x = lam / 2``.  With
-    ``g ~ Gamma(r, gamma_bar)`` the Poisson count becomes negative binomial
-    with ``r`` successes and mean ``r N gamma_bar / 2``, which leaves one
-    series and no integral over ``g`` (Digham, Alouini & Simon, IEEE Trans.
-    Commun. 2007).  ``(r, m) = (p.snr_shape, p.order)``: SLC takes
-    ``(K, K u)`` and MRC ``(K, u)``; SLS averages one exponentially faded
-    branch, ``(1, u)``, and applies the K-fold complement (independent,
-    identically faded branches).
+    Over ``g ~ Gamma(r, gamma_bar)``, ``(r, m) = (p.snr_shape, p.order)``, the noncentral
+    chi-square of ``2 m`` degrees of freedom and noncentrality ``N g`` is a mixture of
+    ``Gamma(m + j, 2)`` over a negative binomial ``NB(j)`` of ``r`` successes and mean
+    ``r theta``, ``theta = N gamma_bar / 2`` (Digham, Alouini & Simon, IEEE Trans. Commun.
+    2007); its characteristic function is ``(1 - 2 i w)^(r - m) (1 - i c w)^(-r)`` with
+    ``c = 2 + N gamma_bar``.  SLS takes one branch, then the K-fold complement
+    (independent, identically faded branches).  The terms ``j < _COS_PEEL`` are summed
+    exactly, ``NB(j) Q(m + j, lam / 2)``: at ``m <= 2`` a density going as ``y^(m - 1)``
+    at 0 would take 2^18 cosine terms.  :func:`_cosine_tail` expands the rest in units of
+    ``c``, where no bound overflows, on ``[a, b]``: at each ``s`` of ``_CHERNOFF_CT``,
+    ``(log E e^(s Y / c) - log _COS_MASS) / s`` is a Chernoff bound of the whole law with
+    at most ``_COS_MASS`` below it (``s < 0``, ``a``) or above it (``s > 0``, ``b``), and
+    the tightest are taken.  A ``theta`` below double epsilon leaves ``j = 0`` surely.
     """
-    if lam <= 0.0:
-        return 1.0
+    r, m = p.snr_shape, p.order
     theta = p.N * p.gamma_bar / 2.0
-    what = f"{p.kind.name} fading average"
-    return float(_combined(p, _nb_gamma_series(p.snr_shape, p.order, theta, lam / 2.0, what)))
+    prob = 1.0 / (1.0 + theta)
+    masses = [math.comb(r + j - 1, j) * prob**r * (1.0 - prob) ** j for j in range(_COS_PEEL)]
+    c, s = 2.0 + p.N * p.gamma_bar, _CHERNOFF_CT
+    bounds = (-np.log(_COS_MASS) - (m - r) * np.log1p(-2.0 / c * s) - r * np.log1p(-s)) / s
+    a, b = max(0.0, float(bounds[0].max())), float(bounds[1].min())
+    # rows: the law, then each peeled term, as amplitude (1 - 2 i w / c)^(-e) (1 - i w)^(-f)
+    e = np.array([m - r, *range(m, m + _COS_PEEL)], dtype=float)[:, None]
+    f = np.array([r, *[0] * _COS_PEEL], dtype=float)[:, None]
+    amplitudes = np.array([1.0, *(-w for w in masses)])[:, None]
+
+    def shifted(w):  # Re[phi(w / c) e^(-i w a)] of the rest
+        logs = np.log(1.0 - 1j * np.array([2.0 / c * w, w]))  # log-moduli, minus the phases
+        terms = np.exp(-(e * logs.real[0] + f * logs.real[1])) * amplitudes
+        terms *= np.cos(e * logs.imag[0] + f * logs.imag[1] + a * w)
+        return terms.sum(axis=0)
+
+    def tail(t):
+        what = f"{p.kind.name} fading average"
+        rest = 0.0 if prob == 1.0 else _cosine_tail(shifted, a, b, 1.0 - sum(masses), t / c, what)
+        peeled = sum(w * special.gammaincc(m + j, t / 2.0) for j, w in enumerate(masses))
+        return _combined(p, peeled + rest)
+
+    return _above_zero(lams, tail)
 
 
 def _avg_moments(p: TheoryParams, snr):
@@ -565,17 +566,15 @@ def qd_proposed_rayleigh(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
     """Dual-threshold detection probability averaged over Rayleigh fading.
 
     Averages :func:`_proposed_mixture` over the aggregate SNR, a whole grid in one
-    :func:`_fading_average` call, so every window event sees the
-    integration-variable SNR.  A threshold ``lam <= 0`` gives 1, and ``rho = 1``
-    gives :func:`qd_rayleigh` at each threshold.  For SLC and MRC the mixture also
-    tends to it as ``rho -> 1``; for SLS it does not, because the mixture applies
-    the K-fold complement inside the average (all branches at one faded SNR) while
-    :func:`qd_rayleigh` applies it to the averaged branch (independently faded
-    branches).  At K = 7, N = 1000, -15 dB and a 0.1 CFAR target, ``rho = 1 + 1e-9``
-    gives 0.4188 against 0.5832.
+    :func:`_fading_average` call, so every window event sees the integration-variable
+    SNR.  A threshold ``lam <= 0`` gives 1, and ``rho = 1`` returns :func:`qd_rayleigh`.
+    For SLC and MRC the mixture also tends to it as ``rho -> 1``; for SLS it does not,
+    as the mixture applies the K-fold complement inside the average (all branches at one
+    faded SNR) and :func:`qd_rayleigh` after it (independently faded branches): at K = 7,
+    N = 1000, -15 dB and a 0.1 CFAR target, ``rho = 1 + 1e-9`` gives 0.4188 against 0.5832.
     """
     if p.rho == 1.0:
-        return [qd_rayleigh(p, t) for t in lams.tolist()]
+        return qd_rayleigh(p, lams)
     return _above_zero(lams, lambda t: _proposed_fading_average(p, t))
 
 

@@ -330,40 +330,40 @@ class TestRunCommand:
 
 
 GOLDEN_SHA256 = {
-    "compare": "2e199a6d73974ecaa6834e2c11687739509724f465e42fee7550571fa7327759",
-    "equivalence": "23f6fe673285bf4218b2f43d422a4152202d6989b9ac1263696af4132a8b4d51",
-    "roc": "696459020d97ac82edf0df122b27ee56af65070604585a9a5c064672ca77e0ef",
+    "compare": "28c9e2a29f76165e63a8c978b8cf88de3ce7a26d6a390ccd3dee4a87f75386f4",
+    "equivalence": "6d8493889b791860d0e32308f962cc8c7d92b4d451d46d3ccb48b0988f0cde06",
+    "roc": "f127e064faff823fd9b725252a9c5d4a57bd324b7b842234af7d898ff6271204",
     "sweep-k": "80469d63cfe223aad9457974d0c4e70eb1daf599b047578e509090ee74d14236",
     "sweep-l": "973a874879c42e867c86bdb222ec0b9a26fd9caa633988323d667484ae577e66",
-    "theory-table": "54a9a2e28943fbf965832756aee34b0b4dcf97767c0c4bc96a99efde6fd325f3",
+    "theory-table": "6b9b84920f5fa20e54ce219310e87ee98256c56b8095c2b0f957f494e57c9ba5",
     "compare-awgn": "f89a11ce97868ed7018ea8efb12c2cf449c583e33ac0411a1547d9089f2e458d",
     "theory-table-awgn": "afb35b95b2e3e4476053a9c3f6b5138477007a920eb6f39ace29c73ad1284577",
     "theory-table-k48-n64": "99ed35865c2f5e2d3977b14575c91476ccee62fe2e5ad22644fe0642d49e692e",
-    "compare-k9": "ea16c71836b92e16d2582229f16e58e54b7137c999b4386df303af574c9eeffb",
-    "equivalence-mrc": "0a1620c717ace4972d9c4e0dd88c1019953fe8ef27672ac04bccdbe0de459b49",
-    "compare-u0": "8bfaf690e0a0dcbdebedc0f59739bdc632e235e18fbeb2eaec1d7fd3a0494c81",
-    "theory-table-u0": "a9fcb3759e8c0a791a7fd5a9ff742d3a9bbc792213bc084189d30a85f7f50ca1",
-    "compare-t2000": "43dc140a3cd283b6c795b2b9066ceb723faacb5f6dae44e9ac33244b3c9d7b09",
-    "equivalence-t2000": "c5e8ad6b34f946364bee5076ba5d343687f99c7297e4f536bb13f46e7a1771e7",
+    "compare-k9": "f9d8199bb839be7cecbb30f4dc6d363536cc0437c2033cd9201f030380521b15",
+    "equivalence-mrc": "eb634be71ed7ebe775632e0f1ec60af9e65efb613d6439e9d67071c92b27dc31",
+    "compare-u0": "6882a563c8e64d98eeaa26af69ee7598c2cbbca78b6e264d5cbab915ddeaa99e",
+    "theory-table-u0": "9b174917d9e55a7ccb65fcd609c86781426cb1d71a6e76647433762312291d3e",
+    "compare-t2000": "490a735327522df276c4caaf120ee9def0ae802829c253756515a2584584b56d",
+    "equivalence-t2000": "8626b25bf6209096582ca5c3d4bc5e60bdfe648678bf8ed36545ccd661ce5489",
 }
 # manifest bytes without the started_at line: they pin what no CSV carries, such as
 # the per-curve AUCs, the equivalence search's AUC half-widths and the theory gaps
 GOLDEN_MANIFEST_SHA256 = {
-    "compare": "711411949ffc9203444d5e4dd732525391f92ece6a820dcea429542bd6bc3d07",
-    "equivalence": "d50c906329cd95a7e93b9f12ca86d595c30a06818347866b6d37728ed09a6a8c",
-    "roc": "191b74d66b9a33d05d7c61ff8fd5a083a21edb0910f251d62b902c6005ea008e",
+    "compare": "925069dd9de69d8ff3f99d6c9c93598bcbac5bf8caf668b0fb1def051d2950f5",
+    "equivalence": "d2cdff43b11d74429742c9aeea7337b0cde93ebf3bb046a2e7bbf85573b779a3",
+    "roc": "b92a3b748caeb1c73d22ede2b565a5daef1c641daa88675bd88ba3ca5dea257b",
     "sweep-k": "24713518e12935664eca90c72e7ca59027f2e26bdb6f2021b1c3cfc2e0dfa207",
     "sweep-l": "c362018b07cc0a2ce078f9e17ec171a576e244393a216671523f4455881a1a1f",
     "theory-table": "4ab8d8c505d9b1a3ee222f61d017287159d403680f981aa1d922da347e157169",
     "compare-awgn": "c568a78d214a2314a4980b666e0815511832fb100ec3833379a89fa924585421",
     "theory-table-awgn": "a28139694eb617cb455f87804755051039620d56fa0f35c899ed44becde4b685",
     "theory-table-k48-n64": "00808eccd7719ecbbfd5fc531f78fef0a734ad4d15422e125c9cb1edaace4c32",
-    "compare-k9": "ea9f84adcf34c7785477ed56d4a0c643ab63f479b049f64be8dd32adbe9ae5e1",
-    "equivalence-mrc": "a8c08b435ce55740b5ecd25c8fb01f7662862b5fcca9c6e62d80de501f414550",
-    "compare-u0": "a3f19d6a983a2850655eab630397892b136521cbff8930b7d5bbe5fb88beb5ae",
+    "compare-k9": "616603c26befd79dd1ce36c89598b477c897067c7e33d7f83f2cdbc23476dd0c",
+    "equivalence-mrc": "5872fc42ca6aa4eb5d423ee1c9bcd887b55a947af6bf7e80be5cec71cb447284",
+    "compare-u0": "718801165026d4dbe5c4fbccc373b0fd3e8da77fe130e63dd210135fce0a6543",
     "theory-table-u0": "59aaf8c2cbe537df2a26da315521a3f2e53e28d44db524bbd8b361c078772cc7",
-    "compare-t2000": "1a6d1cf3c1e165b06aafb6c88a092811a7630f7a5cff89736b90b9c2c5f63b7a",
-    "equivalence-t2000": "9cf48469d3bbbe1d9facb25621dc9bab880e1f87a7948b708483cee7e774ac58",
+    "compare-t2000": "b4b5415ef9e86d9169bb3eb282d45e476f1c57d6ed5d96f8f892268b11b31c58",
+    "equivalence-t2000": "6f21004c8a807e7917a5575459dc2adf02154738a61fa00657ff8fb74e4befa0",
 }
 # case -> (subcommand, overrides) for the cases that are not a plain subcommand: the
 # AWGN closed forms, the SLS per-branch CFAR inversion at K = 48 with N below the
@@ -468,7 +468,7 @@ class TestMain:
         assert override.split("=")[0] in err["message"]
 
     def test_vanishing_snr_exits_zero(self, tmp_path):
-        # the conventional Rayleigh series at its point-mass limit
+        # the conventional Rayleigh tail at its point-mass limit
         out = str(tmp_path / "v")
         assert main(["roc", "--set", "snr_db=-200", "--set", "trials=200", "--out", out]) == 0
 

@@ -331,9 +331,9 @@ class TestNestedSizes:
         seen = []
         original = theory.qd_rayleigh
 
-        def counted(params, lam):
-            seen.append(params.K)
-            return original(params, lam)
+        def counted(params, lams):
+            seen.append((params.K, len(lams)))
+            return original(params, lams)
 
         monkeypatch.setattr(theory, "qd_rayleigh", counted)
         # no uncertainty: the schemes coincide, so K=3 closes the gap
@@ -341,8 +341,9 @@ class TestNestedSizes:
         result = equivalence_search(sc, k_range=(1, 3, 6, 12, 24))
         searched = [c.scenario.num_crs for c in result.conventional_curves]
         assert result.k_match == 3 and searched == [1, 3]
-        # the paired dual-threshold curve, at a mean rho of exactly 1, takes qd_rayleigh too
-        assert sorted(seen) == sorted((searched + [sc.num_crs]) * len(sc.pfa_grid))
+        # one grid call per curve; the paired dual-threshold curve, at a mean rho of exactly
+        # 1, takes qd_rayleigh too
+        assert sorted(seen) == sorted((k, len(sc.pfa_grid)) for k in searched + [sc.num_crs])
 
 
 def _block_reference(sc, streams, cells, signal, reads):

@@ -472,6 +472,7 @@ ELEMENTWISE_FORMS = {
     "qd_awgn_exact": lambda p, lam: qd_awgn_exact(p, lam, GBAR),
     "qd_proposed_awgn": lambda p, lam: qd_proposed_awgn(p, lam, GBAR),
     "qd_proposed_rayleigh": qd_proposed_rayleigh,
+    "qd_rayleigh": qd_rayleigh,
 }
 ONE_AT_NONPOSITIVE_LAM = {
     "qfa_exact",
@@ -479,6 +480,7 @@ ONE_AT_NONPOSITIVE_LAM = {
     "qd_awgn_exact",
     "qd_proposed_awgn",
     "qd_proposed_rayleigh",
+    "qd_rayleigh",
 }
 
 
@@ -795,8 +797,34 @@ class TestDualThresholdPanels:
         assert np.array_equal(theory._proposed_mixture(p, lams, snr), full)
 
 
-class TestConventionalSeries:
-    """``qd_rayleigh`` is a negative-binomial series of gamma tails, not a quadrature."""
+def rayleigh_reference(p, lam):
+    """:func:`qd_rayleigh` as a 40-digit sum over the negative-binomial mixture, by recurrences.
+
+    ``1 - pd = sum_j NB(j) P(m + j, lam / 2)``, with ``P`` the regularized
+    lower gamma function, ``NB`` of ``r`` successes and mean ``r N gamma_bar / 2``
+    and ``(r, m) = (p.snr_shape, p.order)``; SLS raises the branch miss to the
+    K-th power.  ``P`` falls in ``j``, so the terms left out sum to less than
+    the last ``P``.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    r, m = p.snr_shape, p.order
+    with mpmath.workdps(40):
+        x = mpmath.mpf(lam) / 2
+        success = 1 / (1 + mpmath.mpf(p.N) * mpmath.mpf(p.gamma_bar) / 2)
+        lower = mpmath.gammainc(m, 0, x, regularized=True)  # P(m + j, x), from j = 0
+        step = mpmath.exp(m * mpmath.log(x) - x - mpmath.loggamma(m + 1))  # P(s) - P(s + 1)
+        mass, miss, j = success**r, mpmath.mpf(0), 0
+        while lower >= mpmath.mpf(10) ** -35:
+            miss += mass * lower
+            lower -= step
+            step *= x / (m + j + 1)
+            mass *= (r + j) * (1 - success) / (j + 1)
+            j += 1
+        return float(1 - miss ** (p.K if p.kind is CombinerKind.SLS else 1))
+
+
+class TestConventionalRayleigh:
+    """``qd_rayleigh`` is a cosine-series tail of a negative-binomial mixture, not a quadrature."""
 
     @pytest.mark.parametrize("target", [0.0935, 0.286])
     def test_matches_oracle_across_sensor_counts(self, target):
@@ -808,36 +836,37 @@ class TestConventionalSeries:
             worst = max(worst, abs(qd_rayleigh(p, lam) - fading_quad_oracle(p, lam)))
         assert worst <= 1e-9
 
+    # N = 2 and 4: the statistic's density goes as y^(m - 1) at 0, with m <= 2 for MRC and SLS;
+    # at -25 dB and K = 48 the first negative-binomial terms hold most of MRC's mass
+    @pytest.mark.filterwarnings("ignore:N=.* is small")
+    @pytest.mark.parametrize("N", [2, 4, 1000])
     @pytest.mark.parametrize("kind", list(CombinerKind))
-    @pytest.mark.parametrize("snr_db, K", [(-25.0, 1), (0.0, 48)])
-    def test_matches_oracle_at_grid_extremes(self, kind, snr_db, K):
+    @pytest.mark.parametrize("snr_db, K", [(-25.0, 1), (-25.0, 48), (0.0, 48)])
+    def test_matches_oracle_at_grid_extremes(self, kind, snr_db, K, N):
         for target in (0.01, 0.1, 0.5):
-            lam = cfar_threshold(TheoryParams(kind, K, 1000), target)
-            p = TheoryParams(kind, K=K, N=1000, gamma_bar=10 ** (snr_db / 10))
+            lam = cfar_threshold(TheoryParams(kind, K, N), target)
+            p = TheoryParams(kind, K=K, N=N, gamma_bar=10 ** (snr_db / 10))
             assert abs(qd_rayleigh(p, lam) - fading_quad_oracle(p, lam)) <= 1e-9
 
-    def test_matches_40_digit_reference_near_certain_detection(self):
-        # the adaptive-quad oracle sits 1.0e-10 off here, so it cannot check this point
-        mpmath = pytest.importorskip("mpmath")
-        K, N = 7, 1000
-        lam = cfar_threshold(TheoryParams(CombinerKind.MRC, K, N), 0.01)
-        p = TheoryParams(CombinerKind.MRC, K=K, N=N, gamma_bar=1.0)
-        with mpmath.workdps(40):
-            x = mpmath.mpf(lam) / 2
-            success = 1 / (1 + mpmath.mpf(N) / 2)  # NB(K, N gamma_bar / 2) mixing count
-            # 1 - pd = sum_j NB(j) P(u + j, x), with P the regularized lower gamma;
-            # P falls in j, so the terms left out sum to less than the last P
-            miss, mass, j = mpmath.mpf(0), success**K, 0
-            while True:
-                lower = mpmath.gammainc(p.u + j, 0, x, regularized=True)
-                miss += mass * lower
-                if lower < mpmath.mpf(10) ** -35:
-                    break
-                mass *= (K + j) * (1 - success) / (j + 1)
-                j += 1
-            reference = float(1 - miss)
-        assert reference < 1.0 - 1e-10
-        assert abs(qd_rayleigh(p, lam) - reference) <= 1e-15
+    @pytest.mark.parametrize(
+        "kind, K, snr_db, target, tol",
+        [
+            # near-certain detection, where the adaptive-quad oracle sits 1.0e-10 off
+            (CombinerKind.MRC, 7, 0.0, 0.01, 1e-15),
+            # the equivalence search's thresholds at large counts (m up to 24000)
+            *[
+                (CombinerKind.SLC, K, -15.0, t, 1e-13)
+                for K in (16, 32, 43, 48)
+                for t in (0.0935, 0.286)
+            ],
+        ],
+    )
+    def test_matches_40_digit_reference(self, kind, K, snr_db, target, tol):
+        lam = cfar_threshold(TheoryParams(kind, K, 1000), target)
+        p = TheoryParams(kind, K=K, N=1000, gamma_bar=10 ** (snr_db / 10))
+        reference = rayleigh_reference(p, lam)
+        assert 0.0 < reference < 1.0 - 1e-10
+        assert abs(qd_rayleigh(p, lam) - reference) <= tol
 
     @pytest.mark.parametrize("kind", list(CombinerKind))
     def test_vanishing_snr_reads_the_false_alarm_rate(self, kind):
@@ -846,6 +875,9 @@ class TestConventionalSeries:
         for target in (0.01, 0.1, 0.5):
             lam = cfar_threshold(p, target)
             assert abs(qd_rayleigh(p, lam) - qfa_exact(p, lam)) <= 1e-12
+        # the point mass leaves no cosine tail: the grid is the false-alarm form's, bit for bit
+        lams = cfar_threshold(p, np.array([0.01, 0.1, 0.5]))
+        assert np.array_equal(qd_rayleigh(p, lams), qfa_exact(p, lams))
 
     def test_makes_no_marcum_evaluations(self, monkeypatch):
         calls = []
@@ -883,21 +915,29 @@ class TestNumericErrorSurface:
         with pytest.raises(NumericError, match=r"not finite.*interval="):
             qd_proposed_rayleigh(params(rho=1.1), np.array([7000.0, 7300.0]))
 
-    def test_series_not_finite_raises(self, monkeypatch):
-        monkeypatch.setattr(theory.special, "gammaincc", lambda s, x: np.nan)
-        with pytest.raises(NumericError, match="not finite"):
-            qd_rayleigh(params(), 7000.0)
-
-    def test_series_unmet_bound_raises(self, monkeypatch):
-        # a tolerance no error bound can meet widens the window past its term cap
-        monkeypatch.setattr(theory, "_SERIES_TOL", -1.0)
-        with pytest.raises(NumericError, match="did not converge"):
-            qd_rayleigh(params(), 7000.0)
-        # so does a term cap below the window the default-scenario series needs
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_cosine_tail_unmet_term_cap_raises(self, kind, monkeypatch):
+        # a term cap below the 256 terms the default grid needs
+        sc = Scenario(combiner=kind)
+        monkeypatch.setattr(theory, "_COS_MAX_TERMS", 128)
+        what = f"cosine tail for {kind.name} fading average did not converge"
+        with pytest.raises(NumericError, match=what):
+            qd_rayleigh(sc.theory_params(), np.array(sc.cfar_grid()))
+        # so does a tolerance no pair of sums can meet, at the largest term count
         monkeypatch.undo()
-        monkeypatch.setattr(theory, "_SERIES_MAX_TERMS", 64)
-        with pytest.raises(NumericError, match="did not converge"):
-            qd_rayleigh(params(), 7000.0)
+        monkeypatch.setattr(theory, "_COS_TOL", -1.0)
+        with pytest.raises(NumericError, match=what):
+            qd_rayleigh(sc.theory_params(), sc.cfar_grid()[0])
+
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    def test_cosine_tail_not_finite_raises(self, kind, monkeypatch):
+        # the characteristic function the cosine tail is handed reads nan
+        tail = theory._cosine_tail
+        nan_cf = lambda shifted, *args: tail(lambda w: np.full(w.shape, np.nan), *args)
+        monkeypatch.setattr(theory, "_cosine_tail", nan_cf)
+        lam = cfar_threshold(TheoryParams(kind, 7, 1000), 0.1)
+        with pytest.raises(NumericError, match=f"for {kind.name} fading average is not finite"):
+            qd_rayleigh(params(kind), lam)
 
 
 class TestWithoutScipyStats:
