@@ -32,9 +32,10 @@ for SLC totals and MRC coherent gain) happens internally.  Rayleigh-fading
 averages run over the combiner's aggregate SNR density (gamma with shape
 ``K`` for SLC/MRC, exponential per branch for SLS).  The conventional
 average, :func:`qd_rayleigh`, takes no integral: over a gamma SNR the
-statistic is a negative-binomial mixture of gamma laws, whose tail a
-Fourier-cosine series (:func:`_cosine_tail`) sums from its closed-form
-characteristic function.  The dual-threshold average's predictor weight
+statistic is a negative-binomial mixture of gamma laws, whose tail is a sum
+over Poisson counts (:func:`_count_tail`) or, at SNR shapes and orders of 7
+and more, a Fourier-cosine series of the law's characteristic function
+(:func:`_cosine_tail`).  The dual-threshold average's predictor weight
 depends on the SNR, so it integrates over the density instead, up to its
 ``1 - _TAIL_MASS`` quantile (the integrand is the density times a
 probability, so that bounds the truncation error), on panels split where the
@@ -69,19 +70,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 from scipy.special import _ufuncs
+from scipy.special._ufuncs import _igam_fac  # x^a e^(-x) / Gamma(a), by Lanczos near a = x
 
 GAUSSIAN_WARN_FLOOR = 100  # CLT-based formulas degrade below this many samples
 _QUAD_TOL = 1e-9  # absolute agreement of the n- and 2n-interval fading averages
 _QUAD_MIN_NODES = 8  # intervals of a panel's first rule, which has n + 1 nodes
 _QUAD_MAX_NODES = 8192  # intervals of the largest rule
 _TAIL_MASS = 1e-14  # aggregate-SNR probability beyond the fading integrals' upper limit
-_COS_PEEL = 4  # mixture terms qd_rayleigh sums exactly ahead of its cosine tail
-_COS_MASS = 1e-16  # Chernoff bound on the mass outside each side of a cosine tail's interval
+_COS_MASS = 1e-16  # bound on the mass past each end of a Rayleigh tail's interval or count window
 # c t of the Chernoff bounds qd_rayleigh tries: a row at t < 0 for a, one at 0 < c t < 1 for b
 _CHERNOFF_CT = np.array([-(2.0 ** np.arange(-12.0, 4.0, 0.5)), 2.0 ** np.arange(-16.0, 0.0, 0.5)])
 _COS_TOL = 1e-14  # agreement of a threshold's n- and 2n-term cosine sums
 _COS_MIN_TERMS = 128  # terms of a cosine tail's first sum, checked against twice as many
 _COS_MAX_TERMS = 1 << 16
+_COS_MIN_SHAPE = 7  # least SNR shape and order the cosine tail takes; below, counts are summed
+_TAIL_CELLS = 1 << 16  # terms a cosine tail evaluates at once, over a block of thresholds
 _RHO_BINS = (128, 256, 512)  # one variance's lattice bins at expected_rho's three levels
 _RHO_GROUP = 4  # merged atoms of the sensor-mean lattice per one-variance bin width
 _RHO_TAIL = 1e-15  # sensor-mean mass dropped at each end of its lattice
@@ -423,21 +426,22 @@ def _aggregate_snr_pdf(p: TheoryParams):
     )
 
 
-def _cosine_tail(shifted, a: float, b: float, mass: float, xs: np.ndarray, what: str):
-    """``P(Y >= x)`` at each ``x`` of ``xs``, for a measure of total ``mass`` on ``[a, b]``.
+def _cosine_tail(shifted, a: float, b: float, xs: np.ndarray, what: str):
+    """``P(Y >= x)`` at each ``x`` of ``xs``, for a law on ``[a, b]``.
 
     Fang & Oosterlee's cosine expansion (SIAM J. Sci. Comput. 2008), integrated term by
-    term: ``mass (b - x) / (b - a) - sum_(k >= 1) 2 shifted(u_k) sin(u_k (x - a)) / (k pi)``
+    term: ``(b - x) / (b - a) - sum_(k >= 1) 2 shifted(u_k) sin(u_k (x - a)) / (k pi)``
     with ``u_k = k pi / (b - a)`` and ``shifted(u) = Re[phi(u) e^(-i u a)]``.  The terms
     double from ``_COS_MIN_TERMS`` until a threshold's n- and 2n-term sums agree within
-    ``_COS_TOL``; each threshold stops on its own and sums only its own row.  Outside
-    ``[a, b]``, where the series extrapolates wrongly, a threshold reads that side's limit.
-    ``NumericError`` names ``what`` for a non-finite term and past ``_COS_MAX_TERMS``.
+    ``_COS_TOL``; each threshold stops on its own and sums only its own row, in blocks of
+    at most ``_TAIL_CELLS`` terms.  Outside ``[a, b]``, where the series extrapolates
+    wrongly, a threshold reads that side's limit.  ``NumericError`` names ``what`` for a
+    non-finite term and past ``_COS_MAX_TERMS``.
     """
-    out = np.where(xs <= a, mass, 0.0)
+    out = np.where(xs <= a, 1.0, 0.0)
     live = np.flatnonzero((a < xs) & (xs < b))
     scale, offsets = np.pi / (b - a), xs[live] - a
-    values = mass * (1.0 - offsets / (b - a))  # the k = 0 term
+    values = 1.0 - offsets / (b - a)  # the k = 0 term
     n, k = _COS_MIN_TERMS, np.arange(1.0, 2.0 * _COS_MIN_TERMS)  # first block: the n and 2n sums
     while live.size:
         if 2 * n > _COS_MAX_TERMS:
@@ -446,10 +450,11 @@ def _cosine_tail(shifted, a: float, b: float, mass: float, xs: np.ndarray, what:
         weights = shifted(u) * (2.0 / np.pi) / k
         if not math.isfinite(weights.sum()):  # a nan or an inf term makes the sum one
             raise NumericError(f"cosine tail for {what} is not finite with {2 * n} terms")
-        terms = np.sin(np.multiply.outer(offsets, u)) * weights  # a row per threshold
-        head = k.size - n  # the first block's terms below n
-        step = terms[:, head:].sum(axis=1)
-        values -= terms[:, :head].sum(axis=1) + step
+        head, step, rows = k.size - n, np.empty(live.size), max(1, _TAIL_CELLS // k.size)
+        for i in range(0, live.size, rows):  # head: the first block's terms below n
+            terms = np.sin(np.multiply.outer(offsets[i : i + rows], u)) * weights  # a row each
+            step[i : i + rows] = terms[:, head:].sum(axis=1)
+            values[i : i + rows] -= terms[:, :head].sum(axis=1) + step[i : i + rows]
         done = abs(step) <= _COS_TOL
         out[live[done]] = values[done]
         live, offsets, values = live[~done], offsets[~done], values[~done]
@@ -457,49 +462,64 @@ def _cosine_tail(shifted, a: float, b: float, mass: float, xs: np.ndarray, what:
     return out
 
 
+def _count_tail(r: int, m: int, theta: float, zs: np.ndarray, top: float) -> np.ndarray:
+    """``P(Y >= 2 z)`` at each ``z`` of ``zs``, ``Y`` a mixture of ``Gamma(m + J, 2)`` over ``J``.
+
+    ``J`` is negative binomial, ``r`` successes and mean ``r theta``.  ``Y >= 2 z`` when a
+    Poisson(``z``) count ``n`` falls below ``m + J``: the tail is the positive sum
+    ``Q(m, z) + sum_(n >= m) Pois(n; z) P(J > n - m)``, where ``P(J > l)``, fewer than ``r``
+    successes in ``l + r`` trials, is ``sum_(i < r) C(l + r, i) theta^-i q^(l + r)`` and
+    ``log q = -log1p(1 / theta)``.  The counts run between Bernstein bounds that leave at
+    most ``_COS_MASS`` of Poisson mass beyond each, at most ``17.2 sqrt(z) + 26`` terms at
+    any SNR.  A ``z`` at or past ``top``, an upper bound of ``Y / 2``, takes ``Q(m, z)`` alone.
+    """
+    out, level = special.gammaincc(m, zs), -math.log(_COS_MASS)
+    logq, logt = -math.log1p(1.0 / theta), math.log(theta)
+    for i in np.flatnonzero(zs < top).tolist():
+        z = float(zs[i])
+        hi = z + level / 3.0 + math.sqrt(level * level / 9.0 + 2.0 * level * z)
+        n = np.arange(max(m, math.floor(z - math.sqrt(2.0 * level * z))), math.ceil(hi) + 1.0)
+        trials = n - (m - r)
+        survival, binomial = np.exp(trials * logq), np.ones(n.size)
+        for j in range(1, r):
+            binomial *= (trials - (j - 1)) / j
+            survival += binomial * np.exp(trials * logq - j * logt)
+        out[i] += (_igam_fac(n, z) / n * survival).sum()
+    return out
+
+
 @_elementwise
 def qd_rayleigh(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
-    """Detection probability averaged over Rayleigh fading, by a cosine-series tail.
+    """Detection probability averaged over Rayleigh fading, by an exact mixture tail.
 
     Over ``g ~ Gamma(r, gamma_bar)``, ``(r, m) = (p.snr_shape, p.order)``, the noncentral
     chi-square of ``2 m`` degrees of freedom and noncentrality ``N g`` is a mixture of
-    ``Gamma(m + j, 2)`` over a negative binomial ``NB(j)`` of ``r`` successes and mean
-    ``r theta``, ``theta = N gamma_bar / 2`` (Digham, Alouini & Simon, IEEE Trans. Commun.
-    2007); its characteristic function is ``(1 - 2 i w)^(r - m) (1 - i c w)^(-r)`` with
-    ``c = 2 + N gamma_bar``.  SLS takes one branch, then the K-fold complement
-    (independent, identically faded branches).  The terms ``j < _COS_PEEL`` are summed
-    exactly, ``NB(j) Q(m + j, lam / 2)``: at ``m <= 2`` a density going as ``y^(m - 1)``
-    at 0 would take 2^18 cosine terms.  :func:`_cosine_tail` expands the rest in units of
-    ``c``, where no bound overflows, on ``[a, b]``: at each ``s`` of ``_CHERNOFF_CT``,
-    ``(log E e^(s Y / c) - log _COS_MASS) / s`` is a Chernoff bound of the whole law with
-    at most ``_COS_MASS`` below it (``s < 0``, ``a``) or above it (``s > 0``, ``b``), and
-    the tightest are taken.  A ``theta`` below double epsilon leaves ``j = 0`` surely.
+    ``Gamma(m + j, 2)`` over a negative binomial of ``r`` successes and mean ``r theta``,
+    ``theta = N gamma_bar / 2`` (Digham, Alouini & Simon, IEEE Trans. Commun. 2007), with
+    characteristic function ``(1 - 2 i w)^(r - m) (1 - i c w)^(-r)``, ``c = 2 + N gamma_bar``.
+    SLS takes one branch, then the K-fold complement.  At each ``s`` of ``_CHERNOFF_CT``,
+    ``(log E e^(s Y / c) - log _COS_MASS) / s`` bounds the law in units of ``c``, where no
+    bound overflows, with at most ``_COS_MASS`` below (``s < 0``) or above it; the tightest
+    give ``[a, b]``.  The density rises from 0 as ``y^(min(r, m) - 1)``, so below
+    ``_COS_MIN_SHAPE`` a cosine series can pass its 2^16-term cap (shapes 1 to 4 at 20 to
+    40 dB, orders 1 and 2 at -25 dB): there :func:`_count_tail` sums Poisson counts.
+    Otherwise :func:`_cosine_tail` expands the law on ``[a, b]``, within 4,096 terms.
     """
     r, m = p.snr_shape, p.order
-    theta = p.N * p.gamma_bar / 2.0
-    prob = 1.0 / (1.0 + theta)
-    masses = [math.comb(r + j - 1, j) * prob**r * (1.0 - prob) ** j for j in range(_COS_PEEL)]
     c, s = 2.0 + p.N * p.gamma_bar, _CHERNOFF_CT
     bounds = (-np.log(_COS_MASS) - (m - r) * np.log1p(-2.0 / c * s) - r * np.log1p(-s)) / s
     a, b = max(0.0, float(bounds[0].max())), float(bounds[1].min())
-    # rows: the law, then each peeled term, as amplitude (1 - 2 i w / c)^(-e) (1 - i w)^(-f)
-    e = np.array([m - r, *range(m, m + _COS_PEEL)], dtype=float)[:, None]
-    f = np.array([r, *[0] * _COS_PEEL], dtype=float)[:, None]
-    amplitudes = np.array([1.0, *(-w for w in masses)])[:, None]
+    if min(r, m) < _COS_MIN_SHAPE:
+        theta, top = p.N * p.gamma_bar / 2.0, b * c / 2.0
+        return _above_zero(lams, lambda t: _combined(p, _count_tail(r, m, theta, t / 2.0, top)))
 
-    def shifted(w):  # Re[phi(w / c) e^(-i w a)] of the rest
+    def shifted(w):  # Re[phi(w / c) e^(-i w a)], from (1 - 2 i w / c)^(r - m) (1 - i w)^(-r)
         logs = np.log(1.0 - 1j * np.array([2.0 / c * w, w]))  # log-moduli, minus the phases
-        terms = np.exp(-(e * logs.real[0] + f * logs.real[1])) * amplitudes
-        terms *= np.cos(e * logs.imag[0] + f * logs.imag[1] + a * w)
-        return terms.sum(axis=0)
+        phases = (m - r) * logs.imag[0] + r * logs.imag[1] + a * w
+        return np.exp(-((m - r) * logs.real[0] + r * logs.real[1])) * np.cos(phases)
 
-    def tail(t):
-        what = f"{p.kind.name} fading average"
-        rest = 0.0 if prob == 1.0 else _cosine_tail(shifted, a, b, 1.0 - sum(masses), t / c, what)
-        peeled = sum(w * special.gammaincc(m + j, t / 2.0) for j, w in enumerate(masses))
-        return _combined(p, peeled + rest)
-
-    return _above_zero(lams, tail)
+    what = f"{p.kind.name} fading average"
+    return _above_zero(lams, lambda t: _combined(p, _cosine_tail(shifted, a, b, t / c, what)))
 
 
 def _avg_moments(p: TheoryParams, snr):

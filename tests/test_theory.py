@@ -823,8 +823,40 @@ def rayleigh_reference(p, lam):
         return float(1 - miss ** (p.K if p.kind is CombinerKind.SLS else 1))
 
 
+def convolution_reference(p, lam):
+    """:func:`qd_rayleigh` at 30 digits, from the statistic as a sum of two gamma laws.
+
+    The characteristic function ``(1 - 2iw)^(r - m) (1 - icw)^(-r)``, ``c = 2 + N gamma_bar``,
+    is that of ``G + H`` with ``G ~ Gamma(m - r, 2)`` and ``H ~ Gamma(r, c)`` when ``m > r``:
+    the tail is ``Q_G(lam) + int_0^lam f_G(g) Q_H(lam - g) dg``, by ``mpmath.quad`` split
+    about ``G``'s bulk.  At ``m <= r`` it is a binomial mixture of ``Gamma(r - i, c)`` laws.
+    SLS raises the branch miss to the K-th power.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    r, m = p.snr_shape, p.order
+    with mpmath.workdps(30):
+        x, c = mpmath.mpf(lam), 2 + mpmath.mpf(p.N) * mpmath.mpf(p.gamma_bar)
+        upper = lambda s, y: mpmath.gammainc(s, y, mpmath.inf, regularized=True)
+        k = m - r
+        if k <= 0:
+            w = 2 / c
+            terms = (mpmath.binomial(-k, i) * w**i * (1 - w) ** (-k - i) for i in range(1 - k))
+            tail = sum(t * upper(r - i, x / c) for i, t in enumerate(terms))
+        else:
+            density = lambda g: mpmath.exp((k - 1) * mpmath.log(g) - g / 2 - mpmath.loggamma(k)) / 2**k
+            bulk = [2 * k + s * 2 * mpmath.sqrt(k) for s in (-12, 0, 12)]
+            cuts = sorted({mpmath.mpf(0), x, *(min(max(b, 0), x) for b in bulk)})
+            tail = upper(k, x / 2) + mpmath.quad(lambda g: density(g) * upper(r, (x - g) / c), cuts)
+        miss = (1 - tail) ** (p.K if p.kind is CombinerKind.SLS else 1)
+        return float(1 - miss)
+
+
 class TestConventionalRayleigh:
-    """``qd_rayleigh`` is a cosine-series tail of a negative-binomial mixture, not a quadrature."""
+    """``qd_rayleigh`` sums a negative-binomial mixture exactly, without a quadrature.
+
+    Below ``_COS_MIN_SHAPE`` SNR shapes (SLS at any K, SLC and MRC at K < 7) it sums
+    Poisson counts; from there on it takes a cosine-series tail.
+    """
 
     @pytest.mark.parametrize("target", [0.0935, 0.286])
     def test_matches_oracle_across_sensor_counts(self, target):
@@ -841,7 +873,9 @@ class TestConventionalRayleigh:
     @pytest.mark.filterwarnings("ignore:N=.* is small")
     @pytest.mark.parametrize("N", [2, 4, 1000])
     @pytest.mark.parametrize("kind", list(CombinerKind))
-    @pytest.mark.parametrize("snr_db, K", [(-25.0, 1), (-25.0, 48), (0.0, 48)])
+    # and K = 1 at 10 dB, where a cosine tail would take 2^15 terms (past 10 dB the oracle
+    # misses the fading law's bulk; see test_matches_30_digit_reference_at_high_snr)
+    @pytest.mark.parametrize("snr_db, K", [(-25.0, 1), (-25.0, 48), (0.0, 48), (10.0, 1)])
     def test_matches_oracle_at_grid_extremes(self, kind, snr_db, K, N):
         for target in (0.01, 0.1, 0.5):
             lam = cfar_threshold(TheoryParams(kind, K, N), target)
@@ -868,6 +902,33 @@ class TestConventionalRayleigh:
         assert 0.0 < reference < 1.0 - 1e-10
         assert abs(qd_rayleigh(p, lam) - reference) <= tol
 
+    # from 20 dB a cosine tail at SNR shapes 1 to 3 would take more than 2^16 terms
+    @pytest.mark.filterwarnings("ignore:N=.* is small")
+    @pytest.mark.parametrize("N", [2, 1000])
+    @pytest.mark.parametrize("snr_db", [20.0, 40.0, 60.0])
+    @pytest.mark.parametrize(
+        "kind, K", [*((kind, K) for kind in CombinerKind for K in (1, 2, 7)), (CombinerKind.MRC, 3)]
+    )
+    @pytest.mark.parametrize("scale", [1.0, 3.0])  # 3: far above the null, in the fading tail
+    def test_matches_30_digit_reference_at_high_snr(self, kind, K, snr_db, N, scale):
+        lam = scale * cfar_threshold(TheoryParams(kind, K, N), 0.1)
+        p = TheoryParams(kind, K=K, N=N, gamma_bar=10 ** (snr_db / 10))
+        assert abs(qd_rayleigh(p, lam) - convolution_reference(p, lam)) <= 1e-14
+
+    def test_cosine_blocks_keep_each_threshold_bit_for_bit(self, monkeypatch):
+        # at 10 dB the grid takes 4,096 cosine terms; blocks of one row each change no bit
+        lams = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), np.geomspace(1e-3, 0.5, 9))
+        p = TheoryParams(CombinerKind.SLC, K=7, N=1000, gamma_bar=10.0)
+        whole = qd_rayleigh(p, lams)
+        monkeypatch.setattr(theory, "_TAIL_CELLS", 1)
+        assert np.array_equal(qd_rayleigh(p, lams), whole)
+
+    def test_low_snr_shapes_take_no_cosine_tail(self, monkeypatch):
+        monkeypatch.setattr(theory, "_cosine_tail", None)
+        for kind, K in [(CombinerKind.SLS, 48), *((kind, 6) for kind in CombinerKind)]:
+            lams = cfar_threshold(TheoryParams(kind, K, 1000), np.array([0.01, 0.5]))
+            assert (qd_rayleigh(TheoryParams(kind, K, 1000, gamma_bar=1e6), lams) > 0.99).all()
+
     @pytest.mark.parametrize("kind", list(CombinerKind))
     def test_vanishing_snr_reads_the_false_alarm_rate(self, kind):
         # at -200 dB theta = N gamma_bar / 2 is below double epsilon: the count is 0 surely
@@ -875,9 +936,10 @@ class TestConventionalRayleigh:
         for target in (0.01, 0.1, 0.5):
             lam = cfar_threshold(p, target)
             assert abs(qd_rayleigh(p, lam) - qfa_exact(p, lam)) <= 1e-12
-        # the point mass leaves no cosine tail: the grid is the false-alarm form's, bit for bit
+        # the law is Gamma(m, 2): the counts' terms round away (SLS), and the cosine tail
+        # expands that law (SLC, MRC)
         lams = cfar_threshold(p, np.array([0.01, 0.1, 0.5]))
-        assert np.array_equal(qd_rayleigh(p, lams), qfa_exact(p, lams))
+        assert np.abs(qd_rayleigh(p, lams) - qfa_exact(p, lams)).max() <= 2e-15
 
     def test_makes_no_marcum_evaluations(self, monkeypatch):
         calls = []
@@ -915,7 +977,8 @@ class TestNumericErrorSurface:
         with pytest.raises(NumericError, match=r"not finite.*interval="):
             qd_proposed_rayleigh(params(rho=1.1), np.array([7000.0, 7300.0]))
 
-    @pytest.mark.parametrize("kind", list(CombinerKind))
+    # SLS, at one SNR shape per branch, takes no cosine tail
+    @pytest.mark.parametrize("kind", [CombinerKind.SLC, CombinerKind.MRC])
     def test_cosine_tail_unmet_term_cap_raises(self, kind, monkeypatch):
         # a term cap below the 256 terms the default grid needs
         sc = Scenario(combiner=kind)
@@ -929,7 +992,7 @@ class TestNumericErrorSurface:
         with pytest.raises(NumericError, match=what):
             qd_rayleigh(sc.theory_params(), sc.cfar_grid()[0])
 
-    @pytest.mark.parametrize("kind", list(CombinerKind))
+    @pytest.mark.parametrize("kind", [CombinerKind.SLC, CombinerKind.MRC])
     def test_cosine_tail_not_finite_raises(self, kind, monkeypatch):
         # the characteristic function the cosine tail is handed reads nan
         tail = theory._cosine_tail
