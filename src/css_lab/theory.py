@@ -35,14 +35,14 @@ average, :func:`qd_rayleigh`, takes no integral: over a gamma SNR the
 statistic is a negative-binomial mixture of gamma laws, whose tail is a sum
 over Poisson counts (:func:`_count_tail`) or, at SNR shapes and orders of 7
 and more, a Fourier-cosine series of the law's characteristic function
-(:func:`_cosine_tail`).  The dual-threshold average's predictor weight
-depends on the SNR, so it integrates over the density instead, up to its
-``1 - _TAIL_MASS`` quantile (the integrand is the density times a
-probability, so that bounds the truncation error), on panels split where the
-predictor weight and the two Marcum tails step.  :func:`_fading_average`
-integrates a whole threshold grid in one pass of nested Clenshaw-Curtis rules
-whose interval count doubles until each panel converges, or raises
-``NumericError``; each doubling evaluates only the new nodes.
+(:func:`_cosine_tail`) in a term count that a bound on its modulus sets.  The
+dual-threshold average's predictor weight depends on the SNR, so it integrates
+over the density instead, up to its ``1 - _TAIL_MASS`` quantile (the integrand
+is the density times a probability, so that bounds the truncation error), on
+panels split where the predictor weight and the two Marcum tails step.
+:func:`_fading_average` integrates a whole threshold grid in one pass of nested
+Clenshaw-Curtis rules whose interval count doubles until each panel converges,
+or raises ``NumericError``; each doubling evaluates only the new nodes.
 
 The dual-threshold rule compares the newest energy with ``lambda/rho`` or
 ``rho*lambda``, so its probabilities are convex combinations of the
@@ -77,11 +77,9 @@ _QUAD_TOL = 1e-9  # absolute agreement of the n- and 2n-interval fading averages
 _QUAD_MIN_NODES = 8  # intervals of a panel's first rule, which has n + 1 nodes
 _QUAD_MAX_NODES = 8192  # intervals of the largest rule
 _TAIL_MASS = 1e-14  # aggregate-SNR probability beyond the fading integrals' upper limit
-_COS_MASS = 1e-16  # bound on the mass past each end of a Rayleigh tail's interval or count window
+_COS_MASS = 1e-16  # bound on a Rayleigh tail's mass past each end, and on its terms past n
 # c t of the Chernoff bounds qd_rayleigh tries: a row at t < 0 for a, one at 0 < c t < 1 for b
 _CHERNOFF_CT = np.array([-(2.0 ** np.arange(-12.0, 4.0, 0.5)), 2.0 ** np.arange(-16.0, 0.0, 0.5)])
-_COS_TOL = 1e-14  # agreement of a threshold's n- and 2n-term cosine sums
-_COS_MIN_TERMS = 128  # terms of a cosine tail's first sum, checked against twice as many
 _COS_MAX_TERMS = 1 << 16
 _COS_MIN_SHAPE = 7  # least SNR shape and order the cosine tail takes; below, counts are summed
 _TAIL_CELLS = 1 << 16  # terms a cosine tail evaluates at once, over a block of thresholds
@@ -185,12 +183,12 @@ def _above_zero(lams: np.ndarray, tail) -> np.ndarray:
 def _marcum_q_vec(order: float, a, b) -> np.ndarray:
     """Generalized Marcum Q of one order, elementwise over broadcast ``a`` and ``b``.
 
-    ``Q_m(a, b) = P(chi2'(2m, a^2) >= b^2)``, through the noncentral
-    chi-square survival function.  ``b == 0`` gives 1 and ``a == 0`` the
-    regularized upper gamma tail.  Where even the central CDF (an upper
-    bound on the noncentral one) underflows to zero the value is exactly 1
-    in double precision, and the boost evaluator would overflow internally.
-    That screen depends on ``b`` alone, so it runs before ``b`` is broadcast.
+    ``Q_m(a, b) = P(chi2'(2m, a^2) >= b^2)``, through the noncentral chi-square survival
+    function.  ``b == 0`` gives 1; ``a == 0`` and a ``b`` of inf or nan (at any ``a``) give
+    the regularized upper gamma tail, 0 at inf and nan at nan.  Where even the central CDF
+    (an upper bound on the noncentral one) underflows to zero the value is exactly 1 in
+    double precision, and the boost evaluator would overflow internally.  That screen
+    depends on ``b`` alone, so it runs before ``b`` is broadcast.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     x = b * b
@@ -199,11 +197,12 @@ def _marcum_q_vec(order: float, a, b) -> np.ndarray:
     shape = a.shape
     a, b, x, live = a.ravel(), b.ravel(), x.ravel(), live.ravel()
     out = np.ones(a.shape)
-    central = (b != 0.0) & (a == 0.0)
+    central = ~((a != 0.0) & (b < np.inf))  # 1 at b == 0 too
     out[central] = special.gammaincc(order, x[central] / 2.0)
     # exactly 1 from a - b >= 39 on, where the evaluator returns nan past a noncentrality of
     # 1e19: 1 - Q_m(a, b) <= exp(-(a - b)^2 / 2) / 2 < 1e-330 at m >= 1 (Simon and Alouini 2000)
-    rest = live & (a != 0.0) & (a - b < 39.0)
+    with np.errstate(invalid="ignore"):  # inf - inf, at a = b = inf, which central takes
+        rest = live & ~central & (a - b < 39.0)
     # the ufunc behind scipy.stats.ncx2.sf; importing scipy.stats costs more than
     # half a second of start-up
     with np.errstate(over="ignore"):
@@ -224,16 +223,13 @@ def marcum_q(order: float, a: float, b: float) -> float:
     return float(_marcum_q_vec(order, a, b)[()])
 
 
-def _sls_complement_power(branch_prob, k: int):
-    """1 - (1 - p)**k computed stably for small p, elementwise; exactly 1 at p = 1."""
-    p = np.clip(branch_prob, 0.0, 1.0)
-    saturated = p >= 1.0
-    return np.where(saturated, 1.0, -np.expm1(k * np.log1p(-np.where(saturated, 0.0, p))))
-
-
 def _combined(p: TheoryParams, rate):
-    """The combiner's rate from its statistic's ``rate``: SLS takes the K-branch complement."""
-    return _sls_complement_power(rate, p.K) if p.kind is CombinerKind.SLS else rate
+    """The combiner's rate from its statistic's: SLS takes ``1 - (1 - rate)^K``, stably."""
+    if p.kind is not CombinerKind.SLS:
+        return rate
+    branch = np.clip(rate, 0.0, 1.0)
+    saturated = branch >= 1.0
+    return np.where(saturated, 1.0, -np.expm1(p.K * np.log1p(-np.where(saturated, 0.0, branch))))
 
 
 @_elementwise
@@ -426,39 +422,28 @@ def _aggregate_snr_pdf(p: TheoryParams):
     )
 
 
-def _cosine_tail(shifted, a: float, b: float, xs: np.ndarray, what: str):
-    """``P(Y >= x)`` at each ``x`` of ``xs``, for a law on ``[a, b]``.
+def _cosine_tail(shifted, a: float, b: float, xs: np.ndarray, n: int, what: str):
+    """``P(Y >= x)`` at each ``x`` of ``xs``, for a law on ``[a, b]``, from its terms ``k < n``.
 
     Fang & Oosterlee's cosine expansion (SIAM J. Sci. Comput. 2008), integrated term by
     term: ``(b - x) / (b - a) - sum_(k >= 1) 2 shifted(u_k) sin(u_k (x - a)) / (k pi)``
-    with ``u_k = k pi / (b - a)`` and ``shifted(u) = Re[phi(u) e^(-i u a)]``.  The terms
-    double from ``_COS_MIN_TERMS`` until a threshold's n- and 2n-term sums agree within
-    ``_COS_TOL``; each threshold stops on its own and sums only its own row, in blocks of
-    at most ``_TAIL_CELLS`` terms.  Outside ``[a, b]``, where the series extrapolates
-    wrongly, a threshold reads that side's limit.  ``NumericError`` names ``what`` for a
-    non-finite term and past ``_COS_MAX_TERMS``.
+    with ``u_k = k pi / (b - a)`` and ``shifted(u) = Re[phi(u) e^(-i u a)]``: a term is at
+    most ``(2 / pi) |phi(u_k)| / k``, so the caller sets ``n`` from a bound on ``|phi|``.
+    Every threshold sums the same terms in its own row, in blocks of at most ``_TAIL_CELLS``
+    terms.  Outside ``[a, b]``, where the series extrapolates wrongly, a threshold reads
+    that side's limit; a nan reads nan.  ``NumericError`` names ``what`` for a non-finite term.
     """
     out = np.where(xs <= a, 1.0, 0.0)
-    live = np.flatnonzero((a < xs) & (xs < b))
-    scale, offsets = np.pi / (b - a), xs[live] - a
-    values = 1.0 - offsets / (b - a)  # the k = 0 term
-    n, k = _COS_MIN_TERMS, np.arange(1.0, 2.0 * _COS_MIN_TERMS)  # first block: the n and 2n sums
-    while live.size:
-        if 2 * n > _COS_MAX_TERMS:
-            raise NumericError(f"cosine tail for {what} did not converge at {n} terms")
-        u = scale * k
-        weights = shifted(u) * (2.0 / np.pi) / k
-        if not math.isfinite(weights.sum()):  # a nan or an inf term makes the sum one
-            raise NumericError(f"cosine tail for {what} is not finite with {2 * n} terms")
-        head, step, rows = k.size - n, np.empty(live.size), max(1, _TAIL_CELLS // k.size)
-        for i in range(0, live.size, rows):  # head: the first block's terms below n
-            terms = np.sin(np.multiply.outer(offsets[i : i + rows], u)) * weights  # a row each
-            step[i : i + rows] = terms[:, head:].sum(axis=1)
-            values[i : i + rows] -= terms[:, :head].sum(axis=1) + step[i : i + rows]
-        done = abs(step) <= _COS_TOL
-        out[live[done]] = values[done]
-        live, offsets, values = live[~done], offsets[~done], values[~done]
-        n, k = 2 * n, np.arange(2.0 * n, 4.0 * n)
+    live = np.flatnonzero(~(xs <= a) & ~(b <= xs))  # a nan goes on, and reads nan
+    k = np.arange(1.0, n)
+    u = np.pi / (b - a) * k
+    weights = shifted(u) * (2.0 / np.pi) / k
+    if not math.isfinite(weights.sum()):  # a nan or an inf term makes the sum one
+        raise NumericError(f"cosine tail for {what} is not finite with {n} terms")
+    offsets, rows = xs[live] - a, max(1, _TAIL_CELLS // n)
+    for i in range(0, live.size, rows):
+        terms = np.sin(np.multiply.outer(offsets[i : i + rows], u)) * weights  # a row each
+        out[live[i : i + rows]] = 1.0 - offsets[i : i + rows] / (b - a) - terms.sum(axis=1)
     return out
 
 
@@ -503,7 +488,14 @@ def qd_rayleigh(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
     give ``[a, b]``.  The density rises from 0 as ``y^(min(r, m) - 1)``, so below
     ``_COS_MIN_SHAPE`` a cosine series can pass its 2^16-term cap (shapes 1 to 4 at 20 to
     40 dB, orders 1 and 2 at -25 dB): there :func:`_count_tail` sums Poisson counts.
-    Otherwise :func:`_cosine_tail` expands the law on ``[a, b]``, within 4,096 terms.
+    Otherwise :func:`_cosine_tail` expands the law on ``[a, b]`` (units of ``c``) in ``n``
+    terms.  With ``s1 = w^2``, ``s2 = (2 w / c)^2``, ``|phi(w)| = (1 + s2)^((r - m) / 2)
+    (1 + s1)^(-r / 2)`` falls with a log-slope of at least ``q(w) = (m - r)^+ s2 / (1 + s2)
+    + min(m, r) s1 / (1 + s1)`` (equal at ``m >= r``, above it otherwise as ``s2 < s1``),
+    and ``q`` only steepens: the terms ``k >= n`` sum to at most ``(2 / pi) |phi(u_n)|
+    (1 / n + 1 / q(u_n))``.  ``n`` is the least power of two where that is at most
+    ``_COS_MASS`` (64 on the default SLC grid, 128 on MRC's, at most 4,096 from -40 to
+    300 dB); past ``_COS_MAX_TERMS``, ``NumericError`` is raised before any term is summed.
     """
     r, m = p.snr_shape, p.order
     c, s = 2.0 + p.N * p.gamma_bar, _CHERNOFF_CT
@@ -513,13 +505,22 @@ def qd_rayleigh(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
         theta, top = p.N * p.gamma_bar / 2.0, b * c / 2.0
         return _above_zero(lams, lambda t: _combined(p, _count_tail(r, m, theta, t / 2.0, top)))
 
+    what = f"{p.kind.name} fading average"
+    for n in (1 << j for j in range(_COS_MAX_TERMS.bit_length())):  # 1, 2, ..., the cap
+        s1, s2 = (n * math.pi / (b - a)) ** 2, (2.0 * n * math.pi / (c * (b - a))) ** 2
+        modulus = math.exp(-((m - r) * math.log1p(s2) + r * math.log1p(s1)) / 2.0)
+        slope = max(m - r, 0) * s2 / (1.0 + s2) + min(m, r) * s1 / (1.0 + s1)
+        if 2.0 / math.pi * modulus * (1.0 / n + 1.0 / slope) <= _COS_MASS:
+            break
+    else:
+        raise NumericError(f"cosine tail for {what} did not converge within {_COS_MAX_TERMS} terms")
+
     def shifted(w):  # Re[phi(w / c) e^(-i w a)], from (1 - 2 i w / c)^(r - m) (1 - i w)^(-r)
         logs = np.log(1.0 - 1j * np.array([2.0 / c * w, w]))  # log-moduli, minus the phases
         phases = (m - r) * logs.imag[0] + r * logs.imag[1] + a * w
         return np.exp(-((m - r) * logs.real[0] + r * logs.real[1])) * np.cos(phases)
 
-    what = f"{p.kind.name} fading average"
-    return _above_zero(lams, lambda t: _combined(p, _cosine_tail(shifted, a, b, t / c, what)))
+    return _above_zero(lams, lambda t: _combined(p, _cosine_tail(shifted, a, b, t / c, n, what)))
 
 
 def _avg_moments(p: TheoryParams, snr):
@@ -547,20 +548,17 @@ def qfa_proposed(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
 def _proposed_mixture(p: TheoryParams, lam, snr) -> np.ndarray:
     """Dual-threshold pd, elementwise over broadcast ``lam`` and ``snr``; pfa at ``snr = 0``.
 
-    The predictor weight mixes the two exact tails.  Past ``boost =
-    sqrt(DBL_MAX / (4 order))`` the H1 variance ``4 order boost^2`` of
-    :func:`_h1_moments` overflows to inf, and the weight reads 1/2.  There
-    the H1 mean ``2 order boost`` exceeds 1e154, and so does the tails'
-    ``a^2``, the mean less the null mean ``2 order``.  A threshold with
-    ``rho * lam`` below 1e153 (CFAR thresholds sit near ``2 order``) then
-    has ``b = sqrt(rho lam) <= a / 2`` and ``a >= 78``, so ``a - b >= 39``:
-    both tails are exactly 1 (see :func:`_marcum_q_vec`), and so is the
-    mixture, whatever the weight.
+    The predictor weight mixes the two exact tails.  Past ``boost = sqrt(DBL_MAX / (4 order))``
+    the H1 variance ``4 order boost^2`` of :func:`_h1_moments` overflows to inf, and the
+    weight reads 1/2.  There the H1 mean ``2 order boost`` exceeds 1e154, and so does the
+    tails' ``a^2``, the mean less the null mean ``2 order``.  A threshold with ``rho * lam``
+    below 1e153 (CFAR thresholds sit near ``2 order``) then has ``b = sqrt(rho lam) <= a / 2``
+    and ``a >= 78``, so ``a - b >= 39``: both tails are exactly 1 (see :func:`_marcum_q_vec`),
+    and so is the mixture, whatever the weight.
 
-    A tail at zero weight (the guarded one at ``w == 1``, the favourable one
-    at ``w == 0``) is taken at infinite SNR, where it is exactly 1 and
-    :func:`_marcum_q_vec` does not evaluate it; that changes no bit, since
-    ``0 * 1 + x == x``.
+    A tail at zero weight (the guarded one at ``w == 1``, the favourable one at ``w == 0``)
+    is taken at infinite SNR, where :func:`_marcum_q_vec` reads exactly 1 unevaluated (0 at
+    ``lam = inf``); that changes no bit, since ``0 * 1 + x == x``.
     """
     thresholds = np.array([lam / p.rho, p.rho * lam])  # favourable, guarded
     with np.errstate(over="ignore"):

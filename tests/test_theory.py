@@ -552,6 +552,18 @@ class TestProposedRayleigh:
         with pytest.raises(ValueError, match="scalar or a 1-D array"):
             evaluate(p, lams.reshape(1, -1))
 
+    @pytest.mark.parametrize("kind", list(CombinerKind))
+    @pytest.mark.parametrize("form", sorted(set(ELEMENTWISE_FORMS) - {"cfar_threshold"}))
+    def test_non_finite_threshold_gives_no_quiet_number(self, form, kind):
+        # a nan threshold reads nan and +inf reads 0, unless the form raises NumericError
+        evaluate = ELEMENTWISE_FORMS[form]
+        for rho, (lam, expected) in itertools.product((1.0, 1.2), [(np.nan, np.nan), (np.inf, 0.0)]):
+            try:
+                value = evaluate(Scenario(combiner=kind).theory_params(rho=rho), lam)
+            except NumericError:
+                continue
+            assert np.array_equal([value], [expected], equal_nan=True), (rho, lam, value)
+
     def test_matches_pipeline_monte_carlo(self, monkeypatch):
         # full dual-threshold pipeline under sustained activity with the
         # uncertainty factor pinned, block fading per window
@@ -648,8 +660,14 @@ def _oracle_integrand(p, lam):
 def fading_quad_oracle(p, lam):
     """Adaptive quadrature of :func:`_oracle_integrand` over its own wide interval.
 
-    At ``rho = 1`` SLS applies the K-fold complement to the branch average.
+    At ``rho = 1`` SLS applies the K-fold complement to the branch average.  Past 10 dB
+    the integrand's structure sits in a sliver of the interval near 0 and the quadrature
+    misses it, so a higher SNR is refused.
     """
+    assert p.gamma_bar <= 10.0, (
+        f"fading_quad_oracle is wrong past 10 dB (1.1e-3 off qd_rayleigh at 20 dB, K = 1, "
+        f"N = 1000 and a 0.01 target); use convolution_reference at gamma_bar={p.gamma_bar}"
+    )
     integrand = _oracle_integrand(p, lam)
     value, abserr = integrate.quad(
         integrand, 0.0, _oracle_upper_limit(p), epsabs=1e-12, epsrel=0.0, limit=500
@@ -851,6 +869,18 @@ def convolution_reference(p, lam):
         return float(1 - miss)
 
 
+def record_cosine_tails(monkeypatch) -> list:
+    """Record each ``_cosine_tail`` call's law, interval and term count in the returned list."""
+    calls, tail = [], theory._cosine_tail
+
+    def recording(shifted, a, b, xs, n, what):
+        calls.append(SimpleNamespace(shifted=shifted, a=a, b=b, n=n))
+        return tail(shifted, a, b, xs, n, what)
+
+    monkeypatch.setattr(theory, "_cosine_tail", recording)
+    return calls
+
+
 class TestConventionalRayleigh:
     """``qd_rayleigh`` sums a negative-binomial mixture exactly, without a quadrature.
 
@@ -914,6 +944,41 @@ class TestConventionalRayleigh:
         lam = scale * cfar_threshold(TheoryParams(kind, K, N), 0.1)
         p = TheoryParams(kind, K=K, N=N, gamma_bar=10 ** (snr_db / 10))
         assert abs(qd_rayleigh(p, lam) - convolution_reference(p, lam)) <= 1e-14
+
+    @pytest.mark.filterwarnings("ignore:N=.* is small")
+    def test_cosine_tail_matches_30_digit_reference_at_a_low_target(self):
+        # a per-threshold stopping rule (two sums within 1e-14) was 2.6e-15 off here
+        lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 64), 0.001)
+        p = TheoryParams(CombinerKind.SLC, K=7, N=64, gamma_bar=10.0)
+        assert abs(qd_rayleigh(p, lam) - convolution_reference(p, lam)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", [CombinerKind.SLC, CombinerKind.MRC])
+    def test_default_grid_takes_at_most_128_terms(self, kind, monkeypatch):
+        calls = record_cosine_tails(monkeypatch)
+        sc = Scenario(combiner=kind)
+        qd_rayleigh(sc.theory_params(), np.array(sc.cfar_grid()))
+        assert len(calls) == 1 and calls[0].n <= 128
+
+    @pytest.mark.filterwarnings("ignore:N=.* is small")
+    @pytest.mark.parametrize(
+        "kind, K, N, snr_db",
+        [
+            (CombinerKind.SLC, 7, 1000, -15.0),  # the defaults
+            (CombinerKind.MRC, 7, 1000, -15.0),
+            (CombinerKind.SLC, 7, 1000, 10.0),
+            (CombinerKind.SLC, 7, 14, 20.0),  # 4,096 terms, the most from -40 to 300 dB
+            (CombinerKind.MRC, 48, 14, 0.0),  # order 7 below SNR shape 48
+        ],
+    )
+    def test_terms_left_out_stay_under_the_bound(self, kind, K, N, snr_db, monkeypatch):
+        # every term from n to the cap, at its largest over the thresholds: |sin| = 1
+        calls = record_cosine_tails(monkeypatch)
+        lam = cfar_threshold(TheoryParams(kind, K, N), 0.1)
+        qd_rayleigh(TheoryParams(kind, K=K, N=N, gamma_bar=10 ** (snr_db / 10)), lam)
+        (call,) = calls
+        k = np.arange(call.n, theory._COS_MAX_TERMS + 1.0)
+        left_out = 2.0 / np.pi * abs(call.shifted(np.pi / (call.b - call.a) * k)) / k
+        assert left_out.sum() <= theory._COS_MASS
 
     def test_cosine_blocks_keep_each_threshold_bit_for_bit(self, monkeypatch):
         # at 10 dB the grid takes 4,096 cosine terms; blocks of one row each change no bit
@@ -980,17 +1045,17 @@ class TestNumericErrorSurface:
     # SLS, at one SNR shape per branch, takes no cosine tail
     @pytest.mark.parametrize("kind", [CombinerKind.SLC, CombinerKind.MRC])
     def test_cosine_tail_unmet_term_cap_raises(self, kind, monkeypatch):
-        # a term cap below the 256 terms the default grid needs
+        # a term cap below the 64 (SLC) and 128 (MRC) terms the default grid needs
         sc = Scenario(combiner=kind)
-        monkeypatch.setattr(theory, "_COS_MAX_TERMS", 128)
+        monkeypatch.setattr(theory, "_COS_MAX_TERMS", 32)
+        calls = record_cosine_tails(monkeypatch)
         what = f"cosine tail for {kind.name} fading average did not converge"
         with pytest.raises(NumericError, match=what):
             qd_rayleigh(sc.theory_params(), np.array(sc.cfar_grid()))
-        # so does a tolerance no pair of sums can meet, at the largest term count
-        monkeypatch.undo()
-        monkeypatch.setattr(theory, "_COS_TOL", -1.0)
         with pytest.raises(NumericError, match=what):
             qd_rayleigh(sc.theory_params(), sc.cfar_grid()[0])
+        # the bound raises before the tail evaluates any term
+        assert calls == []
 
     @pytest.mark.parametrize("kind", [CombinerKind.SLC, CombinerKind.MRC])
     def test_cosine_tail_not_finite_raises(self, kind, monkeypatch):
