@@ -197,7 +197,7 @@ def _marcum_q_vec(order: float, a, b) -> np.ndarray:
     shape = a.shape
     a, b, x, live = a.ravel(), b.ravel(), x.ravel(), live.ravel()
     out = np.ones(a.shape)
-    central = ~((a != 0.0) & (b < np.inf))  # 1 at b == 0 too
+    central = ~((a != 0.0) & (b < np.inf))  # the gamma tail is 1 at b == 0 too
     out[central] = special.gammaincc(order, x[central] / 2.0)
     # exactly 1 from a - b >= 39 on, where the evaluator returns nan past a noncentrality of
     # 1e19: 1 - Q_m(a, b) <= exp(-(a - b)^2 / 2) / 2 < 1e-330 at m >= 1 (Simon and Alouini 2000)
