@@ -161,7 +161,9 @@ def _theory_gap(curve: RocCurve) -> dict:
     nonzero CI at that trial count, so the gap stays finite and a theory
     value far from an empty or full count still shows.  Gaps are rounded to
     the CSV's 12 significant digits, so a last-bit change in a closed form
-    that leaves the CSV as it is leaves the manifest as it is too.
+    that leaves the CSV as it is leaves the manifest as it is too, save where
+    the rate is 0 or 1: there ``|rate - theory| / floor`` can move in its 10th
+    digit with the last bit of a theory value near the rate.
     """
     n = curve.points[0].trials
     floor = binomial_ci(1.0 / n, n)

@@ -37,22 +37,22 @@ def combine(kind: CombinerKind, energies: Sequence[float]) -> float:
     return float(np.max(energies))
 
 
-def combine_signal_mrc(blocks: Sequence) -> np.ndarray:
+def combine_signal_mrc(blocks: Sequence[np.ndarray], gains: Sequence[float]) -> np.ndarray:
     """Maximal-ratio combine raw sample streams into one detector input.
 
-    The streams are weighted by channel-gain magnitude and normalised so the
-    combined stream keeps unit noise scale:
-    ``z = sum_j |h_j| y_j / sqrt(sum_j |h_j|**2)``.  This is the statistic
+    The streams are weighted by their channel-gain magnitudes ``gains`` and
+    normalised so the combined stream keeps unit noise scale:
+    ``z = sum_j h_j y_j / sqrt(sum_j h_j**2)``.  This is the statistic
     whose false-alarm probability is independent of the number of sensors.
     """
-    if len(blocks) < 1:
-        raise ValueError("need at least one block")
-    mags = np.array([abs(b.gain) for b in blocks], dtype=float)
+    if len(blocks) < 1 or len(blocks) != len(gains):
+        raise ValueError("need one gain for each of at least one block")
+    mags = np.asarray(gains, dtype=float)
     norm = np.sqrt(np.sum(mags**2))
     if norm <= 0.0:
         raise DegenerateWeightsError("all channel gains are zero; MRC undefined")
-    stacked = np.stack([np.asarray(b.samples) for b in blocks])
-    return (mags[:, None] * stacked).sum(axis=0) / norm
+    # one reciprocal, not a division per sample: MRC energies keep the bits of earlier releases
+    return (mags[:, None] * np.stack(blocks)).sum(axis=0) * (1.0 / norm)
 
 
 def decide_conventional(combined_energy: float, threshold: float) -> Hypothesis:

@@ -699,18 +699,17 @@ def _sampled_event(
 ) -> tuple[float, float]:
     """One full-waveform sensing event; returns (combined energy, mean variance)."""
     pu = gen_pu_samples(scenario.n_samples, rng)
-    blocks = []
+    blocks, gains, variances = [], [], []
     for _ in range(scenario.num_crs):
         if scenario.channel_kind == "awgn":
-            gain = complex(np.sqrt(scenario.gamma_bar))
+            gains.append(np.sqrt(scenario.gamma_bar))
         else:
-            gain = draw_channel(scenario.gamma_bar, rng)
-        variance = draw_noise_variance(scenario.uncertainty_db, rng)
-        blocks.append(synthesize_received(hyp, gain, pu, variance, rng))
+            gains.append(draw_channel(scenario.gamma_bar, rng))
+        variances.append(draw_noise_variance(scenario.uncertainty_db, rng))
+        blocks.append(synthesize_received(hyp, gains[-1], pu, variances[-1], rng))
     if scenario.combiner is CombinerKind.MRC:
-        e_comb = measure_energy(combine_signal_mrc(blocks))
+        e_comb = measure_energy(combine_signal_mrc(blocks, gains))
     else:
         e_comb = combine(scenario.combiner, [measure_energy(b) for b in blocks])
     # each sensor knows its drawn noise variance exactly (perfect estimation)
-    sig_mean = float(np.mean([b.true_noise_variance for b in blocks]))
-    return e_comb, sig_mean
+    return e_comb, float(np.mean(variances))

@@ -126,9 +126,9 @@ class TheoryParams:
             raise ValueError("K must be at least 1")
         if self.N < 2 or self.N % 2 != 0:
             raise ValueError("N must be an even integer >= 2")
-        if self.gamma_bar <= 0.0:
-            raise ValueError("gamma_bar must be positive")
-        if self.rho < 1.0:
+        if not 0.0 < self.gamma_bar < math.inf:  # nan fails every comparison
+            raise ValueError("gamma_bar must be finite and positive")
+        if not self.rho >= 1.0:
             raise ValueError("rho must be at least 1")
         if self.L < 2:
             raise ValueError("L must be at least 2")
@@ -250,7 +250,7 @@ def qd_awgn_exact(p: TheoryParams, lams: np.ndarray, snr: float) -> np.ndarray:
     ``snr`` is the common per-sensor per-sample SNR; zero reduces to the
     false-alarm probability.
     """
-    if snr < 0.0:
+    if not snr >= 0.0:  # nan fails the comparison
         raise ValueError("snr must be nonnegative")
     return _above_zero(lams, lambda t: _detection_tail(p, t, snr))
 
@@ -574,7 +574,7 @@ def qd_proposed_awgn(p: TheoryParams, lams: np.ndarray, snr: float) -> np.ndarra
 
     1 at ``lam <= 0``; ``rho = 1`` returns :func:`qd_awgn_exact`, which also screens ``snr``.
     """
-    if p.rho == 1.0 or snr < 0.0:
+    if p.rho == 1.0 or not snr >= 0.0:
         return qd_awgn_exact(p, lams, snr)
     return _above_zero(lams, lambda t: _proposed_mixture(p, t, snr))
 

@@ -6,19 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from css_lab.channel import SampleBlock
 from css_lab.harness import conventional_rate, forced_rates
 from css_lab.theory import CombinerKind, TheoryParams
-
-
-def make_block(samples, noise_variance: float = 1.0, snr: float = 0.0) -> SampleBlock:
-    """Build a SampleBlock around explicit samples for unit tests."""
-    gain = complex(np.sqrt(snr)) if snr > 0 else 0j
-    return SampleBlock(
-        samples=np.asarray(samples, dtype=np.complex128),
-        true_noise_variance=noise_variance,
-        gain=gain,
-    )
 
 
 def forced_one(scenario, h1, lams, rng):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import conventional_one, make_block
+from conftest import conventional_one
 
 from css_lab.channel import Hypothesis
 from css_lab.fusion import DegenerateWeightsError, combine, combine_signal_mrc, decide_conventional
@@ -40,19 +40,22 @@ class TestCombine:
 
 class TestCombineSignalMrc:
     def test_single_block_identity(self):
-        block = make_block([1.0, -2.0, 0.5], snr=1.0)
-        combined = combine_signal_mrc([block])
-        assert np.allclose(combined, block.samples)
+        samples = np.array([1.0, -2.0, 0.5])
+        assert np.allclose(combine_signal_mrc([samples], [0.7]), samples)
 
     def test_noise_scale_preserved(self, rng):
         # weighted combining keeps unit-variance noise at unit variance
-        blocks = [make_block(rng.standard_normal(4000), snr=s) for s in (0.5, 1.0, 2.0)]
-        combined = combine_signal_mrc(blocks)
+        blocks = [rng.standard_normal(4000) for _ in range(3)]
+        combined = combine_signal_mrc(blocks, np.sqrt([0.5, 1.0, 2.0]))
         assert measure_energy(combined) / 4000 == pytest.approx(1.0, abs=0.15)
 
     def test_all_zero_gains_rejected(self):
         with pytest.raises(DegenerateWeightsError):
-            combine_signal_mrc([make_block([1.0, 2.0], snr=0.0)])
+            combine_signal_mrc([np.array([1.0, 2.0])], [0.0])
+
+    def test_one_gain_per_block(self):
+        with pytest.raises(ValueError, match="one gain for each"):
+            combine_signal_mrc([np.ones(3), np.ones(3)], [1.0])
 
 
 class TestDecideConventional:

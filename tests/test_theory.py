@@ -1133,6 +1133,15 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=field):
             TheoryParams(CombinerKind.SLC, K=1, N=1000, **{field: value})
 
+    def test_nan_snr_gives_no_quiet_number(self):
+        # nan passes a "< 0" or "<= 0" screen; each entry point must refuse it instead
+        for field, value in (("gamma_bar", np.nan), ("gamma_bar", np.inf), ("rho", np.nan)):
+            with pytest.raises(ValueError, match=field):
+                TheoryParams(CombinerKind.SLC, K=7, N=1000, **{field: value})
+        for form, rho in itertools.product((qd_awgn_exact, qd_proposed_awgn), (1.0, 1.2)):
+            with pytest.raises(ValueError, match="snr"):
+                form(TheoryParams(CombinerKind.SLC, K=7, N=1000, rho=rho), 7100.0, np.nan)
+
     def test_scenario_fills_channel_and_uncertainty(self):
         p = Scenario(channel_kind="awgn", uncertainty_db=2.5).theory_params(rho=1.1)
         assert (p.channel, p.uncertainty_db, p.rho) == ("awgn", 2.5, 1.1)
