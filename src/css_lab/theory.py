@@ -19,7 +19,8 @@ From this follow, per combiner (``u = N/2``, ``K`` sensors):
 Every closed form reads that model from one place: ``TheoryParams.order``
 (the null's gamma order), ``TheoryParams.snr_shape`` (how many sensor SNRs
 the statistic sums) and :func:`_combined` (the SLS complement).  The
-theory columns are exact tails.  Gaussian forms match a normal to
+theory columns are exact tails (:func:`_ncx2_tail`), and every false-alarm
+form is its detection form at zero SNR.  Gaussian forms match a normal to
 :func:`_h1_moments`: the window predictor, :func:`qfa_approx`, and the null
 that :func:`cfar_threshold` inverts into every curve's thresholds.  Every
 closed form is elementwise over ``lam`` (``cfar_threshold`` over its
@@ -39,7 +40,7 @@ and more, a Fourier-cosine series of the law's characteristic function
 dual-threshold average's predictor weight depends on the SNR, so it integrates
 over the density instead, up to its ``1 - _TAIL_MASS`` quantile (the integrand
 is the density times a probability, so that bounds the truncation error), on
-panels split where the predictor weight and the two Marcum tails step.
+panels split where the predictor weight and the two exact tails step.
 :func:`_fading_average` integrates a whole threshold grid in one pass of nested
 Clenshaw-Curtis rules whose interval count doubles until each panel converges,
 or raises ``NumericError``; each doubling evaluates only the new nodes.
@@ -122,6 +123,9 @@ class TheoryParams:
     uncertainty_db: float = 0.0
 
     def __post_init__(self) -> None:
+        for count in (self.K, self.N, self.L):  # refuses floats, 7.0 and nan among them
+            if not isinstance(count, (int, np.integer)):
+                raise ValueError("K, N and L must be integers")
         if self.K < 1:
             raise ValueError("K must be at least 1")
         if self.N < 2 or self.N % 2 != 0:
@@ -180,33 +184,30 @@ def _above_zero(lams: np.ndarray, tail) -> np.ndarray:
     return out
 
 
-def _marcum_q_vec(order: float, a, b) -> np.ndarray:
-    """Generalized Marcum Q of one order, elementwise over broadcast ``a`` and ``b``.
+def _ncx2_tail(order: float, nc, x) -> np.ndarray:
+    """``P(chi2'(2 order, nc) >= x)``, elementwise over broadcast ``nc`` and ``x``.
 
-    ``Q_m(a, b) = P(chi2'(2m, a^2) >= b^2)``, through the noncentral chi-square survival
-    function.  ``b == 0`` gives 1; ``a == 0`` and a ``b`` of inf or nan (at any ``a``) give
-    the regularized upper gamma tail, 0 at inf and nan at nan.  Where even the central CDF
-    (an upper bound on the noncentral one) underflows to zero the value is exactly 1 in
-    double precision, and the boost evaluator would overflow internally.  That screen
-    depends on ``b`` alone, so it runs before ``b`` is broadcast.
+    ``x == 0`` gives 1; ``nc == 0`` and an ``x`` of inf or nan give the regularized upper
+    gamma tail ``Q(order, x / 2)``, 0 at inf and nan at nan.  Where even the central CDF (an
+    upper bound on the noncentral one) underflows to zero, the value is exactly 1 and the
+    boost evaluator would overflow; that screen depends on ``x`` alone, so it runs first.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    x = b * b
-    live = special.chdtr(2.0 * order, x) != 0.0  # also False at b == 0
-    a, b, x, live = np.broadcast_arrays(a, b, x, live)
-    shape = a.shape
-    a, b, x, live = a.ravel(), b.ravel(), x.ravel(), live.ravel()
-    out = np.ones(a.shape)
-    central = ~((a != 0.0) & (b < np.inf))  # the gamma tail is 1 at b == 0 too
+    nc, x = np.asarray(nc, dtype=float), np.asarray(x, dtype=float)
+    live = special.chdtr(2.0 * order, x) != 0.0  # also False at x == 0
+    nc, x, live = np.broadcast_arrays(nc, x, live)
+    shape = nc.shape
+    nc, x, live = nc.ravel(), x.ravel(), live.ravel()
+    out = np.ones(nc.shape)
+    central = ~((nc != 0.0) & (x < np.inf))  # the gamma tail is 1 at x == 0 too
     out[central] = special.gammaincc(order, x[central] / 2.0)
-    # exactly 1 from a - b >= 39 on, where the evaluator returns nan past a noncentrality of
-    # 1e19: 1 - Q_m(a, b) <= exp(-(a - b)^2 / 2) / 2 < 1e-330 at m >= 1 (Simon and Alouini 2000)
-    with np.errstate(invalid="ignore"):  # inf - inf, at a = b = inf, which central takes
-        rest = live & ~central & (a - b < 39.0)
+    # exactly 1 from d = sqrt(nc) - sqrt(x) >= 39 on, where the evaluator is nan past nc = 1e19:
+    # 1 - tail <= exp(-d^2 / 2) / 2 < 1e-330 at order >= 1 (Simon and Alouini 2000)
+    rest = live & ~central  # so x < inf, and no inf - inf
+    rest[rest] = np.sqrt(nc[rest]) - np.sqrt(x[rest]) < 39.0
     # the ufunc behind scipy.stats.ncx2.sf; importing scipy.stats costs more than
     # half a second of start-up
     with np.errstate(over="ignore"):
-        out[rest] = _ufuncs._ncx2_sf(x[rest], 2.0 * order, a[rest] * a[rest])
+        out[rest] = _ufuncs._ncx2_sf(x[rest], 2.0 * order, nc[rest])
     return out.reshape(shape)
 
 
@@ -216,11 +217,11 @@ def marcum_q(order: float, a: float, b: float) -> float:
     Evaluated through the noncentral chi-square survival function:
     ``Q_m(a, b) = P(chi2'(2m, a^2) >= b^2)``.
     """
-    if order < 1.0:
+    if not order >= 1.0:  # nan fails the comparison
         raise ValueError("order must be at least 1")
-    if a < 0.0 or b < 0.0:
+    if not (a >= 0.0 and b >= 0.0):
         raise ValueError("a and b must be nonnegative")
-    return float(_marcum_q_vec(order, a, b)[()])
+    return float(_ncx2_tail(order, a * a, b * b)[()])
 
 
 def _combined(p: TheoryParams, rate):
@@ -232,23 +233,17 @@ def _combined(p: TheoryParams, rate):
     return np.where(saturated, 1.0, -np.expm1(p.K * np.log1p(-np.where(saturated, 0.0, branch))))
 
 
-@_elementwise
-def qfa_exact(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
-    """Exact chi-square false-alarm probability of the combined statistic."""
-    return _above_zero(lams, lambda t: _combined(p, special.gammaincc(p.order, t / 2.0)))
-
-
 def _detection_tail(p: TheoryParams, lam, snr) -> np.ndarray:
     """Exact detection probability, elementwise over broadcast thresholds ``lam > 0`` and SNRs."""
-    return _combined(p, _marcum_q_vec(p.order, np.sqrt(p.N * p.snr_shape * snr), np.sqrt(lam)))
+    return _combined(p, _ncx2_tail(p.order, p.N * p.snr_shape * snr, lam))
 
 
 @_elementwise
 def qd_awgn_exact(p: TheoryParams, lams: np.ndarray, snr: float) -> np.ndarray:
-    """Exact fixed-SNR detection probability via the Marcum Q function.
+    """Exact fixed-SNR detection probability: the noncentral chi-square tail at ``lam``.
 
-    ``snr`` is the common per-sensor per-sample SNR; zero reduces to the
-    false-alarm probability.
+    ``snr`` is the common per-sensor per-sample SNR.  At zero it is the false-alarm
+    probability, the combined upper gamma tail ``Q(order, lam / 2)`` bit for bit.
     """
     if not snr >= 0.0:  # nan fails the comparison
         raise ValueError("snr must be nonnegative")
@@ -534,15 +529,9 @@ def _avg_moments(p: TheoryParams, snr):
 
 @_elementwise
 def qfa_proposed(p: TheoryParams, lams: np.ndarray) -> np.ndarray:
-    """Dual-threshold false-alarm probability: :func:`qd_proposed_awgn` at zero SNR.
-
-    The predictor's firing probability on an idle window mixes the exact tails at
-    the favourable and guarded thresholds.  ``rho = 1`` returns :func:`qfa_exact`.
-    """
+    """Dual-threshold false-alarm probability: :func:`qd_proposed_awgn` at zero SNR."""
     _warn_small_n(p)
-    if p.rho == 1.0:
-        return qfa_exact(p, lams)
-    return _above_zero(lams, lambda t: _proposed_mixture(p, t, 0.0))
+    return qd_proposed_awgn(p, lams, 0.0)
 
 
 def _proposed_mixture(p: TheoryParams, lam, snr) -> np.ndarray:
@@ -551,13 +540,13 @@ def _proposed_mixture(p: TheoryParams, lam, snr) -> np.ndarray:
     The predictor weight mixes the two exact tails.  Past ``boost = sqrt(DBL_MAX / (4 order))``
     the H1 variance ``4 order boost^2`` of :func:`_h1_moments` overflows to inf, and the
     weight reads 1/2.  There the H1 mean ``2 order boost`` exceeds 1e154, and so does the
-    tails' ``a^2``, the mean less the null mean ``2 order``.  A threshold with ``rho * lam``
-    below 1e153 (CFAR thresholds sit near ``2 order``) then has ``b = sqrt(rho lam) <= a / 2``
-    and ``a >= 78``, so ``a - b >= 39``: both tails are exactly 1 (see :func:`_marcum_q_vec`),
-    and so is the mixture, whatever the weight.
+    tails' noncentrality ``nc``, the mean less the null mean ``2 order``.  A threshold with
+    ``rho * lam`` below 1e153 (CFAR thresholds sit near ``2 order``) then has ``sqrt(rho lam)
+    <= sqrt(nc) / 2`` and ``sqrt(nc) >= 78``, so ``sqrt(nc) - sqrt(rho lam) >= 39``: both tails
+    are exactly 1 (see :func:`_ncx2_tail`), and so is the mixture, whatever the weight.
 
     A tail at zero weight (the guarded one at ``w == 1``, the favourable one at ``w == 0``)
-    is taken at infinite SNR, where :func:`_marcum_q_vec` reads exactly 1 unevaluated (0 at
+    is taken at infinite SNR, where :func:`_ncx2_tail` reads exactly 1 unevaluated (0 at
     ``lam = inf``); that changes no bit, since ``0 * 1 + x == x``.
     """
     thresholds = np.array([lam / p.rho, p.rho * lam])  # favourable, guarded
@@ -619,7 +608,7 @@ def closed_form_rates(p: TheoryParams, lams) -> tuple[list[float], list[float]]:
     """Closed-form pfa and pd lists of the dual-threshold rule at each threshold of ``lams``.
 
     At ``p.rho = 1`` both thresholds are ``lam``: the fixed-threshold rule, whose forms
-    (:func:`qfa_exact`, and :func:`qd_awgn_exact` at ``p.gamma_bar`` on an AWGN channel or
+    (:func:`qd_awgn_exact` at zero SNR, and at ``p.gamma_bar`` on an AWGN channel or
     :func:`qd_rayleigh`) these return bit for bit.  The grid is one call per form.
     """
     pfa = qfa_proposed(p, lams)

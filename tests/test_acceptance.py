@@ -43,7 +43,6 @@ from css_lab.theory import (
     qd_proposed_rayleigh,
     qd_rayleigh,
     qfa_approx,
-    qfa_exact,
     qfa_proposed,
 )
 from conftest import conventional_one, forced_one, gaussian_pd
@@ -116,7 +115,7 @@ def test_criterion_01_false_alarm_sls_exact_form_companion():
     scenario, params, rows = _criterion1_rates(CombinerKind.SLS)
     worst = 0.0
     for lam, pfa, _, _, _ in rows:
-        exact = qfa_exact(params, lam)
+        exact = qd_awgn_exact(params, lam, 0.0)
         tol = max(0.01, 3 * np.sqrt(exact * (1 - exact) / scenario.trials))
         worst = max(worst, abs(pfa - exact) - tol)
     report(1, "SLS false alarm vs exact chi-square form (companion)", worst <= 0)
@@ -127,7 +126,7 @@ def _criterion2_deviations(kind: CombinerKind):
     params = TheoryParams(kind, 7, 1000, gamma_bar=GBAR)
     grid = np.logspace(np.log10(0.01), np.log10(0.9), 20)
     lams = [cfar_threshold(params, float(t)) for t in grid]
-    dev_fa = max(abs(qfa_exact(params, lam) - qfa_approx(params, lam)) for lam in lams)
+    dev_fa = max(abs(qd_awgn_exact(params, lam, 0.0) - qfa_approx(params, lam)) for lam in lams)
     dev_d = max(
         abs(qd_awgn_exact(params, lam, GBAR) - gaussian_pd(params, lam, GBAR)) for lam in lams
     )
@@ -442,7 +441,7 @@ def test_criterion_11_property_suites():
         params_p = TheoryParams(kind, 7, 1000, gamma_bar=GBAR, rho=1.15)
         lams = np.sort(rng.uniform(0.8, 1.25, 12)) * (7000.0 if kind is CombinerKind.SLC else 1000.0)
         for fn in (
-            lambda lam: qfa_exact(params_c, lam),
+            lambda lam: qd_awgn_exact(params_c, lam, 0.0),
             lambda lam: qfa_approx(params_c, lam),
             lambda lam: qd_awgn_exact(params_c, lam, GBAR),
             lambda lam: qfa_proposed(params_p, lam),

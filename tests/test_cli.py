@@ -25,7 +25,7 @@ from css_lab.cli import (
 from css_lab.harness import Scenario, roc_sweep
 from css_lab.theory import CombinerKind, NumericError, cfar_threshold, expected_rho
 from css_lab.theory import qd_proposed_rayleigh, qd_rayleigh
-from css_lab.theory import qfa_exact, qfa_proposed
+from css_lab.theory import qd_awgn_exact, qfa_proposed
 
 
 class TestParseScenario:
@@ -226,7 +226,7 @@ class TestRunCommand:
                 cfar_threshold(sub.theory_params(), float(row["target_pfa"])), rel=1e-11
             )
             if row["scheme"] == "conventional":
-                pfa = qfa_exact(sub.theory_params(), lam)
+                pfa = qd_awgn_exact(sub.theory_params(), lam, 0.0)
                 pd = qd_rayleigh(sub.theory_params(), lam)
             else:
                 pfa = qfa_proposed(sub.theory_params(rho=rho), lam)

@@ -24,7 +24,6 @@ from css_lab.theory import (
     qd_proposed_rayleigh,
     qd_rayleigh,
     qfa_approx,
-    qfa_exact,
     qfa_proposed,
 )
 from css_lab import harness, theory
@@ -147,23 +146,23 @@ class TestCfarThreshold:
 
 
 class TestUpperRegGamma:
-    """The regularized upper gamma step of ``qfa_exact``, at shape ``K u`` or ``u``."""
+    """``qd_awgn_exact`` at zero SNR: the regularized upper gamma tail of shape ``K u`` or ``u``."""
 
     def test_zero_lower_tail(self):
         for kind in CombinerKind:
-            assert qfa_exact(params(kind), 0.0) == 1.0
-            assert qfa_exact(params(kind), 5e-324) == 1.0
+            assert qd_awgn_exact(params(kind), 0.0, 0.0) == 1.0
+            assert qd_awgn_exact(params(kind), 5e-324, 0.0) == 1.0
 
     def test_exponential_special_case(self):
         # N = 2 gives u = 1, so each branch tail is exp(-lam / 2)
         for x in (0.1, 1.0, 4.2):
             for p in (TheoryParams(CombinerKind.SLC, 1, 2), TheoryParams(CombinerKind.MRC, 3, 2)):
-                assert qfa_exact(p, 2.0 * x) == pytest.approx(np.exp(-x), rel=1e-12)
+                assert qd_awgn_exact(p, 2.0 * x, 0.0) == pytest.approx(np.exp(-x), rel=1e-12)
 
     def test_large_argument_vs_quadrature(self):
         oracle = upper_gamma_quad_oracle(500.0, 500.0)
         for p in (TheoryParams(CombinerKind.SLC, 1, 1000), params(CombinerKind.MRC)):
-            assert qfa_exact(p, 1000.0) == pytest.approx(oracle, abs=1e-8)
+            assert qd_awgn_exact(p, 1000.0, 0.0) == pytest.approx(oracle, abs=1e-8)
 
     def test_domain(self):
         # TheoryParams refuses a nonpositive shape; a nonpositive threshold saturates
@@ -172,7 +171,7 @@ class TestUpperRegGamma:
         with pytest.raises(ValueError):
             TheoryParams(CombinerKind.MRC, K=1, N=0)
         for kind in CombinerKind:
-            assert qfa_exact(params(kind), -1.0) == 1.0
+            assert qd_awgn_exact(params(kind), -1.0, 0.0) == 1.0
 
 
 class TestMarcumQ:
@@ -192,8 +191,8 @@ class TestMarcumQ:
 
     def test_far_past_the_threshold_is_one(self):
         # a noncentrality of 1e20, where scipy's evaluator returns nan; the value is 1
-        # within 1e-330 by the bound exp(-(a - b)^2 / 2) / 2
-        assert theory._marcum_q_vec(3500, 1e10, 84.0) == 1.0
+        # within 1e-330 by the bound exp(-(sqrt(nc) - sqrt(x))^2 / 2) / 2
+        assert theory._ncx2_tail(3500, 1e20, 84.0**2) == 1.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -201,29 +200,36 @@ class TestMarcumQ:
         with pytest.raises(ValueError):
             marcum_q(1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("args", [(np.nan, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.nan)])
+    def test_nan_input_raises(self, args):
+        # nan passes a "< 1" or "< 0" screen, and a nan ``a`` read as a quiet 1
+        with pytest.raises(ValueError):
+            marcum_q(*args)
+
 
 class TestExactTails:
     def test_tiny_threshold_saturates(self):
         for kind in CombinerKind:
-            assert qfa_exact(params(kind), 1e-12) == pytest.approx(1.0)
+            assert qd_awgn_exact(params(kind), 1e-12, 0.0) == pytest.approx(1.0)
             assert qd_awgn_exact(params(kind), 1e-12, GBAR) == pytest.approx(1.0)
 
     def test_sls_single_branch_equals_mrc(self):
         lam = 1057.0
-        assert qfa_exact(params(CombinerKind.SLS, K=1), lam) == pytest.approx(
-            qfa_exact(params(CombinerKind.MRC, K=1), lam), rel=1e-12
+        assert qd_awgn_exact(params(CombinerKind.SLS, K=1), lam, 0.0) == pytest.approx(
+            qd_awgn_exact(params(CombinerKind.MRC, K=1), lam, 0.0), rel=1e-12
         )
 
     def test_slc_cfar_operating_point(self):
         p = params()
-        assert 0.09 <= qfa_exact(p, cfar_threshold(p, 0.1)) <= 0.11
+        assert 0.09 <= qd_awgn_exact(p, cfar_threshold(p, 0.1), 0.0) <= 0.11
 
     def test_zero_snr_reduces_to_false_alarm(self):
+        # bit for bit the combined upper gamma tail, 1 at lam <= 0
         for kind in CombinerKind:
-            lam = cfar_threshold(TheoryParams(kind, 7, 1000), 0.2)
-            assert qd_awgn_exact(params(kind), lam, 0.0) == pytest.approx(
-                qfa_exact(params(kind), lam), rel=1e-12
-            )
+            p = params(kind)
+            lams = np.array([*Scenario(combiner=kind).cfar_grid(), 0.0, -1.0, np.inf, np.nan])
+            false_alarm = theory._combined(p, special.gammaincc(p.order, np.maximum(lams, 0.0) / 2))
+            assert np.array_equal(qd_awgn_exact(p, lams, 0.0), false_alarm, equal_nan=True)
 
     def test_slc_detection_vs_monte_carlo(self):
         # 1e6 draws of the K=3 combined statistic at equal branch SNR
@@ -319,7 +325,7 @@ class TestGaussianTails:
         p = params()
         for t in np.logspace(np.log10(0.01), np.log10(0.9), 20):
             lam = cfar_threshold(p, float(t))
-            assert abs(qfa_approx(p, lam) - qfa_exact(p, lam)) <= 0.01
+            assert abs(qfa_approx(p, lam) - qd_awgn_exact(p, lam, 0.0)) <= 0.01
 
     def test_detection_zero_snr_degeneracy(self):
         for kind in CombinerKind:
@@ -416,14 +422,14 @@ class TestProposedFalseAlarm:
         p = params(kind, rho=1.0)
         for lam in (6900.0, 7000.0, 7151.6):
             lam *= 2 * p.order / 7000.0  # about the statistic's null mean, 7000 for SLC
-            assert qfa_proposed(p, lam) == qfa_exact(p, lam)
+            assert qfa_proposed(p, lam) == qd_awgn_exact(p, lam, 0.0)
 
     def test_idle_window_regime(self):
         p = params(rho=1.2, L=15)
         lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), 0.1)
-        assert abs(qfa_proposed(p, lam) - qfa_exact(p, 1.2 * lam)) <= 1e-4
+        assert abs(qfa_proposed(p, lam) - qd_awgn_exact(p, 1.2 * lam, 0.0)) <= 1e-4
 
-    @pytest.mark.parametrize("rho", [1.05, 1.2])
+    @pytest.mark.parametrize("rho", [1.0, 1.05, 1.2])
     @pytest.mark.parametrize("kind", list(CombinerKind))
     def test_is_the_detection_mixture_at_zero_snr(self, kind, rho):
         # one mixture gives both columns: an idle window is all L events at zero SNR
@@ -442,15 +448,17 @@ class TestProposedFalseAlarm:
         targets = [cfar_threshold(p, t) for t in (0.01, 0.1, 0.5)]
         for lam in [*targets, *(scale + z * sd for z in (-2.0, 0.0, 1.0, 3.0))]:
             w = stats.norm.sf((lam - scale) / sd)
-            mixture = w * qfa_exact(p, lam / rho) + (1.0 - w) * qfa_exact(p, rho * lam)
+            mixture = (
+                w * qd_awgn_exact(p, lam / rho, 0.0) + (1.0 - w) * qd_awgn_exact(p, rho * lam, 0.0)
+            )
             assert qfa_proposed(p, lam) == pytest.approx(mixture, rel=1e-12)
 
     def test_between_endpoint_rates(self, rng):
         p = params(rho=1.15, L=15)
         for lam in rng.uniform(6800, 7400, 25):
             value = qfa_proposed(p, float(lam))
-            lo = qfa_exact(p, 1.15 * float(lam))
-            hi = qfa_exact(p, float(lam) / 1.15)
+            lo = qd_awgn_exact(p, 1.15 * float(lam), 0.0)
+            hi = qd_awgn_exact(p, float(lam) / 1.15, 0.0)
             assert lo - 1e-12 <= value <= hi + 1e-12
 
 
@@ -460,13 +468,13 @@ class TestProposedDetection:
         lam = cfar_threshold(TheoryParams(CombinerKind.SLC, 7, 1000), 0.1)
         p_idle = params(rho=1.1, L=15)
         assert predictor_weight(p_idle, lam, 0.0) <= 0.01
-        assert qfa_proposed(p_idle, lam) < qfa_exact(p_idle, lam)
+        assert qfa_proposed(p_idle, lam) < qd_awgn_exact(p_idle, lam, 0.0)
 
 
 # every closed form that is elementwise over its thresholds (cfar_threshold: its targets)
 ELEMENTWISE_FORMS = {
     "cfar_threshold": cfar_threshold,
-    "qfa_exact": qfa_exact,
+    "qd_awgn_exact_zero_snr": lambda p, lam: qd_awgn_exact(p, lam, 0.0),
     "qfa_approx": qfa_approx,
     "qfa_proposed": qfa_proposed,
     "qd_awgn_exact": lambda p, lam: qd_awgn_exact(p, lam, GBAR),
@@ -475,9 +483,9 @@ ELEMENTWISE_FORMS = {
     "qd_rayleigh": qd_rayleigh,
 }
 ONE_AT_NONPOSITIVE_LAM = {
-    "qfa_exact",
     "qfa_proposed",
     "qd_awgn_exact",
+    "qd_awgn_exact_zero_snr",
     "qd_proposed_awgn",
     "qd_proposed_rayleigh",
     "qd_rayleigh",
@@ -590,7 +598,7 @@ class TestMonotonicityAndRange:
         p_prop = params(kind, rho=1.15)
         lams = [cfar_threshold(p_conv, t) for t in np.linspace(0.01, 0.9, 12)][::-1]
         functions = (
-            lambda lam: qfa_exact(p_conv, lam),
+            lambda lam: qd_awgn_exact(p_conv, lam, 0.0),
             lambda lam: qfa_approx(p_conv, lam),
             lambda lam: qd_awgn_exact(p_conv, lam, GBAR),
             lambda lam: gaussian_pd(p_conv, lam, GBAR),
@@ -774,13 +782,13 @@ class TestDualThresholdPanels:
 
     def test_default_table_marcum_evaluation_count(self, monkeypatch, tmp_path):
         evaluations = []
-        marcum = theory._marcum_q_vec
+        tail = theory._ncx2_tail
 
-        def counting(order, a, b):
-            evaluations.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
-            return marcum(order, a, b)
+        def counting(order, nc, x):
+            evaluations.append(np.broadcast(np.asarray(nc), np.asarray(x)).size)
+            return tail(order, nc, x)
 
-        monkeypatch.setattr(theory, "_marcum_q_vec", counting)
+        monkeypatch.setattr(theory, "_ncx2_tail", counting)
         run_command("theory-table", parse_scenario(None), tmp_path)
         # 49,248 evaluations in 458 calls with one rule over the whole 40-sigma interval
         count = sum(evaluations)
@@ -1000,21 +1008,21 @@ class TestConventionalRayleigh:
         p = TheoryParams(kind, K=7, N=1000, gamma_bar=1e-20)
         for target in (0.01, 0.1, 0.5):
             lam = cfar_threshold(p, target)
-            assert abs(qd_rayleigh(p, lam) - qfa_exact(p, lam)) <= 1e-12
+            assert abs(qd_rayleigh(p, lam) - qd_awgn_exact(p, lam, 0.0)) <= 1e-12
         # the law is Gamma(m, 2): the counts' terms round away (SLS), and the cosine tail
         # expands that law (SLC, MRC)
         lams = cfar_threshold(p, np.array([0.01, 0.1, 0.5]))
-        assert np.abs(qd_rayleigh(p, lams) - qfa_exact(p, lams)).max() <= 2e-15
+        assert np.abs(qd_rayleigh(p, lams) - qd_awgn_exact(p, lams, 0.0)).max() <= 2e-15
 
     def test_makes_no_marcum_evaluations(self, monkeypatch):
         calls = []
-        marcum = theory._marcum_q_vec
+        tail = theory._ncx2_tail
 
-        def counting(order, a, b):
+        def counting(order, nc, x):
             calls.append(order)
-            return marcum(order, a, b)
+            return tail(order, nc, x)
 
-        monkeypatch.setattr(theory, "_marcum_q_vec", counting)
+        monkeypatch.setattr(theory, "_ncx2_tail", counting)
         for kind in CombinerKind:
             lam = cfar_threshold(TheoryParams(kind, 7, 1000), 0.1)
             qd_rayleigh(params(kind), lam)
@@ -1035,7 +1043,7 @@ class TestNumericErrorSurface:
             qd_proposed_rayleigh(params(rho=1.1), np.array([0.0, 7000.0, 7300.0]))
         # a non-finite integrand fails at once
         monkeypatch.setattr(
-            theory, "_marcum_q_vec", lambda order, a, b: np.full(np.broadcast(a, b).shape, np.nan)
+            theory, "_ncx2_tail", lambda order, nc, x: np.full(np.broadcast(nc, x).shape, np.nan)
         )
         with pytest.raises(NumericError, match="not finite"):
             qd_proposed_rayleigh(params(rho=1.1), 7000.0)
@@ -1133,6 +1141,15 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=field):
             TheoryParams(CombinerKind.SLC, K=1, N=1000, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [("K", 7.5), ("N", 1000.0), ("L", np.nan)])
+    def test_counts_must_be_integers(self, field, value):
+        # K = 7.5 gave a quiet pfa at the K = 7 threshold, and L = nan a nan
+        with pytest.raises(ValueError, match="integers"):
+            TheoryParams(CombinerKind.SLC, **{"K": 7, "N": 1000, field: value})
+        scenario_field = {"K": "num_crs", "N": "n_samples", "L": "history_len"}[field]
+        with pytest.raises(ValueError, match="integers"):
+            Scenario(**{scenario_field: value})
+
     def test_nan_snr_gives_no_quiet_number(self):
         # nan passes a "< 0" or "<= 0" screen; each entry point must refuse it instead
         for field, value in (("gamma_bar", np.nan), ("gamma_bar", np.inf), ("rho", np.nan)):
@@ -1158,7 +1175,7 @@ class TestClosedFormRates:
         p = scenario.theory_params()
         lams = [*scenario.cfar_grid(), 0.0]  # the default grid and one lam <= 0
         pfa, pd = closed_form_rates(p, lams)
-        assert pfa == [qfa_exact(p, lam) for lam in lams]
+        assert pfa == [qd_awgn_exact(p, lam, 0.0) for lam in lams]
         if channel == "awgn":
             assert pd == [qd_awgn_exact(p, lam, p.gamma_bar) for lam in lams]
         else:
